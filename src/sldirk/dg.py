@@ -171,6 +171,13 @@ class ShiftOperator:
     on fields without a leading axis.  Operators are cheap to build and
     reusable, so callers advancing many steps with the same shifts should
     cache them.
+
+    Building precomputes, per slice and target element, the flat row of
+    each of the two source elements in the (L * n_el, q) view of the
+    values, so ``apply`` is two contiguous row gathers (the second one
+    into the first one's buffer) and two batched (n_el, q) @ (q, q)
+    products per slice.  Mesh-aligned shifts skip the products and
+    return the gathered rows, an exact permutation.
     """
 
     def __init__(self, mesh: Mesh1D, degree: int, shifts):
@@ -190,26 +197,38 @@ class ShiftOperator:
         bump = theta >= 1.0
         cells = cells + bump
         theta = np.where(bump, 0.0, theta)
-        self._cells = cells.astype(int)
+        cells = cells.astype(int)
         a0, a1 = _fractional_matrices(nodes, weights, theta)
         self._a0t = np.ascontiguousarray(np.swapaxes(a0, -1, -2))
         self._a1t = np.ascontiguousarray(np.swapaxes(a1, -1, -2))
         n = mesh.n_elements
         tgt = np.arange(n)
-        self._idx0 = (tgt[None, :] - self._cells[:, None] - 1) % n
-        self._idx1 = (tgt[None, :] - self._cells[:, None]) % n
+        # target element i of slice l reads source elements i - cells - 1
+        # (left piece, A0) and i - cells (aligned piece, A1), periodically
+        first_row = (np.arange(len(shifts)) * n)[:, None]
+        self._rows0 = (first_row + (tgt[None, :] - cells[:, None] - 1) % n).ravel()
+        self._rows1 = (first_row + (tgt[None, :] - cells[:, None]) % n).ravel()
         self._pure_roll = bool(np.all(theta == 0.0))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Remap values of shape (L, n_el, q) (or (n_el, q) for scalar shift)."""
         vals = values[None] if self.scalar else values
-        lead = np.arange(vals.shape[0])[:, None]
+        lead, n, q = vals.shape
+        if lead * n != len(self._rows1):
+            raise ValueError(f"values of shape {values.shape} do not match an operator "
+                             f"for {len(self._rows1) // self.mesh.n_elements} shifts "
+                             f"on {self.mesh.n_elements} elements")
+        flat = vals.reshape(lead * n, q)
+        # the rows are in range by construction; mode="clip" only spares
+        # the buffered copy that take(..., out=) makes under mode="raise"
+        gathered = np.take(flat, self._rows1, axis=0, mode="clip")
         if self._pure_roll:
-            out = vals[lead, self._idx1]
+            out = gathered.reshape(vals.shape)
         else:
             # batched (n_el, q) @ (q, q)^T per leading slice
-            out = vals[lead, self._idx1] @ self._a1t
-            out += vals[lead, self._idx0] @ self._a0t
+            out = gathered.reshape(vals.shape) @ self._a1t
+            np.take(flat, self._rows0, axis=0, out=gathered, mode="clip")
+            out += gathered.reshape(vals.shape) @ self._a0t
         return out[0] if self.scalar else out
 
 

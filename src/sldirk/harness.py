@@ -32,7 +32,7 @@ import numpy as np
 
 from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
-from .models import VelocitySet, make_model, maxwellian
+from .models import UnphysicalStateError, VelocitySet, make_model, maxwellian
 from .sl_solver import DivergenceError, RunResult, SimConfig, l1_error, run
 
 EXAMPLE_ALIASES = {
@@ -176,7 +176,7 @@ def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float):
         try:
             result = run(cfg, f0, diagnostics_every=0)
             err = _case_error(result, reference, study.error_on)
-        except DivergenceError:
+        except (DivergenceError, UnphysicalStateError):
             err = math.nan
         rows.append(ConvergenceRow(example=study.example, tableau=tableau_name,
                                    eps=eps, cfl=cfl, dt=cfg.dt, error=err))

@@ -243,20 +243,24 @@ class BGK1D(KineticModel):
     def equilibrium(self, U):
         rho, u, T = self._params_from_moments(U)
         if self.conservative:
-            rho, u, T = self._fit_discrete_parameters(U, rho, u, T)
+            return self._fit_discrete_parameters(U, rho, u, T)[3]
         return maxwellian(self.velocity_set.v, rho, u, T)
 
     def _fit_discrete_parameters(self, U, rho, u, T):
         """Newton-correct (rho, u, T) until the discrete Maxwellian moments
         equal U.  Warm-started at the analytic parameters, which are already
-        within quadrature error, so usually 0-2 iterations run."""
+        within quadrature error, so usually 0-2 iterations run.
+
+        Returns the fitted (rho, u, T) and the discrete Maxwellian at them,
+        which is the array the converged residual check evaluated, so the
+        caller needs no further Maxwellian evaluation."""
         v = self.velocity_set.v
         scale = np.maximum(np.abs(U[0]), 1e-300)
         for _ in range(self.newton_max_iter):
             M = maxwellian(v, rho, u, T)
             res = np.tensordot(self._wphi, M, axes=(1, 0)) - U
             if np.max(np.abs(res) / scale) <= self.newton_tol:
-                return rho, u, T
+                return rho, u, T, M
             # columns of the 3x3 Jacobian: moments of dM/drho, dM/du, dM/dT
             vshape = (v.shape[0],) + (1,) * np.ndim(rho)
             dv = v.reshape(vshape) - u

@@ -95,6 +95,7 @@ class SemiLagrangianSolver:
         self.eps = float(eps)
         self.legacy_update = bool(legacy_update)
         self._ops: dict[float, ShiftOperator] = {}
+        _, self._weights = gauss_nodes(degree)
 
     def _shift(self, values: np.ndarray, tau: float) -> np.ndarray:
         op = self._ops.get(tau)
@@ -109,13 +110,16 @@ class SemiLagrangianSolver:
         A = self.tableau.A
         c = self.tableau.c
         eps = self.eps
+        last = self.tableau.s - 1
         increments: list[np.ndarray] = []
         stages: list[np.ndarray] = []
         for k in range(self.tableau.s):
             predicted = self._shift(values, c[k] * dt)
             for j in range(k):
                 if A[k, j] != 0.0:
-                    predicted += (dt * A[k, j]) * self._shift(increments[j], (c[k] - c[j]) * dt)
+                    shifted = self._shift(increments[j], (c[k] - c[j]) * dt)
+                    shifted *= dt * A[k, j]
+                    predicted += shifted
             try:
                 M = self.model.equilibrium(self.model.moments(predicted))
             except UnphysicalStateError as exc:
@@ -127,11 +131,20 @@ class SemiLagrangianSolver:
                 raise UnphysicalStateError(
                     f"stage {k + 1} of tableau {self.tableau.name!r}{where}: {exc}") from exc
             w_dt = dt if self.legacy_update else A[k, k] * dt
-            stage = (eps * predicted + w_dt * M) / (eps + w_dt)
-            increments.append((M - predicted) / (eps + w_dt))
-            if return_stages:
-                stages.append(stage)
-        return (stage, stages) if return_stages else stage
+            # stiff accuracy: only the last stage is the step output, and
+            # only the earlier stages' increments are read again
+            if return_stages or k == last:
+                stage = eps * predicted
+                stage += w_dt * M
+                stage /= eps + w_dt
+                if return_stages:
+                    stages.append(stage)
+            if k < last:
+                # (M - predicted) / (eps + w_dt), built in M's buffer
+                M -= predicted
+                M /= eps + w_dt
+                increments.append(M)
+        return (stage.copy(), stages) if return_stages else stage
 
     def step(self, field: DGField, dt: float) -> DGField:
         return DGField(mesh=self.mesh, values=self.step_values(field.values, dt))
@@ -139,14 +152,13 @@ class SemiLagrangianSolver:
     def invariant_integrals(self, values: np.ndarray) -> np.ndarray:
         """Domain integrals of the conserved moments, shape (K,)."""
         U = self.model.moments(values)
-        _, w = gauss_nodes(self.degree)
-        return self.mesh.dx * np.tensordot(U, w, axes=(-1, 0)).sum(axis=-1)
+        return self.mesh.dx * np.tensordot(U, self._weights, axes=(-1, 0)).sum(axis=-1)
 
     def equilibrium_distance(self, values: np.ndarray) -> float:
         """Velocity-weighted L1 distance of f from its own equilibrium."""
         M = self.model.equilibrium(self.model.moments(values))
-        _, w = gauss_nodes(self.degree)
-        per_v = self.mesh.dx * np.tensordot(np.abs(M - values), w, axes=(-1, 0)).sum(axis=-1)
+        per_v = self.mesh.dx * np.tensordot(np.abs(M - values), self._weights,
+                                            axes=(-1, 0)).sum(axis=-1)
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 

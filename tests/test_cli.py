@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sldirk import cli
+from sldirk.models import UnphysicalStateError
 from sldirk.sl_solver import DivergenceError
 
 
@@ -161,6 +162,18 @@ def test_simulate_divergence_exits_3(capsys, monkeypatch):
                            "--T", "0.01")
     assert code == 3
     assert "diverged" in err
+
+
+def test_simulate_unphysical_state_exits_3(capsys, monkeypatch):
+    # UnphysicalStateError subclasses ValueError, which alone would map to 2
+    def explode(cfg, initial, diagnostics_every=1):
+        raise UnphysicalStateError("stage 2 of tableau 'DIRK3-B10': min rho = -1e-3")
+    monkeypatch.setattr(cli, "run", explode)
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "8",
+                           "--nv", "12", "--T", "0.01")
+    assert code == 3
+    assert err.startswith("run diverged:")
+    assert "min rho" in err
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,62 @@ def test_shift_operator_per_velocity():
     np.testing.assert_array_equal(out[1], two.values)
 
 
+def _fancy_index_apply(op, shifts, values):
+    """Remap by 2-D fancy indexing, the formula ShiftOperator.apply had
+    before it gathered rows through flat indices; kept as the reference."""
+    mesh = op.mesh
+    z = np.atleast_1d(np.asarray(shifts, dtype=float)) / mesh.dx
+    nearest = np.round(z)
+    z = np.where(np.abs(z - nearest) <= 1e-12 * (1.0 + np.abs(z)), nearest, z)
+    cells = np.floor(z)
+    cells = (cells + (z - cells >= 1.0)).astype(int)
+    n = mesh.n_elements
+    tgt = np.arange(n)
+    idx0 = (tgt[None, :] - cells[:, None] - 1) % n
+    idx1 = (tgt[None, :] - cells[:, None]) % n
+    vals = values[None] if op.scalar else values
+    lead = np.arange(vals.shape[0])[:, None]
+    if op._pure_roll:
+        out = vals[lead, idx1]
+    else:
+        out = vals[lead, idx1] @ op._a1t
+        out += vals[lead, idx0] @ op._a0t
+    return out[0] if op.scalar else out
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_shift_operator_matches_fancy_index_formula(degree, rng):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    dx = mesh.dx
+    per_slice = {
+        "fractional": np.array([0.3, 0.71, 0.05]) * dx,
+        "negative": np.array([-0.3, -1.71, -5.05]) * dx,
+        "multi-wrap": np.array([3.37, -2.9, 7.123]) * mesh.length,
+        "mixed": np.array([-2.5, 0.0, 1.0, 0.25, 40.6]) * dx,
+        "aligned": np.array([-3.0, 0.0, 1.0, 29.0]) * dx,
+    }
+    for name, shifts in per_slice.items():
+        op = ShiftOperator(mesh, degree, shifts)
+        assert op._pure_roll == (name == "aligned")
+        values = rng.normal(size=(len(shifts), 24, degree + 1))
+        out = op.apply(values)
+        assert np.array_equal(out, _fancy_index_apply(op, shifts, values)), name
+        assert not np.shares_memory(out, values)
+    for shift in (0.37 * dx, -4.6 * dx, 5.25 * mesh.length, 3.0 * dx, -50.0 * dx):
+        op = ShiftOperator(mesh, degree, shift)
+        values = rng.normal(size=(24, degree + 1))
+        out = op.apply(values)
+        assert out.shape == values.shape
+        assert np.array_equal(out, _fancy_index_apply(op, shift, values))
+
+
+def test_shift_operator_rejects_mismatched_slices():
+    mesh = Mesh1D(0.0, 1.0, 8)
+    op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))
+    with pytest.raises(ValueError, match="do not match"):
+        op.apply(np.zeros((3, 8, 2)))
+
+
 def test_advect_complex_values():
     mesh = Mesh1D(0.0, 1.0, 32)
     k = 2 * np.pi

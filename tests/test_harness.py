@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sldirk import harness
 from sldirk.harness import (ConvergenceStudy, build_case, fit_slope,
                             normalize_example, rows_to_csv, run_convergence,
                             slopes_csv, study_csv)
+from sldirk.models import UnphysicalStateError
 from sldirk.sl_solver import l1_error
 
 
@@ -119,6 +121,25 @@ def test_diverged_runs_recorded_as_nan_rows():
     assert math.isnan(result.slope("DIRK3-B5", 1e-6))
     text = study_csv(result)
     assert "nan" in text
+
+
+def test_unphysical_run_recorded_as_nan_row(monkeypatch):
+    # one CFL run leaves the physical region; the sweep records a NaN row
+    # for it and still fits the slope through the other runs
+    real_run = harness.run
+
+    def run_or_fail(cfg, initial, diagnostics_every=1):
+        if cfg.cfl == 0.4:
+            raise UnphysicalStateError("moments left the physical region")
+        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+
+    monkeypatch.setattr(harness, "run", run_or_fail)
+    result = run_convergence(_small_study())
+    errors = {r.cfl: r.error for r in result.rows}
+    assert list(errors) == [0.2, 0.4, 0.8]
+    assert math.isnan(errors[0.4])
+    assert np.isfinite(errors[0.2]) and np.isfinite(errors[0.8])
+    assert np.isfinite(result.slope("BE", 1e-2))
 
 
 def test_csv_formatting_deterministic():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sldirk import models
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, make_model,
                            maxwellian)
@@ -117,6 +118,37 @@ def test_bgk_equilibrium_analytic_variant_close_to_conservative():
     U = np.array([1.1, 0.2, 0.8])
     np.testing.assert_allclose(cons.equilibrium(U), plain.equilibrium(U),
                                rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("v_max, n_v, newton_steps", [(6.0, 24, 2), (15.0, 100, 0)])
+def test_bgk_equilibrium_is_maxwellian_at_fitted_parameters(v_max, n_v, newton_steps,
+                                                            rng, monkeypatch):
+    # on both paths the equilibrium is bitwise the Maxwellian at the
+    # parameters the path settles on, and the conservative path evaluates
+    # one Maxwellian per Newton step plus one for the converged residual
+    vs = VelocitySet.uniform(-v_max, v_max, n_v)
+    rho = rng.uniform(0.5, 2.0, size=(5, 3))
+    u = rng.uniform(-0.5, 0.5, size=(5, 3))
+    T = rng.uniform(0.5, 1.5, size=(5, 3))
+    U = np.stack([rho, rho * u, 0.5 * rho * (u * u + T)])
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return maxwellian(*args)
+
+    monkeypatch.setattr(models, "maxwellian", counted)
+    for conservative in (True, False):
+        m = BGK1D(velocity_set=vs, conservative=conservative)
+        params = m._params_from_moments(U)
+        if conservative:
+            *params, M_fit = m._fit_discrete_parameters(U, *params)
+            assert np.array_equal(M_fit, maxwellian(vs.v, *params))
+        calls.clear()
+        M = m.equilibrium(U)
+        assert np.array_equal(M, maxwellian(vs.v, *params))
+        assert len(calls) == (newton_steps + 1 if conservative else 1)
+        calls.clear()
 
 
 def test_bgk_equilibrium_rejects_negative_temperature():

@@ -42,6 +42,29 @@ def test_constant_equilibrium_is_steady():
     np.testing.assert_allclose(out, f0.values, atol=1e-14)
 
 
+@pytest.mark.parametrize("tableau", ["BE", "DIRK2", "DIRK3-B10"])
+def test_step_values_output_owns_its_memory(tableau):
+    # the stage combination works in place; the step output must still be
+    # a fresh array, apart from the input and from the returned stages
+    for model in (LinearTwoVelocity(B), BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 16))):
+        mesh = Mesh1D(-1.0, 1.0, 12)
+        cfg = SimConfig(model=model, tableau=get_tableau(tableau), mesh=mesh, degree=2,
+                        cfl=0.7, eps=1e-3, t_final=0.1)
+        f0 = make_initial_field(cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
+                                * np.exp(-0.5 * (v - 0.1) ** 2))
+        before = f0.values.copy()
+        solver = SemiLagrangianSolver(model, mesh, 2, cfg.tableau, cfg.eps)
+        out = solver.step_values(f0.values, cfg.dt)
+        again, stages = solver.step_values(f0.values, cfg.dt, return_stages=True)
+        assert np.array_equal(f0.values, before)
+        assert np.array_equal(again, out)
+        assert len(stages) == cfg.tableau.s
+        assert np.array_equal(stages[-1], out)
+        for arr in (out, again):
+            assert not np.shares_memory(arr, f0.values)
+            assert not any(np.shares_memory(arr, stage) for stage in stages)
+
+
 def test_huge_eps_reduces_to_pure_advection():
     cfg = _linear_cfg(tableau="DIRK3-B10", eps=1e12)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
