@@ -119,31 +119,29 @@ def cmd_order_check(args) -> int:
 
 def cmd_stability_scan(args) -> int:
     t = butcher.resolve_tableau(args.tableau)
-    b_grid = parse_grid(args.b)
-    kdt_grid = parse_grid(args.kdt)
-    xi_grid = parse_grid(args.xi)
-    if np.any(b_grid < 0) or np.any(b_grid > 1):
-        raise ConfigError("b values must lie in [0, 1]")
-    if np.any(kdt_grid < 0) or np.any(xi_grid < 0):
-        raise ConfigError("k_dt and xi values must be nonnegative")
-    result = stability.scan(t, b_grid, kdt_grid, xi_grid)
+    result = stability.scan(t, parse_grid(args.b), parse_grid(args.kdt), parse_grid(args.xi))
     rho_max, b_at, kdt_at, xi_at = result.max_point()
     print(f"tableau {t.name}: {result.rho.size} grid points")
     print(f"max spectral radius {rho_max!r} at b = {b_at!r}, "
           f"k_dt = {kdt_at!r}, xi = {xi_at!r}")
     if args.out:
-        rows = []
-        for i, b in enumerate(b_grid):
-            for j, kdt in enumerate(kdt_grid):
-                for l, xi in enumerate(xi_grid):
-                    rows.append((float(b), float(kdt), float(xi),
-                                 float(result.lam_small[i, j, l]),
-                                 float(result.lam_large[i, j, l]),
-                                 float(result.rho[i, j, l])))
-        header = ("b", "k_dt", "xi", "lambda1_abs", "lambda2_abs", "rho")
-        _write(args.out, harness.rows_to_csv(rows, header))
-        print(f"wrote {len(rows)} rows to {args.out}")
+        _write_scan_csv(args.out, result)
+        print(f"wrote {result.rho.size} rows to {args.out}")
     return EXIT_OK
+
+
+def _write_scan_csv(path: str, result: stability.StabilityScan):
+    """Stream the scan as CSV, one b at a time; the bytes equal
+    ``harness.rows_to_csv`` over all rows (repr floats, \\n endings)."""
+    header = ("b", "k_dt", "xi", "lambda1_abs", "lambda2_abs", "rho")
+    kdt, xi = result.k_dt.tolist(), result.xi.tolist()
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for b, small, large in zip(result.b.tolist(), result.lam_small, result.lam_large):
+            fh.write("".join(
+                f"{b!r},{k!r},{x!r},{lo!r},{hi!r},{hi!r}\n"
+                for k, lo_k, hi_k in zip(kdt, small.tolist(), large.tolist())
+                for x, lo, hi in zip(xi, lo_k, hi_k)))
 
 
 # ---------------------------------------------------------------------------

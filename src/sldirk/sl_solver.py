@@ -31,6 +31,9 @@ from .butcher import ButcherTableau, validate_tableau
 from .dg import DGField, Mesh1D, ShiftOperator, gauss_nodes
 from .models import KineticModel, UnphysicalStateError
 
+#: highest supported polynomial degree per element
+MAX_DEGREE = 4
+
 
 class DivergenceError(RuntimeError):
     """The solution left the finite range (or the physical region) mid-run."""
@@ -55,6 +58,11 @@ class SimConfig:
     #: a_kk * dt in the implicit solve; kept for comparison only, since it
     #: is inconsistent with the stage equations whenever a_kk != 1
     legacy_update: bool = False
+
+    def __post_init__(self):
+        if not 0 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"polynomial degree {self.degree} outside the supported "
+                             f"range 0-{MAX_DEGREE}")
 
     @property
     def dt(self) -> float:
@@ -149,14 +157,20 @@ class SemiLagrangianSolver:
     def step(self, field: DGField, dt: float) -> DGField:
         return DGField(mesh=self.mesh, values=self.step_values(field.values, dt))
 
-    def invariant_integrals(self, values: np.ndarray) -> np.ndarray:
-        """Domain integrals of the conserved moments, shape (K,)."""
-        U = self.model.moments(values)
+    def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
+        """Domain integrals of the conserved moments, shape (K,).
+
+        ``moments`` may pass in ``model.moments(values)`` when the caller
+        already has it.
+        """
+        U = self.model.moments(values) if moments is None else moments
         return self.mesh.dx * np.tensordot(U, self._weights, axes=(-1, 0)).sum(axis=-1)
 
-    def equilibrium_distance(self, values: np.ndarray) -> float:
-        """Velocity-weighted L1 distance of f from its own equilibrium."""
-        M = self.model.equilibrium(self.model.moments(values))
+    def equilibrium_distance(self, values: np.ndarray, moments=None) -> float:
+        """Velocity-weighted L1 distance of f from its own equilibrium;
+        ``moments`` as in :meth:`invariant_integrals`."""
+        U = self.model.moments(values) if moments is None else moments
+        M = self.model.equilibrium(U)
         per_v = self.mesh.dx * np.tensordot(np.abs(M - values), self._weights,
                                             axes=(-1, 0)).sum(axis=-1)
         return float(np.dot(self.model.velocity_set.w, per_v))
@@ -193,10 +207,16 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     values = np.array(initial.values)
     if not np.all(np.isfinite(values)):
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
-    times = [0.0]
+    times, invariants, eq_dist = [0.0], [], []
+
+    def record(values):
+        # both diagnostics read the same moments, taken once
+        U = cfg.model.moments(values)
+        invariants.append(solver.invariant_integrals(values, U))
+        eq_dist.append(solver.equilibrium_distance(values, U))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        invariants = [solver.invariant_integrals(values)]
-        eq_dist = [solver.equilibrium_distance(values)]
+        record(values)
 
     t = 0.0
     for n in range(n_steps):
@@ -211,11 +231,9 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
                 f"non-finite values after step {n + 1} (t = {t:.6g}, "
                 f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})",
                 step=n + 1, time=t)
-        record = (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1
-        if record:
+        if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
             times.append(t)
-            invariants.append(solver.invariant_integrals(values))
-            eq_dist.append(solver.equilibrium_distance(values))
+            record(values)
 
     final = DGField(mesh=cfg.mesh, values=values)
     macro = DGField(mesh=cfg.mesh, values=cfg.model.moments(values))

@@ -9,9 +9,17 @@ maps the coefficient pair through a product of stage factors:
 * diagonal phase factors exp(-+ i * k * shift) from the characteristic
   shifts of the Shu-Osher combination.
 
-Everything reduces to closed-form 2x2 complex algebra, so scans over
-(b, k*dt, xi) grids are vectorized numpy throughout.  The stiff limit
-xi -> infinity is handled analytically by the equilibrium projection
+Everything reduces to closed-form 2x2 complex algebra.  Scans never stack
+tiny matrices: for one b at a time, the one-step map is held as four
+contiguous complex planes m[r, c] of shape (n_kdt, n_xi), in one array of
+shape (2, 2, n_kdt, n_xi).  The stage recursion runs one column of the map
+at a time, so a stage holds two planes.  The phase factors are (n_kdt, 1)
+columns that scale planes, the real stage inverses are (n_xi,) rows whose
+entries combine planes by elementwise scaled sums, and the eigenvalues come
+from the trace and determinant of the planes, so each b lands in the
+contiguous slice ``rho[i]`` of the (n_b, n_kdt, n_xi) result.
+``amplification`` runs the same kernel on a one-point grid.  The stiff
+limit xi -> infinity is handled analytically by the equilibrium projection
 instead of a large finite xi, which would cancel catastrophically.
 """
 
@@ -27,6 +35,19 @@ from .butcher import ButcherTableau, ShuOsherForm, to_shu_osher
 XI_INF = np.inf
 
 
+def _check_grid(b, k_dt, xi):
+    """Raise ValueError unless b lies in [0, 1], k_dt is finite and >= 0 and
+    xi >= 0 (inf allowed); NaN fails every check.  Accepts scalars or grids."""
+    b, k_dt, xi = (np.asarray(g, dtype=float) for g in (b, k_dt, xi))
+    b_ok = (b >= 0.0) & (b <= 1.0)
+    if not np.all(b_ok):
+        raise ValueError(f"b values must lie in [0, 1], got {b[~b_ok]}")
+    if not np.all(np.isfinite(k_dt) & (k_dt >= 0.0)):
+        raise ValueError("k_dt values must be finite and >= 0")
+    if not np.all(xi >= 0.0):
+        raise ValueError("xi values must be >= 0 (inf allowed)")
+
+
 @dataclass(frozen=True)
 class StabilityPoint:
     """One point of the stability parameter space."""
@@ -35,12 +56,7 @@ class StabilityPoint:
     xi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b = {self.b} outside [0, 1]")
-        if self.k_dt < 0.0:
-            raise ValueError(f"k_dt = {self.k_dt} must be >= 0")
-        if self.xi < 0.0:
-            raise ValueError(f"xi = {self.xi} must be >= 0 (inf allowed)")
+        _check_grid(self.b, self.k_dt, self.xi)
 
 
 @dataclass(frozen=True)
@@ -67,25 +83,26 @@ def equilibrium_projection(b):
     return p
 
 
-def stage_inverse(a_ll: float, xi: float, b) -> np.ndarray:
-    """Closed-form (I - a_ll * xi * J)^{-1}, broadcast over b.
+def stage_inverse(a_ll: float, xi, b) -> np.ndarray:
+    """Closed-form (I - a_ll * xi * J)^{-1}, broadcast over xi and b.
 
     The matrix is nonsingular for every xi >= 0 because J has eigenvalues
-    {0, -1}; its determinant is 1 + a_ll * xi.  For xi = inf returns the
-    equilibrium projection.
+    {0, -1}; its determinant is 1 + a_ll * xi.  Where xi = inf the result
+    is the equilibrium projection, so no inf / inf is ever formed.
     """
     if a_ll <= 0.0:
         raise ValueError(f"stage weight a_ll = {a_ll} must be positive")
-    if np.isinf(xi):
-        return equilibrium_projection(b)
-    b = np.asarray(b, dtype=float)
-    ax = a_ll * xi
-    out = np.empty(b.shape + (2, 2))
+    ax, b = np.broadcast_arrays(a_ll * np.asarray(xi, dtype=float),
+                                np.asarray(b, dtype=float))
+    stiff = np.isinf(ax)
+    ax = np.where(stiff, 0.0, ax)
+    out = np.empty(ax.shape + (2, 2))
     out[..., 0, 0] = 1.0 + 0.5 * (1.0 + b) * ax
     out[..., 0, 1] = 0.5 * (1.0 + b) * ax
     out[..., 1, 0] = 0.5 * (1.0 - b) * ax
     out[..., 1, 1] = 1.0 + 0.5 * (1.0 - b) * ax
-    out /= 1.0 + ax
+    out /= (1.0 + ax)[..., None, None]
+    out[stiff] = equilibrium_projection(b[stiff])
     return out
 
 
@@ -98,40 +115,74 @@ def _phase_pair(theta):
     return out
 
 
-def _amplification_grid(so: ShuOsherForm, b_grid, kdt_grid, xi) -> np.ndarray:
-    """One-step matrices on the (b, k_dt) grid for a single xi.
+def _stage_factors(so: ShuOsherForm, b_grid, kdt_grid, xi_grid):
+    """Factors of the stage recursion, computed once per grid.
 
-    Output shape (nb, nk, 2, 2).  The stage recursion accumulates
-    E_l = B_l + sum_{j<l} C_lj (A_j^{-1} E_j) with diagonal B_l, C_lj and
-    the final map A_s^{-1} E_s.
+    Phase factors depend on k_dt only: ``start[l]`` is the diagonal of B_l
+    and ``coupling[l][j]`` that of C_lj, each as (2, nk, 1) columns that
+    scale the planes of a row.  Real stage inverses depend on (b, xi) only:
+    ``ainv[l][r, c, i]`` is the contiguous (nxi,) row of entry (r, c) at
+    b_grid[i].
     """
-    b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
-    kdt_grid = np.atleast_1d(np.asarray(kdt_grid, dtype=float))
-    nb, nk = len(b_grid), len(kdt_grid)
-    s = so.s
-    w, diag, c = so.b_coeffs, so.diag, so.c
+    w, c = so.b_coeffs, so.c
+    start = [((1.0 - w[l, :l].sum()) * _phase_pair(c[l] * kdt_grid)).T[:, :, None]
+             for l in range(so.s)]
+    coupling = [[(w[l, j] * _phase_pair((c[l] - c[j]) * kdt_grid)).T[:, :, None]
+                 for j in range(l)] for l in range(so.s)]
+    # singly diagonal tableaus share one inverse between all stages
+    by_weight = {a_ll: np.ascontiguousarray(
+        stage_inverse(a_ll, xi_grid[None, :], b_grid[:, None]).transpose(2, 3, 0, 1))
+        for a_ll in set(so.diag.tolist())}
+    return start, coupling, [by_weight[a_ll] for a_ll in so.diag.tolist()]
 
-    # stage inverses depend on (b, xi) only: shape (nb, 1, 2, 2)
-    ainv = [stage_inverse(diag[l], xi, b_grid)[:, None, :, :] for l in range(s)]
 
-    applied = []  # A_l^{-1} E_l, each (nb, nk, 2, 2)
-    for l in range(s):
-        free = 1.0 - w[l, :l].sum()
-        bl = free * _phase_pair(c[l] * kdt_grid)          # (nk, 2)
-        e_l = np.zeros((nb, nk, 2, 2), dtype=complex)
-        e_l[..., 0, 0] = bl[..., 0]
-        e_l[..., 1, 1] = bl[..., 1]
-        for j in range(l):
-            clj = w[l, j] * _phase_pair((c[l] - c[j]) * kdt_grid)  # (nk, 2)
-            e_l += clj[None, :, :, None] * applied[j]
-        applied.append(ainv[l] @ e_l)
-    return applied[-1]
+def _one_step_planes(start, coupling, ainv, i) -> np.ndarray:
+    """One-step map at b_grid[i] as planes m[r, c], shape (2, 2, nk, nxi).
+
+    The stage recursion accumulates E_l = B_l + sum_{j<l} C_lj X_j with
+    diagonal B_l, C_lj and X_l = A_l^{-1} E_l; the map is the last X_l.
+    Each column of the map is the response to one unit start vector, so
+    the columns run one after the other: a stage holds one (2, nk, nxi)
+    column, E_l is built in X_l's buffer, and the inverse is applied with
+    two plane temporaries.
+    """
+    s = len(start)
+    nk, nxi = start[0].shape[1], ainv[0].shape[-1]
+    m = np.empty((2, 2, nk, nxi), dtype=complex)
+    row = np.empty((nk, nxi), dtype=complex)
+    tmp = np.empty_like(row)
+    for col in range(2):
+        stages = []
+        for l in range(s):
+            a = ainv[l][:, :, i]
+            x = m[:, col] if l == s - 1 else np.empty((2, nk, nxi), dtype=complex)
+            if l == 0:
+                # E_0 = B_0 e_col, so X_0[r] = a[r, col] * B_0[col]
+                for r in range(2):
+                    np.multiply(start[0][col], a[r, col], out=x[r])
+            else:
+                np.multiply(coupling[l][0], stages[0], out=x)
+                x[col] += start[l][col]
+                for j in range(1, l):
+                    for r in range(2):
+                        np.multiply(coupling[l][j][r], stages[j][r], out=tmp)
+                        x[r] += tmp
+                np.multiply(x[0], a[0, 0], out=row)
+                np.multiply(x[1], a[0, 1], out=tmp)
+                row += tmp
+                x[1] *= a[1, 1]
+                np.multiply(x[0], a[1, 0], out=tmp)
+                x[1] += tmp
+                x[0] = row
+            stages.append(x)
+    return m
 
 
 def amplification(t: ButcherTableau, p: StabilityPoint) -> AmplificationMatrix:
     """One-step amplification matrix of tableau ``t`` at point ``p``."""
-    so = to_shu_osher(t)
-    m = _amplification_grid(so, [p.b], [p.k_dt], p.xi)[0, 0]
+    factors = _stage_factors(to_shu_osher(t), np.array([p.b]),
+                             np.array([p.k_dt]), np.array([p.xi]))
+    m = _one_step_planes(*factors, 0)[:, :, 0, 0].copy()
     return AmplificationMatrix(m=m, tableau_name=t.name, point=p)
 
 
@@ -140,23 +191,28 @@ def eigenvalues_2x2(m):
 
     Uses the quadratic formula with a cancellation-safe branch: the root
     aligned with the trace is computed first, the other as det / lambda_1.
-    Returns (small, large) arrays of shape m.shape[:-2].
+    Returns (small, large) arrays of shape m.shape[:-2].  Only the four
+    entry planes ``m[..., r, c]`` are read, so a transposed view of planes
+    (2, 2, ...) is used without a copy.
     """
     m = np.asarray(m)
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    sq = np.sqrt(tr * tr - 4.0 * det + 0j)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    tr = m00 + m11
+    det = m00 * m11 - m01 * m10
+    # complex, and an array even for a single matrix, so the steps below
+    # can work in place
+    sq = np.asarray(tr * tr - 4.0 * det + 0j)
+    np.sqrt(sq, out=sq)
     # flip sq where it opposes tr so tr + sq never cancels
-    align = np.real(np.conj(tr) * sq)
-    sq = np.where(align < 0.0, -sq, sq)
-    lam_big = 0.5 * (tr + sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_small = np.where(lam_big != 0.0, det / np.where(lam_big != 0.0, lam_big, 1.0), 0.0)
+    align = np.conj(tr) * sq
+    np.negative(sq, out=sq, where=align.real < 0.0)
+    lam_big = tr + sq
+    lam_big *= 0.5
+    lam_small = np.zeros_like(lam_big)
+    np.divide(det, lam_big, out=lam_small, where=lam_big != 0.0)
     big = np.abs(lam_big)
     small = np.abs(lam_small)
-    lo = np.minimum(small, big)
-    hi = np.maximum(small, big)
-    return lo, hi
+    return np.minimum(small, big), np.maximum(small, big)
 
 
 def spectral_radius(m) -> float:
@@ -198,21 +254,24 @@ class StabilityScan:
 def scan(t: ButcherTableau, b_grid, kdt_grid, xi_grid) -> StabilityScan:
     """Evaluate both eigenvalue magnitudes over the full parameter grid.
 
-    xi entries may include ``inf``; each xi slice is evaluated vectorized
-    over the (b, k_dt) plane, so points are independent and the output is
-    deterministic regardless of execution order.
+    xi entries may include ``inf``.  Each b is evaluated vectorized over
+    the (k_dt, xi) plane, so points are independent and the output is
+    deterministic regardless of execution order.  Raises ValueError for
+    empty grids and for values ``_check_grid`` rejects.
     """
     b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
     kdt_grid = np.atleast_1d(np.asarray(kdt_grid, dtype=float))
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     if b_grid.size == 0 or kdt_grid.size == 0 or xi_grid.size == 0:
         raise ValueError("scan grids must be nonempty")
-    so = to_shu_osher(t)
+    _check_grid(b_grid, kdt_grid, xi_grid)
     lo = np.empty((len(b_grid), len(kdt_grid), len(xi_grid)))
     hi = np.empty_like(lo)
-    for i, xi in enumerate(xi_grid):
-        m = _amplification_grid(so, b_grid, kdt_grid, float(xi))
-        lo[:, :, i], hi[:, :, i] = eigenvalues_2x2(m)
+    factors = _stage_factors(to_shu_osher(t), b_grid, kdt_grid, xi_grid)
+    for i in range(len(b_grid)):
+        m = np.moveaxis(_one_step_planes(*factors, i), (0, 1), (-2, -1))
+        lo[i], hi[i] = eigenvalues_2x2(m)
+        del m  # free the map before the next one is built
     return StabilityScan(tableau_name=t.name, b=b_grid, k_dt=kdt_grid,
                          xi=xi_grid, lam_small=lo, lam_large=hi)
 

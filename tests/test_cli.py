@@ -91,6 +91,39 @@ def test_stability_scan_bad_grid_exits_2(capsys):
     assert "b values" in err
 
 
+@pytest.mark.parametrize("grid", [("--xi", "-4"), ("--xi", "nan"), ("--kdt", "-1"),
+                                  ("--kdt", "nan"), ("--b", "nan")])
+def test_stability_scan_invalid_grid_exits_2(capsys, grid):
+    args = {"--b": "0.5", "--kdt": "1", "--xi": "1"}
+    args[grid[0]] = grid[1]
+    code, _, err = run_cli(capsys, "stability-scan", "--tableau", "DIRK2",
+                           *[tok for item in args.items() for tok in item])
+    assert code == 2
+    assert "error" in err
+
+
+def test_stability_scan_csv_bytes_match_row_list(capsys, tmp_path):
+    # the streamed CSV must equal rows_to_csv over the full row list
+    from sldirk import harness, stability
+    from sldirk.butcher import get_tableau
+    path = tmp_path / "scan.csv"
+    code, out, _ = run_cli(capsys, "stability-scan", "--tableau", "DIRK3-B10",
+                           "--b", "0:1:3,0.37", "--kdt", "0:6.283185307179586:7",
+                           "--xi", "0:10:4,inf", "--out", str(path))
+    assert code == 0
+    b_grid = cli.parse_grid("0:1:3,0.37")
+    kdt_grid = cli.parse_grid("0:6.283185307179586:7")
+    xi_grid = cli.parse_grid("0:10:4,inf")
+    result = stability.scan(get_tableau("DIRK3-B10"), b_grid, kdt_grid, xi_grid)
+    rows = [(float(b), float(kdt), float(xi), float(result.lam_small[i, j, l]),
+             float(result.lam_large[i, j, l]), float(result.rho[i, j, l]))
+            for i, b in enumerate(b_grid) for j, kdt in enumerate(kdt_grid)
+            for l, xi in enumerate(xi_grid)]
+    header = ("b", "k_dt", "xi", "lambda1_abs", "lambda2_abs", "rho")
+    assert path.read_bytes() == harness.rows_to_csv(rows, header).encode()
+    assert f"wrote {len(rows)} rows" in out
+
+
 def test_grid_spec_parsing():
     np.testing.assert_allclose(cli.parse_grid("0:1:3"), [0.0, 0.5, 1.0])
     np.testing.assert_allclose(cli.parse_grid("0.25"), [0.25])
@@ -214,6 +247,20 @@ def test_convergence_bad_config_exits_2(capsys):
                            "--cfls", "0.4,0.8")
     assert code == 2
     assert "3 CFL" in err
+
+
+def test_simulate_degree_outside_range_exits_2(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                           "--p", "5", "--T", "0.01")
+    assert code == 2
+    assert "degree" in err
+
+
+def test_convergence_degree_outside_range_exits_2(capsys):
+    code, _, err = run_cli(capsys, "convergence", "--example", "5.1", "--tableaus", "DIRK2",
+                           "--eps", "1e-2", "--cfls", "0.2,0.4,0.8", "--nx", "8", "--p", "5")
+    assert code == 2
+    assert "degree" in err
 
 
 def test_convergence_unknown_example_exits_2(capsys):

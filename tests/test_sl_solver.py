@@ -368,3 +368,46 @@ def test_fluid_limit_per_mode_orders():
             dts.append(dt)
         slope = fit_slope(dts, errs)
         assert slope == pytest.approx(expected, abs=0.15), (name, slope)
+
+
+@pytest.mark.parametrize("example", ["5.1", "5.3"])
+def test_diagnostics_take_moments_once_per_record(example, monkeypatch):
+    cfg, f0 = build_case(example, "DIRK3-B10", 1e-6, 0.5, n_elements=8, degree=2, n_v=16)
+    calls = []
+    moments = cfg.model.moments
+    monkeypatch.setattr(cfg.model, "moments", lambda f: calls.append(1) or moments(f))
+    result = run(cfg, f0, diagnostics_every=1)
+    n, s = result.n_steps, cfg.tableau.s
+    # one per stage, one per record (the initial one included), one for the macro field
+    assert len(calls) == n * s + (n + 1) + 1
+
+
+@pytest.mark.parametrize("example", ["5.1", "5.3"])
+def test_diagnostics_history_bitwise_per_method(example):
+    # the shared moments must not change one bit of the recorded history:
+    # replay the run and evaluate each diagnostic on its own
+    cfg, f0 = build_case(example, "DIRK3-B10", 1e-6, 0.5, n_elements=8, degree=2, n_v=16)
+    result = run(cfg, f0, diagnostics_every=1)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values, t = f0.values.copy(), 0.0
+    invariants = [solver.invariant_integrals(values)]
+    distance = [solver.equilibrium_distance(values)]
+    for n in range(result.n_steps):
+        step_dt = min(cfg.dt, cfg.t_final - t)
+        values = solver.step_values(values, step_dt)
+        t += step_dt
+        invariants.append(solver.invariant_integrals(values))
+        distance.append(solver.equilibrium_distance(values))
+    assert np.array_equal(result.invariants, np.asarray(invariants))
+    assert np.array_equal(result.equilibrium_distance, np.asarray(distance))
+
+
+@pytest.mark.parametrize("degree", [-1, 5])
+def test_sim_config_rejects_unsupported_degree(degree):
+    with pytest.raises(ValueError, match="degree"):
+        _linear_cfg(degree=degree)
+
+
+@pytest.mark.parametrize("degree", [0, 4])
+def test_sim_config_accepts_degree_range_ends(degree):
+    assert _linear_cfg(degree=degree).degree == degree

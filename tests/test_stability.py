@@ -174,6 +174,12 @@ def test_stability_point_validation():
         StabilityPoint(0.5, -1.0, 1.0)
     with pytest.raises(ValueError):
         StabilityPoint(0.5, 1.0, -2.0)
+    with pytest.raises(ValueError, match="b values"):
+        StabilityPoint(np.nan, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        StabilityPoint(0.5, np.nan, 1.0)
+    with pytest.raises(ValueError):
+        StabilityPoint(0.5, 1.0, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,15 @@ def test_eigenvalues_2x2_against_numpy(rng):
         ref = np.sort(np.abs(np.linalg.eigvals(m[i])))
         assert lo[i] == pytest.approx(ref[0], rel=1e-10, abs=1e-12)
         assert hi[i] == pytest.approx(ref[1], rel=1e-10, abs=1e-12)
+
+
+def test_eigenvalues_2x2_real_input_against_numpy(rng):
+    m = rng.normal(size=(100, 2, 2))
+    lo, hi = eigenvalues_2x2(m)
+    ref = np.sort(np.abs(np.linalg.eigvals(m)), axis=-1)
+    np.testing.assert_allclose(lo, ref[:, 0], rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(hi, ref[:, 1], rtol=1e-10, atol=1e-12)
+    assert spectral_radius(np.array([[0.0, 2.0], [-2.0, 0.0]])) == pytest.approx(2.0)
 
 
 def test_spectral_radius_of_phase_diagonal():
@@ -305,3 +320,97 @@ def test_dirk3_limit_scans_b2_vs_b10(tmp_path):
         assert path.exists()
         # every tableau is exact at k_dt = 0 in the limit
         np.testing.assert_allclose(result.rho[:, 0, 0], 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the plane kernel against an independent Butcher-form oracle
+# ---------------------------------------------------------------------------
+
+def _butcher_oracle(t, b, k_dt, xi):
+    """One-step map from the Butcher form with a dense solve per stage.
+
+    Per Fourier mode stage k solves
+        (I - a_kk xi J) F_k = S(c_k) + sum_{j<k} a_kj S(c_k - c_j) K_j,
+    with the shift S(tau) = diag(exp(-i k_dt tau), exp(+i k_dt tau)) and
+    the relaxation increment K_j = xi J F_j; the step output is F_s.  At
+    xi = inf the stage is the spectral projector I + J of the eigenvalue
+    0 applied to the right-hand side, and K_k = (F_k - rhs) / a_kk.
+    """
+    J = relaxation_jacobian(b)
+    shift = lambda tau: np.diag([np.exp(-1j * k_dt * tau), np.exp(1j * k_dt * tau)])
+    F, K = [], []
+    for k in range(t.s):
+        rhs = shift(t.c[k]) + sum((t.A[k, j] * shift(t.c[k] - t.c[j]) @ K[j]
+                                   for j in range(k)), np.zeros((2, 2), complex))
+        if np.isinf(xi):
+            F.append((np.eye(2) + J) @ rhs)
+            K.append((F[-1] - rhs) / t.A[k, k])
+        else:
+            F.append(np.linalg.solve(np.eye(2) - t.A[k, k] * xi * J, rhs))
+            K.append(xi * J @ F[-1])
+    return F[-1]
+
+
+def _oracle_points(rng, n_random=12):
+    points = [(b, kdt, xi) for b in (0.0, 1.0) for xi in (0.0, XI_INF)
+              for kdt in (0.0, 1.3, 2.0 * np.pi)]
+    points += [(float(rng.uniform(0, 1)), float(rng.uniform(0, 2 * np.pi)),
+                float(rng.uniform(0, 30))) for _ in range(n_random)]
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_amplification_matches_butcher_form_oracle(name, rng):
+    t = get_tableau(name)
+    for b, kdt, xi in _oracle_points(rng):
+        m = amplification(t, StabilityPoint(b, kdt, xi)).m
+        ref = _butcher_oracle(t, b, kdt, xi)
+        assert np.max(np.abs(m - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), (b, kdt, xi)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_scan_matches_numpy_eigvals(name):
+    t = get_tableau(name)
+    b_grid = np.array([0.0, 0.37, 1.0])
+    kdt_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+    xi_grid = np.array([0.0, 0.8, 7.5, XI_INF])
+    result = scan(t, b_grid, kdt_grid, xi_grid)
+    assert result.rho.flags.c_contiguous
+    for i, b in enumerate(b_grid):
+        for j, kdt in enumerate(kdt_grid):
+            for l, xi in enumerate(xi_grid):
+                m = amplification(t, StabilityPoint(b, kdt, xi)).m
+                mags = np.sort(np.abs(np.linalg.eigvals(m)))
+                # LAPACK resolves a (nearly) defective matrix, such as the
+                # nilpotent stiff-limit map at b = 0, only to sqrt(eps)
+                tr, det = np.trace(m), np.linalg.det(m)
+                defective = abs(tr * tr - 4.0 * det) <= 1e-12 * max(1.0, abs(tr) ** 2)
+                floor = 1e-7 if defective else 1e-13
+                assert result.lam_small[i, j, l] == pytest.approx(mags[0], rel=1e-10, abs=floor)
+                assert result.rho[i, j, l] == pytest.approx(mags[1], rel=1e-10, abs=floor)
+
+
+def test_stage_inverse_broadcasts_over_xi_with_inf_column():
+    b = np.array([0.0, 0.4, 1.0])[:, None]
+    xi = np.array([0.0, 2.0, XI_INF])[None, :]
+    out = stage_inverse(0.25, xi, b)
+    assert out.shape == (3, 3, 2, 2)
+    assert np.all(np.isfinite(out))
+    for i in range(3):
+        for l in range(3):
+            np.testing.assert_array_equal(out[i, l], stage_inverse(0.25, xi[0, l], b[i, 0]))
+    np.testing.assert_array_equal(out[:, 2], equilibrium_projection(b[:, 0]))
+
+
+@pytest.mark.parametrize("grids", [
+    ([0.5], [1.0], [-4.0]),
+    ([0.5], [1.0], [np.nan]),
+    ([0.5], [-1.0], [1.0]),
+    ([0.5], [np.nan], [1.0]),
+    ([1.5], [1.0], [1.0]),
+    ([-0.1, 0.5], [1.0], [1.0]),
+    ([np.nan], [1.0], [1.0]),
+])
+def test_scan_rejects_invalid_grids(grids):
+    with pytest.raises(ValueError):
+        scan(get_tableau("DIRK2"), *grids)
