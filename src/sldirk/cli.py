@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import butcher, harness, order_analysis, stability
-from .dg import DGField
-from .models import UnphysicalStateError
-from .sl_solver import DivergenceError, run
+from .models import DivergenceError, UnphysicalStateError
+from .sl_solver import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,21 +170,12 @@ def _merged_options(args, keys) -> dict[str, str | None]:
 
 def cmd_simulate(args) -> int:
     opts = _merged_options(args, _SIM_DEFAULTS.keys())
-    example_map = {"linear": "5.1", "nonlinear": "5.2", "bgk": "5.3"}
-    model_name = opts["model"]
-    if model_name not in example_map:
-        raise ConfigError(f"unknown model {model_name!r}; expected linear, nonlinear or bgk")
     t_final = None if opts["T"] is None else float(opts["T"])
+    b = None if opts["b"] is None else float(opts["b"])
     cfg, f0 = harness.build_case(
-        example_map[model_name], opts["tableau"], float(opts["eps"]), float(opts["cfl"]),
+        opts["model"], opts["tableau"], float(opts["eps"]), float(opts["cfl"]),
         n_elements=int(opts["nx"]), degree=int(opts["p"]), n_v=int(opts["nv"]),
-        v_max=float(opts["vmax"]), t_final=t_final, legacy_update=args.legacy_update)
-    if opts["b"] is not None:
-        # rebuild with a custom coupling; only meaningful for two-velocity models
-        from .models import make_model
-        cfg.model = make_model(model_name, b=float(opts["b"]))
-        u0 = cfg.model.moments(f0.values)
-        f0 = DGField(mesh=cfg.mesh, values=cfg.model.equilibrium(u0))
+        v_max=float(opts["vmax"]), t_final=t_final, b=b)
 
     result = run(cfg, f0, diagnostics_every=args.diag_every)
     drift = np.abs(result.invariants[-1] - result.invariants[0])
@@ -205,14 +195,14 @@ def cmd_simulate(args) -> int:
 
 
 def _write_snapshot(prefix, cfg, result):
-    x = cfg.mesh.node_coords(cfg.degree).ravel()
-    vset = cfg.model.velocity_set
-    dist_rows = []
-    for vi, v in enumerate(vset.v):
-        fv = result.final.values[vi].ravel()
-        dist_rows.extend((float(xx), float(v), float(val)) for xx, val in zip(x, fv))
-    _write(f"{prefix}_distribution.csv",
-           harness.rows_to_csv(dist_rows, ("x", "v", "f")))
+    x = cfg.mesh.node_coords(cfg.degree).ravel().tolist()
+    # streamed one velocity at a time; the bytes equal harness.rows_to_csv
+    # over all (x, v, f) rows
+    with open(f"{prefix}_distribution.csv", "w", newline="\n") as fh:
+        fh.write("x,v,f\n")
+        for v, fv in zip(cfg.model.velocity_set.v.tolist(), result.final.values):
+            fh.write("".join(f"{xx!r},{v!r},{val!r}\n"
+                             for xx, val in zip(x, fv.ravel().tolist())))
 
     U = result.macro.values
     if cfg.model.n_invariants == 3:
@@ -238,20 +228,13 @@ def _write_snapshot(prefix, cfg, result):
 # convergence
 # ---------------------------------------------------------------------------
 
-_DESK_CFLS = {"5.1": (0.1, 0.2, 0.4, 0.8),
-              "5.2": (0.1, 0.2, 0.4, 0.8),
-              "5.3": (0.5, 1.0, 2.0, 4.0)}
-_PAPER_CFLS = {"5.1": (0.1, 0.2, 0.4, 0.8),
-               "5.2": (0.1, 0.2, 0.4, 0.8),
-               "5.3": (1.0, 2.0, 4.0)}
-
-
 def cmd_convergence(args) -> int:
     example = harness.normalize_example(args.example)
     if args.cfls is not None:
         cfls = parse_float_list(args.cfls)
     else:
-        cfls = _PAPER_CFLS[example] if args.paper_scale else _DESK_CFLS[example]
+        preset = harness.PRESETS[example]
+        cfls = preset.paper_cfls if args.paper_scale else preset.desk_cfls
     nx = args.nx if args.nx is not None else (640 if args.paper_scale else 160)
     study = harness.ConvergenceStudy(
         example=example,
@@ -320,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="advance one configuration and write snapshots")
     p.add_argument("--config", help="plain-text key = value config file; "
                                     "command-line flags override file entries")
-    p.add_argument("--model", choices=("linear", "nonlinear", "bgk"),
+    p.add_argument("--model", choices=[preset.model for preset in harness.PRESETS.values()],
                    help="kinetic model (default linear)")
     p.add_argument("--tableau", help="time integrator (default DIRK3-B10)")
-    p.add_argument("--b", help="two-velocity coupling constant")
+    p.add_argument("--b", help="coupling constant of the two-velocity models "
+                               "(default: the preset's)")
     p.add_argument("--eps", help="relaxation time (default 1e-2)")
     p.add_argument("--cfl", help="CFL number dt * a / dx (default 0.5)")
     p.add_argument("--nx", help="number of mesh elements (default 160)")
@@ -332,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax", help="velocity domain half-width for the gas model (default 15)")
     p.add_argument("--T", help="final time (default: per-model benchmark value)")
     p.add_argument("--out", help="output prefix for the snapshot CSVs")
-    p.add_argument("--legacy-update", action="store_true",
-                   help="use the plain prediction-correction weight dt instead of "
-                        "a_kk * dt in the implicit stage solve (comparison only)")
     p.add_argument("--diag-every", type=int, default=1,
                    help="record diagnostics every N steps (0: endpoints only)")
     p.set_defaults(func=cmd_simulate)

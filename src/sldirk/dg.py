@@ -76,6 +76,11 @@ class Mesh1D:
         left = self.x_lo + self.dx * np.arange(self.n_elements)
         return left[:, None] + self.dx * nodes[None, :]
 
+    def integrate(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Gauss-quadrature domain integral of nodal values (..., n_el, q), one
+        value per leading index; ``weights`` are :func:`gauss_nodes`' for q."""
+        return self.dx * np.tensordot(values, weights, axes=(-1, 0)).sum(axis=-1)
+
 
 @dataclass
 class DGField:
@@ -126,13 +131,11 @@ class DGField:
 
     def integral(self) -> np.ndarray:
         """Exact integral over the domain, one value per leading index."""
-        _, w = gauss_nodes(self.degree)
-        return self.mesh.dx * np.tensordot(self.values, w, axes=(-1, 0)).sum(axis=-1)
+        return self.mesh.integrate(self.values, gauss_nodes(self.degree)[1])
 
     def l1_norm(self) -> np.ndarray:
         """Gauss-quadrature L1 norm per leading index."""
-        _, w = gauss_nodes(self.degree)
-        return self.mesh.dx * np.tensordot(np.abs(self.values), w, axes=(-1, 0)).sum(axis=-1)
+        return self.mesh.integrate(np.abs(self.values), gauss_nodes(self.degree)[1])
 
 
 def _fractional_matrices(nodes, weights, theta):

@@ -1,13 +1,13 @@
 """Convergence studies: run the solver over (tableau, eps, CFL) sweeps.
 
-Three benchmark setups are built in, selectable by preset id:
+Three benchmark setups are built in (``PRESETS``), selectable by id or alias:
 
-* ``5.1`` / ``linear``    -- linear two-velocity model, b = 0.6, smooth
-  periodic wave exp(sin 2 pi x) started at equilibrium, T = 0.2;
-* ``5.2`` / ``nonlinear`` -- quadratic-flux two-velocity model, b = 0.2,
-  u0 = exp(sin 2 pi x) / 2 started at equilibrium, T = 0.2;
+* ``5.1`` / ``linear``    -- linear two-velocity model, smooth periodic
+  wave exp(sin 2 pi x) started at equilibrium;
+* ``5.2`` / ``nonlinear`` -- quadratic-flux two-velocity model,
+  u0 = exp(sin 2 pi x) / 2 started at equilibrium;
 * ``5.3`` / ``bgk``       -- 1D1V gas with uniform density/temperature and
-  a two-bump velocity perturbation, T = 0.04.
+  a two-bump velocity perturbation.
 
 Errors are L1 distances at the final time against a reference computed by
 the same scheme on the same mesh with a much smaller CFL.  The reference
@@ -32,29 +32,44 @@ import numpy as np
 
 from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
-from .models import UnphysicalStateError, VelocitySet, make_model, maxwellian
-from .sl_solver import DivergenceError, RunResult, SimConfig, l1_error, run
+from .models import (DivergenceError, UnphysicalStateError, VelocitySet, make_model,
+                     maxwellian)
+from .sl_solver import RunResult, SimConfig, l1_error, run
 
-EXAMPLE_ALIASES = {
-    "5.1": "5.1", "linear": "5.1",
-    "5.2": "5.2", "nonlinear": "5.2",
-    "5.3": "5.3", "bgk": "5.3",
-}
 
-#: per-example defaults: (model name, b, domain, t_final, reference cfl)
-_EXAMPLE_DEFAULTS = {
-    "5.1": ("linear", 0.6, (0.0, 1.0), 0.2, 0.001),
-    "5.2": ("nonlinear", 0.2, (0.0, 1.0), 0.2, 0.001),
-    "5.3": ("bgk", None, (-1.0, 1.0), 0.04, 0.01),
+@dataclass(frozen=True)
+class Preset:
+    """One benchmark setup; ``desk_cfls`` and ``paper_cfls`` are the CLI's
+    default sweep CFLs without and with ``--paper-scale``."""
+    aliases: tuple[str, ...]
+    model: str
+    b: float | None
+    domain: tuple[float, float]
+    t_final: float
+    ref_cfl: float
+    desk_cfls: tuple[float, ...]
+    paper_cfls: tuple[float, ...]
+
+
+#: the benchmark presets by id
+PRESETS = {
+    "5.1": Preset(("linear",), "linear", 0.6, (0.0, 1.0), 0.2, 0.001,
+                  (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
+    "5.2": Preset(("nonlinear",), "nonlinear", 0.2, (0.0, 1.0), 0.2, 0.001,
+                  (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
+    "5.3": Preset(("bgk",), "bgk", None, (-1.0, 1.0), 0.04, 0.01,
+                  (0.5, 1.0, 2.0, 4.0), (1.0, 2.0, 4.0)),
 }
 
 
 def normalize_example(example: str) -> str:
+    """The preset id for a preset id or alias."""
+    names = {name: ex for ex, preset in PRESETS.items() for name in (ex, *preset.aliases)}
     try:
-        return EXAMPLE_ALIASES[str(example)]
+        return names[str(example)]
     except KeyError:
         raise ValueError(f"unknown example {example!r}; "
-                         f"choose from {sorted(set(EXAMPLE_ALIASES))}") from None
+                         f"choose from {sorted(names)}") from None
 
 
 def bump_velocity_profile(x):
@@ -76,18 +91,17 @@ class ConvergenceStudy:
     v_max: float = 15.0
     t_final: float | None = None
     error_on: str = "U"
-    legacy_update: bool = False
     jobs: int = 1
 
     def resolved(self) -> "ConvergenceStudy":
         ex = normalize_example(self.example)
-        _, _, _, t_default, ref_default = _EXAMPLE_DEFAULTS[ex]
+        preset = PRESETS[ex]
         out = replace(self, example=ex,
                       tableaus=tuple(self.tableaus),
                       eps_values=tuple(float(e) for e in self.eps_values),
                       cfl_values=tuple(float(c) for c in self.cfl_values),
-                      ref_cfl=ref_default if self.ref_cfl is None else float(self.ref_cfl),
-                      t_final=t_default if self.t_final is None else float(self.t_final))
+                      ref_cfl=preset.ref_cfl if self.ref_cfl is None else float(self.ref_cfl),
+                      t_final=preset.t_final if self.t_final is None else float(self.t_final))
         if len(out.cfl_values) < 3:
             raise ValueError("slope fitting needs at least 3 CFL values")
         if out.ref_cfl >= min(out.cfl_values):
@@ -101,28 +115,31 @@ class ConvergenceStudy:
 def build_case(example: str, tableau_name: str, eps: float, cfl: float,
                n_elements: int = 160, degree: int = 2, n_v: int = 100,
                v_max: float = 15.0, t_final: float | None = None,
-               legacy_update: bool = False) -> tuple[SimConfig, DGField]:
-    """Materialize (config, initial field) for one benchmark run."""
+               b: float | None = None) -> tuple[SimConfig, DGField]:
+    """Materialize (config, initial field) for one benchmark run.
+
+    ``b`` replaces the coupling of a two-velocity preset, which then starts
+    at the equilibrium of its own u0 under that coupling.
+    """
     ex = normalize_example(example)
-    model_name, b, domain, t_default, _ = _EXAMPLE_DEFAULTS[ex]
-    if model_name == "bgk":
+    preset = PRESETS[ex]
+    if preset.model == "bgk":
+        if b is not None:
+            raise ValueError(f"coupling b = {b} applies to the two-velocity presets only, "
+                             f"not to preset {ex}")
         model = make_model("bgk", velocity_set=VelocitySet.uniform(-v_max, v_max, n_v))
     else:
-        model = make_model(model_name, b=b)
-    mesh = Mesh1D(x_lo=domain[0], x_hi=domain[1], n_elements=n_elements)
+        model = make_model(preset.model, b=preset.b if b is None else b)
+    mesh = Mesh1D(x_lo=preset.domain[0], x_hi=preset.domain[1], n_elements=n_elements)
     cfg = SimConfig(model=model, tableau=resolve_tableau(tableau_name), mesh=mesh,
                     degree=degree, cfl=cfl, eps=eps,
-                    t_final=t_default if t_final is None else t_final,
-                    legacy_update=legacy_update)
+                    t_final=preset.t_final if t_final is None else t_final)
     coords = mesh.node_coords(degree)
-    if ex == "5.1":
-        u0 = np.exp(np.sin(2.0 * np.pi * coords))
-        values = model.equilibrium(u0[None])
-    elif ex == "5.2":
-        u0 = 0.5 * np.exp(np.sin(2.0 * np.pi * coords))
-        values = model.equilibrium(u0[None])
-    else:
+    if preset.model == "bgk":
         values = maxwellian(model.velocity_set.v, 1.0, bump_velocity_profile(coords), 1.0)
+    else:
+        u0 = (0.5 if ex == "5.2" else 1.0) * np.exp(np.sin(2.0 * np.pi * coords))
+        values = model.equilibrium(u0[None])
     return cfg, DGField(mesh=mesh, values=values)
 
 
@@ -165,19 +182,24 @@ def fit_slope(dts, errors) -> float:
 
 
 def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float):
-    """Reference run plus all CFL runs for one (tableau, eps) pair."""
+    """Reference run plus all CFL runs for one (tableau, eps) pair; a run
+    that fails gives a NaN row, a failed reference NaN rows throughout."""
     cfg_ref, f0 = build_case(study.example, tableau_name, eps, study.ref_cfl,
                              study.n_elements, study.degree, study.n_v,
-                             study.v_max, study.t_final, study.legacy_update)
-    reference = run(cfg_ref, f0, diagnostics_every=0)
+                             study.v_max, study.t_final)
+    try:
+        reference = run(cfg_ref, f0, diagnostics_every=0)
+    except (DivergenceError, UnphysicalStateError):
+        reference = None
     rows = []
     for cfl in study.cfl_values:
         cfg = replace(cfg_ref, cfl=cfl)
-        try:
-            result = run(cfg, f0, diagnostics_every=0)
-            err = _case_error(result, reference, study.error_on)
-        except (DivergenceError, UnphysicalStateError):
-            err = math.nan
+        err = math.nan
+        if reference is not None:
+            try:
+                err = _case_error(run(cfg, f0, diagnostics_every=0), reference, study.error_on)
+            except (DivergenceError, UnphysicalStateError):
+                pass
         rows.append(ConvergenceRow(example=study.example, tableau=tableau_name,
                                    eps=eps, cfl=cfl, dt=cfg.dt, error=err))
     slope = fit_slope([r.dt for r in rows], [r.error for r in rows])

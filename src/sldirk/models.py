@@ -18,6 +18,16 @@ class UnphysicalStateError(ValueError):
     """Moments left the physical region (nonpositive density or temperature)."""
 
 
+class DivergenceError(RuntimeError):
+    """The solution left the finite range mid-run, or the discrete Maxwellian
+    fit did not converge."""
+
+    def __init__(self, message, step=None, time=None):
+        super().__init__(message)
+        self.step = step
+        self.time = time
+
+
 @dataclass(frozen=True)
 class VelocitySet:
     """Discrete velocities with positive quadrature weights."""
@@ -219,8 +229,16 @@ class BGK1D(KineticModel):
 
     def moments(self, f):
         U = np.tensordot(self._wphi, f, axes=(1, 0))
+        self._params_from_moments(U)  # rejects rho <= 0 and T <= 0
+        return U
+
+    @staticmethod
+    def _params_from_moments(U):
+        """(rho, u, T) of the moments U.  Raises UnphysicalStateError, with
+        the flat index of the first bad point, unless rho > 0 and T > 0."""
         rho = U[0]
-        T = 2.0 * U[2] / rho - (U[1] / rho) ** 2
+        u = U[1] / rho
+        T = 2.0 * U[2] / rho - u * u
         bad = (rho <= 0.0) | (T <= 0.0)
         if np.any(bad):
             exc = UnphysicalStateError(
@@ -228,16 +246,6 @@ class BGK1D(KineticModel):
                 f"min T = {np.min(T):.3e}")
             exc.flat_index = int(np.argmax(np.ravel(bad)))
             raise exc
-        return U
-
-    def _params_from_moments(self, U):
-        rho = U[0]
-        u = U[1] / rho
-        T = 2.0 * U[2] / rho - u * u
-        if np.any(rho <= 0.0) or np.any(T <= 0.0):
-            raise UnphysicalStateError(
-                f"equilibrium needs rho > 0 and T > 0: min rho = {np.min(rho):.3e}, "
-                f"min T = {np.min(T):.3e}")
         return rho, u, T
 
     def equilibrium(self, U):
@@ -278,8 +286,8 @@ class BGK1D(KineticModel):
             T = np.maximum(T - step[..., 2], 0.05 * T)
             if np.any(rho <= 0.0):
                 raise UnphysicalStateError("discrete Maxwellian fit drove rho <= 0")
-        raise RuntimeError("discrete Maxwellian fit did not converge "
-                           f"within {self.newton_max_iter} iterations")
+        raise DivergenceError("discrete Maxwellian fit did not converge "
+                              f"within {self.newton_max_iter} iterations")
 
 
 def make_model(name: str, b: float | None = None, velocity_set: VelocitySet | None = None,

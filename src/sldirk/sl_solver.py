@@ -29,19 +29,10 @@ import numpy as np
 
 from .butcher import ButcherTableau, validate_tableau
 from .dg import DGField, Mesh1D, ShiftOperator, gauss_nodes
-from .models import KineticModel, UnphysicalStateError
+from .models import DivergenceError, KineticModel, UnphysicalStateError
 
 #: highest supported polynomial degree per element
 MAX_DEGREE = 4
-
-
-class DivergenceError(RuntimeError):
-    """The solution left the finite range (or the physical region) mid-run."""
-
-    def __init__(self, message, step=None, time=None):
-        super().__init__(message)
-        self.step = step
-        self.time = time
 
 
 @dataclass
@@ -54,10 +45,6 @@ class SimConfig:
     cfl: float
     eps: float
     t_final: float
-    #: use the plain prediction-correction update with weight dt instead of
-    #: a_kk * dt in the implicit solve; kept for comparison only, since it
-    #: is inconsistent with the stage equations whenever a_kk != 1
-    legacy_update: bool = False
 
     def __post_init__(self):
         if not 0 <= self.degree <= MAX_DEGREE:
@@ -90,7 +77,7 @@ class SemiLagrangianSolver:
     """
 
     def __init__(self, model: KineticModel, mesh: Mesh1D, degree: int,
-                 tableau: ButcherTableau, eps: float, legacy_update: bool = False):
+                 tableau: ButcherTableau, eps: float):
         problems = validate_tableau(tableau)
         if problems:
             raise ValueError(f"tableau {tableau.name!r} rejected: {problems}")
@@ -101,7 +88,6 @@ class SemiLagrangianSolver:
         self.degree = degree
         self.tableau = tableau
         self.eps = float(eps)
-        self.legacy_update = bool(legacy_update)
         self._ops: dict[float, ShiftOperator] = {}
         _, self._weights = gauss_nodes(degree)
 
@@ -138,7 +124,7 @@ class SemiLagrangianSolver:
                     where = f" near x = {x:.6g}"
                 raise UnphysicalStateError(
                     f"stage {k + 1} of tableau {self.tableau.name!r}{where}: {exc}") from exc
-            w_dt = dt if self.legacy_update else A[k, k] * dt
+            w_dt = A[k, k] * dt
             # stiff accuracy: only the last stage is the step output, and
             # only the earlier stages' increments are read again
             if return_stages or k == last:
@@ -164,15 +150,14 @@ class SemiLagrangianSolver:
         already has it.
         """
         U = self.model.moments(values) if moments is None else moments
-        return self.mesh.dx * np.tensordot(U, self._weights, axes=(-1, 0)).sum(axis=-1)
+        return self.mesh.integrate(U, self._weights)
 
     def equilibrium_distance(self, values: np.ndarray, moments=None) -> float:
         """Velocity-weighted L1 distance of f from its own equilibrium;
         ``moments`` as in :meth:`invariant_integrals`."""
         U = self.model.moments(values) if moments is None else moments
         M = self.model.equilibrium(U)
-        per_v = self.mesh.dx * np.tensordot(np.abs(M - values), self._weights,
-                                            axes=(-1, 0)).sum(axis=-1)
+        per_v = self.mesh.integrate(np.abs(M - values), self._weights)
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 
@@ -199,8 +184,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     """
     if cfg.t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
-                                  cfg.eps, legacy_update=cfg.legacy_update)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     dt = cfg.dt
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
 
@@ -254,7 +238,7 @@ def l1_error(a: DGField, b: DGField, velocity_weights=None) -> float:
     if a.values.shape != b.values.shape:
         raise ValueError(f"field shapes differ: {a.values.shape} vs {b.values.shape}")
     _, w = gauss_nodes(a.degree)
-    per_lead = a.mesh.dx * np.tensordot(np.abs(a.values - b.values), w, axes=(-1, 0)).sum(axis=-1)
+    per_lead = a.mesh.integrate(np.abs(a.values - b.values), w)
     if velocity_weights is not None:
         return float(np.tensordot(np.asarray(velocity_weights), per_lead, axes=(0, 0)))
     return float(np.sum(per_lead))

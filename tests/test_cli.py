@@ -1,10 +1,11 @@
+import functools
 import re
 
 import numpy as np
 import pytest
 
-from sldirk import cli
-from sldirk.models import UnphysicalStateError
+from sldirk import cli, harness
+from sldirk.models import BGK1D, UnphysicalStateError
 from sldirk.sl_solver import DivergenceError
 
 
@@ -209,9 +210,87 @@ def test_simulate_unphysical_state_exits_3(capsys, monkeypatch):
     assert "min rho" in err
 
 
+def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(BGK1D, "__init__",
+                        functools.partialmethod(BGK1D.__init__, newton_max_iter=0))
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "8",
+                           "--nv", "12", "--T", "0.01")
+    assert code == 3
+    assert "did not converge" in err
+
+
+def test_simulate_distribution_csv_bytes_match_row_list(capsys, tmp_path, monkeypatch):
+    # the streamed distribution CSV equals rows_to_csv over all (x, v, f) rows
+    seen = []
+    real_run = cli.run
+
+    def spy(cfg, initial, diagnostics_every=1):
+        seen.append(real_run(cfg, initial, diagnostics_every=diagnostics_every))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    prefix = str(tmp_path / "gas")
+    code, _, _ = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "6", "--p", "1",
+                         "--nv", "10", "--cfl", "2", "--T", "0.01", "--out", prefix)
+    assert code == 0
+    result = seen[0]
+    x = result.config.mesh.node_coords(1).ravel()
+    rows = [(float(xx), float(v), float(val))
+            for vi, v in enumerate(result.config.model.velocity_set.v)
+            for xx, val in zip(x, result.final.values[vi].ravel())]
+    expected = harness.rows_to_csv(rows, ("x", "v", "f")).encode()
+    assert (tmp_path / "gas_distribution.csv").read_bytes() == expected
+
+
+def test_simulate_coupling_on_gas_model_exits_2(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "8",
+                           "--nv", "20", "--b", "0.3", "--T", "0.01")
+    assert code == 2
+    assert "coupling b" in err
+
+
+def test_simulate_coupling_runs_on_build_case_data(capsys, monkeypatch):
+    seen = []
+    real_run = cli.run
+
+    def capture(cfg, initial, diagnostics_every=1):
+        seen.append((cfg, initial))
+        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+
+    monkeypatch.setattr(cli, "run", capture)
+    code, _, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                         "--b", "0.3", "--T", "0.01")
+    assert code == 0
+    cfg, f0 = seen[0]
+    want_cfg, want_f0 = harness.build_case("5.1", "DIRK3-B10", 1e-2, 0.5, n_elements=8,
+                                           t_final=0.01, b=0.3)
+    assert cfg.model.b == 0.3
+    assert cfg.dt == want_cfg.dt
+    np.testing.assert_array_equal(f0.values, want_f0.values)
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("example, paper_scale, cfls, nx", [
+    ("5.1", False, (0.1, 0.2, 0.4, 0.8), 160), ("linear", True, (0.1, 0.2, 0.4, 0.8), 640),
+    ("5.2", False, (0.1, 0.2, 0.4, 0.8), 160), ("nonlinear", True, (0.1, 0.2, 0.4, 0.8), 640),
+    ("5.3", False, (0.5, 1.0, 2.0, 4.0), 160), ("bgk", True, (1.0, 2.0, 4.0), 640)])
+def test_convergence_preset_defaults(capsys, monkeypatch, example, paper_scale, cfls, nx):
+    studies = []
+
+    def capture(study):
+        studies.append(study)
+        return harness.StudyResult(study=study, rows=())
+
+    monkeypatch.setattr(harness, "run_convergence", capture)
+    flags = ["--paper-scale"] if paper_scale else []
+    code, _, _ = run_cli(capsys, "convergence", "--example", example, "--tableaus", "BE", *flags)
+    assert code == 0
+    assert studies[0].cfl_values == cfls
+    assert studies[0].n_elements == nx
+
 
 def test_convergence_subcommand(capsys, tmp_path):
     out_csv = tmp_path / "rows.csv"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from sldirk import harness
 from sldirk.harness import (ConvergenceStudy, build_case, fit_slope,
                             normalize_example, rows_to_csv, run_convergence,
                             slopes_csv, study_csv)
-from sldirk.models import UnphysicalStateError
+from sldirk.models import BGK1D, DivergenceError, UnphysicalStateError
 from sldirk.sl_solver import l1_error
 
 
@@ -38,6 +39,17 @@ def test_build_case_two_velocity_well_prepared():
         cfg, f0 = build_case(example, "DIRK2", 1e-2, 0.5, n_elements=16)
         eq = cfg.model.equilibrium(cfg.model.moments(f0.values))
         np.testing.assert_allclose(f0.values, eq, atol=1e-14)
+        # a custom coupling starts at its own equilibrium of the same u0
+        cfg_b, f0_b = build_case(example, "DIRK2", 1e-2, 0.5, n_elements=16, b=0.3)
+        assert cfg_b.model.b == 0.3 and cfg.model.b != 0.3
+        u0 = cfg.model.moments(f0.values)
+        np.testing.assert_allclose(cfg_b.model.moments(f0_b.values), u0, rtol=1e-15)
+        np.testing.assert_allclose(f0_b.values, cfg_b.model.equilibrium(u0), rtol=1e-15)
+
+
+def test_build_case_rejects_coupling_for_gas_preset():
+    with pytest.raises(ValueError, match="coupling b"):
+        build_case("bgk", "DIRK2", 1e-2, 0.5, n_elements=16, n_v=20, b=0.3)
 
 
 def test_build_case_bgk_profile():
@@ -140,6 +152,43 @@ def test_unphysical_run_recorded_as_nan_row(monkeypatch):
     assert math.isnan(errors[0.4])
     assert np.isfinite(errors[0.2]) and np.isfinite(errors[0.8])
     assert np.isfinite(result.slope("BE", 1e-2))
+
+
+def test_failed_reference_run_gives_nan_rows(monkeypatch):
+    # the reference run of one (tableau, eps) pair fails: its rows and slope
+    # are NaN and the other pair still finishes
+    real_run = harness.run
+
+    def run_or_fail(cfg, initial, diagnostics_every=1):
+        if cfg.tableau.name == "DIRK2" and cfg.cfl == 0.02:
+            raise DivergenceError("non-finite values after step 3", step=3)
+        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+
+    monkeypatch.setattr(harness, "run", run_or_fail)
+    result = run_convergence(_small_study(tableaus=("DIRK2", "BE")))
+    assert [r.tableau for r in result.rows] == ["DIRK2"] * 3 + ["BE"] * 3
+    assert all(math.isnan(r.error) for r in result.rows[:3])
+    assert all(np.isfinite(r.error) for r in result.rows[3:])
+    assert math.isnan(result.slope("DIRK2", 1e-2))
+    assert np.isfinite(result.slope("BE", 1e-2))
+
+
+def test_newton_non_convergence_recorded_as_nan_row(monkeypatch):
+    # the discrete Maxwellian fit of the CFL-0.4 run gets no iterations
+    real_run = harness.run
+
+    def run_starved(cfg, initial, diagnostics_every=1):
+        if cfg.cfl == 0.4:
+            cfg = replace(cfg, model=BGK1D(cfg.model.velocity_set, newton_max_iter=0))
+        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+
+    monkeypatch.setattr(harness, "run", run_starved)
+    study = ConvergenceStudy(example="5.3", tableaus=("BE",), eps_values=(1e-2,),
+                             cfl_values=(0.2, 0.4, 0.8), ref_cfl=0.1, n_elements=8,
+                             degree=1, n_v=24, v_max=6.0, t_final=0.01)
+    errors = {r.cfl: r.error for r in run_convergence(study).rows}
+    assert math.isnan(errors[0.4])
+    assert np.isfinite(errors[0.2]) and np.isfinite(errors[0.8])
 
 
 def test_csv_formatting_deterministic():

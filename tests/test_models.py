@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sldirk import models
-from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
+import sldirk
+from sldirk import models, sl_solver
+from sldirk.models import (BGK1D, DivergenceError, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, make_model,
                            maxwellian)
 
@@ -155,6 +156,20 @@ def test_bgk_equilibrium_rejects_negative_temperature():
     m = BGK1D()
     with pytest.raises(UnphysicalStateError):
         m.equilibrium(np.array([1.0, 2.0, 0.5]))  # E < rho u^2 / 2
+    # equilibrium shares the moments check, so it also locates the bad point
+    U = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 2.0], [0.5, 0.5, 0.5]])
+    with pytest.raises(UnphysicalStateError) as info:
+        m.equilibrium(U)
+    assert info.value.flat_index == 2
+
+
+def test_bgk_newton_non_convergence_raises_divergence_error():
+    U = np.array([[1.0, 0.9], [0.1, 0.0], [0.6, 0.5]])
+    BGK1D(newton_max_iter=50).equilibrium(U)
+    with pytest.raises(DivergenceError, match="did not converge within 0 iterations"):
+        BGK1D(newton_max_iter=0).equilibrium(U)
+    assert sl_solver.DivergenceError is DivergenceError
+    assert sldirk.DivergenceError is DivergenceError
 
 
 def test_bgk_discrete_conservation_on_coarse_grid():

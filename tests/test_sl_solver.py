@@ -238,23 +238,48 @@ def test_unphysical_state_reports_stage_and_location():
         run(cfg, f0)
 
 
+def _dt_weighted_step(solver, values, dt):
+    """Reference stage update with the plain prediction-correction weight dt
+    in place of a_kk * dt.  It is inconsistent with the stage equations
+    whenever a_kk != 1; the tests below show what that costs."""
+    A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
+    increments = []
+    for k in range(solver.tableau.s):
+        predicted = solver._shift(values, c[k] * dt)
+        for j in range(k):
+            predicted += dt * A[k, j] * solver._shift(increments[j], (c[k] - c[j]) * dt)
+        M = model.equilibrium(model.moments(predicted))
+        stage = (eps * predicted + dt * M) / (eps + dt)
+        increments.append((M - predicted) / (eps + dt))
+    return stage
+
+
+def _dt_weighted_run(cfg, f0):
+    """Moments at t_final of a fixed-step run with :func:`_dt_weighted_step`."""
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values, t = f0.values, 0.0
+    for _ in range(int(np.ceil(cfg.t_final / cfg.dt - 1e-12))):
+        step_dt = min(cfg.dt, cfg.t_final - t)
+        values = _dt_weighted_step(solver, values, step_dt)
+        t += step_dt
+    return DGField(mesh=cfg.mesh, values=cfg.model.moments(values))
+
+
 def test_legacy_update_matches_for_unit_diagonal():
     # with a_kk = 1 (implicit Euler) both stage-update weights coincide
     cfg = _linear_cfg(tableau="BE")
     f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
-    a = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
-    b = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps, legacy_update=True)
-    np.testing.assert_array_equal(a.step_values(f0.values, cfg.dt),
-                                  b.step_values(f0.values, cfg.dt))
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
+    np.testing.assert_array_equal(solver.step_values(f0.values, cfg.dt),
+                                  _dt_weighted_step(solver, f0.values, cfg.dt))
 
 
 def test_legacy_update_differs_for_fractional_diagonal():
     cfg = _linear_cfg(tableau="DIRK2")
     f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
-    a = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
-    b = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps, legacy_update=True)
-    va = a.step_values(f0.values, cfg.dt)
-    vb = b.step_values(f0.values, cfg.dt)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
+    va = solver.step_values(f0.values, cfg.dt)
+    vb = _dt_weighted_step(solver, f0.values, cfg.dt)
     assert np.max(np.abs(va - vb)) > 1e-6
 
 
@@ -263,15 +288,13 @@ def test_legacy_update_loses_second_order():
     # equations unless a_kk = 1: DIRK2 degrades to first order
     errs_consistent, errs_legacy = [], []
     dts = []
+    ref_cfg, f0 = build_case("5.1", "DIRK2", 1e-2, 0.01, n_elements=64)
+    ref = run(ref_cfg, f0, diagnostics_every=0).macro
+    ref_legacy = _dt_weighted_run(ref_cfg, f0)
     for cfl in (0.2, 0.4, 0.8):
-        for legacy, errs in ((False, errs_consistent), (True, errs_legacy)):
-            cfg, f0 = build_case("5.1", "DIRK2", 1e-2, cfl, n_elements=64,
-                                 legacy_update=legacy)
-            ref_cfg, _ = build_case("5.1", "DIRK2", 1e-2, 0.01, n_elements=64,
-                                    legacy_update=legacy)
-            out = run(cfg, f0, diagnostics_every=0)
-            ref = run(ref_cfg, f0, diagnostics_every=0)
-            errs.append(l1_error(out.macro, ref.macro))
+        cfg, _ = build_case("5.1", "DIRK2", 1e-2, cfl, n_elements=64)
+        errs_consistent.append(l1_error(run(cfg, f0, diagnostics_every=0).macro, ref))
+        errs_legacy.append(l1_error(_dt_weighted_run(cfg, f0), ref_legacy))
         dts.append(cfg.dt)
     slope_consistent = fit_slope(dts, errs_consistent)
     slope_legacy = fit_slope(dts, errs_legacy)
