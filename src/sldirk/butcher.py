@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 #: absolute tolerance for tableau consistency checks (all data is float64)
 VALIDATION_TOL = 1e-12
@@ -154,14 +153,6 @@ def to_shu_osher(t: ButcherTableau) -> ShuOsherForm:
 # tableau catalog
 # ---------------------------------------------------------------------------
 
-def _three_stage_dirk3_gamma() -> float:
-    # real root of 6 g^3 - 18 g^2 + 9 g - 1 near 0.4359; solved at startup
-    # rather than trusting a 15-digit literal, since downstream limit
-    # coefficients are sensitive at the 1e-6 level.
-    poly = lambda g: ((6.0 * g - 18.0) * g + 9.0) * g - 1.0
-    return brentq(poly, 0.4, 0.5, xtol=1e-16, rtol=8.881784197001252e-16)
-
-
 def _build_catalog() -> dict[str, ButcherTableau]:
     cat: dict[str, ButcherTableau] = {}
 
@@ -178,8 +169,11 @@ def _build_catalog() -> dict[str, ButcherTableau]:
         notes=("2-stage second order, diagonal 1 - sqrt(2)/2",))
 
     # classical 3-stage third-order DIRK; third order on the distribution
-    # but only second order in the relaxation limit (the motivating case)
-    g = _three_stage_dirk3_gamma()
+    # but only second order in the relaxation limit (the motivating case).
+    # g is the root of 6 g^3 - 18 g^2 + 9 g - 1 in (0.4, 0.5); the limit
+    # coefficients are sensitive at the 1e-6 level, so a test pins this
+    # literal bitwise to the root a bracketing solver finds there
+    g = 0.4358665215084589
     beta1 = -1.5 * g * g + 4.0 * g - 0.25
     beta2 = 1.5 * g * g - 5.0 * g + 1.25
     add("DIRK3-B2", [[g, 0.0, 0.0],
@@ -272,17 +266,23 @@ def tableau_to_text(t: ButcherTableau) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tableau_from_text(text: str) -> ButcherTableau:
-    """Parse the `key = value` format written by :func:`tableau_to_text`."""
+def parse_key_values(text: str) -> dict[str, str]:
+    """Parse `key = value` lines; '#' starts a comment, blank lines are skipped."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"malformed tableau line (expected 'key = value'): {raw!r}")
+            raise ValueError(f"malformed line {raw!r} (expected 'key = value')")
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
+    return entries
+
+
+def tableau_from_text(text: str) -> ButcherTableau:
+    """Parse the `key = value` format written by :func:`tableau_to_text`."""
+    entries = parse_key_values(text)
     missing = {"s", "A", "c", "b"} - entries.keys()
     if missing:
         raise ValueError(f"tableau file missing keys: {sorted(missing)}")

@@ -1,8 +1,9 @@
 """Command-line front end: order checks, stability scans, runs, sweeps.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a
-simulation diverged.  All CSV output is deterministic for a fixed
-configuration (floats via repr, rows in configuration order).
+Exit codes: 0 on success, 2 for configuration problems (``KeyError`` or
+``ValueError``, which :class:`ConfigError` subclasses), 3 when a run raised
+a :class:`~sldirk.models.SimulationError`.  All CSV output is deterministic
+for a fixed configuration (floats via repr, rows in configuration order).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import butcher, harness, order_analysis, stability
-from .models import DivergenceError, UnphysicalStateError
+from .models import MacroState, SimulationError
 from .sl_solver import run
 
 EXIT_OK = 0
@@ -22,7 +23,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -55,20 +56,6 @@ def parse_float_list(spec: str) -> tuple[float, ...]:
     if not vals:
         raise ConfigError(f"empty list {spec!r}")
     return vals
-
-
-def read_config_file(path: str) -> dict[str, str]:
-    """Plain `key = value` config file; '#' starts a comment."""
-    entries: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"malformed config line {raw!r} (expected 'key = value')")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
 
 
 def _write(path: str, text: str):
@@ -155,7 +142,7 @@ _SIM_DEFAULTS = {"model": "linear", "tableau": "DIRK3-B10", "b": None,
 def _merged_options(args, keys) -> dict[str, str | None]:
     base = dict(_SIM_DEFAULTS)
     if args.config:
-        file_opts = read_config_file(args.config)
+        file_opts = butcher.parse_key_values(Path(args.config).read_text())
         unknown = set(file_opts) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -204,16 +191,14 @@ def _write_snapshot(prefix, cfg, result):
             fh.write("".join(f"{xx!r},{v!r},{val!r}\n"
                              for xx, val in zip(x, fv.ravel().tolist())))
 
-    U = result.macro.values
-    if cfg.model.n_invariants == 3:
-        rho = U[0].ravel()
-        u = (U[1] / U[0]).ravel()
-        T = (2.0 * U[2] / U[0] - (U[1] / U[0]) ** 2).ravel()
-        macro_rows = list(zip(map(float, x), map(float, rho), map(float, u), map(float, T)))
+    macro = MacroState(result.macro.values)
+    if macro.n_invariants == 3:
+        fields = (macro.rho, macro.u, macro.temperature)
         macro_header = ("x", "rho", "u", "T")
     else:
-        macro_rows = list(zip(map(float, x), map(float, U[0].ravel())))
+        fields = (macro.rho,)
         macro_header = ("x", "U")
+    macro_rows = list(zip(x, *(map(float, f.ravel()) for f in fields)))
     _write(f"{prefix}_macro.csv", harness.rows_to_csv(macro_rows, macro_header))
 
     diag_header = ("step", "t") + cfg.model.invariant_names + ("equilibrium_distance",)
@@ -250,10 +235,7 @@ def cmd_convergence(args) -> int:
         error_on=args.error_on,
         jobs=args.jobs,
     )
-    try:
-        study = study.resolved()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    study = study.resolved()
     result = harness.run_convergence(study)
     print(f"example {study.example}: {len(result.rows)} runs "
           f"(reference CFL {study.ref_cfl!r}, N_x = {study.n_elements})")
@@ -359,11 +341,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # UnphysicalStateError subclasses ValueError, so this clause comes first
-    except (DivergenceError, UnphysicalStateError) as exc:
+    except SimulationError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -114,9 +114,6 @@ class DGField:
         vals = vals.reshape(vals.shape[:-1] + coords.shape)
         return cls(mesh=mesh, values=vals)
 
-    def copy(self) -> "DGField":
-        return DGField(mesh=self.mesh, values=self.values.copy())
-
     def evaluate(self, x) -> np.ndarray:
         """Point values of the owning element's polynomial, periodic in x."""
         x = np.asarray(x, dtype=float)

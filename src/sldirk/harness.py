@@ -32,8 +32,8 @@ import numpy as np
 
 from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
-from .models import (DivergenceError, UnphysicalStateError, VelocitySet, make_model,
-                     maxwellian)
+from .models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity, SimulationError,
+                     VelocitySet, maxwellian)
 from .sl_solver import RunResult, SimConfig, l1_error, run
 
 
@@ -127,9 +127,10 @@ def build_case(example: str, tableau_name: str, eps: float, cfl: float,
         if b is not None:
             raise ValueError(f"coupling b = {b} applies to the two-velocity presets only, "
                              f"not to preset {ex}")
-        model = make_model("bgk", velocity_set=VelocitySet.uniform(-v_max, v_max, n_v))
+        model = BGK1D(VelocitySet.uniform(-v_max, v_max, n_v))
     else:
-        model = make_model(preset.model, b=preset.b if b is None else b)
+        two_velocity = LinearTwoVelocity if preset.model == "linear" else NonlinearTwoVelocity
+        model = two_velocity(preset.b if b is None else b)
     mesh = Mesh1D(x_lo=preset.domain[0], x_hi=preset.domain[1], n_elements=n_elements)
     cfg = SimConfig(model=model, tableau=resolve_tableau(tableau_name), mesh=mesh,
                     degree=degree, cfl=cfl, eps=eps,
@@ -189,7 +190,7 @@ def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float):
                              study.v_max, study.t_final)
     try:
         reference = run(cfg_ref, f0, diagnostics_every=0)
-    except (DivergenceError, UnphysicalStateError):
+    except SimulationError:
         reference = None
     rows = []
     for cfl in study.cfl_values:
@@ -198,7 +199,7 @@ def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float):
         if reference is not None:
             try:
                 err = _case_error(run(cfg, f0, diagnostics_every=0), reference, study.error_on)
-            except (DivergenceError, UnphysicalStateError):
+            except SimulationError:
                 pass
         rows.append(ConvergenceRow(example=study.example, tableau=tableau_name,
                                    eps=eps, cfl=cfl, dt=cfg.dt, error=err))

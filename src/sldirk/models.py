@@ -5,6 +5,11 @@ characteristics, where U are the conserved moments of f and M[U] the local
 equilibrium.  Distribution arrays carry the velocity index on the leading
 axis, so f has shape (n_v, ...) and the moment vector U has shape (K, ...)
 with K the number of collision invariants.
+
+A failed run raises a :class:`SimulationError`: an
+:class:`UnphysicalStateError` when the moments leave the physical region,
+a :class:`DivergenceError` when the field stops being finite or the
+discrete Maxwellian fit does not converge.
 """
 
 from __future__ import annotations
@@ -14,18 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class UnphysicalStateError(ValueError):
-    """Moments left the physical region (nonpositive density or temperature)."""
-
-
-class DivergenceError(RuntimeError):
-    """The solution left the finite range mid-run, or the discrete Maxwellian
-    fit did not converge."""
+class SimulationError(RuntimeError):
+    """A run failed; ``step`` and ``time`` locate it when known."""
 
     def __init__(self, message, step=None, time=None):
         super().__init__(message)
         self.step = step
         self.time = time
+
+
+class UnphysicalStateError(SimulationError):
+    """Moments left the physical region (nonpositive density or temperature)."""
+
+
+class DivergenceError(SimulationError):
+    """The solution left the finite range mid-run, or the discrete Maxwellian
+    fit did not converge."""
 
 
 @dataclass(frozen=True)
@@ -202,20 +211,17 @@ def maxwellian(v, rho, u, T):
 class BGK1D(KineticModel):
     """1D1V gas model relaxing toward a local Maxwellian.
 
-    Conserved moments are (rho, rho*u, E) against (1, v, v^2/2).  With
-    ``conservative=True`` (default) the equilibrium is the *discrete*
-    Maxwellian: its parameters are Newton-corrected so that the quadrature
-    moments match U exactly, making the relaxation term conserve mass,
-    momentum and energy to machine precision instead of quadrature
-    accuracy.  Set ``conservative=False`` for the analytic Maxwellian
-    evaluated at (rho, u, T).
+    Conserved moments are (rho, rho*u, E) against (1, v, v^2/2).  The
+    equilibrium is the *discrete* Maxwellian: its parameters are
+    Newton-corrected so that the quadrature moments match U exactly, making
+    the relaxation term conserve mass, momentum and energy to machine
+    precision instead of quadrature accuracy.
     """
 
-    def __init__(self, velocity_set: VelocitySet | None = None, conservative: bool = True,
+    def __init__(self, velocity_set: VelocitySet | None = None,
                  newton_tol: float = 1e-13, newton_max_iter: int = 50):
         self.velocity_set = velocity_set if velocity_set is not None \
             else VelocitySet.uniform(-15.0, 15.0, 100)
-        self.conservative = bool(conservative)
         self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
         self.name = "bgk-1d1v"
@@ -249,10 +255,7 @@ class BGK1D(KineticModel):
         return rho, u, T
 
     def equilibrium(self, U):
-        rho, u, T = self._params_from_moments(U)
-        if self.conservative:
-            return self._fit_discrete_parameters(U, rho, u, T)[3]
-        return maxwellian(self.velocity_set.v, rho, u, T)
+        return self._fit_discrete_parameters(U, *self._params_from_moments(U))[3]
 
     def _fit_discrete_parameters(self, U, rho, u, T):
         """Newton-correct (rho, u, T) until the discrete Maxwellian moments
@@ -288,15 +291,3 @@ class BGK1D(KineticModel):
                 raise UnphysicalStateError("discrete Maxwellian fit drove rho <= 0")
         raise DivergenceError("discrete Maxwellian fit did not converge "
                               f"within {self.newton_max_iter} iterations")
-
-
-def make_model(name: str, b: float | None = None, velocity_set: VelocitySet | None = None,
-               conservative: bool = True) -> KineticModel:
-    """Factory used by the CLI and the study harness."""
-    if name == "linear":
-        return LinearTwoVelocity(b=0.6 if b is None else b)
-    if name == "nonlinear":
-        return NonlinearTwoVelocity(b=0.2 if b is None else b)
-    if name == "bgk":
-        return BGK1D(velocity_set=velocity_set, conservative=conservative)
-    raise ValueError(f"unknown model {name!r}; expected linear, nonlinear or bgk")

@@ -167,20 +167,12 @@ def order_report(t: ButcherTableau, tol: float = DEFAULT_ORDER_TOL) -> OrderRepo
                        residuals={k: float(v) for k, v in res.items()}, tol=tol)
 
 
-#: identities tying the limit coefficients to the kinetic ones; they hold
-#: for every DIRK tableau with positive diagonal, independent of its order.
-IDENTITY_NAMES = (
-    "d + D - c^2",
-    "B - (d - D)",
-    "2G - H + 2g - c*d",
-    "B* - (2G - 2H)",
-    "B** - (2g - 2H - c^3 + 2c*D)",
-    "B*** - (c^3 - 3B** - 6G)",
-)
-
-
 def verify_identities(so: ShuOsherForm) -> dict[str, np.ndarray]:
-    """Residuals of the kinetic/limit cross identities at every stage."""
+    """Residuals of the kinetic/limit cross identities at every stage.
+
+    The identities tie the limit coefficients to the kinetic ones; they hold
+    for every DIRK tableau with positive diagonal, independent of its order.
+    """
     kc = kinetic_coefficients(so)
     lc = limit_coefficients(so, kc)
     c, d, g = kc.c, kc.d, kc.g

@@ -29,7 +29,7 @@ import numpy as np
 
 from .butcher import ButcherTableau, validate_tableau
 from .dg import DGField, Mesh1D, ShiftOperator, gauss_nodes
-from .models import DivergenceError, KineticModel, UnphysicalStateError
+from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
 MAX_DEGREE = 4
@@ -140,9 +140,6 @@ class SemiLagrangianSolver:
                 increments.append(M)
         return (stage.copy(), stages) if return_stages else stage
 
-    def step(self, field: DGField, dt: float) -> DGField:
-        return DGField(mesh=self.mesh, values=self.step_values(field.values, dt))
-
     def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
         """Domain integrals of the conserved moments, shape (K,).
 
@@ -180,7 +177,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
 
     ``diagnostics_every`` controls how often the conservation/relaxation
     diagnostics are recorded (0 records only the endpoints).  Aborts with
-    :class:`DivergenceError` as soon as the field stops being finite.
+    :class:`DivergenceError` as soon as the field stops being finite; a
+    :class:`SimulationError` from a step carries that step and its end time.
     """
     if cfg.t_final <= 0.0:
         raise ValueError("t_final must be positive")
@@ -205,11 +203,15 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     t = 0.0
     for n in range(n_steps):
         step_dt = min(dt, cfg.t_final - t)
+        t = cfg.t_final if n == n_steps - 1 else t + step_dt
         # overflow during a diverging run is reported via DivergenceError,
         # not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = solver.step_values(values, step_dt)
-        t = cfg.t_final if n == n_steps - 1 else t + step_dt
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = solver.step_values(values, step_dt)
+        except SimulationError as exc:
+            exc.step, exc.time = n + 1, t
+            raise
         if not np.all(np.isfinite(values)):
             raise DivergenceError(
                 f"non-finite values after step {n + 1} (t = {t:.6g}, "

@@ -173,6 +173,29 @@ def test_catalog_b2_diagonal_root():
     assert g == pytest.approx(0.435866521508459, abs=1e-12)
 
 
+def test_catalog_b2_diagonal_literal_is_brentq_root():
+    # the catalog stores the root as a literal; it must be the value the
+    # bracketing solver returns, bit for bit
+    from scipy.optimize import brentq
+    poly = lambda g: ((6.0 * g - 18.0) * g + 9.0) * g - 1.0
+    root = brentq(poly, 0.4, 0.5, xtol=1e-16, rtol=8.881784197001252e-16)
+    assert root == catalog()["DIRK3-B2"].A[0, 0]
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import sldirk
+    src = str(Path(sldirk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sldirk; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_catalog_b3_entry():
     assert get_tableau("DIRK3-B3").A[0, 0] == 1.482285978970554
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sldirk import cli, harness
-from sldirk.models import BGK1D, UnphysicalStateError
+from sldirk.models import BGK1D, SimulationError, UnphysicalStateError
 from sldirk.sl_solver import DivergenceError
 
 
@@ -188,6 +188,14 @@ def test_simulate_unknown_config_key_exits_2(capsys, tmp_path):
     assert "wavelets" in err
 
 
+def test_simulate_malformed_config_line_exits_2(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("model = linear\nnx 8\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert "malformed" in err
+
+
 def test_simulate_divergence_exits_3(capsys, monkeypatch):
     def explode(cfg, initial, diagnostics_every=1):
         raise DivergenceError("non-finite values after step 7", step=7)
@@ -199,7 +207,6 @@ def test_simulate_divergence_exits_3(capsys, monkeypatch):
 
 
 def test_simulate_unphysical_state_exits_3(capsys, monkeypatch):
-    # UnphysicalStateError subclasses ValueError, which alone would map to 2
     def explode(cfg, initial, diagnostics_every=1):
         raise UnphysicalStateError("stage 2 of tableau 'DIRK3-B10': min rho = -1e-3")
     monkeypatch.setattr(cli, "run", explode)
@@ -208,6 +215,16 @@ def test_simulate_unphysical_state_exits_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("run diverged:")
     assert "min rho" in err
+
+
+def test_simulate_bare_simulation_error_exits_3(capsys, monkeypatch):
+    def explode(cfg, initial, diagnostics_every=1):
+        raise SimulationError("solver gave up", step=4, time=0.002)
+    monkeypatch.setattr(cli, "run", explode)
+    code, _, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                           "--T", "0.01")
+    assert code == 3
+    assert "solver gave up" in err
 
 
 def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):

@@ -8,7 +8,7 @@ from sldirk import harness
 from sldirk.harness import (ConvergenceStudy, build_case, fit_slope,
                             normalize_example, rows_to_csv, run_convergence,
                             slopes_csv, study_csv)
-from sldirk.models import BGK1D, DivergenceError, UnphysicalStateError
+from sldirk.models import BGK1D, DivergenceError, SimulationError, UnphysicalStateError
 from sldirk.sl_solver import l1_error
 
 
@@ -136,22 +136,24 @@ def test_diverged_runs_recorded_as_nan_rows():
 
 
 def test_unphysical_run_recorded_as_nan_row(monkeypatch):
-    # one CFL run leaves the physical region; the sweep records a NaN row
-    # for it and still fits the slope through the other runs
+    # one CFL run fails, by leaving the physical region or by any other
+    # SimulationError; the sweep records a NaN row for it and still fits
+    # the slope through the other runs
     real_run = harness.run
+    for error in (UnphysicalStateError("moments left the physical region"),
+                  SimulationError("solver gave up")):
+        def run_or_fail(cfg, initial, diagnostics_every=1):
+            if cfg.cfl == 0.4:
+                raise error
+            return real_run(cfg, initial, diagnostics_every=diagnostics_every)
 
-    def run_or_fail(cfg, initial, diagnostics_every=1):
-        if cfg.cfl == 0.4:
-            raise UnphysicalStateError("moments left the physical region")
-        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
-
-    monkeypatch.setattr(harness, "run", run_or_fail)
-    result = run_convergence(_small_study())
-    errors = {r.cfl: r.error for r in result.rows}
-    assert list(errors) == [0.2, 0.4, 0.8]
-    assert math.isnan(errors[0.4])
-    assert np.isfinite(errors[0.2]) and np.isfinite(errors[0.8])
-    assert np.isfinite(result.slope("BE", 1e-2))
+        monkeypatch.setattr(harness, "run", run_or_fail)
+        result = run_convergence(_small_study())
+        errors = {r.cfl: r.error for r in result.rows}
+        assert list(errors) == [0.2, 0.4, 0.8]
+        assert math.isnan(errors[0.4])
+        assert np.isfinite(errors[0.2]) and np.isfinite(errors[0.8])
+        assert np.isfinite(result.slope("BE", 1e-2))
 
 
 def test_failed_reference_run_gives_nan_rows(monkeypatch):

@@ -4,8 +4,13 @@ import pytest
 import sldirk
 from sldirk import models, sl_solver
 from sldirk.models import (BGK1D, DivergenceError, LinearTwoVelocity, NonlinearTwoVelocity,
-                           UnphysicalStateError, VelocitySet, make_model,
-                           maxwellian)
+                           UnphysicalStateError, VelocitySet, maxwellian)
+
+
+def analytic_equilibrium(vs, U):
+    """Reference: the analytic Maxwellian at the parameters of U, which the
+    discrete equilibrium matches only to quadrature accuracy."""
+    return maxwellian(vs.v, *BGK1D._params_from_moments(U))
 
 
 def test_velocity_set_two_velocity():
@@ -114,19 +119,18 @@ def test_bgk_equilibrium_moment_consistency(rng):
 
 
 def test_bgk_equilibrium_analytic_variant_close_to_conservative():
-    cons = BGK1D(conservative=True)
-    plain = BGK1D(conservative=False)
+    cons = BGK1D()
     U = np.array([1.1, 0.2, 0.8])
-    np.testing.assert_allclose(cons.equilibrium(U), plain.equilibrium(U),
+    np.testing.assert_allclose(cons.equilibrium(U), analytic_equilibrium(cons.velocity_set, U),
                                rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("v_max, n_v, newton_steps", [(6.0, 24, 2), (15.0, 100, 0)])
 def test_bgk_equilibrium_is_maxwellian_at_fitted_parameters(v_max, n_v, newton_steps,
                                                             rng, monkeypatch):
-    # on both paths the equilibrium is bitwise the Maxwellian at the
-    # parameters the path settles on, and the conservative path evaluates
-    # one Maxwellian per Newton step plus one for the converged residual
+    # the equilibrium is bitwise the Maxwellian at the fitted parameters,
+    # and the fit evaluates one Maxwellian per Newton step plus one for the
+    # converged residual
     vs = VelocitySet.uniform(-v_max, v_max, n_v)
     rho = rng.uniform(0.5, 2.0, size=(5, 3))
     u = rng.uniform(-0.5, 0.5, size=(5, 3))
@@ -139,17 +143,13 @@ def test_bgk_equilibrium_is_maxwellian_at_fitted_parameters(v_max, n_v, newton_s
         return maxwellian(*args)
 
     monkeypatch.setattr(models, "maxwellian", counted)
-    for conservative in (True, False):
-        m = BGK1D(velocity_set=vs, conservative=conservative)
-        params = m._params_from_moments(U)
-        if conservative:
-            *params, M_fit = m._fit_discrete_parameters(U, *params)
-            assert np.array_equal(M_fit, maxwellian(vs.v, *params))
-        calls.clear()
-        M = m.equilibrium(U)
-        assert np.array_equal(M, maxwellian(vs.v, *params))
-        assert len(calls) == (newton_steps + 1 if conservative else 1)
-        calls.clear()
+    m = BGK1D(velocity_set=vs)
+    *params, M_fit = m._fit_discrete_parameters(U, *m._params_from_moments(U))
+    assert np.array_equal(M_fit, maxwellian(vs.v, *params))
+    calls.clear()
+    M = m.equilibrium(U)
+    assert np.array_equal(M, maxwellian(vs.v, *params))
+    assert len(calls) == newton_steps + 1
 
 
 def test_bgk_equilibrium_rejects_negative_temperature():
@@ -172,15 +172,24 @@ def test_bgk_newton_non_convergence_raises_divergence_error():
     assert sldirk.DivergenceError is DivergenceError
 
 
+def test_run_failures_form_one_family():
+    # configuration problems are ValueErrors; a failed run is not
+    for cls in (models.SimulationError, DivergenceError, UnphysicalStateError):
+        assert issubclass(cls, models.SimulationError)
+        assert not issubclass(cls, ValueError)
+        exc = cls("failed")
+        assert exc.step is None and exc.time is None
+    assert sldirk.SimulationError is models.SimulationError
+
+
 def test_bgk_discrete_conservation_on_coarse_grid():
     # with only 24 points the analytic Maxwellian has visible quadrature
     # error; the Newton-corrected one is still exact
     vs = VelocitySet.uniform(-6.0, 6.0, 24)
-    cons = BGK1D(velocity_set=vs, conservative=True)
-    plain = BGK1D(velocity_set=vs, conservative=False)
+    cons = BGK1D(velocity_set=vs)
     U = np.array([1.0, 0.3, 0.9])
     err_cons = np.max(np.abs(cons.moments(cons.equilibrium(U)) - U))
-    err_plain = np.max(np.abs(plain.moments(plain.equilibrium(U)) - U))
+    err_plain = np.max(np.abs(cons.moments(analytic_equilibrium(vs, U)) - U))
     assert err_cons < 1e-13
     assert err_plain > 1e-9
 
@@ -270,11 +279,6 @@ def test_macro_state_properties():
         two.u
 
 
-def test_make_model_factory():
-    assert make_model("linear").b == 0.6
-    assert make_model("nonlinear").b == 0.2
-    assert make_model("bgk").n_invariants == 3
-    with pytest.raises(ValueError):
-        make_model("vlasov")
+def test_linear_coupling_must_be_below_one():
     with pytest.raises(ValueError):
         LinearTwoVelocity(b=1.0)

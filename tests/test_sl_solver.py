@@ -236,6 +236,13 @@ def test_unphysical_state_reports_stage_and_location():
                     cfl=0.5, eps=1e-2, t_final=0.1)
     with pytest.raises(UnphysicalStateError):
         run(cfg, f0)
+    # a positive density jump passes that check, but the remap of stage 1
+    # undershoots below zero; run() stamps the failing step and its time
+    jump = make_initial_field(cfg, lambda x, v: np.where(x > 0, 1e-6, 1.0) * np.exp(-v * v / 2))
+    with pytest.raises(UnphysicalStateError, match="stage 1.*near x") as info:
+        run(cfg, jump)
+    assert info.value.step == 1
+    assert info.value.time == cfg.dt
 
 
 def _dt_weighted_step(solver, values, dt):
