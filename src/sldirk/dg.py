@@ -172,12 +172,19 @@ class ShiftOperator:
     reusable, so callers advancing many steps with the same shifts should
     cache them.
 
-    Building precomputes, per slice and target element, the flat row of
-    each of the two source elements in the (L * n_el, q) view of the
-    values, so ``apply`` is two contiguous row gathers (the second one
-    into the first one's buffer) and two batched (n_el, q) @ (q, q)
-    products per slice.  Mesh-aligned shifts skip the products and
-    return the gathered rows, an exact permutation.
+    Building precomputes, per slice, the flat rows in the (L * n_el, q)
+    view of the values that ``apply`` gathers in one ``take`` into n_el+1
+    rows: row j holds source element j - cells - 1.  Target element i then
+    reads its left piece (A0) from row i and its aligned piece (A1) from
+    row i + 1, so both operands of the two batched (n_el, q) @ (q, q)
+    products per slice are views of the one gather.  Mesh-aligned shifts
+    skip the products and copy the gathered rows, an exact permutation.
+
+    ``apply(values, out=...)`` writes the result into ``out``, which may be
+    ``values`` itself because the gather reads every value before anything
+    is written; the keyword-only ``gather`` and ``product`` scratch arrays
+    spare the two remaining temporaries, so a caller that passes all three
+    buffers makes ``apply`` allocate no field-sized array.
     """
 
     def __init__(self, mesh: Mesh1D, degree: int, shifts):
@@ -202,34 +209,60 @@ class ShiftOperator:
         self._a0t = np.ascontiguousarray(np.swapaxes(a0, -1, -2))
         self._a1t = np.ascontiguousarray(np.swapaxes(a1, -1, -2))
         n = mesh.n_elements
-        tgt = np.arange(n)
-        # target element i of slice l reads source elements i - cells - 1
-        # (left piece, A0) and i - cells (aligned piece, A1), periodically
+        # row j of slice l's gather holds source element j - cells - 1,
+        # periodically: target i reads rows i (left piece) and i + 1
         first_row = (np.arange(len(shifts)) * n)[:, None]
-        self._rows0 = (first_row + (tgt[None, :] - cells[:, None] - 1) % n).ravel()
-        self._rows1 = (first_row + (tgt[None, :] - cells[:, None]) % n).ravel()
+        self._rows = (first_row + (np.arange(n + 1)[None, :] - cells[:, None] - 1) % n).ravel()
         self._pure_roll = bool(np.all(theta == 0.0))
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Remap values of shape (L, n_el, q) (or (n_el, q) for scalar shift)."""
+    def apply(self, values: np.ndarray, out: np.ndarray | None = None, *,
+              gather: np.ndarray | None = None,
+              product: np.ndarray | None = None) -> np.ndarray:
+        """Remap values of shape (L, n_el, q) (or (n_el, q) for scalar shift).
+
+        The result has the values' shape and the dtype of their product
+        with a float matrix.  ``out`` receives it and may be ``values``;
+        ``gather`` (the values' shape with n_el+1 elements, in their dtype)
+        and ``product`` (like the result) are scratch.  A buffer of the
+        wrong shape or dtype raises ``ValueError``.
+        """
         vals = values[None] if self.scalar else values
         lead, n, q = vals.shape
-        if lead * n != len(self._rows1):
+        if lead * (n + 1) != len(self._rows):
             raise ValueError(f"values of shape {values.shape} do not match an operator "
-                             f"for {len(self._rows1) // self.mesh.n_elements} shifts "
+                             f"for {len(self._rows) // (self.mesh.n_elements + 1)} shifts "
                              f"on {self.mesh.n_elements} elements")
-        flat = vals.reshape(lead * n, q)
+        dtype = np.promote_types(vals.dtype, self._a1t.dtype)
+        out = ensure_buffer("out", out, values.shape, dtype)
+        gather = ensure_buffer("gather", gather, values.shape[:-2] + (n + 1, q), vals.dtype)
+        gather = gather.reshape(lead, n + 1, q)
+        res = out[None] if self.scalar else out
         # the rows are in range by construction; mode="clip" only spares
         # the buffered copy that take(..., out=) makes under mode="raise"
-        gathered = np.take(flat, self._rows1, axis=0, mode="clip")
+        vals.reshape(lead * n, q).take(self._rows, axis=0,
+                                       out=gather.reshape(lead * (n + 1), q), mode="clip")
         if self._pure_roll:
-            out = gathered.reshape(vals.shape)
+            res[...] = gather[:, 1:]
         else:
+            product = ensure_buffer("product", product, values.shape, dtype)
+            product = product[None] if self.scalar else product
             # batched (n_el, q) @ (q, q)^T per leading slice
-            out = gathered.reshape(vals.shape) @ self._a1t
-            np.take(flat, self._rows0, axis=0, out=gathered, mode="clip")
-            out += gathered.reshape(vals.shape) @ self._a0t
-        return out[0] if self.scalar else out
+            np.matmul(gather[:, 1:], self._a1t, out=res)
+            np.matmul(gather[:, :-1], self._a0t, out=product)
+            res += product
+        return out
+
+
+def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
+    """``buf`` as an output or scratch array of ``shape`` and ``dtype``, or a
+    new one when it is None.  Raises ``ValueError`` unless ``buf`` can be
+    written in place: C-contiguous, of that shape and dtype exactly."""
+    if buf is None:
+        return np.empty(shape, dtype)
+    if buf.shape != shape or buf.dtype != dtype or not buf.flags.c_contiguous:
+        raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array of "
+                         f"shape {shape}, got {buf.dtype} {buf.shape}")
+    return buf
 
 
 def advect(field: DGField, velocity, tau: float) -> DGField:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dg import ensure_buffer
+
 
 class SimulationError(RuntimeError):
     """A run failed; ``step`` and ``time`` locate it when known."""
@@ -130,7 +132,9 @@ class KineticModel:
     def moments(self, f) -> np.ndarray:
         raise NotImplementedError
 
-    def equilibrium(self, U) -> np.ndarray:
+    def equilibrium(self, U, out=None, scratch=None) -> np.ndarray:
+        """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given.
+        ``scratch``, an array like ``out``, may be overwritten on the way."""
         raise NotImplementedError
 
     def macro_state(self, f) -> MacroState:
@@ -164,10 +168,12 @@ class LinearTwoVelocity(KineticModel):
     def moments(self, f):
         return (f[0] + f[1])[None, ...]
 
-    def equilibrium(self, U):
+    def equilibrium(self, U, out=None, scratch=None):
         u = U[0]
-        return np.stack([0.5 * (1.0 + self.b) * u,
-                         0.5 * (1.0 - self.b) * u])
+        out = _equilibrium_buffer(out, u)
+        np.multiply(0.5 * (1.0 + self.b), u, out=out[0, ...])
+        np.multiply(0.5 * (1.0 - self.b), u, out=out[1, ...])
+        return out
 
 
 class NonlinearTwoVelocity(KineticModel):
@@ -188,24 +194,56 @@ class NonlinearTwoVelocity(KineticModel):
     def moments(self, f):
         return (f[0] + f[1])[None, ...]
 
-    def equilibrium(self, U):
+    def equilibrium(self, U, out=None, scratch=None):
         u = U[0]
-        flux = self.b * u * u
-        return np.stack([0.5 * (flux + u), 0.5 * (-flux + u)])
+        out = _equilibrium_buffer(out, u)
+        flux, minus = out[0, ...], out[1, ...]  # views, also for 0-d u
+        np.multiply(self.b, u, out=flux)
+        flux *= u
+        np.negative(flux, out=minus)
+        minus += u
+        minus *= 0.5
+        flux += u
+        flux *= 0.5
+        return out
 
 
-def maxwellian(v, rho, u, T):
+def _equilibrium_buffer(out, u):
+    """``out`` checked to hold a two-velocity equilibrium of density ``u``,
+    or a fresh array for it."""
+    dtype = u.dtype if u.dtype.kind in "fc" else np.dtype(float)
+    return ensure_buffer("out", out, (2,) + u.shape, dtype)
+
+
+def maxwellian(v, rho, u, T, out=None, scratch=None):
     """1V Maxwellian rho / sqrt(2 pi T) * exp(-(v-u)^2 / (2T)).
 
     ``v`` has shape (n_v,); rho/u/T broadcast against each other and become
-    the trailing field axes, producing shape (n_v,) + field shape.
+    the trailing field axes, producing shape (n_v,) + field shape.  The
+    result is built in ``out`` and ``scratch`` (float arrays of that shape,
+    new ones when None) with the operations of the expression above, so it
+    equals the expression to the bit.
     """
     v = np.asarray(v, dtype=float)
     rho, u, T = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(u, dtype=float),
                                     np.asarray(T, dtype=float))
-    vv = v.reshape((v.shape[0],) + (1,) * rho.ndim)
-    return rho / np.sqrt(2.0 * np.pi * T) * np.exp(-((vv - u) ** 2) / (2.0 * T))
+    shape = (v.shape[0],) + rho.shape
+    out = ensure_buffer("out", out, shape, np.float64)
+    scratch = ensure_buffer("scratch", scratch, shape, np.float64)
+    # each factor is spread over the whole shape in scratch first: a ufunc
+    # with a broadcast operand makes numpy allocate iteration buffers
+    np.copyto(out, v.reshape((v.shape[0],) + (1,) * rho.ndim))
+    np.copyto(scratch, u)
+    np.subtract(out, scratch, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.copyto(scratch, 2.0 * T)
+    np.divide(out, scratch, out=out)
+    np.exp(out, out=out)
+    np.copyto(scratch, rho / np.sqrt(2.0 * np.pi * T))
+    np.multiply(scratch, out, out=out)
+    return out
 
 
 class BGK1D(KineticModel):
@@ -254,21 +292,33 @@ class BGK1D(KineticModel):
             raise exc
         return rho, u, T
 
-    def equilibrium(self, U):
-        return self._fit_discrete_parameters(U, *self._params_from_moments(U))[3]
+    def equilibrium(self, U, out=None, scratch=None):
+        # the fit is elementwise over the field, so it runs on the points
+        # laid out flat: the Maxwellian's loops then span the whole field
+        # instead of one element's nodes
+        U = np.asarray(U)
+        n_v = self.velocity_set.n
+        shape = (n_v,) + U.shape[1:]
+        out = ensure_buffer("out", out, shape, np.float64)
+        scratch = ensure_buffer("scratch", scratch, shape, np.float64)
+        flat = U.reshape(U.shape[0], -1)
+        self._fit_discrete_parameters(flat, *self._params_from_moments(flat),
+                                      out.reshape(n_v, -1), scratch.reshape(n_v, -1))
+        return out
 
-    def _fit_discrete_parameters(self, U, rho, u, T):
+    def _fit_discrete_parameters(self, U, rho, u, T, out=None, scratch=None):
         """Newton-correct (rho, u, T) until the discrete Maxwellian moments
         equal U.  Warm-started at the analytic parameters, which are already
         within quadrature error, so usually 0-2 iterations run.
 
         Returns the fitted (rho, u, T) and the discrete Maxwellian at them,
         which is the array the converged residual check evaluated, so the
-        caller needs no further Maxwellian evaluation."""
+        caller needs no further Maxwellian evaluation.  Every Maxwellian is
+        evaluated in ``out`` and ``scratch``, as in :func:`maxwellian`."""
         v = self.velocity_set.v
         scale = np.maximum(np.abs(U[0]), 1e-300)
         for _ in range(self.newton_max_iter):
-            M = maxwellian(v, rho, u, T)
+            M = maxwellian(v, rho, u, T, out, scratch)
             res = np.tensordot(self._wphi, M, axes=(1, 0)) - U
             if np.max(np.abs(res) / scale) <= self.newton_tol:
                 return rho, u, T, M

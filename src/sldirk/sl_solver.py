@@ -19,6 +19,12 @@ Stiff accuracy makes the last stage the step output.  All spatial shifts
 go through the conservative remap of :mod:`sldirk.dg`, so the discrete
 collision invariants integrated over the domain are conserved to roundoff
 for every tableau and every epsilon.
+
+A solver keeps one set of workspaces per shape and dtype of the values it
+steps: the remap's gather and product arrays, the prediction, the shifted
+increment and one equilibrium/increment array per stage.  A step therefore
+allocates no field-sized array except the one it returns, and no returned
+array is ever a workspace.
 """
 
 from __future__ import annotations
@@ -68,12 +74,25 @@ class RunResult:
     n_steps: int
 
 
+class _Workspace:
+    """Scratch arrays of one solver for values of one shape and dtype."""
+
+    def __init__(self, shape: tuple, dtype, n_stages: int):
+        lead, n, q = shape
+        self.gather = np.empty((lead, n + 1, q), dtype)
+        self.product = np.empty(shape, dtype)
+        self.predicted = np.empty(shape, dtype)
+        self.shifted = np.empty(shape, dtype)
+        self.equilibria = [np.empty(shape, dtype) for _ in range(n_stages)]
+
+
 class SemiLagrangianSolver:
     """Reusable stepper; caches the remap operators per shift distance.
 
     The same solver instance must not be shared across threads while
-    stepping (the operator cache mutates), but distinct instances are
-    independent and a finished instance is safe to read concurrently.
+    stepping (the operator cache and the workspaces mutate), but distinct
+    instances are independent and a finished instance is safe to read
+    concurrently.
     """
 
     def __init__(self, model: KineticModel, mesh: Mesh1D, degree: int,
@@ -89,55 +108,80 @@ class SemiLagrangianSolver:
         self.tableau = tableau
         self.eps = float(eps)
         self._ops: dict[float, ShiftOperator] = {}
+        self._workspaces: dict[tuple, _Workspace] = {}
         _, self._weights = gauss_nodes(degree)
 
-    def _shift(self, values: np.ndarray, tau: float) -> np.ndarray:
+    def _workspace(self, values: np.ndarray) -> _Workspace:
+        """The workspace for values of this shape, in the dtype of their remap."""
+        key = (values.shape, np.promote_types(values.dtype, float))
+        ws = self._workspaces.get(key)
+        if ws is None:
+            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s)
+        return ws
+
+    def _shift(self, values: np.ndarray, tau: float, out=None, ws=None) -> np.ndarray:
+        """Remap values by v * tau per velocity, into ``out`` when given,
+        with the gather and product scratch of workspace ``ws`` when given."""
         op = self._ops.get(tau)
         if op is None:
             shifts = self.model.velocity_set.v * tau
             op = ShiftOperator(self.mesh, self.degree, shifts)
             self._ops[tau] = op
-        return op.apply(values)
+        if ws is None:
+            return op.apply(values, out)
+        return op.apply(values, out, gather=ws.gather, product=ws.product)
+
+    def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
+        """``exc`` restated after ``context``, with the coordinate of the
+        node its ``flat_index`` names when it has one."""
+        where = ""
+        flat = getattr(exc, "flat_index", None)
+        if flat is not None:
+            x = self.mesh.node_coords(self.degree).ravel()[flat]
+            where = f" near x = {x:.6g}"
+        return UnphysicalStateError(f"{context}{where}: {exc}")
 
     def step_values(self, values: np.ndarray, dt: float, return_stages: bool = False):
-        """Advance raw nodal values (n_v, n_el, q) by one step of size dt."""
+        """Advance raw nodal values (n_v, n_el, q) by one step of size dt.
+
+        The result is a fresh array, as is each returned stage; everything
+        else lives in the solver's workspace for the values' shape and dtype.
+        """
         A = self.tableau.A
         c = self.tableau.c
         eps = self.eps
         last = self.tableau.s - 1
-        increments: list[np.ndarray] = []
+        ws = self._workspace(values)
+        # the gather buffer serves the values and the increments alike
+        values = np.asarray(values, dtype=ws.predicted.dtype)
+        predicted, shifted = ws.predicted, ws.shifted
         stages: list[np.ndarray] = []
         for k in range(self.tableau.s):
-            predicted = self._shift(values, c[k] * dt)
+            self._shift(values, c[k] * dt, predicted, ws)
             for j in range(k):
                 if A[k, j] != 0.0:
-                    shifted = self._shift(increments[j], (c[k] - c[j]) * dt)
+                    self._shift(ws.equilibria[j], (c[k] - c[j]) * dt, shifted, ws)
                     shifted *= dt * A[k, j]
                     predicted += shifted
+            M = ws.equilibria[k]
             try:
-                M = self.model.equilibrium(self.model.moments(predicted))
+                self.model.equilibrium(self.model.moments(predicted), out=M, scratch=shifted)
             except UnphysicalStateError as exc:
-                where = ""
-                flat = getattr(exc, "flat_index", None)
-                if flat is not None:
-                    x = self.mesh.node_coords(self.degree).ravel()[flat]
-                    where = f" near x = {x:.6g}"
-                raise UnphysicalStateError(
-                    f"stage {k + 1} of tableau {self.tableau.name!r}{where}: {exc}") from exc
+                raise self._located(
+                    exc, f"stage {k + 1} of tableau {self.tableau.name!r}") from exc
             w_dt = A[k, k] * dt
             # stiff accuracy: only the last stage is the step output, and
             # only the earlier stages' increments are read again
             if return_stages or k == last:
                 stage = eps * predicted
-                stage += w_dt * M
+                stage += np.multiply(w_dt, M, out=shifted)
                 stage /= eps + w_dt
                 if return_stages:
                     stages.append(stage)
             if k < last:
-                # (M - predicted) / (eps + w_dt), built in M's buffer
+                # the increment (M - predicted) / (eps + w_dt), in M's buffer
                 M -= predicted
                 M /= eps + w_dt
-                increments.append(M)
         return (stage.copy(), stages) if return_stages else stage
 
     def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
@@ -153,8 +197,10 @@ class SemiLagrangianSolver:
         """Velocity-weighted L1 distance of f from its own equilibrium;
         ``moments`` as in :meth:`invariant_integrals`."""
         U = self.model.moments(values) if moments is None else moments
-        M = self.model.equilibrium(U)
-        per_v = self.mesh.integrate(np.abs(M - values), self._weights)
+        ws = self._workspace(values)
+        M = self.model.equilibrium(U, out=ws.shifted, scratch=ws.predicted)
+        M -= values
+        per_v = self.mesh.integrate(np.abs(M, out=M), self._weights)
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 
@@ -178,7 +224,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     ``diagnostics_every`` controls how often the conservation/relaxation
     diagnostics are recorded (0 records only the endpoints).  Aborts with
     :class:`DivergenceError` as soon as the field stops being finite; a
-    :class:`SimulationError` from a step carries that step and its end time.
+    :class:`SimulationError` from a step or from its diagnostics carries that
+    step and its end time (step 0 and time 0 for the initial data).
     """
     if cfg.t_final <= 0.0:
         raise ValueError("t_final must be positive")
@@ -191,35 +238,41 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
     times, invariants, eq_dist = [0.0], [], []
 
-    def record(values):
+    def record(values, step):
         # both diagnostics read the same moments, taken once
-        U = cfg.model.moments(values)
-        invariants.append(solver.invariant_integrals(values, U))
-        eq_dist.append(solver.equilibrium_distance(values, U))
+        try:
+            U = cfg.model.moments(values)
+            invariants.append(solver.invariant_integrals(values, U))
+            eq_dist.append(solver.equilibrium_distance(values, U))
+        except UnphysicalStateError as exc:
+            raise solver._located(exc, f"diagnostics after step {step}") from exc
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        record(values)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            record(values, 0)
+    except SimulationError as exc:
+        exc.step, exc.time = 0, 0.0
+        raise
 
     t = 0.0
     for n in range(n_steps):
         step_dt = min(dt, cfg.t_final - t)
         t = cfg.t_final if n == n_steps - 1 else t + step_dt
-        # overflow during a diverging run is reported via DivergenceError,
-        # not as numpy warnings
         try:
+            # overflow during a diverging run is reported via
+            # DivergenceError, not as numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 values = solver.step_values(values, step_dt)
+            if not np.all(np.isfinite(values)):
+                raise DivergenceError(
+                    f"non-finite values after step {n + 1} (t = {t:.6g}, "
+                    f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
+            if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
+                times.append(t)
+                record(values, n + 1)
         except SimulationError as exc:
             exc.step, exc.time = n + 1, t
             raise
-        if not np.all(np.isfinite(values)):
-            raise DivergenceError(
-                f"non-finite values after step {n + 1} (t = {t:.6g}, "
-                f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})",
-                step=n + 1, time=t)
-        if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
-            times.append(t)
-            record(values)
 
     final = DGField(mesh=cfg.mesh, values=values)
     macro = DGField(mesh=cfg.mesh, values=cfg.model.moments(values))

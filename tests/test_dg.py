@@ -195,6 +195,59 @@ def test_shift_operator_matches_fancy_index_formula(degree, rng):
         assert np.array_equal(out, _fancy_index_apply(op, shift, values))
 
 
+_PER_SLICE_SHIFTS = {
+    "fractional": np.array([0.3, 0.71, 0.05]),
+    "negative": np.array([-0.3, -1.71, -5.05]),
+    "multi-wrap": np.array([3.37, -2.9, 7.123]) * 24,
+    "mixed": np.array([-2.5, 0.0, 1.0, 0.25, 40.6]),
+    "aligned": np.array([-3.0, 0.0, 1.0, 29.0]),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_shift_operator_out_matches_fresh_apply(degree, rng):
+    # apply(values, out) and apply with caller scratch give the bits of a
+    # fresh apply, also in place, for a scalar shift, complex values and
+    # pure rolls
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    cases = [(name, shifts * mesh.dx) for name, shifts in _PER_SLICE_SHIFTS.items()]
+    cases += [("scalar", 0.37 * mesh.dx), ("scalar-aligned", -4.0 * mesh.dx)]
+    for name, shifts in cases:
+        op = ShiftOperator(mesh, degree, shifts)
+        lead = () if op.scalar else (len(shifts),)
+        real = rng.normal(size=lead + (24, degree + 1))
+        for values in (real, real + 1j * rng.normal(size=real.shape)):
+            fresh = op.apply(values)
+            assert np.array_equal(fresh, _fancy_index_apply(op, shifts, values)), name
+            out = np.full_like(fresh, np.nan)
+            assert op.apply(values, out) is out
+            assert np.array_equal(out, fresh), name
+            gather = np.empty(lead + (25, degree + 1), values.dtype)
+            scratch = op.apply(values, np.empty_like(fresh), gather=gather,
+                               product=np.empty_like(fresh))
+            assert np.array_equal(scratch, fresh), name
+            inplace = values.copy()
+            assert op.apply(inplace, inplace, gather=gather) is inplace
+            assert np.array_equal(inplace, fresh), name
+
+
+def test_shift_operator_rejects_bad_buffers():
+    mesh = Mesh1D(0.0, 1.0, 8)
+    op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))
+    values = np.zeros((2, 8, 2))
+    bad = {"out": [np.zeros((2, 8, 3)), np.zeros((2, 8, 2), complex),
+                   np.zeros((2, 2, 8)).transpose(0, 2, 1)],
+           "gather": [np.zeros((2, 8, 2)), np.zeros((2, 9, 2), np.float32)],
+           "product": [np.zeros((2, 9, 2))]}
+    for name, buffers in bad.items():
+        for buf in buffers:
+            with pytest.raises(ValueError, match=name):
+                op.apply(values, **{name: buf})
+    # complex values need a complex out
+    with pytest.raises(ValueError, match="out"):
+        op.apply(values + 1j, np.zeros((2, 8, 2)))
+
+
 def test_shift_operator_rejects_mismatched_slices():
     mesh = Mesh1D(0.0, 1.0, 8)
     op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))

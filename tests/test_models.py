@@ -152,6 +152,32 @@ def test_bgk_equilibrium_is_maxwellian_at_fitted_parameters(v_max, n_v, newton_s
     assert len(calls) == newton_steps + 1
 
 
+def test_equilibrium_out_matches_fresh(rng):
+    # out= (and the gas model's scratch) gives the bits of a fresh
+    # evaluation; the Maxwellian equals its closed form to the bit
+    vs = VelocitySet.uniform(-6.0, 6.0, 24)
+    rho = rng.uniform(0.5, 2.0, size=(5, 3))
+    u = rng.uniform(-0.5, 0.5, size=(5, 3))
+    T = rng.uniform(0.5, 1.5, size=(5, 3))
+    vv = vs.v[:, None, None]
+    closed = rho / np.sqrt(2.0 * np.pi * T) * np.exp(-((vv - u) ** 2) / (2.0 * T))
+    assert np.array_equal(maxwellian(vs.v, rho, u, T), closed)
+    out = np.empty_like(closed)
+    assert maxwellian(vs.v, rho, u, T, out, np.empty_like(closed)) is out
+    assert np.array_equal(out, closed)
+    U = np.stack([rho, rho * u, 0.5 * rho * (u * u + T)])
+    cases = [(BGK1D(velocity_set=vs), U), (LinearTwoVelocity(0.6), U[:1]),
+             (NonlinearTwoVelocity(0.2), U[:1]), (LinearTwoVelocity(0.6), U[:1] + 1j * U[1:2]),
+             (NonlinearTwoVelocity(0.2), U[:1, 0, 0])]
+    for model, moments in cases:
+        fresh = model.equilibrium(moments)
+        out = np.full_like(fresh, np.nan)
+        assert model.equilibrium(moments, out=out, scratch=np.empty_like(fresh)) is out
+        assert np.array_equal(out, fresh), model.name
+        with pytest.raises(ValueError, match="out"):
+            model.equilibrium(moments, out=np.empty(fresh.shape[:-1] + (7,), fresh.dtype))
+
+
 def test_bgk_equilibrium_rejects_negative_temperature():
     m = BGK1D()
     with pytest.raises(UnphysicalStateError):

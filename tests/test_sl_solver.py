@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sldirk.butcher import get_tableau, to_shu_osher
-from sldirk.dg import DGField, Mesh1D, fourier_coefficient
+from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient
 from sldirk.harness import build_case, fit_slope
-from sldirk.models import BGK1D, LinearTwoVelocity, NonlinearTwoVelocity, VelocitySet
+from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
+                           UnphysicalStateError, VelocitySet)
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
                               l1_error, make_initial_field, run)
 from sldirk.stability import StabilityPoint, amplification
@@ -63,6 +66,97 @@ def test_step_values_output_owns_its_memory(tableau):
         for arr in (out, again):
             assert not np.shares_memory(arr, f0.values)
             assert not any(np.shares_memory(arr, stage) for stage in stages)
+
+
+def test_step_results_never_alias_workspaces():
+    # the solver reuses its workspaces from step to step; every returned
+    # array and stage must keep its bits while the solver steps on, and
+    # equal a step by a solver of its own
+    lin_cfg = _linear_cfg(tableau="DIRK3-B10", n=12)
+    gas_cfg = SimConfig(model=BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 16)),
+                        tableau=get_tableau("DIRK3-B10"), mesh=lin_cfg.mesh, degree=2,
+                        cfl=0.7, eps=1e-3, t_final=0.1)
+    f0 = make_initial_field(gas_cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
+                            * np.exp(-0.5 * (v - 0.1) ** 2)).values
+    r0 = make_initial_field(lin_cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                            * (1.5 if v > 0 else 0.5)).values
+    c0 = _mode_field(lin_cfg.mesh, 2, [0.7 + 0.2j, -0.3 + 0.5j]).values
+
+    def solver_for(cfg, eps):
+        return SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, eps)
+
+    kept = []  # (returned array, its bits when returned, a fresh solver's step)
+
+    def step(solver, cfg, values):
+        out = solver.step_values(values, cfg.dt)
+        kept.append((out, out.copy(), solver_for(cfg, solver.eps).step_values(values, cfg.dt)))
+        return out
+
+    # one solver in sequence, after a step that returned its stages
+    gas = solver_for(gas_cfg, 1e-3)
+    out, stages = gas.step_values(f0, gas_cfg.dt, return_stages=True)
+    stage_bits = [stage.copy() for stage in stages]
+    fresh_out, fresh_stages = solver_for(gas_cfg, 1e-3).step_values(f0, gas_cfg.dt,
+                                                                   return_stages=True)
+    values = out
+    for _ in range(3):
+        values = step(gas, gas_cfg, values)
+    # real and complex values alternating on one solver
+    lin = solver_for(lin_cfg, lin_cfg.eps)
+    real, cplx = r0, c0
+    for _ in range(2):
+        real = step(lin, lin_cfg, real)
+        cplx = step(lin, lin_cfg, cplx)
+    assert real.dtype == float and cplx.dtype == complex
+    # two solvers of one shape stepping in turn
+    first, second = solver_for(gas_cfg, 1e-3), solver_for(gas_cfg, 1e-6)
+    va = vb = f0
+    for _ in range(2):
+        va = step(first, gas_cfg, va)
+        vb = step(second, gas_cfg, vb)
+
+    assert np.array_equal(out, fresh_out)
+    for stage, bits, fresh in zip(stages, stage_bits, fresh_stages):
+        assert np.array_equal(stage, bits) and np.array_equal(stage, fresh)
+    for out, bits, fresh in kept:
+        assert np.array_equal(out, bits) and np.array_equal(out, fresh)
+
+
+def test_warm_step_allocates_only_its_result(monkeypatch):
+    # a warm step keeps its field-sized temporaries in the solver's
+    # workspaces, so the traced peak is the returned array plus the
+    # per-point moments and fit parameters
+    cfg, f0 = build_case("5.3", "DIRK3-B10", 1e-6, 0.1, n_elements=40, degree=2, n_v=100)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for _ in range(2):
+        values = solver.step_values(values, cfg.dt)
+    layer_peaks = []
+
+    def traced(fn):
+        def wrapper(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            layer_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+        return wrapper
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver.step_values(values, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        # a lone transient field would hide under the returned array, so
+        # every remap and equilibrium of a step is traced on its own too
+        monkeypatch.setattr(ShiftOperator, "apply", traced(ShiftOperator.apply))
+        monkeypatch.setattr(cfg.model, "equilibrium", traced(cfg.model.equilibrium))
+        solver.step_values(values, cfg.dt)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * values.nbytes, peak / values.nbytes
+    assert len(layer_peaks) == 8 + cfg.tableau.s
+    assert max(layer_peaks) <= 0.25 * values.nbytes, max(layer_peaks) / values.nbytes
 
 
 def test_huge_eps_reduces_to_pure_advection():
@@ -220,7 +314,6 @@ def test_run_aborts_on_nonfinite():
 
 
 def test_unphysical_state_reports_stage_and_location():
-    from sldirk.models import UnphysicalStateError
     vs = VelocitySet.uniform(-5, 5, 30)
     model = BGK1D(velocity_set=vs)
     mesh = Mesh1D(-1.0, 1.0, 8)
@@ -243,6 +336,40 @@ def test_unphysical_state_reports_stage_and_location():
         run(cfg, jump)
     assert info.value.step == 1
     assert info.value.time == cfg.dt
+
+
+def test_run_stamps_diagnostics_failures(monkeypatch):
+    model = BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 30))
+    cfg = SimConfig(model=model, tableau=get_tableau("BE"), mesh=Mesh1D(-1.0, 1.0, 8),
+                    degree=2, cfl=0.5, eps=1e-2, t_final=0.1)
+    # unphysical initial data fails in the first record, at step 0
+    f0 = make_initial_field(cfg, lambda x, v: np.where(x > 0, -1.0, 1.0) * np.ones_like(x))
+    with pytest.raises(UnphysicalStateError, match="diagnostics after step 0 near x") as info:
+        run(cfg, f0)
+    assert (info.value.step, info.value.time) == (0, 0.0)
+    # a later record that fails carries its step and that step's time
+    good = make_initial_field(cfg, lambda x, v: np.exp(-v * v / 2) * np.ones_like(x))
+    distance = SemiLagrangianSolver.equilibrium_distance
+    for error, step in ((UnphysicalStateError, 4), (DivergenceError, 2)):
+        calls = []
+
+        def failing(self, values, moments=None):
+            calls.append(1)
+            if len(calls) == step // 2 + 1:
+                exc = error("failed in the diagnostics")
+                exc.flat_index = 5
+                raise exc
+            return distance(self, values, moments)
+
+        monkeypatch.setattr(SemiLagrangianSolver, "equilibrium_distance", failing)
+        with pytest.raises(error) as info:
+            run(cfg, good, diagnostics_every=2)
+        t = 0.0
+        for _ in range(step):
+            t += cfg.dt
+        assert (info.value.step, info.value.time) == (step, t)
+        if error is UnphysicalStateError:
+            assert f"diagnostics after step {step} near x" in str(info.value)
 
 
 def _dt_weighted_step(solver, values, dt):
