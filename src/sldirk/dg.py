@@ -163,8 +163,14 @@ def _fractional_matrices(nodes, weights, theta):
     return a0, a1
 
 
+#: bytes of gathered float64 rows a multi-term remap handles per group
+#: (see ShiftOperator): a group's gather and products stay in a core's cache
+_GATHER_BUDGET = 256 * 1024
+
+
 class ShiftOperator:
-    """Conservative remap of DG values by fixed per-slice shift distances.
+    """Conservative remap of DG values by fixed per-slice shift distances,
+    or a weighted sum of such remaps of the blocks of a stacked input.
 
     ``shifts`` holds one physical displacement per leading slice of the
     value array (e.g. v * tau per discrete velocity); a scalar shift acts
@@ -172,29 +178,57 @@ class ShiftOperator:
     reusable, so callers advancing many steps with the same shifts should
     cache them.
 
-    Building precomputes, per slice, the flat rows in the (L * n_el, q)
-    view of the values that ``apply`` gathers in one ``take`` into n_el+1
-    rows: row j holds source element j - cells - 1.  Target element i then
-    reads its left piece (A0) from row i and its aligned piece (A1) from
-    row i + 1, so both operands of the two batched (n_el, q) @ (q, q)
-    products per slice are views of the one gather.  Mesh-aligned shifts
-    skip the products and copy the gathered rows, an exact permutation.
+    A 2-D ``shifts`` of shape (m, L) makes m terms.  The input then stacks
+    blocks of L slices, (B * L, n_el, q) with B = max(blocks) + 1; term b
+    remaps block ``blocks[b]`` (default: block b) by row b of ``shifts``,
+    and ``apply`` returns, with shape (L, n_el, q),
+
+        S_0 x_0 + sum_{b >= 1} weights[b - 1] * S_b x_b.
+
+    Building precomputes, per term and slice, the flat rows in the
+    (B * L * n_el, q) view of the values that ``apply`` gathers in one
+    ``take`` into n_el+1 rows: row j holds source element j - cells - 1.
+    Target element i then reads its left piece (A0) from row i and its
+    aligned piece (A1) from row i + 1, so both operands of the two batched
+    (n_el, q) @ (q, q) products per slice are views of the one gather.
+    Terms whose shifts are all mesh-aligned skip the products and copy the
+    gathered rows, an exact permutation.
+
+    Terms are processed in groups of as many as fit their gather of
+    float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
+    ``take`` and two products per group, added into the result while they
+    are still in cache.  Each
+    term is formed as a one-term operator forms it -- A1 product, plus A0
+    product, times its weight -- and added in term order, so the result
+    has the bits of the one-term remaps combined in turn, whatever the
+    grouping.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
-    ``values`` itself because the gather reads every value before anything
-    is written; the keyword-only ``gather`` and ``product`` scratch arrays
-    spare the two remaining temporaries, so a caller that passes all three
-    buffers makes ``apply`` allocate no field-sized array.
+    ``values`` itself for a one-term operator because the gather reads
+    every value before anything is written; the keyword-only ``gather`` and
+    ``product`` scratch arrays (shapes from :meth:`scratch_shapes`) spare
+    the remaining temporaries, so a caller that passes all three buffers
+    makes ``apply`` allocate no field-sized array.
     """
 
-    def __init__(self, mesh: Mesh1D, degree: int, shifts):
+    def __init__(self, mesh: Mesh1D, degree: int, shifts, blocks=None, weights=()):
         self.mesh = mesh
         self.degree = degree
         shifts = np.asarray(shifts, dtype=float)
+        if shifts.ndim > 2:
+            raise ValueError(f"shifts must be a scalar, one per slice or (terms, slices), "
+                             f"got shape {shifts.shape}")
         self.scalar = shifts.ndim == 0
-        shifts = np.atleast_1d(shifts)
+        terms = shifts.reshape(-1, shifts.shape[-1]) if shifts.ndim else shifts.reshape(1, 1)
+        m, self._lead = terms.shape
+        blocks = tuple(range(m)) if blocks is None else tuple(int(b) for b in blocks)
+        self._weights = tuple(float(w) for w in weights)
+        if len(blocks) != m or len(self._weights) != m - 1 or min(blocks) < 0:
+            raise ValueError(f"{m} terms need {m} source blocks >= 0 and {m - 1} weights, "
+                             f"got blocks {blocks} and {len(self._weights)} weights")
+        self.n_blocks = max(blocks) + 1
         nodes, weights = gauss_nodes(degree)
-        z = shifts / mesh.dx
+        z = terms.ravel() / mesh.dx
         # snap shifts that are an integer number of cells up to roundoff,
         # so mesh-aligned transport stays an exact permutation
         nearest = np.round(z)
@@ -208,49 +242,113 @@ class ShiftOperator:
         a0, a1 = _fractional_matrices(nodes, weights, theta)
         self._a0t = np.ascontiguousarray(np.swapaxes(a0, -1, -2))
         self._a1t = np.ascontiguousarray(np.swapaxes(a1, -1, -2))
-        n = mesh.n_elements
-        # row j of slice l's gather holds source element j - cells - 1,
-        # periodically: target i reads rows i (left piece) and i + 1
-        first_row = (np.arange(len(shifts)) * n)[:, None]
-        self._rows = (first_row + (np.arange(n + 1)[None, :] - cells[:, None] - 1) % n).ravel()
-        self._pure_roll = bool(np.all(theta == 0.0))
+        n, q, L = mesh.n_elements, degree + 1, self._lead
+        # row j of slice l of term b's gather holds source element
+        # j - cells - 1 of that slice of block blocks[b], periodically:
+        # target i reads rows i (left piece) and i + 1
+        slices = (np.asarray(blocks)[:, None] * L + np.arange(L)).ravel()
+        self._rows = ((slices * n)[:, None]
+                      + (np.arange(n + 1)[None, :] - cells[:, None] - 1) % n).ravel()
+        aligned = np.all(theta.reshape(m, -1) == 0.0, axis=1)
+        self._pure_roll = bool(np.all(aligned))
+        self._gather_shape, self._product_shape = self.scratch_shapes((L, n, q), m)
+        per_group = self._gather_shape[0] // L
+        weights = (None,) + self._weights
+        # per group: its first term, its number of terms, its gather rows,
+        # its A1 and A0 matrices, its weights (None for the first term) and
+        # the indices of its mesh-aligned terms (None when all of them are)
+        self._groups = []
+        for t0 in range(0, m, per_group):
+            t1 = min(t0 + per_group, m)
+            rows, slices = slice(t0 * L * (n + 1), t1 * L * (n + 1)), slice(t0 * L, t1 * L)
+            self._groups.append((t0, t1 - t0, self._rows[rows], self._a1t[slices],
+                                 self._a0t[slices], weights[t0:t1],
+                                 None if aligned[t0:t1].all() else np.flatnonzero(aligned[t0:t1])))
+
+    @staticmethod
+    def scratch_shapes(term_shape: tuple, n_terms: int = 1) -> tuple[tuple, tuple]:
+        """Shapes of the ``gather`` and ``product`` scratch with which
+        ``apply`` remaps ``n_terms`` terms of shape ``term_shape``
+        (L, n_el, q).  Longer leading axes serve as well, so one pair sized
+        for the most terms serves operators with fewer."""
+        lead, n, q = term_shape
+        per_group = max(1, min(n_terms, _GATHER_BUDGET // (8 * lead * (n + 1) * q)))
+        rows = lead * per_group
+        return (rows, n + 1, q), ((1 if n_terms == 1 else 2) * rows, n, q)
 
     def apply(self, values: np.ndarray, out: np.ndarray | None = None, *,
               gather: np.ndarray | None = None,
               product: np.ndarray | None = None) -> np.ndarray:
-        """Remap values of shape (L, n_el, q) (or (n_el, q) for scalar shift).
+        """Remap values of shape (B * L, n_el, q) (or (n_el, q) for a
+        scalar shift) into an array of shape (L, n_el, q) (or (n_el, q)).
 
-        The result has the values' shape and the dtype of their product
-        with a float matrix.  ``out`` receives it and may be ``values``;
-        ``gather`` (the values' shape with n_el+1 elements, in their dtype)
-        and ``product`` (like the result) are scratch.  A buffer of the
-        wrong shape or dtype raises ``ValueError``.
+        The result has the dtype of the values' product with a float
+        matrix.  ``out`` receives it and may be ``values`` for one term;
+        ``gather`` (in the values' dtype) and ``product`` (in the result's)
+        are scratch of at least the :meth:`scratch_shapes`, with the
+        leading axis dropped for a scalar shift.  A buffer of the wrong
+        shape or dtype raises ``ValueError``.
         """
         vals = values[None] if self.scalar else values
         lead, n, q = vals.shape
-        if lead * (n + 1) != len(self._rows):
+        L = self._lead
+        if lead != self.n_blocks * L or n != self.mesh.n_elements:
             raise ValueError(f"values of shape {values.shape} do not match an operator "
-                             f"for {len(self._rows) // (self.mesh.n_elements + 1)} shifts "
+                             f"for {self.n_blocks} block(s) of {L} shifts "
                              f"on {self.mesh.n_elements} elements")
         dtype = np.promote_types(vals.dtype, self._a1t.dtype)
-        out = ensure_buffer("out", out, values.shape, dtype)
-        gather = ensure_buffer("gather", gather, values.shape[:-2] + (n + 1, q), vals.dtype)
-        gather = gather.reshape(lead, n + 1, q)
+        out = ensure_buffer("out", out, (n, q) if self.scalar else (L, n, q), dtype)
+        gather = self._scratch("gather", gather, self._gather_shape, vals.dtype)
+        product = self._scratch("product", product, self._product_shape, dtype)
         res = out[None] if self.scalar else out
-        # the rows are in range by construction; mode="clip" only spares
-        # the buffered copy that take(..., out=) makes under mode="raise"
-        vals.reshape(lead * n, q).take(self._rows, axis=0,
-                                       out=gather.reshape(lead * (n + 1), q), mode="clip")
-        if self._pure_roll:
-            res[...] = gather[:, 1:]
-        else:
-            product = ensure_buffer("product", product, values.shape, dtype)
-            product = product[None] if self.scalar else product
-            # batched (n_el, q) @ (q, q)^T per leading slice
-            np.matmul(gather[:, 1:], self._a1t, out=res)
-            np.matmul(gather[:, :-1], self._a0t, out=product)
-            res += product
+        flat = vals.reshape(lead * n, q)
+        for t0, size, rows, a1t, a0t, weights, aligned in self._groups:
+            g = gather[:size * L]
+            # the rows are in range by construction; mode="clip" only spares
+            # the buffered copy that take(..., out=) makes under mode="raise"
+            flat.take(rows, axis=0, out=g.reshape(-1, q), mode="clip")
+            alone = t0 == 0 and size == 1  # formed in the result itself
+            if aligned is None:
+                acc = g[:, 1:]
+                if alone:
+                    res[...] = acc
+            else:
+                acc = res if alone else product[:size * L]
+                part = product[:L] if alone else product[size * L:2 * size * L]
+                # batched (n_el, q) @ (q, q)^T per leading slice
+                np.matmul(g[:, 1:], a1t, out=acc)
+                np.matmul(g[:, :-1], a0t, out=part)
+                acc += part
+                for i in aligned:  # copied, as a one-term operator does
+                    acc[i * L:(i + 1) * L] = g[i * L:(i + 1) * L, 1:]
+            if alone:
+                continue
+            first = 0
+            if t0 == 0:
+                # the unweighted first term plus the second, in one call
+                term = acc[L:2 * L]
+                term *= weights[1]
+                np.add(acc[:L], term, out=res)
+                first = 2
+            for i in range(first, size):
+                term = acc[i * L:(i + 1) * L]
+                term *= weights[i]
+                res += term
         return out
+
+    def _scratch(self, name: str, buf, shape: tuple, dtype) -> np.ndarray:
+        """The leading ``shape[0]`` rows of scratch ``buf``, or a new array;
+        ``ValueError`` unless ``buf`` is C-contiguous, in ``dtype``, of
+        ``shape`` apart from a leading axis at least as long."""
+        if buf is None:
+            return np.empty(shape, dtype)
+        full = buf[None] if self.scalar else buf
+        if (full.dtype != dtype or not full.flags.c_contiguous or full.ndim != 3
+                or full.shape[1:] != shape[1:] or full.shape[0] < shape[0]):
+            want = shape[1:] if self.scalar else shape
+            raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array "
+                             f"of shape {want} or longer, got {buf.dtype} {buf.shape}")
+        return full[:shape[0]]
 
 
 def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:

@@ -21,10 +21,17 @@ collision invariants integrated over the domain are conserved to roundoff
 for every tableau and every epsilon.
 
 A solver keeps one set of workspaces per shape and dtype of the values it
-steps: the remap's gather and product arrays, the prediction, the shifted
-increment and one equilibrium/increment array per stage.  A step therefore
-allocates no field-sized array except the one it returns, and no returned
-array is ever a workspace.
+steps: a stacked stage buffer (s, n_v, n_el, q) whose slot 0 holds the
+step-start values and slot j + 1 the increment of stage j, the remap's
+gather and product scratch, and the prediction.  Stage k's prediction is
+one call of a multi-term :class:`~sldirk.dg.ShiftOperator` on the leading
+slots of that buffer: the values shifted by c_k * dt, plus each increment
+j with a_kj != 0 shifted by (c_k - c_j) * dt and weighted by dt * a_kj.
+The operator forms and adds the terms in groups that fit its gather byte
+budget, with the bits of one remap per term added in order.  The s stage
+operators of the current dt are cached and rebuilt when dt changes.  A
+step allocates no field-sized array except the one it returns, and no
+returned array is ever a workspace.
 """
 
 from __future__ import annotations
@@ -77,17 +84,20 @@ class RunResult:
 class _Workspace:
     """Scratch arrays of one solver for values of one shape and dtype."""
 
-    def __init__(self, shape: tuple, dtype, n_stages: int):
-        lead, n, q = shape
-        self.gather = np.empty((lead, n + 1, q), dtype)
-        self.product = np.empty(shape, dtype)
+    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int):
+        lead = shape[0]
+        # slot 0 holds the step-start values, slot j + 1 the increment of stage j
+        self.stages = np.empty((n_stages * lead,) + shape[1:], dtype)
+        gather, product = ShiftOperator.scratch_shapes(shape, n_terms)
+        self.gather = np.empty(gather, dtype)
+        self.product = np.empty(product, dtype)
         self.predicted = np.empty(shape, dtype)
-        self.shifted = np.empty(shape, dtype)
-        self.equilibria = [np.empty(shape, dtype) for _ in range(n_stages)]
+        # the product rows are free between remaps
+        self.spare = self.product[:lead]
 
 
 class SemiLagrangianSolver:
-    """Reusable stepper; caches the remap operators per shift distance.
+    """Reusable stepper; caches the stage remap operators of the last dt.
 
     The same solver instance must not be shared across threads while
     stepping (the operator cache and the workspaces mutate), but distinct
@@ -107,7 +117,9 @@ class SemiLagrangianSolver:
         self.degree = degree
         self.tableau = tableau
         self.eps = float(eps)
-        self._ops: dict[float, ShiftOperator] = {}
+        # the stage operators of the last step size only
+        self._ops_dt: float | None = None
+        self._ops: list[ShiftOperator] = []
         self._workspaces: dict[tuple, _Workspace] = {}
         _, self._weights = gauss_nodes(degree)
 
@@ -116,20 +128,27 @@ class SemiLagrangianSolver:
         key = (values.shape, np.promote_types(values.dtype, float))
         ws = self._workspaces.get(key)
         if ws is None:
-            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s)
+            A = self.tableau.A
+            n_terms = max(1 + np.count_nonzero(A[k, :k]) for k in range(self.tableau.s))
+            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s, n_terms)
         return ws
 
-    def _shift(self, values: np.ndarray, tau: float, out=None, ws=None) -> np.ndarray:
-        """Remap values by v * tau per velocity, into ``out`` when given,
-        with the gather and product scratch of workspace ``ws`` when given."""
-        op = self._ops.get(tau)
-        if op is None:
-            shifts = self.model.velocity_set.v * tau
-            op = ShiftOperator(self.mesh, self.degree, shifts)
-            self._ops[tau] = op
-        if ws is None:
-            return op.apply(values, out)
-        return op.apply(values, out, gather=ws.gather, product=ws.product)
+    def _stage_operators(self, dt: float) -> list[ShiftOperator]:
+        """One remap per stage k: the step-start values shifted by c_k * dt
+        plus each increment j with a_kj != 0, shifted by (c_k - c_j) * dt and
+        weighted by dt * a_kj; rebuilt whenever dt changes."""
+        if dt != self._ops_dt:
+            A, c, v = self.tableau.A, self.tableau.c, self.model.velocity_set.v
+            self._ops = []
+            for k in range(self.tableau.s):
+                earlier = [j for j in range(k) if A[k, j] != 0.0]
+                shifts = [v * (c[k] * dt)] + [v * ((c[k] - c[j]) * dt) for j in earlier]
+                self._ops.append(ShiftOperator(
+                    self.mesh, self.degree, np.array(shifts),
+                    blocks=[0] + [j + 1 for j in earlier],
+                    weights=[dt * A[k, j] for j in earlier]))
+            self._ops_dt = dt
+        return self._ops
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
         """``exc`` restated after ``context``, with the coordinate of the
@@ -147,39 +166,40 @@ class SemiLagrangianSolver:
         The result is a fresh array, as is each returned stage; everything
         else lives in the solver's workspace for the values' shape and dtype.
         """
-        A = self.tableau.A
-        c = self.tableau.c
         eps = self.eps
+        A = self.tableau.A
         last = self.tableau.s - 1
         ws = self._workspace(values)
-        # the gather buffer serves the values and the increments alike
-        values = np.asarray(values, dtype=ws.predicted.dtype)
-        predicted, shifted = ws.predicted, ws.shifted
+        lead = values.shape[0]
+        stacked, predicted, spare = ws.stages, ws.predicted, ws.spare
+        stacked[:lead] = values
         stages: list[np.ndarray] = []
-        for k in range(self.tableau.s):
-            self._shift(values, c[k] * dt, predicted, ws)
-            for j in range(k):
-                if A[k, j] != 0.0:
-                    self._shift(ws.equilibria[j], (c[k] - c[j]) * dt, shifted, ws)
-                    shifted *= dt * A[k, j]
-                    predicted += shifted
-            M = ws.equilibria[k]
+        for k, op in enumerate(self._stage_operators(dt)):
+            op.apply(stacked[:op.n_blocks * lead], predicted,
+                     gather=ws.gather, product=ws.product)
+            # stiff accuracy: only the last stage is the step output, and
+            # only the earlier stages' increments are read again; the last
+            # equilibrium is built in the output array itself
+            M = np.empty_like(predicted) if k == last else stacked[(k + 1) * lead:(k + 2) * lead]
             try:
-                self.model.equilibrium(self.model.moments(predicted), out=M, scratch=shifted)
+                self.model.equilibrium(self.model.moments(predicted), out=M, scratch=spare)
             except UnphysicalStateError as exc:
                 raise self._located(
                     exc, f"stage {k + 1} of tableau {self.tableau.name!r}") from exc
             w_dt = A[k, k] * dt
-            # stiff accuracy: only the last stage is the step output, and
-            # only the earlier stages' increments are read again
-            if return_stages or k == last:
-                stage = eps * predicted
-                stage += np.multiply(w_dt, M, out=shifted)
+            if k == last:
+                stage = M
+                stage *= w_dt
+                stage += np.multiply(eps, predicted, out=spare)
                 stage /= eps + w_dt
-                if return_stages:
-                    stages.append(stage)
+            elif return_stages:
+                stage = eps * predicted
+                stage += np.multiply(w_dt, M, out=spare)
+                stage /= eps + w_dt
+            if return_stages:
+                stages.append(stage)
             if k < last:
-                # the increment (M - predicted) / (eps + w_dt), in M's buffer
+                # the increment (M - predicted) / (eps + w_dt), in M's slot
                 M -= predicted
                 M /= eps + w_dt
         return (stage.copy(), stages) if return_stages else stage
@@ -198,7 +218,7 @@ class SemiLagrangianSolver:
         ``moments`` as in :meth:`invariant_integrals`."""
         U = self.model.moments(values) if moments is None else moments
         ws = self._workspace(values)
-        M = self.model.equilibrium(U, out=ws.shifted, scratch=ws.predicted)
+        M = self.model.equilibrium(U, out=ws.spare, scratch=ws.predicted)
         M -= values
         per_v = self.mesh.integrate(np.abs(M, out=M), self._weights)
         return float(np.dot(self.model.velocity_set.w, per_v))
@@ -234,7 +254,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
 
     values = np.array(initial.values)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
     times, invariants, eq_dist = [0.0], [], []
 
@@ -247,32 +267,31 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
         except UnphysicalStateError as exc:
             raise solver._located(exc, f"diagnostics after step {step}") from exc
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            record(values, 0)
-    except SimulationError as exc:
-        exc.step, exc.time = 0, 0.0
-        raise
-
-    t = 0.0
-    for n in range(n_steps):
-        step_dt = min(dt, cfg.t_final - t)
-        t = cfg.t_final if n == n_steps - 1 else t + step_dt
+    # overflow during a diverging run is reported via DivergenceError, not
+    # as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            # overflow during a diverging run is reported via
-            # DivergenceError, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = solver.step_values(values, step_dt)
-            if not np.all(np.isfinite(values)):
-                raise DivergenceError(
-                    f"non-finite values after step {n + 1} (t = {t:.6g}, "
-                    f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
-            if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
-                times.append(t)
-                record(values, n + 1)
+            record(values, 0)
         except SimulationError as exc:
-            exc.step, exc.time = n + 1, t
+            exc.step, exc.time = 0, 0.0
             raise
+
+        t = 0.0
+        for n in range(n_steps):
+            step_dt = min(dt, cfg.t_final - t)
+            t = cfg.t_final if n == n_steps - 1 else t + step_dt
+            try:
+                values = solver.step_values(values, step_dt)
+                if not np.isfinite(values).all():
+                    raise DivergenceError(
+                        f"non-finite values after step {n + 1} (t = {t:.6g}, "
+                        f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
+                if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
+                    times.append(t)
+                    record(values, n + 1)
+            except SimulationError as exc:
+                exc.step, exc.time = n + 1, t
+                raise
 
     final = DGField(mesh=cfg.mesh, values=values)
     macro = DGField(mesh=cfg.mesh, values=cfg.model.moments(values))

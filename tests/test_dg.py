@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sldirk import dg
 from sldirk.dg import (DGField, Mesh1D, ShiftOperator, advect,
                        fourier_coefficient, gauss_nodes, lagrange_eval)
 
@@ -253,6 +254,96 @@ def test_shift_operator_rejects_mismatched_slices():
     op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))
     with pytest.raises(ValueError, match="do not match"):
         op.apply(np.zeros((3, 8, 2)))
+
+
+def _per_term_sum(mesh, degree, shifts, blocks, weights, values):
+    """The multi-term remap as one-term applies combined in term order."""
+    lead = shifts.shape[1]
+    block = lambda b: values[b * lead:(b + 1) * lead]
+    out = ShiftOperator(mesh, degree, shifts[0]).apply(block(blocks[0]))
+    for row, b, w in zip(shifts[1:], blocks[1:], weights):
+        term = ShiftOperator(mesh, degree, row).apply(block(b))
+        term *= w
+        out += term
+    return out
+
+
+_TERM_SHIFTS = np.array([[0.3, -1.71, 0.0], [2.0, -3.0, 1.0], [0.25, 7.123, -0.5],
+                         [-4.0, 0.0, 29.0]])
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_multi_term_shift_matches_per_term_applies(degree, rng):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    shifts = _TERM_SHIFTS * mesh.dx  # rows 1 and 3 are mesh-aligned terms
+    cases = [((0, 1, 2, 3), (0.5, -1.25, 3.0)), ((0, 3, 1, 3), (1e-3, 2.0, -0.7)),
+             ((2, 0, 0, 1), (0.1, 0.2, 0.3))]
+    for blocks, weights in cases:
+        op = ShiftOperator(mesh, degree, shifts, blocks=blocks, weights=weights)
+        assert op.n_blocks == max(blocks) + 1
+        real = rng.normal(size=(3 * op.n_blocks, 24, degree + 1))
+        # an aligned term copies its rows: a product with the identity
+        # would spread this inf over its element as inf * 0 = nan
+        real[4, 5, 0] = np.inf
+        for values in (real, real + 1j * rng.normal(size=real.shape)):
+            with np.errstate(invalid="ignore"):
+                expected = _per_term_sum(mesh, degree, shifts, blocks, weights, values)
+                out = op.apply(values)
+            assert out.shape == (3, 24, degree + 1) and out.dtype == values.dtype
+            assert np.array_equal(out, expected, equal_nan=True), blocks
+            # scratch sized for more terms serves too
+            gather_shape, product_shape = ShiftOperator.scratch_shapes((3, 24, degree + 1), 6)
+            with np.errstate(invalid="ignore"):
+                again = op.apply(values, np.full_like(out, np.nan),
+                                 gather=np.empty(gather_shape, values.dtype),
+                                 product=np.empty(product_shape, values.dtype))
+            assert np.array_equal(again, expected, equal_nan=True), blocks
+
+
+def test_one_term_shift_is_the_plain_operator(rng):
+    mesh = Mesh1D(0.0, 1.0, 16)
+    for row in _TERM_SHIFTS * mesh.dx:
+        plain = ShiftOperator(mesh, 2, row)
+        values = rng.normal(size=(3, 16, 3))
+        expected = plain.apply(values)
+        assert np.array_equal(ShiftOperator(mesh, 2, row[None]).apply(values), expected)
+        stacked = np.concatenate([rng.normal(size=values.shape), values])
+        assert np.array_equal(ShiftOperator(mesh, 2, row, blocks=[1]).apply(stacked), expected)
+
+
+def test_multi_term_shift_bits_do_not_depend_on_grouping(rng, monkeypatch):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    shifts = _TERM_SHIFTS * mesh.dx
+    real = rng.normal(size=(12, 24, 3))
+    for values in (real, real + 1j * rng.normal(size=real.shape)):
+        expected = _per_term_sum(mesh, 2, shifts, (0, 1, 2, 3), (0.5, -1.25, 3.0), values)
+        # a budget below one term, two terms of 3 x 25 x 3 float64 rows, all
+        for budget, per_group in ((1, 1), (2 * 3 * 25 * 3 * 8, 2), (1 << 40, 4)):
+            monkeypatch.setattr(dg, "_GATHER_BUDGET", budget)
+            op = ShiftOperator(mesh, 2, shifts, weights=(0.5, -1.25, 3.0))
+            assert [group[1] for group in op._groups] == [per_group] * (4 // per_group)
+            assert ShiftOperator.scratch_shapes((3, 24, 3), 4)[0][0] == 3 * per_group
+            assert np.array_equal(op.apply(values), expected), budget
+
+
+def test_multi_term_shift_rejects_bad_terms():
+    mesh = Mesh1D(0.0, 1.0, 8)
+    shifts = np.array([[0.1, -0.2], [0.3, 0.4]])
+    for kwargs in ({"blocks": [0]}, {"blocks": [0, 1, 2], "weights": [1.0]},
+                   {"blocks": [0, -1], "weights": [1.0]}, {"weights": []},
+                   {"weights": [1.0, 2.0]}):
+        with pytest.raises(ValueError, match="terms need"):
+            ShiftOperator(mesh, 1, shifts, **kwargs)
+    with pytest.raises(ValueError, match="shifts"):
+        ShiftOperator(mesh, 1, np.zeros((2, 2, 2)))
+    op = ShiftOperator(mesh, 1, shifts, blocks=[0, 2], weights=[1.0])
+    for lead in (2, 4, 5, 8):  # three blocks of two slices are needed
+        with pytest.raises(ValueError, match="do not match"):
+            op.apply(np.zeros((lead, 8, 2)))
+    assert op.apply(np.zeros((6, 8, 2))).shape == (2, 8, 2)
+    # scratch too short for one group of two terms
+    with pytest.raises(ValueError, match="product"):
+        op.apply(np.zeros((6, 8, 2)), product=np.zeros((2, 8, 2)))
 
 
 def test_advect_complex_values():

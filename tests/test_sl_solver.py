@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sldirk.butcher import get_tableau, to_shu_osher
+from sldirk.butcher import catalog, get_tableau, to_shu_osher
 from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient
 from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
@@ -155,7 +155,8 @@ def test_warm_step_allocates_only_its_result(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * values.nbytes, peak / values.nbytes
-    assert len(layer_peaks) == 8 + cfg.tableau.s
+    # one remap and one equilibrium per stage
+    assert len(layer_peaks) == 2 * cfg.tableau.s
     assert max(layer_peaks) <= 0.25 * values.nbytes, max(layer_peaks) / values.nbytes
 
 
@@ -166,7 +167,7 @@ def test_huge_eps_reduces_to_pure_advection():
     dt = cfg.dt
     _, stages = solver.step_values(f0.values, dt, return_stages=True)
     for k, stage in enumerate(stages):
-        shifted = solver._shift(f0.values, cfg.tableau.c[k] * dt)
+        shifted = _shift(solver, f0.values, cfg.tableau.c[k] * dt)
         np.testing.assert_allclose(stage, shifted, atol=1e-10)
 
 
@@ -372,6 +373,108 @@ def test_run_stamps_diagnostics_failures(monkeypatch):
             assert f"diagnostics after step {step} near x" in str(info.value)
 
 
+def _shift(solver, values, tau):
+    """``values`` remapped by v * tau per velocity of the solver's model."""
+    shifts = solver.model.velocity_set.v * tau
+    return ShiftOperator(solver.mesh, solver.degree, shifts).apply(values)
+
+
+def _per_term_step(solver, values, dt, return_stages=False):
+    """One step by single-term remaps: the step-start values and each earlier
+    increment are shifted one at a time, weighted and added in order, as
+    step_values did before a stage gathered them into one remap.  Kept as
+    the bit-for-bit reference of the multi-term stage remap."""
+    A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
+    values = np.asarray(values, dtype=np.promote_types(values.dtype, float))
+    increments, stages = [], []
+    for k in range(solver.tableau.s):
+        predicted = _shift(solver, values, c[k] * dt)
+        for j in range(k):
+            if A[k, j] != 0.0:
+                shifted = _shift(solver, increments[j], (c[k] - c[j]) * dt)
+                shifted *= dt * A[k, j]
+                predicted += shifted
+        M = model.equilibrium(model.moments(predicted))
+        w_dt = A[k, k] * dt
+        stage = eps * predicted
+        stage += w_dt * M
+        stage /= eps + w_dt
+        stages.append(stage)
+        increments.append((M - predicted) / (eps + w_dt))
+    return (stage, stages) if return_stages else stage
+
+
+@pytest.mark.parametrize("example", ["5.1", "5.2", "5.3"])
+def test_stage_remap_matches_per_term_steps(example):
+    # every catalog tableau, a few warm steps on one solver; at CFL 2 and 4
+    # the two-velocity shifts are partly or wholly mesh-aligned, so some
+    # terms are pure permutations, alone or grouped with fractional ones
+    cfls = (0.7, 1.5) if example == "5.3" else (0.7, 2.0, 4.0)
+    for name in catalog():
+        for cfl in cfls:
+            cfg, f0 = build_case(example, name, 1e-3, cfl, n_elements=16, degree=2, n_v=16)
+            solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+            values = f0.values
+            for _ in range(3):
+                ref = _per_term_step(solver, values, cfg.dt)
+                out = solver.step_values(values, cfg.dt)
+                assert np.array_equal(out, ref), (name, cfl)
+                values = out
+
+
+@pytest.mark.parametrize("tableau", ["DIRK3-B2", "DIRK3-B6", "DIRK3-B10"])
+def test_stage_remap_matches_per_term_stages_real_and_complex(tableau):
+    cfg = _linear_cfg(tableau=tableau, n=20, eps=1e-2)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    real = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                              * (1.5 if v > 0 else 0.5)).values
+    cplx = _mode_field(cfg.mesh, 2, [0.7 + 0.2j, -0.3 + 0.5j]).values
+    for dt in (cfg.dt, 2 * cfg.mesh.dx, 0.37 * cfg.dt):
+        for values in (real, cplx):
+            out, stages = solver.step_values(values, dt, return_stages=True)
+            ref, ref_stages = _per_term_step(solver, values, dt, return_stages=True)
+            assert out.dtype == values.dtype
+            assert np.array_equal(out, ref)
+            assert len(stages) == len(ref_stages)
+            for stage, expected in zip(stages, ref_stages):
+                assert np.array_equal(stage, expected)
+
+
+def test_stage_operators_skip_zero_coefficients():
+    # DIRK3-B10's last stage reads the values and the third increment only
+    # (a_41 = a_42 = 0): one remap of two terms
+    cfg = _linear_cfg(tableau="DIRK3-B10")
+    A = cfg.tableau.A
+    assert A[3, 0] == 0.0 and A[3, 1] == 0.0 and A[3, 2] != 0.0
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    ops = solver._stage_operators(cfg.dt)
+    assert [op.n_blocks for op in ops] == [1, 2, 3, 4]
+    last = ops[-1]
+    assert last._weights == (cfg.dt * A[3, 2],)
+    stacked = np.zeros((4 * 2, cfg.mesh.n_elements, 3))
+    stacked[2:6] = 1.0  # the first two increments must not be read
+    stacked[6:] = 0.5
+    np.testing.assert_allclose(last.apply(stacked), 0.5 * cfg.dt * A[3, 2], rtol=1e-13)
+
+
+def test_operator_cache_holds_one_step_size():
+    cfg, f0 = build_case("5.3", "DIRK3-B10", 1e-3, 0.5, n_elements=16, degree=2, n_v=12)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for i in range(20):
+        values = solver.step_values(values, cfg.dt * (1.0 - 0.01 * i))
+    last_dt = cfg.dt * (1.0 - 0.01 * 19)
+    assert solver._ops_dt == last_dt
+    assert len(solver._ops) == cfg.tableau.s
+    # the same dt again reuses them, another one replaces them
+    ops = list(solver._ops)
+    solver.step_values(values, last_dt)
+    assert all(a is b for a, b in zip(solver._ops, ops))
+    solver.step_values(values, cfg.dt)
+    assert len(solver._ops) == cfg.tableau.s
+    assert not any(a is b for a, b in zip(solver._ops, ops))
+
+
 def _dt_weighted_step(solver, values, dt):
     """Reference stage update with the plain prediction-correction weight dt
     in place of a_kk * dt.  It is inconsistent with the stage equations
@@ -379,9 +482,9 @@ def _dt_weighted_step(solver, values, dt):
     A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
     increments = []
     for k in range(solver.tableau.s):
-        predicted = solver._shift(values, c[k] * dt)
+        predicted = _shift(solver, values, c[k] * dt)
         for j in range(k):
-            predicted += dt * A[k, j] * solver._shift(increments[j], (c[k] - c[j]) * dt)
+            predicted += dt * A[k, j] * _shift(solver, increments[j], (c[k] - c[j]) * dt)
         M = model.equilibrium(model.moments(predicted))
         stage = (eps * predicted + dt * M) / (eps + dt)
         increments.append((M - predicted) / (eps + dt))
