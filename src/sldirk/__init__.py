@@ -2,7 +2,7 @@
 
 from .butcher import (ButcherTableau, ShuOsherForm, catalog, get_tableau,
                       load_tableau, resolve_tableau, to_shu_osher,
-                      tableau_from_text, tableau_to_text, validate_tableau)
+                      tableau_from_text, tableau_to_text)
 from .dg import DGField, Mesh1D, advect, fourier_coefficient, gauss_nodes
 from .harness import ConvergenceStudy, build_case, fit_slope, run_convergence
 from .models import (BGK1D, KineticModel, LinearTwoVelocity, MacroState,

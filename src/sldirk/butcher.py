@@ -1,7 +1,10 @@
 """Stiffly accurate DIRK Butcher tableaus and their Shu-Osher rewriting.
 
-A diagonally implicit Runge-Kutta (DIRK) method is stored as the usual
-(A, b, c) tableau with lower-triangular A and positive diagonal.  For the
+A diagonally implicit Runge-Kutta (DIRK) method is given here by its matrix
+A alone: lower triangular with a positive diagonal, and stiffly accurate,
+so the abscissae c are the row sums of A, the weights b are its last row
+and the last stage is the step.  A :class:`ButcherTableau` is checked once,
+when it is built; every consumer takes it as valid.  For the
 semi-Lagrangian update and the order-condition recursions it is convenient
 to rewrite the stage equations in Shu-Osher form,
 
@@ -25,42 +28,49 @@ VALIDATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """DIRK coefficients (A, c, b) with a stiff-accuracy flag.
+    """A stiffly accurate DIRK tableau, given by its matrix A.
 
-    Immutable after construction; the arrays are marked read-only so a
-    tableau can be shared freely across threads and worker processes.
+    ``c`` (the row sums of A) and ``b_weights`` (its last row) are derived.
+    Construction raises ValueError unless A is finite and square, lower
+    triangular, has a positive diagonal, and has a last row that sums to 1
+    within ``VALIDATION_TOL``.  The arrays are read-only, so a tableau can
+    be shared freely across threads and worker processes.
     """
 
     name: str
     A: np.ndarray
-    c: np.ndarray
-    b_weights: np.ndarray
-    stiffly_accurate: bool = True
-    notes: tuple[str, ...] = field(default=())
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    b_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        c = np.asarray(self.c, dtype=float).ravel()
-        b = np.asarray(self.b_weights, dtype=float).ravel()
-        for arr, attr in ((A, "A"), (c, "c"), (b, "b_weights")):
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"tableau {self.name!r}: A has shape {A.shape}, "
+                             f"expected (s, s)")
+        c = A.sum(axis=1)
+        problems = []
+        if not np.isfinite(A).all():
+            problems.append("non-finite entries")
+        if np.triu(A, 1).any():
+            problems.append("A is not lower triangular")
+        bad = np.flatnonzero(~(np.diag(A) > 0.0))
+        if bad.size:
+            problems.append(f"nonpositive diagonal at stage(s) {(bad + 1).tolist()}")
+        if not abs(c[-1] - 1.0) <= VALIDATION_TOL:
+            problems.append(f"last row sums to {c[-1]!r}, not 1: only stiffly "
+                            f"accurate tableaus are supported")
+        if problems:
+            raise ValueError(f"tableau {self.name!r} rejected: {'; '.join(problems)}")
+        for arr in (A, c):
             arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "b_weights", A[-1])
 
     @property
     def s(self) -> int:
         """Stage count."""
         return len(self.c)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.A)
-
-    @classmethod
-    def from_matrix(cls, name, A, stiffly_accurate=True, notes=()):
-        """Build a tableau from A alone: c = row sums, b = last row."""
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        return cls(name=name, A=A, c=A.sum(axis=1), b_weights=A[-1].copy(),
-                   stiffly_accurate=stiffly_accurate, notes=tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -88,57 +98,16 @@ class ShuOsherForm:
         return len(self.c)
 
 
-def validate_tableau(t: ButcherTableau, tol: float = VALIDATION_TOL) -> list[str]:
-    """Check the structural invariants of a DIRK tableau.
-
-    Returns a list of human-readable violations; an empty list means the
-    tableau is accepted.  Nothing is raised: callers decide severity.
-    """
-    report = []
-    A, c, b = t.A, t.c, t.b_weights
-    s = t.s
-    if A.shape != (s, s):
-        report.append(f"A has shape {A.shape}, expected ({s}, {s})")
-        return report
-    if len(b) != s:
-        report.append(f"b has length {len(b)}, expected {s}")
-        return report
-    upper = A[np.triu_indices(s, k=1)]
-    if upper.size and np.max(np.abs(upper)) > 0.0:
-        report.append("A is not lower triangular")
-    diag = np.diag(A)
-    if np.any(diag <= 0.0):
-        bad = np.nonzero(diag <= 0.0)[0] + 1
-        report.append(f"nonpositive diagonal at stage(s) {list(bad)}")
-    row_err = np.max(np.abs(c - A.sum(axis=1)))
-    if row_err > tol:
-        report.append(f"row sums disagree with c (max deviation {row_err:.3e})")
-    if t.stiffly_accurate:
-        if abs(c[-1] - 1.0) > tol:
-            report.append(f"flagged stiffly accurate but c_s = {c[-1]!r} != 1")
-        sa_err = np.max(np.abs(A[-1] - b))
-        if sa_err > tol:
-            report.append(f"flagged stiffly accurate but last row differs from b "
-                          f"(max deviation {sa_err:.3e})")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(c)) or not np.all(np.isfinite(b)):
-        report.append("non-finite entries")
-    return report
-
-
 def to_shu_osher(t: ButcherTableau) -> ShuOsherForm:
-    """Convert a validated DIRK tableau to Shu-Osher form.
+    """Convert a DIRK tableau to Shu-Osher form.
 
     For each stage k the coefficients are filled from j = k-1 down to 0:
 
         w_kj = a_kj / a_jj - sum_{l=j+1}^{k-1} a_kl * w_lj / a_ll
-
-    Raises ValueError on a nonpositive diagonal (the rewrite divides by it).
     """
     A = t.A
     s = t.s
     diag = np.diag(A)
-    if np.any(diag <= 0.0):
-        raise ValueError(f"tableau {t.name!r}: Shu-Osher form needs a positive diagonal")
     w = np.zeros((s, s))
     for k in range(1, s):
         for j in range(k - 1, -1, -1):
@@ -156,17 +125,16 @@ def to_shu_osher(t: ButcherTableau) -> ShuOsherForm:
 def _build_catalog() -> dict[str, ButcherTableau]:
     cat: dict[str, ButcherTableau] = {}
 
-    def add(name, A, notes=()):
-        cat[name] = ButcherTableau.from_matrix(name, A, notes=notes)
+    def add(name, A):
+        cat[name] = ButcherTableau(name, A)
 
     # implicit (backward) Euler
-    add("BE", [[1.0]], notes=("implicit Euler",))
+    add("BE", [[1.0]])
 
     # classical 2-stage second-order SDIRK, nu = 1 - sqrt(2)/2
     nu = 1.0 - np.sqrt(2.0) / 2.0
     add("DIRK2", [[nu, 0.0],
-                  [1.0 - nu, nu]],
-        notes=("2-stage second order, diagonal 1 - sqrt(2)/2",))
+                  [1.0 - nu, nu]])
 
     # classical 3-stage third-order DIRK; third order on the distribution
     # but only second order in the relaxation limit (the motivating case).
@@ -178,8 +146,7 @@ def _build_catalog() -> dict[str, ButcherTableau]:
     beta2 = 1.5 * g * g - 5.0 * g + 1.25
     add("DIRK3-B2", [[g, 0.0, 0.0],
                      [(1.0 - g) / 2.0, g, 0.0],
-                     [beta1, beta2, g]],
-        notes=("3-stage third order; second order in the stiff limit",))
+                     [beta1, beta2, g]])
 
     # eight 4-stage third-order tableaus that additionally keep third order
     # in the relaxation limit
@@ -198,12 +165,12 @@ def _build_catalog() -> dict[str, ButcherTableau]:
         [-1.13430013749107, 4.025563222205342, 0.0, 0.0],
         [0.8450375691764959, -2.998987699483981, 4.025563222205342, 0.0],
         [-1.33950660036402, 4.925563641076701, -6.611620262918024, 4.025563222205342]])
+    # exact rational entries
     add("DIRK3-B6", [
         [1.0 / 2.0, 0.0, 0.0, 0.0],
         [-1.0 / 4.0, 1.0 / 2.0, 0.0, 0.0],
         [-1.0, 2.0, 1.0 / 2.0, 0.0],
-        [-1.0 / 12.0, 2.0 / 3.0, -1.0 / 12.0, 1.0 / 2.0]],
-        notes=("exact rational entries",))
+        [-1.0 / 12.0, 2.0 / 3.0, -1.0 / 12.0, 1.0 / 2.0]])
     add("DIRK3-B7", [
         [0.153198102889014, 0.0, 0.0, 0.0],
         [0.448032922908699, 0.153198102889014, 0.0, 0.0],
@@ -219,12 +186,12 @@ def _build_catalog() -> dict[str, ButcherTableau]:
         [0.204378631032151, 0.127224858518235, 0.0, 0.0],
         [0.0, 0.862399381468212, 0.127224858518235, 0.0],
         [0.0, 0.746092420734223, 0.126682720747542, 0.127224858518235]])
+    # exact rational entries; the default third-order choice
     add("DIRK3-B10", [
         [1.0 / 4.0, 0.0, 0.0, 0.0],
         [1.0 / 7.0, 1.0 / 4.0, 0.0, 0.0],
         [61.0 / 144.0, -49.0 / 144.0, 1.0 / 4.0, 0.0],
-        [0.0, 0.0, 3.0 / 4.0, 1.0 / 4.0]],
-        notes=("exact rational entries; default third-order choice",))
+        [0.0, 0.0, 3.0 / 4.0, 1.0 / 4.0]])
     return cat
 
 
@@ -261,7 +228,6 @@ def tableau_to_text(t: ButcherTableau) -> str:
         f"A = {fmt(t.A.ravel())}",
         f"c = {fmt(t.c)}",
         f"b = {fmt(t.b_weights)}",
-        f"stiffly_accurate = {int(t.stiffly_accurate)}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -281,22 +247,35 @@ def parse_key_values(text: str) -> dict[str, str]:
 
 
 def tableau_from_text(text: str) -> ButcherTableau:
-    """Parse the `key = value` format written by :func:`tableau_to_text`."""
+    """Parse the `key = value` format written by :func:`tableau_to_text`.
+
+    ``s`` and ``A`` are required.  ``c`` and ``b`` are optional; when given,
+    each must match what A implies (row sums, last row) within
+    ``VALIDATION_TOL``.  ``stiffly_accurate``, if present, must be 1.
+    """
     entries = parse_key_values(text)
-    missing = {"s", "A", "c", "b"} - entries.keys()
+    missing = {"s", "A"} - entries.keys()
     if missing:
         raise ValueError(f"tableau file missing keys: {sorted(missing)}")
+    if int(entries.get("stiffly_accurate", "1")) != 1:
+        raise ValueError("stiffly_accurate = 0: only stiffly accurate tableaus "
+                         "are supported")
     s = int(entries["s"])
     A = np.array([float(v) for v in entries["A"].split()], dtype=float)
     if A.size != s * s:
         raise ValueError(f"A has {A.size} entries, expected {s * s}")
-    c = np.array([float(v) for v in entries["c"].split()], dtype=float)
-    b = np.array([float(v) for v in entries["b"].split()], dtype=float)
-    if len(c) != s or len(b) != s:
-        raise ValueError(f"c and b must each have {s} entries")
-    sa = bool(int(entries.get("stiffly_accurate", "1")))
-    return ButcherTableau(name=entries.get("name", "custom"), A=A.reshape(s, s),
-                          c=c, b_weights=b, stiffly_accurate=sa)
+    t = ButcherTableau(entries.get("name", "custom"), A.reshape(s, s))
+    for key, implied, what in (("c", t.c, "the row sums of A"),
+                               ("b", t.b_weights, "the last row of A")):
+        if key in entries:
+            given = np.array([float(v) for v in entries[key].split()], dtype=float)
+            if given.shape != (s,):
+                raise ValueError(f"{key} has {given.size} entries, expected {s}")
+            dev = np.max(np.abs(given - implied))
+            if not dev <= VALIDATION_TOL:
+                raise ValueError(f"{key} disagrees with {what} "
+                                 f"(max deviation {dev:.3e})")
+    return t
 
 
 def load_tableau(path) -> ButcherTableau:

@@ -68,9 +68,6 @@ def _write(path: str, text: str):
 
 def cmd_order_check(args) -> int:
     t = butcher.resolve_tableau(args.tableau)
-    problems = butcher.validate_tableau(t)
-    if problems:
-        raise ConfigError(f"tableau {t.name!r} failed validation: {problems}")
     so, kc, lc = order_analysis.coefficient_table(t)
     report = order_analysis.order_report(t, tol=args.tol)
 
@@ -235,8 +232,8 @@ def cmd_convergence(args) -> int:
         error_on=args.error_on,
         jobs=args.jobs,
     )
-    study = study.resolved()
     result = harness.run_convergence(study)
+    study = result.study
     print(f"example {study.example}: {len(result.rows)} runs "
           f"(reference CFL {study.ref_cfl!r}, N_x = {study.n_elements})")
     for (tab, eps), slope in result.slopes.items():

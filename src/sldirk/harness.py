@@ -102,8 +102,13 @@ class ConvergenceStudy:
                       cfl_values=tuple(float(c) for c in self.cfl_values),
                       ref_cfl=preset.ref_cfl if self.ref_cfl is None else float(self.ref_cfl),
                       t_final=preset.t_final if self.t_final is None else float(self.t_final))
-        if len(out.cfl_values) < 3:
-            raise ValueError("slope fitting needs at least 3 CFL values")
+        if not out.tableaus or not out.eps_values:
+            raise ValueError("a sweep needs at least one tableau and one eps value")
+        if len(set(out.cfl_values)) < 3:
+            raise ValueError(f"slope fitting needs at least 3 CFL values that differ, "
+                             f"got {out.cfl_values}")
+        if not out.ref_cfl > 0.0:
+            raise ValueError(f"reference CFL {out.ref_cfl} must be positive")
         if out.ref_cfl >= min(out.cfl_values):
             raise ValueError(f"reference CFL {out.ref_cfl} must be strictly smaller "
                              f"than every tested CFL {out.cfl_values}")

@@ -40,12 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butcher import ButcherTableau, validate_tableau
+from .butcher import ButcherTableau
 from .dg import DGField, Mesh1D, ShiftOperator, gauss_nodes
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
 MAX_DEGREE = 4
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (NaN fails)."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -63,6 +69,8 @@ class SimConfig:
         if not 0 <= self.degree <= MAX_DEGREE:
             raise ValueError(f"polynomial degree {self.degree} outside the supported "
                              f"range 0-{MAX_DEGREE}")
+        for name in ("cfl", "eps", "t_final"):
+            _require_positive(name, getattr(self, name))
 
     @property
     def dt(self) -> float:
@@ -107,11 +115,7 @@ class SemiLagrangianSolver:
 
     def __init__(self, model: KineticModel, mesh: Mesh1D, degree: int,
                  tableau: ButcherTableau, eps: float):
-        problems = validate_tableau(tableau)
-        if problems:
-            raise ValueError(f"tableau {tableau.name!r} rejected: {problems}")
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+        _require_positive("eps", eps)
         self.model = model
         self.mesh = mesh
         self.degree = degree
@@ -247,8 +251,6 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     :class:`SimulationError` from a step or from its diagnostics carries that
     step and its end time (step 0 and time 0 for the initial data).
     """
-    if cfg.t_final <= 0.0:
-        raise ValueError("t_final must be positive")
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     dt = cfg.dt
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))

@@ -22,7 +22,7 @@ def random_sa_dirk(rng, s, diag_lo=0.05, diag_hi=2.0, name="random"):
         A[s - 1, :s - 1] = row * (1.0 - A[s - 1, s - 1]) / row.sum()
     else:
         A[0, 0] = 1.0
-    return ButcherTableau.from_matrix(name, A)
+    return ButcherTableau(name, A)
 
 
 @pytest.fixture

@@ -3,41 +3,75 @@ import pytest
 
 from sldirk.butcher import (ButcherTableau, catalog, get_tableau, load_tableau,
                             resolve_tableau, tableau_from_text, tableau_to_text,
-                            to_shu_osher, validate_tableau)
+                            to_shu_osher)
 from conftest import random_sa_dirk
 
 NU = 1.0 - np.sqrt(2.0) / 2.0
 
 
 def test_validate_backward_euler_clean():
-    t = ButcherTableau(name="be", A=[[1.0]], c=[1.0], b_weights=[1.0])
-    assert validate_tableau(t) == []
+    t = ButcherTableau("be", [[1.0]])
+    assert t.s == 1
+    np.testing.assert_array_equal(t.c, [1.0])
+    np.testing.assert_array_equal(t.b_weights, [1.0])
 
 
 def test_validate_dirk2_clean():
-    assert validate_tableau(get_tableau("DIRK2")) == []
+    t = ButcherTableau("DIRK2", get_tableau("DIRK2").A)
+    np.testing.assert_allclose(t.c, [NU, 1.0], atol=1e-15)
+    np.testing.assert_allclose(t.b_weights, [1.0 - NU, NU], atol=1e-15)
 
 
 def test_validate_flags_nonpositive_diagonal():
-    t = ButcherTableau(name="bad", A=[[0.5, 0.0], [0.5, 0.0]], c=[0.5, 0.5],
-                       b_weights=[0.5, 0.0], stiffly_accurate=False)
-    report = validate_tableau(t)
-    assert any("nonpositive diagonal" in line for line in report)
+    with pytest.raises(ValueError, match="nonpositive diagonal at stage"):
+        ButcherTableau("bad", [[0.5, 0.0], [1.0, 0.0]])
 
 
 def test_validate_flags_upper_triangle_and_row_sums():
-    t = ButcherTableau(name="bad", A=[[0.5, 0.1], [0.2, 0.5]], c=[0.9, 0.7],
-                       b_weights=[0.2, 0.5], stiffly_accurate=False)
-    report = validate_tableau(t)
-    assert any("lower triangular" in line for line in report)
-    assert any("row sums" in line for line in report)
+    with pytest.raises(ValueError, match="lower triangular"):
+        ButcherTableau("bad", [[0.5, 0.1], [0.5, 0.5]])
+    # a tableau file's c is checked against the row sums of A
+    text = "s = 2\nA = 0.5 0 0.5 0.5\nc = 0.9 1\n"
+    with pytest.raises(ValueError, match="row sums"):
+        tableau_from_text(text)
 
 
 def test_validate_flags_broken_stiff_accuracy():
-    t = ButcherTableau(name="bad", A=[[0.5, 0.0], [0.25, 0.5]], c=[0.5, 0.75],
-                       b_weights=[0.25, 0.5], stiffly_accurate=True)
-    report = validate_tableau(t)
-    assert any("stiffly accurate" in line for line in report)
+    with pytest.raises(ValueError, match="stiffly accurate"):
+        ButcherTableau("bad", [[0.5, 0.0], [0.25, 0.5]])
+
+
+@pytest.mark.parametrize("A, fragment", [
+    ([[1.0, 0.0]], "shape"),
+    ([[[1.0]]], "shape"),
+    ([], "shape"),
+    ([[np.nan]], "non-finite"),
+    ([[0.5, 0.0], [np.inf, 0.5]], "non-finite"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "nonpositive diagonal"),
+])
+def test_construction_rejects_malformed_matrix(A, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ButcherTableau("bad", A)
+
+
+def test_derived_values_are_read_only_and_not_init_fields():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(ButcherTableau) if f.init] == ["name", "A"]
+    t = get_tableau("DIRK3-B10")
+    for arr in (t.A, t.c, t.b_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.c = np.ones(4)
+    with pytest.raises(TypeError):
+        ButcherTableau("midpoint", [[0.5]], c=[0.5])
+
+
+def test_construction_copies_the_caller_matrix():
+    A = np.array([[1.0]])
+    t = ButcherTableau("be", A)
+    A[0, 0] = 2.0
+    assert t.A[0, 0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +130,9 @@ def test_shu_osher_b10_exact_fractions():
 
 
 def test_shu_osher_requires_positive_diagonal():
-    t = ButcherTableau(name="bad", A=[[1.0, 0.0], [1.0, 0.0]], c=[1.0, 1.0],
-                       b_weights=[1.0, 0.0], stiffly_accurate=False)
-    with pytest.raises(ValueError):
-        to_shu_osher(t)
+    # the rewrite divides by the diagonal, so such a tableau cannot be built
+    with pytest.raises(ValueError, match="nonpositive diagonal"):
+        ButcherTableau("bad", [[1.0, 0.0], [1.0, 0.0]])
 
 
 def _stage_values_plain(A, L, dt, f0):
@@ -154,7 +187,7 @@ def test_catalog_contents():
 
 def test_catalog_all_valid_and_stiffly_accurate():
     for name, t in catalog().items():
-        assert validate_tableau(t) == [], name
+        np.testing.assert_array_equal(ButcherTableau(name, t.A).c, t.c)
         assert abs(t.c[-1] - 1.0) <= 1e-12, name
         np.testing.assert_allclose(t.A[-1], t.b_weights, atol=1e-12)
 
@@ -216,7 +249,42 @@ def test_text_round_trip():
         np.testing.assert_array_equal(back.A, t.A)
         np.testing.assert_array_equal(back.c, t.c)
         np.testing.assert_array_equal(back.b_weights, t.b_weights)
-        assert back.stiffly_accurate == t.stiffly_accurate
+
+
+def test_catalog_matrices_and_abscissae_are_pinned():
+    # sha256 over A and c of every catalog tableau, in catalog order: the
+    # catalog entries must stay bit-identical
+    import hashlib
+    digest = hashlib.sha256()
+    for t in catalog().values():
+        digest.update(t.A.tobytes())
+        digest.update(t.c.tobytes())
+    assert digest.hexdigest() == \
+        "efc385e39d389b4c82403b61b2c51bfed81ce504c6ea49314d70dd1e04019b4f"
+
+
+def test_text_without_c_and_b_builds_the_same_tableau():
+    for t in catalog().values():
+        text = "".join(line + "\n" for line in tableau_to_text(t).splitlines()
+                       if not line.startswith(("c =", "b =")))
+        back = tableau_from_text(text)
+        np.testing.assert_array_equal(back.A, t.A)
+        np.testing.assert_array_equal(back.c, t.c)
+
+
+def test_text_checks_given_c_and_b_against_a():
+    text = tableau_to_text(get_tableau("DIRK2"))
+    assert "stiffly_accurate" not in text
+    # older files carry the flag; 1 is accepted, 0 is rejected
+    tableau_from_text(text + "stiffly_accurate = 1\n")
+    with pytest.raises(ValueError, match="stiffly accurate"):
+        tableau_from_text(text + "stiffly_accurate = 0\n")
+    lines = text.splitlines()
+    b_line = next(i for i, line in enumerate(lines) if line.startswith("b ="))
+    for bad_b, fragment in (("0.5 0.5", "last row"), ("1.0", "entries")):
+        lines[b_line] = f"b = {bad_b}"
+        with pytest.raises(ValueError, match=fragment):
+            tableau_from_text("\n".join(lines) + "\n")
 
 
 def test_text_parse_errors():

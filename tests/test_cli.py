@@ -345,6 +345,84 @@ def test_convergence_bad_config_exits_2(capsys):
     assert "3 CFL" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--cfl", "0", "cfl"),
+    ("--cfl", "-0.5", "cfl"),
+    ("--T", "inf", "t_final"),
+    ("--eps", "nan", "eps"),
+    ("--eps", "inf", "eps"),
+])
+def test_simulate_bad_run_parameter_exits_2(capsys, flag, value, name):
+    code, out, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                             flag, value)
+    assert code == 2
+    assert f"{name} must be finite and positive" in err
+    assert "completed" not in out
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (("--ref-cfl", "-0.01"), "reference CFL"),
+    (("--tableaus", ","), "at least one tableau"),
+    (("--cfls", "0.1,0.1,0.1"), "3 CFL values that differ"),
+])
+def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragment):
+    def no_run(*a, **k):
+        raise AssertionError("a degenerate sweep must be rejected before any run")
+    monkeypatch.setattr(harness, "run", no_run)
+    code, out, err = run_cli(capsys, "convergence", "--example", "5.1", "--nx", "8",
+                             "--tableaus", "BE", "--eps", "1e-2", *args)
+    assert code == 2
+    assert fragment in err
+    assert "runs" not in out
+
+
+def _bad_tableau_files(tmp_path):
+    from sldirk.butcher import get_tableau, tableau_to_text
+    dirk2 = tableau_to_text(get_tableau("DIRK2"))
+    texts = {
+        "not_lower": "s = 2\nA = 0.5 0.1 0.5 0.5\n",
+        "not_stiffly_accurate": dirk2 + "stiffly_accurate = 0\n",
+        "c_mismatch": "s = 2\nA = 0.5 0 0.5 0.5\nc = 0.9 1\n",
+    }
+    paths = {}
+    for key, text in texts.items():
+        paths[key] = tmp_path / f"{key}.tab"
+        paths[key].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("kind, fragment", [
+    ("not_lower", "lower triangular"),
+    ("not_stiffly_accurate", "stiffly accurate"),
+    ("c_mismatch", "row sums"),
+])
+def test_every_tableau_consumer_rejects_bad_file(capsys, tmp_path, kind, fragment):
+    path = str(_bad_tableau_files(tmp_path)[kind])
+    for argv in (("order-check", path),
+                 ("stability-scan", "--tableau", path, "--b", "0.5", "--kdt", "1",
+                  "--xi", "1"),
+                 ("simulate", "--tableau", path, "--nx", "8", "--T", "0.01")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert fragment in err, argv
+        assert out == "", argv
+
+
+def test_order_check_output_of_every_catalog_tableau_is_pinned(capsys):
+    # sha256 over the order-check output of all 11 catalog tableaus, in
+    # catalog order: the printed coefficients and verdicts must stay
+    # byte-identical
+    import hashlib
+    from sldirk.butcher import catalog
+    digest = hashlib.sha256()
+    for name in catalog():
+        code, out, _ = run_cli(capsys, "order-check", name)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "18712e9c09f8dea010d98896d923c10baa5f084eaea49619bd2a21d9b725f2c6"
+
+
 def test_simulate_degree_outside_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
                            "--p", "5", "--T", "0.01")

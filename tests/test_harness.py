@@ -67,6 +67,15 @@ def test_study_validation():
     base = dict(example="5.1", tableaus=("BE",), eps_values=(1e-2,))
     with pytest.raises(ValueError, match="at least 3"):
         ConvergenceStudy(cfl_values=(0.4, 0.8), **base).resolved()
+    with pytest.raises(ValueError, match="at least 3"):
+        ConvergenceStudy(cfl_values=(0.1, 0.1, 0.1), **base).resolved()
+    with pytest.raises(ValueError, match="must be positive"):
+        ConvergenceStudy(cfl_values=(0.1, 0.2, 0.4), ref_cfl=-0.01, **base).resolved()
+    with pytest.raises(ValueError, match="must be positive"):
+        ConvergenceStudy(cfl_values=(0.1, 0.2, 0.4), ref_cfl=0.0, **base).resolved()
+    for empty in ({"tableaus": ()}, {"eps_values": ()}):
+        with pytest.raises(ValueError, match="at least one tableau"):
+            ConvergenceStudy(cfl_values=(0.1, 0.2, 0.4), **{**base, **empty}).resolved()
     with pytest.raises(ValueError, match="strictly smaller"):
         ConvergenceStudy(cfl_values=(0.1, 0.2, 0.4), ref_cfl=0.1, **base).resolved()
     with pytest.raises(ValueError, match="error_on"):

@@ -113,12 +113,12 @@ def test_catalog_orders(name, kinetic, fluid):
     assert report.fluid_order == fluid
 
 
-def test_order_zero_when_inconsistent():
-    t = ButcherTableau(name="half", A=[[0.5]], c=[0.5], b_weights=[0.5],
-                       stiffly_accurate=False)
-    report = order_report(t)
-    assert report.kinetic_order == 0
-    assert report.fluid_order == 0
+def test_inconsistent_tableau_rejected_before_order_report():
+    # implicit midpoint: its last stage is the half step, so c_s = 1/2;
+    # order_report reads the last stage as the step and would call it
+    # order 0, so the tableau cannot be built at all
+    with pytest.raises(ValueError, match="stiffly accurate"):
+        ButcherTableau("midpoint", [[0.5]])
 
 
 def test_order_report_tolerance_configurable():
@@ -127,10 +127,8 @@ def test_order_report_tolerance_configurable():
 
 
 def test_order_report_rejects_invalid_tableau():
-    t = ButcherTableau(name="bad", A=[[0.0]], c=[0.0], b_weights=[0.0],
-                       stiffly_accurate=False)
     with pytest.raises(ValueError):
-        order_report(t)
+        order_report(ButcherTableau("bad", [[0.0]]))
 
 
 # ---------------------------------------------------------------------------

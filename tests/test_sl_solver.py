@@ -314,6 +314,20 @@ def test_run_aborts_on_nonfinite():
     assert info.value.step == 0
 
 
+@pytest.mark.parametrize("name", ["cfl", "eps", "t_final"])
+@pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf])
+def test_sim_config_rejects_bad_run_parameters(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        _linear_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+def test_solver_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        SemiLagrangianSolver(LinearTwoVelocity(B), Mesh1D(0.0, 1.0, 8), 2,
+                             get_tableau("DIRK2"), eps)
+
+
 def test_unphysical_state_reports_stage_and_location():
     vs = VelocitySet.uniform(-5, 5, 30)
     model = BGK1D(velocity_set=vs)
