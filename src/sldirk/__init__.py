@@ -5,9 +5,8 @@ from .butcher import (ButcherTableau, ShuOsherForm, catalog, get_tableau,
                       tableau_from_text, tableau_to_text)
 from .dg import DGField, Mesh1D, advect, fourier_coefficient, gauss_nodes
 from .harness import ConvergenceStudy, build_case, fit_slope, run_convergence
-from .models import (BGK1D, KineticModel, LinearTwoVelocity, MacroState,
-                     NonlinearTwoVelocity, SimulationError, UnphysicalStateError,
-                     VelocitySet, maxwellian)
+from .models import (BGK1D, KineticModel, LinearTwoVelocity, NonlinearTwoVelocity,
+                     SimulationError, UnphysicalStateError, VelocitySet, maxwellian)
 from .order_analysis import (KineticCoefficients, LimitCoefficients, OrderReport,
                              coefficient_table, kinetic_coefficients,
                              limit_coefficients, order_report, verify_identities)

@@ -1,9 +1,9 @@
 """Command-line front end: order checks, stability scans, runs, sweeps.
 
 Exit codes: 0 on success, 2 for configuration problems (``KeyError`` or
-``ValueError``, which :class:`ConfigError` subclasses), 3 when a run raised
-a :class:`~sldirk.models.SimulationError`.  All CSV output is deterministic
-for a fixed configuration (floats via repr, rows in configuration order).
+``ValueError``), 3 when a run raised a :class:`~sldirk.models.SimulationError`.
+All CSV output is deterministic for a fixed configuration (floats via repr,
+rows in configuration order).
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import butcher, harness, order_analysis, stability
-from .models import MacroState, SimulationError
+from .models import BGK1D, SimulationError
 from .sl_solver import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -39,22 +35,22 @@ def parse_grid(spec: str) -> np.ndarray:
         elif ":" in token:
             parts = token.split(":")
             if len(parts) != 3:
-                raise ConfigError(f"bad range {token!r}, expected lo:hi:n")
+                raise ValueError(f"bad range {token!r}, expected lo:hi:n")
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
             if n < 1:
-                raise ConfigError(f"bad range {token!r}: need n >= 1")
+                raise ValueError(f"bad range {token!r}: need n >= 1")
             out.append(np.linspace(lo, hi, n))
         else:
             out.append(np.array([float(token)]))
     if not out:
-        raise ConfigError(f"empty grid spec {spec!r}")
+        raise ValueError(f"empty grid spec {spec!r}")
     return np.concatenate(out)
 
 
 def parse_float_list(spec: str) -> tuple[float, ...]:
     vals = tuple(float(tok) for tok in spec.split(",") if tok.strip())
     if not vals:
-        raise ConfigError(f"empty list {spec!r}")
+        raise ValueError(f"empty list {spec!r}")
     return vals
 
 
@@ -142,8 +138,8 @@ def _merged_options(args, keys) -> dict[str, str | None]:
         file_opts = butcher.parse_key_values(Path(args.config).read_text())
         unknown = set(file_opts) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}; "
-                              f"expected a subset of {sorted(keys)}")
+            raise ValueError(f"unknown config keys {sorted(unknown)}; "
+                             f"expected a subset of {sorted(keys)}")
         base.update(file_opts)
     for key in keys:
         flag_val = getattr(args, key, None)
@@ -188,13 +184,10 @@ def _write_snapshot(prefix, cfg, result):
             fh.write("".join(f"{xx!r},{v!r},{val!r}\n"
                              for xx, val in zip(x, fv.ravel().tolist())))
 
-    macro = MacroState(result.macro.values)
-    if macro.n_invariants == 3:
-        fields = (macro.rho, macro.u, macro.temperature)
-        macro_header = ("x", "rho", "u", "T")
-    else:
-        fields = (macro.rho,)
-        macro_header = ("x", "U")
+    U = result.macro.values
+    gas = isinstance(cfg.model, BGK1D)
+    fields = BGK1D.parameters(U) if gas else (U[0],)
+    macro_header = ("x", "rho", "u", "T") if gas else ("x", "U")
     macro_rows = list(zip(x, *(map(float, f.ravel()) for f in fields)))
     _write(f"{prefix}_macro.csv", harness.rows_to_csv(macro_rows, macro_header))
 
@@ -342,7 +335,9 @@ def main(argv=None) -> int:
         print(f"run diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
 

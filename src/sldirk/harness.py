@@ -39,11 +39,14 @@ from .sl_solver import RunResult, SimConfig, l1_error, run
 
 @dataclass(frozen=True)
 class Preset:
-    """One benchmark setup; ``desk_cfls`` and ``paper_cfls`` are the CLI's
-    default sweep CFLs without and with ``--paper-scale``."""
+    """One benchmark setup.  ``amplitude`` scales the initial data: it is
+    the factor on exp(sin 2 pi x) of a two-velocity preset and the uniform
+    density of the gas preset.  ``desk_cfls`` and ``paper_cfls`` are the
+    CLI's default sweep CFLs without and with ``--paper-scale``."""
     aliases: tuple[str, ...]
     model: str
     b: float | None
+    amplitude: float
     domain: tuple[float, float]
     t_final: float
     ref_cfl: float
@@ -53,11 +56,11 @@ class Preset:
 
 #: the benchmark presets by id
 PRESETS = {
-    "5.1": Preset(("linear",), "linear", 0.6, (0.0, 1.0), 0.2, 0.001,
+    "5.1": Preset(("linear",), "linear", 0.6, 1.0, (0.0, 1.0), 0.2, 0.001,
                   (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
-    "5.2": Preset(("nonlinear",), "nonlinear", 0.2, (0.0, 1.0), 0.2, 0.001,
+    "5.2": Preset(("nonlinear",), "nonlinear", 0.2, 0.5, (0.0, 1.0), 0.2, 0.001,
                   (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
-    "5.3": Preset(("bgk",), "bgk", None, (-1.0, 1.0), 0.04, 0.01,
+    "5.3": Preset(("bgk",), "bgk", None, 1.0, (-1.0, 1.0), 0.04, 0.01,
                   (0.5, 1.0, 2.0, 4.0), (1.0, 2.0, 4.0)),
 }
 
@@ -142,9 +145,10 @@ def build_case(example: str, tableau_name: str, eps: float, cfl: float,
                     t_final=preset.t_final if t_final is None else t_final)
     coords = mesh.node_coords(degree)
     if preset.model == "bgk":
-        values = maxwellian(model.velocity_set.v, 1.0, bump_velocity_profile(coords), 1.0)
+        values = maxwellian(model.velocity_set.v, preset.amplitude,
+                            bump_velocity_profile(coords), 1.0)
     else:
-        u0 = (0.5 if ex == "5.2" else 1.0) * np.exp(np.sin(2.0 * np.pi * coords))
+        u0 = preset.amplitude * np.exp(np.sin(2.0 * np.pi * coords))
         values = model.equilibrium(u0[None])
     return cfg, DGField(mesh=mesh, values=values)
 
@@ -187,12 +191,11 @@ def fit_slope(dts, errors) -> float:
     return float(coeffs[0])
 
 
-def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float):
-    """Reference run plus all CFL runs for one (tableau, eps) pair; a run
-    that fails gives a NaN row, a failed reference NaN rows throughout."""
-    cfg_ref, f0 = build_case(study.example, tableau_name, eps, study.ref_cfl,
-                             study.n_elements, study.degree, study.n_v,
-                             study.v_max, study.t_final)
+def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float,
+               cfg_ref: SimConfig, f0: DGField):
+    """Reference run of the case (cfg_ref, f0) plus all CFL runs for one
+    (tableau, eps) pair; a run that fails gives a NaN row, a failed
+    reference NaN rows throughout."""
     try:
         reference = run(cfg_ref, f0, diagnostics_every=0)
     except SimulationError:
@@ -216,15 +219,22 @@ def run_convergence(study: ConvergenceStudy) -> StudyResult:
     """Execute the full sweep, one worker job per (tableau, eps) pair."""
     study = study.resolved()
     combos = [(tab, eps) for tab in study.tableaus for eps in study.eps_values]
+    # every case is built before the first run, so a bad tableau, eps or
+    # degree fails the sweep before any work is spent on it
+    cases = {(tab, eps): build_case(study.example, tab, eps, study.ref_cfl,
+                                    study.n_elements, study.degree, study.n_v,
+                                    study.v_max, study.t_final)
+             for tab, eps in combos}
     results: dict[tuple[str, float], tuple[list[ConvergenceRow], float]] = {}
     if study.jobs > 1 and len(combos) > 1:
         with ProcessPoolExecutor(max_workers=min(study.jobs, len(combos))) as pool:
-            futures = {combo: pool.submit(_sweep_job, study, *combo) for combo in combos}
+            futures = {combo: pool.submit(_sweep_job, study, *combo, *cases[combo])
+                       for combo in combos}
             for combo, fut in futures.items():
                 results[combo] = fut.result()
     else:
         for combo in combos:
-            results[combo] = _sweep_job(study, *combo)
+            results[combo] = _sweep_job(study, *combo, *cases[combo])
     rows: list[ConvergenceRow] = []
     slopes: dict[tuple[str, float], float] = {}
     for combo in combos:

@@ -85,44 +85,9 @@ class VelocitySet:
         return cls(v=v, w=np.full(n_v, dv))
 
 
-@dataclass(frozen=True)
-class MacroState:
-    """Moment vector plus derived hydrodynamic fields.
-
-    ``U`` has shape (K, ...): K = 1 holds the scalar density of the
-    two-velocity models, K = 3 holds (rho, rho*u, E) for the gas model,
-    with temperature recovered from E = rho*u^2/2 + rho*T/2 in 1V.
-    """
-    U: np.ndarray
-
-    @property
-    def n_invariants(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def rho(self):
-        return self.U[0]
-
-    @property
-    def u(self):
-        if self.n_invariants < 3:
-            raise ValueError("mean velocity is defined only for the 3-moment state")
-        return self.U[1] / self.U[0]
-
-    @property
-    def temperature(self):
-        if self.n_invariants < 3:
-            raise ValueError("temperature is defined only for the 3-moment state")
-        u = self.u
-        return 2.0 * self.U[2] / self.U[0] - u * u
-
-
 class KineticModel:
-    """Common relaxation machinery; subclasses supply the equilibrium map.
-
-    Subclasses define ``name``, ``velocity_set``, ``n_invariants``,
-    ``invariant_names``, and implement ``moments`` / ``equilibrium``.
-    """
+    """Common relaxation machinery; subclasses set the attributes below and
+    implement ``moments`` and ``equilibrium``."""
 
     name: str
     velocity_set: VelocitySet
@@ -137,9 +102,6 @@ class KineticModel:
         ``scratch``, an array like ``out``, may be overwritten on the way."""
         raise NotImplementedError
 
-    def macro_state(self, f) -> MacroState:
-        return MacroState(U=self.moments(f))
-
     def relaxation(self, f, eps: float) -> np.ndarray:
         """(M[U[f]] - f) / eps, the stiff right-hand side."""
         if eps <= 0.0:
@@ -147,26 +109,36 @@ class KineticModel:
         return (self.equilibrium(self.moments(f)) - f) / eps
 
 
-class LinearTwoVelocity(KineticModel):
+class _TwoVelocity(KineticModel):
+    """Components (f_1, f_2) moving at v = +1 / -1 with coupling ``b``; the
+    single conserved moment is U = f_1 + f_2.  Subclasses supply the
+    equilibrium."""
+
+    n_invariants = 1
+    invariant_names = ("mass",)
+
+    def __init__(self, b: float):
+        self.b = float(b)
+        self.velocity_set = VelocitySet.two_velocity()
+
+    def moments(self, f):
+        return (f[0] + f[1])[None, ...]
+
+
+class LinearTwoVelocity(_TwoVelocity):
     """Two opposite unit velocities with a linear equilibrium.
 
-    Components (f_1, f_2) move at v = +1 / -1; the single conserved moment
-    is U = f_1 + f_2 and the equilibrium splits it ((1+b)/2, (1-b)/2).
-    The relaxation term is then (b*(f_1+f_2) - (f_1-f_2)) / 2 with opposite
-    signs on the two components.
+    The equilibrium splits U as ((1+b)/2, (1-b)/2), so the relaxation term
+    is (b*(f_1+f_2) - (f_1-f_2)) / 2 with opposite signs on the two
+    components.
     """
+
+    name = "linear-two-velocity"
 
     def __init__(self, b: float):
         if not abs(b) < 1.0:
             raise ValueError(f"coupling b = {b} must satisfy |b| < 1")
-        self.b = float(b)
-        self.name = "linear-two-velocity"
-        self.velocity_set = VelocitySet.two_velocity()
-        self.n_invariants = 1
-        self.invariant_names = ("mass",)
-
-    def moments(self, f):
-        return (f[0] + f[1])[None, ...]
+        super().__init__(b)
 
     def equilibrium(self, U, out=None, scratch=None):
         u = U[0]
@@ -176,23 +148,14 @@ class LinearTwoVelocity(KineticModel):
         return out
 
 
-class NonlinearTwoVelocity(KineticModel):
+class NonlinearTwoVelocity(_TwoVelocity):
     """Two-velocity model whose relaxation limit is a quadratic-flux law.
 
-    Written in the (f_1, f_2) variables of the linear model but with the
-    equilibrium ((b*u^2 + u)/2, (-b*u^2 + u)/2) for u = f_1 + f_2, so the
-    limiting conservation law transports u with flux b*u^2.
+    The equilibrium is ((b*u^2 + u)/2, (-b*u^2 + u)/2) for u = f_1 + f_2,
+    so the limiting conservation law transports u with flux b*u^2.
     """
 
-    def __init__(self, b: float):
-        self.b = float(b)
-        self.name = "nonlinear-two-velocity"
-        self.velocity_set = VelocitySet.two_velocity()
-        self.n_invariants = 1
-        self.invariant_names = ("mass",)
-
-    def moments(self, f):
-        return (f[0] + f[1])[None, ...]
+    name = "nonlinear-two-velocity"
 
     def equilibrium(self, U, out=None, scratch=None):
         u = U[0]
@@ -246,6 +209,10 @@ def maxwellian(v, rho, u, T, out=None, scratch=None):
     return out
 
 
+#: relative moment residual at which the discrete Maxwellian fit stops
+NEWTON_TOL = 1e-13
+
+
 class BGK1D(KineticModel):
     """1D1V gas model relaxing toward a local Maxwellian.
 
@@ -256,15 +223,14 @@ class BGK1D(KineticModel):
     precision instead of quadrature accuracy.
     """
 
-    def __init__(self, velocity_set: VelocitySet | None = None,
-                 newton_tol: float = 1e-13, newton_max_iter: int = 50):
+    name = "bgk-1d1v"
+    n_invariants = 3
+    invariant_names = ("mass", "momentum", "energy")
+
+    def __init__(self, velocity_set: VelocitySet | None = None, newton_max_iter: int = 50):
         self.velocity_set = velocity_set if velocity_set is not None \
             else VelocitySet.uniform(-15.0, 15.0, 100)
-        self.newton_tol = float(newton_tol)
         self.newton_max_iter = int(newton_max_iter)
-        self.name = "bgk-1d1v"
-        self.n_invariants = 3
-        self.invariant_names = ("mass", "momentum", "energy")
         v = self.velocity_set.v
         # weighted invariants (3, n_v): rows w, w*v, w*v^2/2
         self._wphi = np.stack([self.velocity_set.w,
@@ -273,11 +239,11 @@ class BGK1D(KineticModel):
 
     def moments(self, f):
         U = np.tensordot(self._wphi, f, axes=(1, 0))
-        self._params_from_moments(U)  # rejects rho <= 0 and T <= 0
+        self.parameters(U)  # rejects rho <= 0 and T <= 0
         return U
 
     @staticmethod
-    def _params_from_moments(U):
+    def parameters(U):
         """(rho, u, T) of the moments U.  Raises UnphysicalStateError, with
         the flat index of the first bad point, unless rho > 0 and T > 0."""
         rho = U[0]
@@ -302,7 +268,7 @@ class BGK1D(KineticModel):
         out = ensure_buffer("out", out, shape, np.float64)
         scratch = ensure_buffer("scratch", scratch, shape, np.float64)
         flat = U.reshape(U.shape[0], -1)
-        self._fit_discrete_parameters(flat, *self._params_from_moments(flat),
+        self._fit_discrete_parameters(flat, *self.parameters(flat),
                                       out.reshape(n_v, -1), scratch.reshape(n_v, -1))
         return out
 
@@ -320,7 +286,7 @@ class BGK1D(KineticModel):
         for _ in range(self.newton_max_iter):
             M = maxwellian(v, rho, u, T, out, scratch)
             res = np.tensordot(self._wphi, M, axes=(1, 0)) - U
-            if np.max(np.abs(res) / scale) <= self.newton_tol:
+            if np.max(np.abs(res) / scale) <= NEWTON_TOL:
                 return rho, u, T, M
             # columns of the 3x3 Jacobian: moments of dM/drho, dM/du, dM/dT
             vshape = (v.shape[0],) + (1,) * np.ndim(rho)

@@ -55,6 +55,14 @@ def test_order_check_unknown_exits_2(capsys):
     assert "error" in err
 
 
+def test_key_error_message_printed_without_repr_quotes(capsys):
+    code, _, err = run_cli(capsys, "order-check", "NOPE")
+    assert code == 2
+    assert err == ("error: 'NOPE' is neither a catalog tableau (BE, DIRK2, DIRK3-B10, "
+                   "DIRK3-B2, DIRK3-B3, DIRK3-B4, DIRK3-B5, DIRK3-B6, DIRK3-B7, DIRK3-B8, "
+                   "DIRK3-B9) nor an existing file\n")
+
+
 # ---------------------------------------------------------------------------
 # stability-scan
 # ---------------------------------------------------------------------------
@@ -130,9 +138,9 @@ def test_grid_spec_parsing():
     np.testing.assert_allclose(cli.parse_grid("0.25"), [0.25])
     grid = cli.parse_grid("0:1:2,inf")
     assert np.isinf(grid[-1])
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError, match="bad range"):
         cli.parse_grid("1:2")
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError, match="empty grid spec"):
         cli.parse_grid("")
 
 
@@ -236,8 +244,8 @@ def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):
     assert "did not converge" in err
 
 
-def test_simulate_distribution_csv_bytes_match_row_list(capsys, tmp_path, monkeypatch):
-    # the streamed distribution CSV equals rows_to_csv over all (x, v, f) rows
+def _small_gas_snapshot(capsys, monkeypatch, prefix):
+    """Run a small gas-model ``simulate --out prefix``; return its RunResult."""
     seen = []
     real_run = cli.run
 
@@ -246,17 +254,33 @@ def test_simulate_distribution_csv_bytes_match_row_list(capsys, tmp_path, monkey
         return seen[-1]
 
     monkeypatch.setattr(cli, "run", spy)
-    prefix = str(tmp_path / "gas")
     code, _, _ = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "6", "--p", "1",
                          "--nv", "10", "--cfl", "2", "--T", "0.01", "--out", prefix)
     assert code == 0
-    result = seen[0]
+    return seen[0]
+
+
+def test_simulate_distribution_csv_bytes_match_row_list(capsys, tmp_path, monkeypatch):
+    # the streamed distribution CSV equals rows_to_csv over all (x, v, f) rows
+    result = _small_gas_snapshot(capsys, monkeypatch, str(tmp_path / "gas"))
     x = result.config.mesh.node_coords(1).ravel()
     rows = [(float(xx), float(v), float(val))
             for vi, v in enumerate(result.config.model.velocity_set.v)
             for xx, val in zip(x, result.final.values[vi].ravel())]
     expected = harness.rows_to_csv(rows, ("x", "v", "f")).encode()
     assert (tmp_path / "gas_distribution.csv").read_bytes() == expected
+
+
+def test_simulate_bgk_macro_csv_bytes(capsys, tmp_path, monkeypatch):
+    # the gas macro CSV holds (rho, u, T) of the final moments, byte for byte
+    result = _small_gas_snapshot(capsys, monkeypatch, str(tmp_path / "gas"))
+    x = result.config.mesh.node_coords(1).ravel()
+    U = result.macro.values.reshape(3, -1)
+    u = U[1] / U[0]
+    T = 2.0 * U[2] / U[0] - u * u
+    rows = [tuple(map(float, row)) for row in zip(x, U[0], u, T)]
+    expected = harness.rows_to_csv(rows, ("x", "rho", "u", "T")).encode()
+    assert (tmp_path / "gas_macro.csv").read_bytes() == expected
 
 
 def test_simulate_coupling_on_gas_model_exits_2(capsys):
@@ -373,6 +397,31 @@ def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragmen
                              "--tableaus", "BE", "--eps", "1e-2", *args)
     assert code == 2
     assert fragment in err
+    assert "runs" not in out
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (("--tableaus", "BE,NOPE"), "'NOPE' is neither a catalog tableau"),
+    (("--eps", "1e-2,nan"), "eps must be finite and positive"),
+    (("--p", "7"), "degree 7"),
+])
+def test_convergence_bad_sweep_input_exits_2_before_any_run(capsys, monkeypatch, args,
+                                                            fragment):
+    # every (tableau, eps) case is built before the first run, so a bad
+    # input in a later combination costs no runs of the earlier ones
+    runs = []
+    real_run = harness.run
+
+    def counted_run(*a, **k):
+        runs.append(1)
+        return real_run(*a, **k)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    code, out, err = run_cli(capsys, "convergence", "--example", "5.1", "--nx", "8",
+                             "--tableaus", "BE,DIRK2", "--eps", "1e-2", *args)
+    assert code == 2
+    assert fragment in err
+    assert runs == []
     assert "runs" not in out
 
 

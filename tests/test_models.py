@@ -10,7 +10,7 @@ from sldirk.models import (BGK1D, DivergenceError, LinearTwoVelocity, NonlinearT
 def analytic_equilibrium(vs, U):
     """Reference: the analytic Maxwellian at the parameters of U, which the
     discrete equilibrium matches only to quadrature accuracy."""
-    return maxwellian(vs.v, *BGK1D._params_from_moments(U))
+    return maxwellian(vs.v, *BGK1D.parameters(U))
 
 
 def test_velocity_set_two_velocity():
@@ -144,7 +144,7 @@ def test_bgk_equilibrium_is_maxwellian_at_fitted_parameters(v_max, n_v, newton_s
 
     monkeypatch.setattr(models, "maxwellian", counted)
     m = BGK1D(velocity_set=vs)
-    *params, M_fit = m._fit_discrete_parameters(U, *m._params_from_moments(U))
+    *params, M_fit = m._fit_discrete_parameters(U, *m.parameters(U))
     assert np.array_equal(M_fit, maxwellian(vs.v, *params))
     calls.clear()
     M = m.equilibrium(U)
@@ -225,9 +225,20 @@ def test_bgk_discrete_conservation_on_coarse_grid():
 # ---------------------------------------------------------------------------
 
 def test_relaxation_vanishes_at_equilibrium_two_velocity(rng):
-    for model in (LinearTwoVelocity(0.6), NonlinearTwoVelocity(0.2)):
+    # both models share one moments body; each keeps its own equilibrium,
+    # equal to the bit to its closed form
+    assert LinearTwoVelocity.moments is NonlinearTwoVelocity.moments
+    closed_forms = {
+        LinearTwoVelocity(0.6): lambda u: [0.5 * (1.0 + 0.6) * u, 0.5 * (1.0 - 0.6) * u],
+        NonlinearTwoVelocity(0.2): lambda u: [(0.2 * u * u + u) * 0.5,
+                                              (u - 0.2 * u * u) * 0.5],
+    }
+    for model, closed_form in closed_forms.items():
+        assert (model.n_invariants, model.invariant_names) == (1, ("mass",))
         U = rng.uniform(0.2, 2.0, size=(1, 5))
         M = model.equilibrium(U)
+        assert np.array_equal(M, np.array(closed_form(U[0])))
+        assert np.array_equal(model.moments(M), (M[0] + M[1])[None])
         np.testing.assert_allclose(model.relaxation(M, eps=0.37), 0.0, atol=1e-14)
 
 
@@ -292,17 +303,13 @@ def test_relaxation_conserves_invariants_all_models(rng):
                 assert abs(np.tensordot(0.5 * w * v * v, q, axes=(0, 0))).max() < 1e-12
 
 
-def test_macro_state_properties():
+def test_bgk_parameters_of_maxwellian():
     m = BGK1D()
     f = maxwellian(m.velocity_set.v, 2.0, 0.5, 1.5)
-    state = m.macro_state(f)
-    assert state.n_invariants == 3
-    assert state.rho == pytest.approx(2.0, rel=1e-10)
-    assert state.u == pytest.approx(0.5, rel=1e-10)
-    assert state.temperature == pytest.approx(1.5, rel=1e-10)
-    two = LinearTwoVelocity(0.6).macro_state(np.array([0.8, 0.2]))
-    with pytest.raises(ValueError):
-        two.u
+    rho, u, T = BGK1D.parameters(m.moments(f))
+    assert rho == pytest.approx(2.0, rel=1e-10)
+    assert u == pytest.approx(0.5, rel=1e-10)
+    assert T == pytest.approx(1.5, rel=1e-10)
 
 
 def test_linear_coupling_must_be_below_one():
