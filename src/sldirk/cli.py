@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     drift = np.abs(result.invariants[-1] - result.invariants[0])
     scale = np.maximum(np.abs(result.invariants[0]), 1e-300)
     print(f"completed {result.n_steps} steps to T = {cfg.t_final!r} "
-          f"(dt = {cfg.dt!r})")
+          f"(dt = {cfg.dt!r}, xi = dt/eps = {cfg.dt / cfg.eps!r})")
     for name, rel in zip(cfg.model.invariant_names, drift / scale):
         print(f"  {name} drift (relative): {rel:.3e}")
     print(f"  distance from equilibrium: {float(result.equilibrium_distance[-1])!r}")

@@ -173,10 +173,9 @@ class ShiftOperator:
     or a weighted sum of such remaps of the blocks of a stacked input.
 
     ``shifts`` holds one physical displacement per leading slice of the
-    value array (e.g. v * tau per discrete velocity); a scalar shift acts
-    on fields without a leading axis.  Operators are cheap to build and
-    reusable, so callers advancing many steps with the same shifts should
-    cache them.
+    value array (e.g. v * tau per discrete velocity).  Operators are cheap
+    to build and reusable, so callers advancing many steps with the same
+    shifts should cache them.
 
     A 2-D ``shifts`` of shape (m, L) makes m terms.  The input then stacks
     blocks of L slices, (B * L, n_el, q) with B = max(blocks) + 1; term b
@@ -197,11 +196,10 @@ class ShiftOperator:
     Terms are processed in groups of as many as fit their gather of
     float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
     ``take`` and two products per group, added into the result while they
-    are still in cache.  Each
-    term is formed as a one-term operator forms it -- A1 product, plus A0
-    product, times its weight -- and added in term order, so the result
-    has the bits of the one-term remaps combined in turn, whatever the
-    grouping.
+    are still in cache.  Each term is formed as a one-term operator forms
+    it -- A1 product, plus A0 product, times its weight -- and added in
+    term order, so the result has the bits of the one-term remaps combined
+    in turn, whatever the grouping.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
     ``values`` itself for a one-term operator because the gather reads
@@ -209,17 +207,23 @@ class ShiftOperator:
     ``product`` scratch arrays (shapes from :meth:`scratch_shapes`) spare
     the remaining temporaries, so a caller that passes all three buffers
     makes ``apply`` allocate no field-sized array.
+
+    ``apply`` binds its arrays -- checks them and lists its kernels with
+    their views as arguments -- and calls that list.  With all three
+    buffers and C-contiguous values it keeps the binding, one tuple
+    replaced whole, and a call on the same four arrays of the same shape
+    runs the kept kernels on whatever the values hold by then.  Threads
+    sharing an operator, each with its own buffers, get serial bits.
     """
 
     def __init__(self, mesh: Mesh1D, degree: int, shifts, blocks=None, weights=()):
         self.mesh = mesh
         self.degree = degree
-        shifts = np.asarray(shifts, dtype=float)
-        if shifts.ndim > 2:
-            raise ValueError(f"shifts must be a scalar, one per slice or (terms, slices), "
-                             f"got shape {shifts.shape}")
-        self.scalar = shifts.ndim == 0
-        terms = shifts.reshape(-1, shifts.shape[-1]) if shifts.ndim else shifts.reshape(1, 1)
+        terms = np.asarray(shifts, dtype=float)
+        if terms.ndim not in (1, 2):
+            raise ValueError(f"shifts must be one per slice or (terms, slices), "
+                             f"got shape {terms.shape}")
+        terms = terms.reshape(-1, terms.shape[-1])
         m, self._lead = terms.shape
         blocks = tuple(range(m)) if blocks is None else tuple(int(b) for b in blocks)
         self._weights = tuple(float(w) for w in weights)
@@ -264,6 +268,7 @@ class ShiftOperator:
             self._groups.append((t0, t1 - t0, self._rows[rows], self._a1t[slices],
                                  self._a0t[slices], weights[t0:t1],
                                  None if aligned[t0:t1].all() else np.flatnonzero(aligned[t0:t1])))
+        self._bound = (None,) * 6  # the binding kept, as _bind returns it
 
     @staticmethod
     def scratch_shapes(term_shape: tuple, n_terms: int = 1) -> tuple[tuple, tuple]:
@@ -279,62 +284,65 @@ class ShiftOperator:
     def apply(self, values: np.ndarray, out: np.ndarray | None = None, *,
               gather: np.ndarray | None = None,
               product: np.ndarray | None = None) -> np.ndarray:
-        """Remap values of shape (B * L, n_el, q) (or (n_el, q) for a
-        scalar shift) into an array of shape (L, n_el, q) (or (n_el, q)).
+        """Remap values of shape (B * L, n_el, q) into an array of shape
+        (L, n_el, q).
 
         The result has the dtype of the values' product with a float
         matrix.  ``out`` receives it and may be ``values`` for one term;
         ``gather`` (in the values' dtype) and ``product`` (in the result's)
-        are scratch of at least the :meth:`scratch_shapes`, with the
-        leading axis dropped for a scalar shift.  A buffer of the wrong
-        shape or dtype raises ``ValueError``.
+        are scratch of at least the :meth:`scratch_shapes`.  A buffer of
+        the wrong shape or dtype raises ``ValueError``.
         """
-        vals = values[None] if self.scalar else values
-        lead, n, q = vals.shape
-        L = self._lead
-        if lead != self.n_blocks * L or n != self.mesh.n_elements:
+        bound = self._bound
+        if not (bound[0] is values and bound[1] == values.shape and bound[2] is out
+                and bound[3] is gather and bound[4] is product):
+            bound = self._bind(values, out, gather, product)
+            if all(b is not None for b in (out, gather, product)) and values.flags.c_contiguous:
+                self._bound = bound
+        for kernel, args in bound[5]:
+            kernel(*args)
+        return bound[2]
+
+    def _bind(self, values, out, gather, product) -> tuple:
+        """(values, their shape, out or a new array, gather, product, the
+        (kernel, arguments) pairs of the remap); ``ValueError`` for bad arrays."""
+        L, n, q = self._lead, self.mesh.n_elements, values.shape[-1]
+        if values.shape[:-1] != (self.n_blocks * L, n):
             raise ValueError(f"values of shape {values.shape} do not match an operator "
-                             f"for {self.n_blocks} block(s) of {L} shifts "
-                             f"on {self.mesh.n_elements} elements")
-        dtype = np.promote_types(vals.dtype, self._a1t.dtype)
-        out = ensure_buffer("out", out, (n, q) if self.scalar else (L, n, q), dtype)
-        gather = self._scratch("gather", gather, self._gather_shape, vals.dtype)
-        product = self._scratch("product", product, self._product_shape, dtype)
-        res = out[None] if self.scalar else out
-        flat = vals.reshape(lead * n, q)
+                             f"for {self.n_blocks} block(s) of {L} shifts on {n} elements")
+        dtype = np.promote_types(values.dtype, self._a1t.dtype)
+        out = ensure_buffer("out", out, (L, n, q), dtype)
+        gathered = self._scratch("gather", gather, self._gather_shape, values.dtype)
+        products = self._scratch("product", product, self._product_shape, dtype)
+        flat = values.reshape(-1, q)
+        calls = []
         for t0, size, rows, a1t, a0t, weights, aligned in self._groups:
-            g = gather[:size * L]
+            g = gathered[:size * L]
             # the rows are in range by construction; mode="clip" only spares
             # the buffered copy that take(..., out=) makes under mode="raise"
-            flat.take(rows, axis=0, out=g.reshape(-1, q), mode="clip")
+            calls.append((flat.take, (rows, 0, g.reshape(-1, q), "clip")))
             alone = t0 == 0 and size == 1  # formed in the result itself
             if aligned is None:
                 acc = g[:, 1:]
                 if alone:
-                    res[...] = acc
+                    calls.append((np.copyto, (out, acc)))
             else:
-                acc = res if alone else product[:size * L]
-                part = product[:L] if alone else product[size * L:2 * size * L]
+                acc = out if alone else products[:size * L]
+                part = products[:L] if alone else products[size * L:2 * size * L]
                 # batched (n_el, q) @ (q, q)^T per leading slice
-                np.matmul(g[:, 1:], a1t, out=acc)
-                np.matmul(g[:, :-1], a0t, out=part)
-                acc += part
-                for i in aligned:  # copied, as a one-term operator does
-                    acc[i * L:(i + 1) * L] = g[i * L:(i + 1) * L, 1:]
-            if alone:
-                continue
-            first = 0
-            if t0 == 0:
-                # the unweighted first term plus the second, in one call
-                term = acc[L:2 * L]
-                term *= weights[1]
-                np.add(acc[:L], term, out=res)
-                first = 2
-            for i in range(first, size):
+                calls += [(np.matmul, (g[:, 1:], a1t, acc)),
+                          (np.matmul, (g[:, :-1], a0t, part)),
+                          (np.add, (acc, part, acc))]
+                # aligned terms are copied, as a one-term operator does
+                calls += [(np.copyto, (acc[i * L:(i + 1) * L], g[i * L:(i + 1) * L, 1:]))
+                          for i in aligned]
+            # weighted terms added in order; the unweighted first term and
+            # the second are added in one call
+            for i in range(0 if t0 else 1, size):
                 term = acc[i * L:(i + 1) * L]
-                term *= weights[i]
-                res += term
-        return out
+                total = acc[:L] if t0 == 0 and i == 1 else out
+                calls += [(np.multiply, (term, weights[i], term)), (np.add, (total, term, out))]
+        return values, values.shape, out, gather, product, tuple(calls)
 
     def _scratch(self, name: str, buf, shape: tuple, dtype) -> np.ndarray:
         """The leading ``shape[0]`` rows of scratch ``buf``, or a new array;
@@ -342,13 +350,11 @@ class ShiftOperator:
         ``shape`` apart from a leading axis at least as long."""
         if buf is None:
             return np.empty(shape, dtype)
-        full = buf[None] if self.scalar else buf
-        if (full.dtype != dtype or not full.flags.c_contiguous or full.ndim != 3
-                or full.shape[1:] != shape[1:] or full.shape[0] < shape[0]):
-            want = shape[1:] if self.scalar else shape
+        if (buf.dtype != dtype or not buf.flags.c_contiguous or buf.ndim != 3
+                or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]):
             raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array "
-                             f"of shape {want} or longer, got {buf.dtype} {buf.shape}")
-        return full[:shape[0]]
+                             f"of shape {shape} or longer, got {buf.dtype} {buf.shape}")
+        return buf[:shape[0]]
 
 
 def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.ndarray:
@@ -371,8 +377,10 @@ def advect(field: DGField, velocity, tau: float) -> DGField:
     periodic wrap; mass is preserved exactly.
     """
     shifts = np.asarray(velocity, dtype=float) * tau
-    op = ShiftOperator(field.mesh, field.degree, shifts)
-    return DGField(mesh=field.mesh, values=op.apply(field.values))
+    op = ShiftOperator(field.mesh, field.degree, shifts.reshape(-1))
+    # a scalar velocity remaps the field as the one slice of a stack
+    values = op.apply(field.values.reshape((shifts.size,) + field.values.shape[-2:]))
+    return DGField(mesh=field.mesh, values=values.reshape(field.values.shape))
 
 
 def fourier_coefficient(field: DGField, mode: int, n_quad: int = 16) -> np.ndarray:

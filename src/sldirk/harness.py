@@ -110,6 +110,10 @@ class ConvergenceStudy:
         if len(set(out.cfl_values)) < 3:
             raise ValueError(f"slope fitting needs at least 3 CFL values that differ, "
                              f"got {out.cfl_values}")
+        for what, items in (("tableau", out.tableaus), ("eps", out.eps_values),
+                            ("CFL", out.cfl_values)):
+            if len(set(items)) < len(items):
+                raise ValueError(f"each {what} may be given once in a sweep, got {items}")
         if not out.ref_cfl > 0.0:
             raise ValueError(f"reference CFL {out.ref_cfl} must be positive")
         if out.ref_cfl >= min(out.cfl_values):

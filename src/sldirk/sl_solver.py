@@ -29,9 +29,11 @@ slots of that buffer: the values shifted by c_k * dt, plus each increment
 j with a_kj != 0 shifted by (c_k - c_j) * dt and weighted by dt * a_kj.
 The operator forms and adds the terms in groups that fit its gather byte
 budget, with the bits of one remap per term added in order.  The s stage
-operators of the current dt are cached and rebuilt when dt changes.  A
-step allocates no field-sized array except the one it returns, and no
-returned array is ever a workspace.
+operators of the current dt are cached and rebuilt when dt changes; a
+workspace keeps one view per remap input and increment slot, so a warm
+step hands each operator the arrays of its kept binding and runs only its
+kernels.  A step allocates no field-sized array except the one it
+returns, and no returned array is ever a workspace.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class _Workspace:
         self.predicted = np.empty(shape, dtype)
         # the product rows are free between remaps
         self.spare = self.product[:lead]
+        # the leading b slots, the remap input of b blocks, and each increment slot
+        self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
+        self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
 
 
 class SemiLagrangianSolver:
@@ -174,17 +179,15 @@ class SemiLagrangianSolver:
         A = self.tableau.A
         last = self.tableau.s - 1
         ws = self._workspace(values)
-        lead = values.shape[0]
-        stacked, predicted, spare = ws.stages, ws.predicted, ws.spare
-        stacked[:lead] = values
+        predicted, spare = ws.predicted, ws.spare
+        ws.inputs[0][...] = values  # the step-start slot
         stages: list[np.ndarray] = []
         for k, op in enumerate(self._stage_operators(dt)):
-            op.apply(stacked[:op.n_blocks * lead], predicted,
-                     gather=ws.gather, product=ws.product)
+            op.apply(ws.inputs[op.n_blocks - 1], predicted, gather=ws.gather, product=ws.product)
             # stiff accuracy: only the last stage is the step output, and
             # only the earlier stages' increments are read again; the last
             # equilibrium is built in the output array itself
-            M = np.empty_like(predicted) if k == last else stacked[(k + 1) * lead:(k + 2) * lead]
+            M = np.empty_like(predicted) if k == last else ws.slots[k]
             try:
                 self.model.equilibrium(self.model.moments(predicted), out=M, scratch=spare)
             except UnphysicalStateError as exc:

@@ -167,6 +167,15 @@ def test_simulate_writes_snapshots(capsys, tmp_path):
     assert abs(mass[-1] - mass[0]) < 1e-12 * abs(mass[0])
 
 
+def test_simulate_states_the_stiffness_regime(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                           "--eps", "1e-3", "--cfl", "0.5", "--T", "0.02")
+    assert code == 0
+    match = re.search(r"\(dt = (\S+), xi = dt/eps = (\S+)\)$", out.splitlines()[0])
+    cfg, _ = harness.build_case("linear", "DIRK3-B10", 1e-3, 0.5, n_elements=8)
+    assert (float(match[1]), float(match[2])) == (cfg.dt, cfg.dt / 1e-3)
+
+
 def test_simulate_bgk_macro_columns(capsys, tmp_path):
     prefix = str(tmp_path / "gas")
     code, _, _ = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "16",
@@ -404,6 +413,9 @@ def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragmen
     (("--tableaus", "BE,NOPE"), "'NOPE' is neither a catalog tableau"),
     (("--eps", "1e-2,nan"), "eps must be finite and positive"),
     (("--p", "7"), "degree 7"),
+    (("--tableaus", "BE,DIRK2,BE"), "each tableau may be given once"),
+    (("--eps", "1e-2,0.01"), "each eps may be given once"),
+    (("--cfls", "0.2,0.4,0.8,0.4"), "each CFL may be given once"),
 ])
 def test_convergence_bad_sweep_input_exits_2_before_any_run(capsys, monkeypatch, args,
                                                             fragment):

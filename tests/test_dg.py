@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -151,7 +154,7 @@ def _fancy_index_apply(op, shifts, values):
     """Remap by 2-D fancy indexing, the formula ShiftOperator.apply had
     before it gathered rows through flat indices; kept as the reference."""
     mesh = op.mesh
-    z = np.atleast_1d(np.asarray(shifts, dtype=float)) / mesh.dx
+    z = np.asarray(shifts, dtype=float) / mesh.dx
     nearest = np.round(z)
     z = np.where(np.abs(z - nearest) <= 1e-12 * (1.0 + np.abs(z)), nearest, z)
     cells = np.floor(z)
@@ -160,14 +163,12 @@ def _fancy_index_apply(op, shifts, values):
     tgt = np.arange(n)
     idx0 = (tgt[None, :] - cells[:, None] - 1) % n
     idx1 = (tgt[None, :] - cells[:, None]) % n
-    vals = values[None] if op.scalar else values
-    lead = np.arange(vals.shape[0])[:, None]
+    lead = np.arange(values.shape[0])[:, None]
     if op._pure_roll:
-        out = vals[lead, idx1]
-    else:
-        out = vals[lead, idx1] @ op._a1t
-        out += vals[lead, idx0] @ op._a0t
-    return out[0] if op.scalar else out
+        return values[lead, idx1]
+    out = values[lead, idx1] @ op._a1t
+    out += values[lead, idx0] @ op._a0t
+    return out
 
 
 @pytest.mark.parametrize("degree", [0, 2, 4])
@@ -189,11 +190,11 @@ def test_shift_operator_matches_fancy_index_formula(degree, rng):
         assert np.array_equal(out, _fancy_index_apply(op, shifts, values)), name
         assert not np.shares_memory(out, values)
     for shift in (0.37 * dx, -4.6 * dx, 5.25 * mesh.length, 3.0 * dx, -50.0 * dx):
-        op = ShiftOperator(mesh, degree, shift)
-        values = rng.normal(size=(24, degree + 1))
+        op = ShiftOperator(mesh, degree, [shift])
+        values = rng.normal(size=(1, 24, degree + 1))
         out = op.apply(values)
         assert out.shape == values.shape
-        assert np.array_equal(out, _fancy_index_apply(op, shift, values))
+        assert np.array_equal(out, _fancy_index_apply(op, [shift], values))
 
 
 _PER_SLICE_SHIFTS = {
@@ -208,14 +209,15 @@ _PER_SLICE_SHIFTS = {
 @pytest.mark.parametrize("degree", [0, 2, 4])
 def test_shift_operator_out_matches_fresh_apply(degree, rng):
     # apply(values, out) and apply with caller scratch give the bits of a
-    # fresh apply, also in place, for a scalar shift, complex values and
+    # fresh apply, also in place, for a one-slice shift, complex values and
     # pure rolls
     mesh = Mesh1D(-1.0, 1.0, 24)
     cases = [(name, shifts * mesh.dx) for name, shifts in _PER_SLICE_SHIFTS.items()]
-    cases += [("scalar", 0.37 * mesh.dx), ("scalar-aligned", -4.0 * mesh.dx)]
+    cases += [("one-slice", np.array([0.37]) * mesh.dx),
+              ("one-slice-aligned", np.array([-4.0]) * mesh.dx)]
     for name, shifts in cases:
         op = ShiftOperator(mesh, degree, shifts)
-        lead = () if op.scalar else (len(shifts),)
+        lead = (len(shifts),)
         real = rng.normal(size=lead + (24, degree + 1))
         for values in (real, real + 1j * rng.normal(size=real.shape)):
             fresh = op.apply(values)
@@ -344,6 +346,103 @@ def test_multi_term_shift_rejects_bad_terms():
     # scratch too short for one group of two terms
     with pytest.raises(ValueError, match="product"):
         op.apply(np.zeros((6, 8, 2)), product=np.zeros((2, 8, 2)))
+
+
+def _three_term_operator(mesh):
+    """A three-term remap of 3 slices and caller buffers for one apply."""
+    op = ShiftOperator(mesh, 2, _TERM_SHIFTS[:3] * mesh.dx, weights=(0.5, -1.25))
+    gather_shape, product_shape = ShiftOperator.scratch_shapes((3, mesh.n_elements, 3), 3)
+    return op, lambda: {"out": np.full((3, mesh.n_elements, 3), np.nan),
+                        "gather": np.full(gather_shape, np.nan),
+                        "product": np.full(product_shape, np.nan)}
+
+
+def test_kept_binding_reads_values_changed_in_place(rng, monkeypatch):
+    # repeated applies on the same four arrays bind once and then run the
+    # kept kernels on what the values hold by then; values that are not
+    # C-contiguous, or a missing buffer, keep no binding
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    op, buffers = _three_term_operator(mesh)
+    binds = []
+    bind = ShiftOperator._bind
+    monkeypatch.setattr(ShiftOperator, "_bind", lambda *args: binds.append(1) or bind(*args))
+    for order, expected_binds in (("C", [1, 0, 0, 0]), ("F", [1, 1, 1, 1])):
+        values = np.asarray(rng.normal(size=(9, 24, 3)), order=order)
+        bufs = buffers()
+        warm_binds = []
+        for _ in range(4):
+            values[...] = rng.normal(size=values.shape)
+            expected = ShiftOperator(mesh, 2, _TERM_SHIFTS[:3] * mesh.dx,
+                                     weights=(0.5, -1.25)).apply(values.copy())
+            assert np.array_equal(op.apply(values.copy(), gather=bufs["gather"]), expected)
+            n = len(binds)
+            assert op.apply(values, **bufs) is bufs["out"]
+            warm_binds.append(len(binds) - n)
+            assert np.array_equal(bufs["out"], expected), order
+        assert warm_binds == expected_binds, order
+
+
+def test_swapped_buffer_rebinds(rng):
+    # a new out, gather or product gets the work; the one it replaced is
+    # left as it was
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    op, buffers = _three_term_operator(mesh)
+    values = rng.normal(size=(9, 24, 3))
+    expected = op.apply(values)
+    bufs = buffers()
+    op.apply(values, **bufs)
+    for name in ("out", "gather", "product", "out"):
+        old, bufs[name] = bufs[name], np.full_like(bufs[name], np.nan)
+        old[...] = 7.0
+        result = op.apply(values, **bufs)
+        assert result is bufs["out"] and np.array_equal(result, expected), name
+        assert not np.isnan(bufs[name]).all(), name
+        assert (old == 7.0).all(), name
+
+
+def test_bad_buffer_raises_after_a_kept_binding():
+    mesh = Mesh1D(0.0, 1.0, 8)
+    op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))
+    values = np.ones((2, 8, 2))
+    good = {"out": np.empty((2, 8, 2)), "gather": np.empty((2, 9, 2)),
+            "product": np.empty((2, 8, 2))}
+    for name, buf in (("out", np.zeros((2, 8, 3))), ("out", np.zeros((2, 8, 2), complex)),
+                      ("gather", np.zeros((2, 9, 2), np.float32)),
+                      ("product", np.zeros((2, 9, 2)))):
+        op.apply(values, **good)
+        with pytest.raises(ValueError, match=name):
+            op.apply(values, **{**good, name: buf})
+    # the same values object reshaped in place binds again and is rejected
+    op.apply(values, **good)
+    values.shape = (1, 16, 2)
+    with pytest.raises(ValueError, match="do not match"):
+        op.apply(values, **good)
+
+
+def test_threads_sharing_an_operator_get_serial_bits(rng):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    op, buffers = _three_term_operator(mesh)
+    inputs = [rng.normal(size=(9, 24, 3)) for _ in range(2)]
+    expected = [op.apply(values) for values in inputs]
+
+    def work(i):
+        bufs = buffers()
+        wrong = 0
+        for _ in range(200):
+            bufs["out"].fill(np.nan)  # a result written elsewhere shows as NaN
+            wrong += not np.array_equal(op.apply(inputs[i], **bufs), expected[i])
+        return wrong
+
+    # switch threads as often as the interpreter allows, so the two
+    # interleave between the key check, the binding and the kernels
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(work, i) for i in range(2)]
+            assert [future.result(timeout=60) for future in futures] == [0, 0]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_advect_complex_values():

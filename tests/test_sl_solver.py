@@ -489,6 +489,40 @@ def test_operator_cache_holds_one_step_size():
     assert not any(a is b for a, b in zip(solver._ops, ops))
 
 
+def test_warm_step_runs_kept_remap_bindings(monkeypatch):
+    # a warm step makes one apply per stage on the bindings its operators
+    # kept; a new dt builds and binds new operators, once
+    cfg = _linear_cfg(tableau="DIRK3-B10", n=20)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                                * (1.5 if v > 0 else 0.5)).values
+    values = solver.step_values(values, cfg.dt)
+    calls = {"__init__": 0, "apply": 0, "_bind": 0}
+
+    def counted(name):
+        fn = getattr(ShiftOperator, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    s = cfg.tableau.s
+    for dt, built in ((cfg.dt, 0), (cfg.dt, 0), (0.5 * cfg.dt, s), (0.5 * cfg.dt, 0)):
+        expected = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
+                                        cfg.eps).step_values(values, dt)
+        with monkeypatch.context() as patch:
+            for name in calls:
+                calls[name] = 0
+                patch.setattr(ShiftOperator, name, counted(name))
+            out = solver.step_values(values, dt)
+        assert calls == {"__init__": built, "apply": s, "_bind": built}, dt
+        assert np.array_equal(out, expected), dt
+        (ws,) = solver._workspaces.values()
+        assert all(op._bound[0] is ws.inputs[op.n_blocks - 1] for op in solver._ops)
+        values = out
+
+
 def _dt_weighted_step(solver, values, dt):
     """Reference stage update with the plain prediction-correction weight dt
     in place of a_kk * dt.  It is inconsistent with the stage equations
