@@ -9,18 +9,16 @@ maps the coefficient pair through a product of stage factors:
 * diagonal phase factors exp(-+ i * k * shift) from the characteristic
   shifts of the Shu-Osher combination.
 
-Everything reduces to closed-form 2x2 complex algebra.  Scans never stack
-tiny matrices: for one b at a time, the one-step map is held as four
-contiguous complex planes m[r, c] of shape (n_kdt, n_xi), in one array of
-shape (2, 2, n_kdt, n_xi).  The stage recursion runs one column of the map
-at a time, so a stage holds two planes.  The phase factors are (n_kdt, 1)
-columns that scale planes, the real stage inverses are (n_xi,) rows whose
-entries combine planes by elementwise scaled sums, and the eigenvalues come
-from the trace and determinant of the planes, so each b lands in the
-contiguous slice ``rho[i]`` of the (n_b, n_kdt, n_xi) result.
-``amplification`` runs the same kernel on a one-point grid.  The stiff
-limit xi -> infinity is handled analytically by the equilibrium projection
-instead of a large finite xi, which would cancel catastrophically.
+Since J = -(I - P0), with P0 the equilibrium projection, each stage
+inverse is P0 + r (I - P0) with r = 1 / (1 + a_kk * xi), so the map is a
+polynomial M = sum_kappa R_kappa(xi) N_kappa(b, k_dt) in the r of the
+distinct diagonal weights (s + 1 terms for a singly diagonal tableau).
+Per b, a scan builds the coefficients N over the k_dt grid, one real
+matrix product with R writes the entry planes m[r, c] of shape
+(n_kdt, n_xi), and their eigenvalue magnitudes go into the slices of the
+(n_b, n_kdt, n_xi) result.  ``amplification`` runs the same kernel on a
+one-point grid.  At xi = inf all r vanish and only kappa = 0 survives: the
+stiff limit is exact, with no large finite xi and no inf / inf.
 """
 
 from __future__ import annotations
@@ -30,18 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butcher import ButcherTableau, ShuOsherForm, to_shu_osher
+from .dg import ensure_buffer
 
 #: distinguished value for the stiff limit dt/eps -> infinity
 XI_INF = np.inf
 
 
 def _check_grid(b, k_dt, xi):
-    """Raise ValueError unless b lies in [0, 1], k_dt is finite and >= 0 and
+    """Raise ValueError unless b lies in [-1, 1], k_dt is finite and >= 0 and
     xi >= 0 (inf allowed); NaN fails every check.  Accepts scalars or grids."""
     b, k_dt, xi = (np.asarray(g, dtype=float) for g in (b, k_dt, xi))
-    b_ok = (b >= 0.0) & (b <= 1.0)
+    b_ok = np.abs(b) <= 1.0
     if not np.all(b_ok):
-        raise ValueError(f"b values must lie in [0, 1], got {b[~b_ok]}")
+        raise ValueError(f"b values must lie in [-1, 1], got {b[~b_ok]}")
     if not np.all(np.isfinite(k_dt) & (k_dt >= 0.0)):
         raise ValueError("k_dt values must be finite and >= 0")
     if not np.all(xi >= 0.0):
@@ -106,113 +105,112 @@ def stage_inverse(a_ll: float, xi, b) -> np.ndarray:
     return out
 
 
-def _phase_pair(theta):
-    """Diagonal advection factor diag(exp(-i theta), exp(+i theta)) as (.., 2)."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape + (2,), dtype=complex)
-    out[..., 0] = np.exp(-1j * theta)
-    out[..., 1] = np.exp(1j * theta)
-    return out
+def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):
+    """The b-independent factors of the expanded map, built once per grid.
 
-
-def _stage_factors(so: ShuOsherForm, b_grid, kdt_grid, xi_grid):
-    """Factors of the stage recursion, computed once per grid.
-
-    Phase factors depend on k_dt only: ``start[l]`` is the diagonal of B_l
-    and ``coupling[l][j]`` that of C_lj, each as (2, nk, 1) columns that
-    scale the planes of a row.  Real stage inverses depend on (b, xi) only:
-    ``ainv[l][r, c, i]`` is the contiguous (nxi,) row of entry (r, c) at
-    b_grid[i].
+    ``start[l]`` is the diagonal of B_l as (2, nk) rows and ``coupling[l][j]``
+    that of C_lj as a (2, 1, nk, 1) column.  The terms kappa count the
+    stages of each distinct weight a_g, flattened in C order, so a factor
+    r_g = 1 / (1 + a_g * xi) moves a term ``shift[l]`` places up for the
+    weight of stage l.  ``weights`` is the real kron(R, I_2), with
+    R[kappa, xi] = prod_g r_g^kappa_g, applied to real and imaginary parts.
     """
     w, c = so.b_coeffs, so.c
-    start = [((1.0 - w[l, :l].sum()) * _phase_pair(c[l] * kdt_grid)).T[:, :, None]
-             for l in range(so.s)]
-    coupling = [[(w[l, j] * _phase_pair((c[l] - c[j]) * kdt_grid)).T[:, :, None]
+    sign = np.array([[-1j], [1j]])
+    start = [(1.0 - w[l, :l].sum()) * np.exp(sign * (c[l] * kdt_grid)) for l in range(so.s)]
+    coupling = [[(w[l, j] * np.exp(sign * ((c[l] - c[j]) * kdt_grid)))[:, None, :, None]
                  for j in range(l)] for l in range(so.s)]
-    # singly diagonal tableaus share one inverse between all stages
-    by_weight = {a_ll: np.ascontiguousarray(
-        stage_inverse(a_ll, xi_grid[None, :], b_grid[:, None]).transpose(2, 3, 0, 1))
-        for a_ll in set(so.diag.tolist())}
-    return start, coupling, [by_weight[a_ll] for a_ll in so.diag.tolist()]
+    a_g, group = np.unique(so.diag, return_inverse=True)
+    dims = np.bincount(group) + 1
+    stride = np.array([np.prod(dims[g + 1:]) for g in range(len(dims))])
+    r = 1.0 / (1.0 + a_g[:, None] * xi_grid)
+    kappa = np.indices(dims).reshape(len(dims), -1)
+    weights = np.kron(np.prod(r[:, None, :] ** kappa[:, :, None], axis=0), np.eye(2))
+    return start, coupling, stride[group], weights
 
 
-def _one_step_planes(start, coupling, ainv, i) -> np.ndarray:
-    """One-step map at b_grid[i] as planes m[r, c], shape (2, 2, nk, nxi).
+def _one_step_planes(b: float, factors, out) -> np.ndarray:
+    """Write the one-step map at ``b`` into ``out``, as complex planes
+    m[r, c] of shape (2, 2, nk, nxi), and return it.
 
-    The stage recursion accumulates E_l = B_l + sum_{j<l} C_lj X_j with
-    diagonal B_l, C_lj and X_l = A_l^{-1} E_l; the map is the last X_l.
-    Each column of the map is the response to one unit start vector, so
-    the columns run one after the other: a stage holds one (2, nk, nxi)
-    column, E_l is built in X_l's buffer, and the inverse is applied with
-    two plane temporaries.
+    The stage recursion E_l = B_l + sum_{j<l} C_lj X_j, X_l = A_l^{-1} E_l
+    runs on coefficients of shape (2, 2, nk, n_terms).  A_l^{-1} keeps each
+    term under P0 and moves it one power of r_g up under I - P0 = -J.  One
+    real matrix product with the weights sums the terms of the last stage.
     """
-    s = len(start)
-    nk, nxi = start[0].shape[1], ainv[0].shape[-1]
-    m = np.empty((2, 2, nk, nxi), dtype=complex)
-    row = np.empty((nk, nxi), dtype=complex)
-    tmp = np.empty_like(row)
-    for col in range(2):
-        stages = []
-        for l in range(s):
-            a = ainv[l][:, :, i]
-            x = m[:, col] if l == s - 1 else np.empty((2, nk, nxi), dtype=complex)
-            if l == 0:
-                # E_0 = B_0 e_col, so X_0[r] = a[r, col] * B_0[col]
-                for r in range(2):
-                    np.multiply(start[0][col], a[r, col], out=x[r])
-            else:
-                np.multiply(coupling[l][0], stages[0], out=x)
-                x[col] += start[l][col]
-                for j in range(1, l):
-                    for r in range(2):
-                        np.multiply(coupling[l][j][r], stages[j][r], out=tmp)
-                        x[r] += tmp
-                np.multiply(x[0], a[0, 0], out=row)
-                np.multiply(x[1], a[0, 1], out=tmp)
-                row += tmp
-                x[1] *= a[1, 1]
-                np.multiply(x[0], a[1, 0], out=tmp)
-                x[1] += tmp
-                x[0] = row
-            stages.append(x)
-    return m
+    start, coupling, shift, weights = factors
+    p0, q = equilibrium_projection(b), -relaxation_jacobian(b)
+    nk = start[0].shape[1]
+    stages = []
+    for l in range(len(start)):
+        e = np.zeros((2, 2, nk, weights.shape[0] // 2), dtype=complex)
+        e[0, 0, :, 0], e[1, 1, :, 0] = start[l]
+        for j in range(l):
+            e += coupling[l][j] * stages[j]
+        x = (p0 @ e.reshape(2, -1)).reshape(e.shape)
+        x[..., shift[l]:] += (q @ e.reshape(2, -1)).reshape(e.shape)[..., :-shift[l]]
+        stages.append(x)
+    coeffs = stages[-1].view(np.float64).reshape(4 * nk, -1)
+    np.matmul(coeffs, weights, out=out.view(np.float64).reshape(4 * nk, -1))
+    return out
 
 
 def amplification(t: ButcherTableau, p: StabilityPoint) -> AmplificationMatrix:
     """One-step amplification matrix of tableau ``t`` at point ``p``."""
-    factors = _stage_factors(to_shu_osher(t), np.array([p.b]),
-                             np.array([p.k_dt]), np.array([p.xi]))
-    m = _one_step_planes(*factors, 0)[:, :, 0, 0].copy()
-    return AmplificationMatrix(m=m, tableau_name=t.name, point=p)
+    factors = _grid_factors(to_shu_osher(t), np.array([p.k_dt]), np.array([p.xi]))
+    m = _one_step_planes(p.b, factors, np.empty((2, 2, 1, 1), dtype=complex))
+    return AmplificationMatrix(m=m[:, :, 0, 0].copy(), tableau_name=t.name, point=p)
 
 
-def eigenvalues_2x2(m):
-    """Eigenvalues of stacked 2x2 complex matrices, sorted by magnitude.
+def eigenvalues_2x2(m, out=None, scratch=None):
+    """Eigenvalue magnitudes (small, large) of stacked 2x2 complex matrices.
 
-    Uses the quadratic formula with a cancellation-safe branch: the root
-    aligned with the trace is computed first, the other as det / lambda_1.
-    Returns (small, large) arrays of shape m.shape[:-2].  Only the four
-    entry planes ``m[..., r, c]`` are read, so a transposed view of planes
-    (2, 2, ...) is used without a copy.
+    The root aligned with the trace, lambda_1 = (tr + sqrt(d)) / 2, has no
+    cancellation, and the other is det / lambda_1.  The discriminant
+    d = (m00 - m11)^2 + 4 m01 m10, unlike tr^2 - 4 det, stays accurate near
+    a double eigenvalue.  Only the planes ``m[..., r, c]`` are read, so a
+    transposed view of planes (2, 2, ...) needs no copy.  The magnitudes go
+    into the float pair ``out`` via ``scratch``, a complex array of shape
+    (3,) + m.shape[:-2]; new ones are made when None.
     """
     m = np.asarray(m)
+    shape = m.shape[:-2]
+    small, large = (None, None) if out is None else out
+    small, large = (ensure_buffer("out", a, shape, np.float64) for a in (small, large))
+    scratch = ensure_buffer("scratch", scratch, (3,) + shape, np.complex128)
+    sq, tr, tmp = scratch[0, ...], scratch[1, ...], scratch[2, ...]
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    tr = m00 + m11
-    det = m00 * m11 - m01 * m10
-    # complex, and an array even for a single matrix, so the steps below
-    # can work in place
-    sq = np.asarray(tr * tr - 4.0 * det + 0j)
-    np.sqrt(sq, out=sq)
-    # flip sq where it opposes tr so tr + sq never cancels
-    align = np.conj(tr) * sq
-    np.negative(sq, out=sq, where=align.real < 0.0)
-    lam_big = tr + sq
-    lam_big *= 0.5
-    lam_small = np.zeros_like(lam_big)
-    np.divide(det, lam_big, out=lam_small, where=lam_big != 0.0)
-    big = np.abs(lam_big)
-    small = np.abs(lam_small)
-    return np.minimum(small, big), np.maximum(small, big)
+    np.subtract(m00, m11, out=sq)
+    np.multiply(sq, sq, out=sq)
+    np.multiply(m01, m10, out=tmp)
+    tmp *= 4.0
+    sq += tmp
+    # sqrt(d) in real parts, as accurate as and cheaper than a complex sqrt: with
+    # u = sqrt((|d| + |Re d|) / 2), v = Im d / 2u, it is u + iv if Re d >= 0, else v + iu
+    x, y, u, v = sq.real, sq.imag, tmp.real, tmp.imag
+    np.add(np.abs(sq, out=large), np.abs(x, out=small), out=large)
+    np.sqrt(np.multiply(large, 0.5, out=large), out=u)
+    v.fill(0.0)
+    np.divide(0.5 * y, u, out=v, where=u != 0.0)
+    swap = x < 0.0
+    np.copyto(sq, tmp)
+    np.copyto(x, v, where=swap)
+    np.copyto(y, u, where=swap)
+    # the larger |tr +- sqrt(d)| / 2 is |lambda_1|, whichever root sq holds
+    np.add(m00, m11, out=tr)
+    np.abs(np.add(tr, sq, out=tmp), out=large)
+    np.abs(np.subtract(tr, sq, out=tmp), out=small)
+    np.maximum(large, small, out=large)
+    large *= 0.5
+    np.multiply(m00, m11, out=tmp)
+    np.multiply(m01, m10, out=sq)
+    np.abs(np.subtract(tmp, sq, out=tmp), out=small)
+    np.divide(small, large, out=small, where=large != 0.0)
+    # where lambda_1 = 0 both roots vanish and small holds |det|, a rounding
+    np.maximum(small, large, out=tr.real)
+    np.minimum(small, large, out=small)
+    np.copyto(large, tr.real)
+    return small, large
 
 
 def spectral_radius(m) -> float:
@@ -254,24 +252,24 @@ class StabilityScan:
 def scan(t: ButcherTableau, b_grid, kdt_grid, xi_grid) -> StabilityScan:
     """Evaluate both eigenvalue magnitudes over the full parameter grid.
 
-    xi entries may include ``inf``.  Each b is evaluated vectorized over
-    the (k_dt, xi) plane, so points are independent and the output is
-    deterministic regardless of execution order.  Raises ValueError for
-    empty grids and for values ``_check_grid`` rejects.
+    xi entries may include ``inf``.  Each b is evaluated on its own by the
+    same operations, so a row's bits do not depend on the other b values
+    or their order.  Raises ValueError for empty grids and for values
+    ``_check_grid`` rejects.
     """
-    b_grid = np.atleast_1d(np.asarray(b_grid, dtype=float))
-    kdt_grid = np.atleast_1d(np.asarray(kdt_grid, dtype=float))
-    xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
+    b_grid, kdt_grid, xi_grid = (np.atleast_1d(np.asarray(g, dtype=float))
+                                 for g in (b_grid, kdt_grid, xi_grid))
     if b_grid.size == 0 or kdt_grid.size == 0 or xi_grid.size == 0:
         raise ValueError("scan grids must be nonempty")
     _check_grid(b_grid, kdt_grid, xi_grid)
-    lo = np.empty((len(b_grid), len(kdt_grid), len(xi_grid)))
-    hi = np.empty_like(lo)
-    factors = _stage_factors(to_shu_osher(t), b_grid, kdt_grid, xi_grid)
-    for i in range(len(b_grid)):
-        m = np.moveaxis(_one_step_planes(*factors, i), (0, 1), (-2, -1))
-        lo[i], hi[i] = eigenvalues_2x2(m)
-        del m  # free the map before the next one is built
+    factors = _grid_factors(to_shu_osher(t), kdt_grid, xi_grid)
+    lo, hi = np.empty((2, len(b_grid), len(kdt_grid), len(xi_grid)))
+    planes = np.empty((2, 2) + lo.shape[1:], dtype=complex)
+    m = np.moveaxis(planes, (0, 1), (-2, -1))
+    scratch = np.empty((3,) + lo.shape[1:], dtype=complex)
+    for i, b in enumerate(b_grid.tolist()):
+        _one_step_planes(b, factors, planes)
+        eigenvalues_2x2(m, out=(lo[i], hi[i]), scratch=scratch)
     return StabilityScan(tableau_name=t.name, b=b_grid, k_dt=kdt_grid,
                          xi=xi_grid, lam_small=lo, lam_large=hi)
 

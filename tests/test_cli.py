@@ -100,8 +100,15 @@ def test_stability_scan_bad_grid_exits_2(capsys):
     assert "b values" in err
 
 
+def test_stability_scan_accepts_negative_b(capsys):
+    code, out, _ = run_cli(capsys, "stability-scan", "--tableau", "DIRK2", "--b=-1:1:5",
+                           "--kdt", "0:6.2832:11", "--xi", "0,1,inf")
+    assert code == 0
+    assert "165 grid points" in out
+
+
 @pytest.mark.parametrize("grid", [("--xi", "-4"), ("--xi", "nan"), ("--kdt", "-1"),
-                                  ("--kdt", "nan"), ("--b", "nan")])
+                                  ("--kdt", "nan"), ("--b", "nan"), ("--b", "-1.5")])
 def test_stability_scan_invalid_grid_exits_2(capsys, grid):
     args = {"--b": "0.5", "--kdt": "1", "--xi": "1"}
     args[grid[0]] = grid[1]

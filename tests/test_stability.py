@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sldirk.butcher import catalog, get_tableau, to_shu_osher
+from sldirk.butcher import ButcherTableau, catalog, get_tableau, to_shu_osher
 from sldirk.stability import (XI_INF, StabilityPoint, amplification,
                               eigenvalues_2x2, equilibrium_projection,
                               relaxation_jacobian, scan, spectral_radius,
@@ -168,8 +168,10 @@ def test_amplification_matches_mode_recursion_oracle(rng):
 
 
 def test_stability_point_validation():
+    for b in (-1.0, -0.3, 1.0):
+        StabilityPoint(b, 1.0, 1.0)
     with pytest.raises(ValueError):
-        StabilityPoint(-0.1, 1.0, 1.0)
+        StabilityPoint(-1.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         StabilityPoint(0.5, -1.0, 1.0)
     with pytest.raises(ValueError):
@@ -202,6 +204,35 @@ def test_eigenvalues_2x2_real_input_against_numpy(rng):
     np.testing.assert_allclose(lo, ref[:, 0], rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(hi, ref[:, 1], rtol=1e-10, atol=1e-12)
     assert spectral_radius(np.array([[0.0, 2.0], [-2.0, 0.0]])) == pytest.approx(2.0)
+
+
+def test_eigenvalues_2x2_near_double_eigenvalue():
+    # tr^2 - 4 det cancels to about sqrt(eps) here; the entry-wise
+    # discriminant (m00 - m11)^2 + 4 m01 m10 does not
+    lo, hi = eigenvalues_2x2(np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+    assert abs(lo - (1.0 - 1e-9)) <= 1e-15
+    assert abs(hi - (1.0 + 1e-9)) <= 1e-15
+
+
+def test_eigenvalues_2x2_out_matches_allocating_call(rng):
+    planes = rng.normal(size=(2, 2, 7, 5)) + 1j * rng.normal(size=(2, 2, 7, 5))
+    planes[:, :, 0] = np.eye(2)[:, :, None]  # a zero discriminant
+    planes[0, 0, 1] = planes[1, 1, 1]        # a zero diagonal difference
+    m = np.moveaxis(planes, (0, 1), (-2, -1))
+    before = planes.copy()
+    lo, hi = eigenvalues_2x2(m)
+    out = (np.full((7, 5), np.nan), np.full((7, 5), np.nan))
+    scratch = np.full((3, 7, 5), np.nan, dtype=complex)
+    for _ in range(2):  # scratch left over from a call changes nothing
+        got = eigenvalues_2x2(m, out=out, scratch=scratch)
+        assert got[0] is out[0] and got[1] is out[1]
+        np.testing.assert_array_equal(out[0], lo)
+        np.testing.assert_array_equal(out[1], hi)
+    np.testing.assert_array_equal(planes, before)
+    with pytest.raises(ValueError, match="scratch"):
+        eigenvalues_2x2(m, scratch=np.empty((2, 7, 5), dtype=complex))
+    with pytest.raises(ValueError, match="out"):
+        eigenvalues_2x2(m, out=(np.empty((7, 5)), np.empty((7, 5), dtype=np.float32)))
 
 
 def test_spectral_radius_of_phase_diagonal():
@@ -408,9 +439,81 @@ def test_stage_inverse_broadcasts_over_xi_with_inf_column():
     ([0.5], [-1.0], [1.0]),
     ([0.5], [np.nan], [1.0]),
     ([1.5], [1.0], [1.0]),
-    ([-0.1, 0.5], [1.0], [1.0]),
+    ([-1.1, 0.5], [1.0], [1.0]),
     ([np.nan], [1.0], [1.0]),
 ])
 def test_scan_rejects_invalid_grids(grids):
     with pytest.raises(ValueError):
         scan(get_tableau("DIRK2"), *grids)
+
+
+# ---------------------------------------------------------------------------
+# the expanded map on grids
+# ---------------------------------------------------------------------------
+
+def test_grid_map_matches_butcher_oracle_off_the_catalog(rng):
+    # distinct diagonal weights make one expansion term per subset of the
+    # stages, 2^s in all, and weights (a, b, a) make 3 x 2 terms; xi = 0,
+    # large and inf weight the terms differently.
+    # Past xi ~ 1e3 the dense solves of the oracle lose digits themselves
+    # (about 1e-11 at xi = 1e6, where the expansion stays within 1e-15 of
+    # a 50-digit evaluation).
+    from sldirk.stability import _grid_factors, _one_step_planes
+    kdt = np.array([0.0, 1.1, 2.0 * np.pi])
+    xi = np.array([0.0, 0.7, 13.0, 1e3, XI_INF])
+    mixed = ButcherTableau("mixed", [[0.3, 0.0, 0.0], [0.2, 0.5, 0.0], [0.4, 0.3, 0.3]])
+    cases = [(mixed, 6)] + [(random_sa_dirk(rng, s, diag_lo=0.1), 2 ** s)
+                            for s in range(1, 6) for _ in range(3)]
+    for t, n_terms in cases:
+        factors = _grid_factors(to_shu_osher(t), kdt, xi)
+        assert factors[3].shape == (2 * n_terms, 2 * len(xi))
+        b = float(rng.uniform(-1.0, 1.0))
+        planes = np.empty((2, 2, len(kdt), len(xi)), dtype=complex)
+        _one_step_planes(b, factors, planes)
+        for j, k in enumerate(kdt):
+            for l, x in enumerate(xi):
+                ref = _butcher_oracle(t, b, k, x)
+                err = np.max(np.abs(planes[:, :, j, l] - ref))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), (t.A, b, k, x)
+
+
+def test_scan_row_independent_of_the_other_b_values():
+    t = get_tableau("DIRK3-B10")
+    b_grid = np.array([0.0, 0.15, 0.37, 0.5, 0.6, 0.85, 1.0])
+    kdt, xi = np.linspace(0.0, 2.0 * np.pi, 9), np.array([0.0, 0.5, 4.0, XI_INF])
+    full = scan(t, b_grid, kdt, xi)
+    for i, b in enumerate(b_grid):
+        one = scan(t, [b], kdt, xi)
+        np.testing.assert_array_equal(one.rho[0], full.rho[i])
+        np.testing.assert_array_equal(one.lam_small[0], full.lam_small[i])
+
+
+@pytest.mark.parametrize("name", ["BE", "DIRK2", "DIRK3-B2", "DIRK3-B10"])
+def test_radius_symmetric_in_b(name):
+    # the map at -b is the map at b with the two velocities swapped and
+    # complex conjugated, so the radii agree
+    t = get_tableau(name)
+    b = np.linspace(0.0, 1.0, 11)
+    kdt = np.linspace(0.0, 2.0 * np.pi, 41)
+    xi = np.concatenate([np.linspace(0.0, 10.0, 11), [XI_INF]])
+    plus, minus = scan(t, b, kdt, xi), scan(t, -b, kdt, xi)
+    np.testing.assert_allclose(minus.rho, plus.rho, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(minus.lam_small, plus.lam_small, rtol=0.0, atol=1e-12)
+
+
+def test_scan_working_set_is_a_few_planes():
+    # a scan keeps one map of four planes, three eigenvalue scratch planes
+    # and the small coefficient arrays; nothing of the size of the output
+    import tracemalloc
+    t = get_tableau("DIRK3-B10")
+    b = np.array([0.0, 0.6, 1.0])
+    kdt, xi = np.linspace(0.0, 2.0 * np.pi, 401), np.concatenate([np.linspace(0.0, 10.0, 101), [XI_INF]])
+    plane = len(kdt) * len(xi) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        result = scan(t, b, kdt, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = result.lam_small.nbytes + result.lam_large.nbytes
+    assert peak - outputs < 10 * plane
