@@ -9,6 +9,7 @@ rows in configuration order).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -326,9 +327,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: grid options, whose value may start with '-' without being a plain number
+_GRID_OPTIONS = ("--b", "--kdt", "--xi")
+
+
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """``argv`` with each grid option and a separate value that starts with
+    '-' and a digit, '.' or 'inf' joined as ``--option=value``: argparse
+    reads a separate ``-1:1:5`` as an unknown option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _GRID_OPTIONS and re.match(r"-(\d|\.|inf)", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SimulationError as exc:

@@ -167,6 +167,10 @@ def _fractional_matrices(nodes, weights, theta):
 #: (see ShiftOperator): a group's gather and products stay in a core's cache
 _GATHER_BUDGET = 256 * 1024
 
+#: gathered rows per block copy from which a group gathers by copying its
+#: slice runs (see ShiftOperator); below it one indexed ``take`` is faster
+_ROWS_PER_COPY = 256
+
 
 class ShiftOperator:
     """Conservative remap of DG values by fixed per-slice shift distances,
@@ -184,18 +188,27 @@ class ShiftOperator:
 
         S_0 x_0 + sum_{b >= 1} weights[b - 1] * S_b x_b.
 
-    Building precomputes, per term and slice, the flat rows in the
-    (B * L * n_el, q) view of the values that ``apply`` gathers in one
-    ``take`` into n_el+1 rows: row j holds source element j - cells - 1.
-    Target element i then reads its left piece (A0) from row i and its
-    aligned piece (A1) from row i + 1, so both operands of the two batched
-    (n_el, q) @ (q, q) products per slice are views of the one gather.
-    Terms whose shifts are all mesh-aligned skip the products and copy the
-    gathered rows, an exact permutation.
+    ``apply`` gathers each slice's source elements into n_el+1 rows: row j
+    holds source element j - cells - 1, periodically.  Target element i
+    then reads its left piece (A0) from row i and its aligned piece (A1)
+    from row i + 1, so both operands of the two batched (n_el, q) @ (q, q)
+    products per slice are views of the one gather.  Terms whose shifts
+    are all mesh-aligned skip the products and copy the gathered rows, an
+    exact permutation.
+
+    A slice's gather is a periodic rotation of its source rows, and
+    consecutive slices of one term with the same ``cells`` (one run per
+    distinct offset on a monotone velocity grid) rotate alike, so a run is
+    gathered by two block copies between views.  Building splits every
+    term into such runs.  A group whose copies move at least
+    ``_ROWS_PER_COPY`` rows each gathers by them; a group with runs too
+    short for that (as the two slices of a two-velocity model make)
+    gathers by one indexed ``take`` of flat rows in the (B * L * n_el, q)
+    view of the values, which building precomputes for it.
 
     Terms are processed in groups of as many as fit their gather of
     float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
-    ``take`` and two products per group, added into the result while they
+    gather and two products per group, added into the result while they
     are still in cache.  Each term is formed as a one-term operator forms
     it -- A1 product, plus A0 product, times its weight -- and added in
     term order, so the result has the bits of the one-term remaps combined
@@ -250,22 +263,35 @@ class ShiftOperator:
         # row j of slice l of term b's gather holds source element
         # j - cells - 1 of that slice of block blocks[b], periodically:
         # target i reads rows i (left piece) and i + 1
-        slices = (np.asarray(blocks)[:, None] * L + np.arange(L)).ravel()
-        self._rows = ((slices * n)[:, None]
-                      + (np.arange(n + 1)[None, :] - cells[:, None] - 1) % n).ravel()
+        sources = (np.asarray(blocks)[:, None] * L + np.arange(L)).ravel()
+        # the runs of slices with one cell offset, by flat (term, slice)
+        # index; each term's slice 0 starts one.  Per run: its first slice
+        # counted from its group's first term, its first source slice, its
+        # length and the source element of its gather row 0
+        per_term = cells.reshape(m, L)
+        starts = np.flatnonzero(np.c_[np.ones(m, bool), per_term[:, 1:] != per_term[:, :-1]])
+        runs = np.stack([starts, sources[starts], np.diff(starts, append=m * L),
+                         (-cells[starts] - 1) % n], axis=1)
+        run_bounds = np.searchsorted(starts // L, np.arange(m + 1))
         aligned = np.all(theta.reshape(m, -1) == 0.0, axis=1)
         self._pure_roll = bool(np.all(aligned))
         self._gather_shape, self._product_shape = self.scratch_shapes((L, n, q), m)
         per_group = self._gather_shape[0] // L
         weights = (None,) + self._weights
-        # per group: its first term, its number of terms, its gather rows,
-        # its A1 and A0 matrices, its weights (None for the first term) and
-        # the indices of its mesh-aligned terms (None when all of them are)
+        # per group: its first term, its number of terms, its flat gather
+        # rows (None when it copies its runs), its slice runs, its A1 and A0
+        # matrices, its weights (None for the first term) and the indices of
+        # its mesh-aligned terms (None when all of them are)
         self._groups = []
         for t0 in range(0, m, per_group):
             t1 = min(t0 + per_group, m)
-            rows, slices = slice(t0 * L * (n + 1), t1 * L * (n + 1)), slice(t0 * L, t1 * L)
-            self._groups.append((t0, t1 - t0, self._rows[rows], self._a1t[slices],
+            slices = slice(t0 * L, t1 * L)
+            group_runs = (runs[run_bounds[t0]:run_bounds[t1]] - [t0 * L, 0, 0, 0]).tolist()
+            rows = None
+            if (t1 - t0) * L * (n + 1) < 2 * len(group_runs) * _ROWS_PER_COPY:
+                rows = ((sources[slices] * n)[:, None]
+                        + (np.arange(n + 1) - cells[slices, None] - 1) % n).ravel()
+            self._groups.append((t0, t1 - t0, rows, group_runs, self._a1t[slices],
                                  self._a0t[slices], weights[t0:t1],
                                  None if aligned[t0:t1].all() else np.flatnonzero(aligned[t0:t1])))
         self._bound = (None,) * 6  # the binding kept, as _bind returns it
@@ -314,13 +340,20 @@ class ShiftOperator:
         out = ensure_buffer("out", out, (L, n, q), dtype)
         gathered = self._scratch("gather", gather, self._gather_shape, values.dtype)
         products = self._scratch("product", product, self._product_shape, dtype)
-        flat = values.reshape(-1, q)
         calls = []
-        for t0, size, rows, a1t, a0t, weights, aligned in self._groups:
+        for t0, size, rows, runs, a1t, a0t, weights, aligned in self._groups:
             g = gathered[:size * L]
-            # the rows are in range by construction; mode="clip" only spares
-            # the buffered copy that take(..., out=) makes under mode="raise"
-            calls.append((flat.take, (rows, 0, g.reshape(-1, q), "clip")))
+            if rows is None:
+                # gather row j of a run holds source element (j + first) % n
+                for dst, src, length, first in runs:
+                    calls += [(np.copyto, (g[dst:dst + length, :n - first],
+                                           values[src:src + length, first:])),
+                              (np.copyto, (g[dst:dst + length, n - first:],
+                                           values[src:src + length, :first + 1]))]
+            else:
+                # the rows are in range by construction; mode="clip" only spares
+                # the buffered copy that take(..., out=) makes under mode="raise"
+                calls.append((values.reshape(-1, q).take, (rows, 0, g.reshape(-1, q), "clip")))
             alone = t0 == 0 and size == 1  # formed in the result itself
             if aligned is None:
                 acc = g[:, 1:]

@@ -185,7 +185,8 @@ def maxwellian(v, rho, u, T, out=None, scratch=None):
     the trailing field axes, producing shape (n_v,) + field shape.  The
     result is built in ``out`` and ``scratch`` (float arrays of that shape,
     new ones when None) with the operations of the expression above, so it
-    equals the expression to the bit.
+    equals the expression to the bit; the square is divided by -2T, not
+    negated and divided by 2T, which IEEE sign symmetry makes the same.
     """
     v = np.asarray(v, dtype=float)
     rho, u, T = np.broadcast_arrays(np.asarray(rho, dtype=float),
@@ -200,8 +201,7 @@ def maxwellian(v, rho, u, T, out=None, scratch=None):
     np.copyto(scratch, u)
     np.subtract(out, scratch, out=out)
     np.square(out, out=out)
-    np.negative(out, out=out)
-    np.copyto(scratch, 2.0 * T)
+    np.copyto(scratch, -2.0 * T)
     np.divide(out, scratch, out=out)
     np.exp(out, out=out)
     np.copyto(scratch, rho / np.sqrt(2.0 * np.pi * T))
@@ -238,9 +238,16 @@ class BGK1D(KineticModel):
                                0.5 * self.velocity_set.w * v * v])
 
     def moments(self, f):
-        U = np.tensordot(self._wphi, f, axes=(1, 0))
+        U = self._velocity_sums(f)
         self.parameters(U)  # rejects rho <= 0 and T <= 0
         return U
+
+    def _velocity_sums(self, f):
+        """Quadrature sums of ``f`` (n_v, ...) against the three invariants,
+        shape (3,) + f.shape[1:]: the product that
+        ``np.tensordot(self._wphi, f, axes=(1, 0))`` makes, without its
+        Python wrapper."""
+        return np.dot(self._wphi, f.reshape(f.shape[0], -1)).reshape((3,) + f.shape[1:])
 
     @staticmethod
     def parameters(U):
@@ -285,7 +292,7 @@ class BGK1D(KineticModel):
         scale = np.maximum(np.abs(U[0]), 1e-300)
         for _ in range(self.newton_max_iter):
             M = maxwellian(v, rho, u, T, out, scratch)
-            res = np.tensordot(self._wphi, M, axes=(1, 0)) - U
+            res = self._velocity_sums(M) - U
             if np.max(np.abs(res) / scale) <= NEWTON_TOL:
                 return rho, u, T, M
             # columns of the 3x3 Jacobian: moments of dM/drho, dM/du, dM/dT
@@ -294,7 +301,7 @@ class BGK1D(KineticModel):
             dM = np.stack([M / rho,
                            M * dv / T,
                            M * (dv * dv / (2.0 * T * T) - 0.5 / T)], axis=-1)
-            J = np.tensordot(self._wphi, dM, axes=(1, 0))      # (3, ..., 3)
+            J = self._velocity_sums(dM)                        # (3, ..., 3)
             J = np.moveaxis(J, 0, -2)                          # (..., 3, 3)
             rhs = np.moveaxis(res, 0, -1)[..., None]           # (..., 3, 1)
             step = np.linalg.solve(J, rhs)[..., 0]

@@ -107,6 +107,19 @@ def test_stability_scan_accepts_negative_b(capsys):
     assert "165 grid points" in out
 
 
+def test_stability_scan_separate_negative_grid_value(capsys):
+    # a separate value that starts with '-' is the option's value, as with '='
+    outputs = []
+    for b in (["--b=-1:1:5"], ["--b", "-1:1:5"]):
+        outputs.append(run_cli(capsys, "stability-scan", "--tableau", "DIRK2", *b,
+                               "--kdt", "0:6.2832:11", "--xi", "0,1,inf"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert "165 grid points" in outputs[0][1]
+    code, _, err = run_cli(capsys, "stability-scan", "--tableau", "DIRK2", "--b", "0.5",
+                           "--kdt", "-1:1:3", "--xi", "-.5,1")
+    assert code == 2 and err == "error: k_dt values must be finite and >= 0\n"
+
+
 @pytest.mark.parametrize("grid", [("--xi", "-4"), ("--xi", "nan"), ("--kdt", "-1"),
                                   ("--kdt", "nan"), ("--b", "nan"), ("--b", "-1.5")])
 def test_stability_scan_invalid_grid_exits_2(capsys, grid):

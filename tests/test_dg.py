@@ -357,7 +357,21 @@ def _three_term_operator(mesh):
                         "product": np.full(product_shape, np.nan)}
 
 
+def _takes(op):
+    """The number of indexed ``take`` gathers in the operator's kept binding."""
+    return sum(getattr(kernel, "__name__", "") == "take" for kernel, _ in op._bound[5])
+
+
 def test_kept_binding_reads_values_changed_in_place(rng, monkeypatch):
+    _check_kept_binding(rng, monkeypatch, takes=1)
+
+
+def test_kept_binding_by_run_copies_reads_values_changed_in_place(rng, monkeypatch):
+    monkeypatch.setattr(dg, "_ROWS_PER_COPY", 0)
+    _check_kept_binding(rng, monkeypatch, takes=0)
+
+
+def _check_kept_binding(rng, monkeypatch, takes):
     # repeated applies on the same four arrays bind once and then run the
     # kept kernels on what the values hold by then; values that are not
     # C-contiguous, or a missing buffer, keep no binding
@@ -380,6 +394,85 @@ def test_kept_binding_reads_values_changed_in_place(rng, monkeypatch):
             warm_binds.append(len(binds) - n)
             assert np.array_equal(bufs["out"], expected), order
         assert warm_binds == expected_binds, order
+    assert _takes(op) == takes
+
+
+#: shifts of a monotone velocity grid, in cells: runs of 1-4 slices per offset
+_RAMP_SHIFTS = np.linspace(-2.6, 3.4, 13) * np.array([[1.0], [0.5], [-10.0]])
+
+
+def _both_gathers(monkeypatch):
+    """Yield once with every group gathering by its slice-run copies and
+    once with every group gathering by one ``take``."""
+    for rows_per_copy, name in ((0, "copies"), (1 << 40, "take")):
+        monkeypatch.setattr(dg, "_ROWS_PER_COPY", rows_per_copy)
+        yield name
+
+
+def _apply_bound(op, values):
+    """``op.apply(values)`` with caller buffers, so the binding is kept."""
+    gather_shape, product_shape = ShiftOperator.scratch_shapes(
+        (op._lead,) + values.shape[1:], len(op._weights) + 1)
+    result_dtype = np.promote_types(values.dtype, float)
+    return op.apply(values, np.empty((op._lead,) + values.shape[1:], result_dtype),
+                    gather=np.empty(gather_shape, values.dtype),
+                    product=np.empty(product_shape, result_dtype))
+
+
+def test_gather_by_run_copies_has_the_bits_of_the_take(rng, monkeypatch):
+    # aligned terms, an inf, multi-cell and negative shifts, monotone
+    # shifts (runs of several slices), shifts whose cell offsets change at
+    # every slice (runs of one slice), complex values
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    zigzag = np.array([[0.3, -2.4, 5.7, -0.2, 3.1, -7.9], [2.2, 0.6, -1.0, 31.5, 0.0, -0.7]])
+    cases = [(_RAMP_SHIFTS, (0, 1, 0), (0.5, -2.0)),
+             (_TERM_SHIFTS, (0, 1, 2, 3), (0.5, -1.25, 3.0)),
+             (_TERM_SHIFTS, (0, 3, 1, 3), (1e-3, 2.0, -0.7)),
+             (_TERM_SHIFTS, (2, 0, 0, 1), (0.1, 0.2, 0.3)),
+             (zigzag, (0, 1), (-0.4,)), (zigzag[::-1], (1, 1), (2.5,))]
+    for degree in (0, 2):
+        for shifts, blocks, weights in cases:
+            shifts = shifts * mesh.dx
+            lead = shifts.shape[1]
+            real = rng.normal(size=((max(blocks) + 1) * lead, 24, degree + 1))
+            real[4, 5, 0] = np.inf
+            for values in (real, real + 1j * rng.normal(size=real.shape)):
+                monkeypatch.setattr(dg, "_ROWS_PER_COPY", 1 << 40)
+                with np.errstate(invalid="ignore"):
+                    expected = _per_term_sum(mesh, degree, shifts, blocks, weights, values)
+                for path in _both_gathers(monkeypatch):
+                    op = ShiftOperator(mesh, degree, shifts, blocks=blocks, weights=weights)
+                    with np.errstate(invalid="ignore"):
+                        out = _apply_bound(op, values)
+                    assert np.array_equal(out, expected, equal_nan=True), (path, blocks)
+                    assert _takes(op) == (len(op._groups) if path == "take" else 0)
+    # the ramp runs one cell offset over several slices, the zigzag changes
+    # it at every slice; only a take group keeps flat gather rows
+    assert op._groups[0][2].size == op._gather_shape[0] * 25
+    monkeypatch.setattr(dg, "_ROWS_PER_COPY", 0)
+    op = ShiftOperator(mesh, 2, _RAMP_SHIFTS * mesh.dx, weights=(1.0, 1.0))
+    assert [run[2] for run in op._groups[0][3]] == [2] * 6 + [1] + [2, 4, 4, 3] + [1] * 13
+    op = ShiftOperator(mesh, 2, zigzag * mesh.dx, weights=(1.0,))
+    assert [run[2] for group in op._groups for run in group[3]] == [1] * zigzag.size
+    assert all(group[2] is None for group in op._groups)
+
+
+def test_one_term_gather_by_run_copies_in_place(rng, monkeypatch):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    for shifts in (_TERM_SHIFTS * mesh.dx, _RAMP_SHIFTS * mesh.dx,
+                   np.array([[0.3, -2.4, 5.7, -0.2, 3.1]]) * mesh.dx):
+        for row in shifts:
+            real = rng.normal(size=(len(row), 24, 3))
+            for values in (real, real + 1j * rng.normal(size=real.shape)):
+                expected = _fancy_index_apply(ShiftOperator(mesh, 2, row), row, values)
+                for path in _both_gathers(monkeypatch):
+                    op = ShiftOperator(mesh, 2, row)
+                    inplace = values.copy()
+                    assert op.apply(inplace, inplace,
+                                    gather=np.empty((len(row), 25, 3), values.dtype),
+                                    product=np.empty_like(values)) is inplace
+                    assert np.array_equal(inplace, expected), (path, row)
+                    assert _takes(op) == (path == "take")
 
 
 def test_swapped_buffer_rebinds(rng):

@@ -65,6 +65,20 @@ def test_bgk_moments_of_maxwellian_samples():
     assert U[2] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_bgk_moments_have_the_bits_of_tensordot(rng):
+    m = BGK1D(velocity_set=VelocitySet.uniform(-6.0, 6.0, 24))
+    vs = m.velocity_set
+    single = maxwellian(vs.v, 1.3, 0.2, 0.9)
+    field = maxwellian(vs.v, rng.uniform(0.5, 2.0, (7, 3)), rng.uniform(-0.5, 0.5, (7, 3)),
+                       rng.uniform(0.5, 1.5, (7, 3)))
+    strided = np.asfortranarray(field)[:, ::2, 1:]
+    assert not strided.flags.c_contiguous
+    for f in (single, field, strided):
+        U = m.moments(f)
+        assert U.shape == (3,) + f.shape[1:]
+        assert np.array_equal(U, np.tensordot(m._wphi, f, axes=(1, 0)))
+
+
 def test_bgk_moments_reject_unphysical():
     m = BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 20))
     f = -np.ones((20, 3))

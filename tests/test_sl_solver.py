@@ -160,6 +160,21 @@ def test_warm_step_allocates_only_its_result(monkeypatch):
     assert max(layer_peaks) <= 0.25 * values.nbytes, max(layer_peaks) / values.nbytes
 
 
+@pytest.mark.parametrize("example,takes", [("5.3", 0), ("5.1", 1)])
+def test_warm_step_gathers_by_run_copies_for_many_velocities(example, takes):
+    # the gas model's 100 velocities make long runs of one cell offset,
+    # gathered by block copies; the two-velocity slices each make their
+    # own run, too short for copies, and keep the indexed take
+    cfg, f0 = build_case(example, "DIRK3-B10", 1e-6, 0.1)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for _ in range(2):
+        values = solver.step_values(values, cfg.dt)
+    for op in solver._ops:
+        kernels = [getattr(kernel, "__name__", "") for kernel, _ in op._bound[5]]
+        assert kernels.count("take") == takes * len(op._groups), example
+
+
 def test_huge_eps_reduces_to_pure_advection():
     cfg = _linear_cfg(tableau="DIRK3-B10", eps=1e12)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
