@@ -3,7 +3,7 @@
 from .butcher import (ButcherTableau, ShuOsherForm, catalog, get_tableau,
                       load_tableau, resolve_tableau, to_shu_osher,
                       tableau_from_text, tableau_to_text)
-from .dg import DGField, Mesh1D, advect, fourier_coefficient, gauss_nodes
+from .dg import DGField, Mesh1D, fourier_coefficient, gauss_nodes
 from .harness import ConvergenceStudy, build_case, fit_slope, run_convergence
 from .models import (BGK1D, KineticModel, LinearTwoVelocity, NonlinearTwoVelocity,
                      SimulationError, UnphysicalStateError, VelocitySet, maxwellian)
@@ -11,7 +11,7 @@ from .order_analysis import (KineticCoefficients, LimitCoefficients, OrderReport
                              coefficient_table, kinetic_coefficients,
                              limit_coefficients, order_report, verify_identities)
 from .sl_solver import (DivergenceError, RunResult, SemiLagrangianSolver,
-                        SimConfig, l1_error, make_initial_field, run)
+                        SimConfig, l1_error, run)
 from .stability import (XI_INF, AmplificationMatrix, StabilityPoint,
                         amplification, eigenvalues_2x2, equilibrium_projection,
                         relaxation_jacobian, scan, spectral_radius, stage_inverse)

@@ -16,7 +16,6 @@ permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -101,38 +100,6 @@ class DGField:
     @property
     def degree(self) -> int:
         return self.values.shape[-1] - 1
-
-    @classmethod
-    def interpolate(cls, mesh: Mesh1D, degree: int, func: Callable) -> "DGField":
-        """Sample ``func`` at the Gauss nodes.
-
-        ``func`` receives the flat node coordinate array and may return
-        extra leading axes (e.g. one slice per velocity).
-        """
-        coords = mesh.node_coords(degree)
-        vals = np.asarray(func(coords.ravel()))
-        vals = vals.reshape(vals.shape[:-1] + coords.shape)
-        return cls(mesh=mesh, values=vals)
-
-    def evaluate(self, x) -> np.ndarray:
-        """Point values of the owning element's polynomial, periodic in x."""
-        x = np.asarray(x, dtype=float)
-        mesh = self.mesh
-        rel = (x - mesh.x_lo) / mesh.dx
-        elem = np.floor(rel).astype(int) % mesh.n_elements
-        local = rel - np.floor(rel)
-        nodes, _ = gauss_nodes(self.degree)
-        phi = lagrange_eval(nodes, local)                     # x.shape + (q,)
-        picked = self.values[..., elem, :]                    # (..., *x.shape, q)
-        return np.einsum("...b,...b->...", picked, phi)
-
-    def integral(self) -> np.ndarray:
-        """Exact integral over the domain, one value per leading index."""
-        return self.mesh.integrate(self.values, gauss_nodes(self.degree)[1])
-
-    def l1_norm(self) -> np.ndarray:
-        """Gauss-quadrature L1 norm per leading index."""
-        return self.mesh.integrate(np.abs(self.values), gauss_nodes(self.degree)[1])
 
 
 def _fractional_matrices(nodes, weights, theta):
@@ -402,33 +369,21 @@ def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.
     return buf
 
 
-def advect(field: DGField, velocity, tau: float) -> DGField:
-    """Return the field shifted along characteristics: x -> field(x - v*tau).
-
-    ``velocity`` is a scalar (field without a leading axis) or one speed
-    per leading slice.  Any shift magnitude and sign is handled through the
-    periodic wrap; mass is preserved exactly.
-    """
-    shifts = np.asarray(velocity, dtype=float) * tau
-    op = ShiftOperator(field.mesh, field.degree, shifts.reshape(-1))
-    # a scalar velocity remaps the field as the one slice of a stack
-    values = op.apply(field.values.reshape((shifts.size,) + field.values.shape[-2:]))
-    return DGField(mesh=field.mesh, values=values.reshape(field.values.shape))
+#: Gauss points per element of :func:`fourier_coefficient`'s quadrature
+_FOURIER_POINTS = 16
 
 
-def fourier_coefficient(field: DGField, mode: int, n_quad: int = 16) -> np.ndarray:
+def fourier_coefficient(field: DGField, mode: int) -> np.ndarray:
     """Fourier coefficient (1/L) * integral f(x) exp(-i k x) dx, k = 2 pi mode / L.
 
-    Per-element Gauss quadrature with ``n_quad`` points; for the smooth
-    exponential factor this is accurate far beyond the field's own
+    Per-element Gauss quadrature with ``_FOURIER_POINTS`` points; for the
+    smooth exponential factor this is accurate far beyond the field's own
     polynomial resolution.
     """
     mesh = field.mesh
-    xq, wq = np.polynomial.legendre.leggauss(n_quad)
-    xq = 0.5 * (xq + 1.0)
-    wq = 0.5 * wq
+    xq, wq = gauss_nodes(_FOURIER_POINTS - 1)
     nodes, _ = gauss_nodes(field.degree)
-    basis = lagrange_eval(nodes, xq)                       # (n_quad, q)
+    basis = lagrange_eval(nodes, xq)                       # (points, q)
     f_at_q = np.einsum("...nb,mb->...nm", field.values, basis)
     left = mesh.x_lo + mesh.dx * np.arange(mesh.n_elements)
     x = left[:, None] + mesh.dx * xq[None, :]

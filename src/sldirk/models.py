@@ -36,7 +36,7 @@ class UnphysicalStateError(SimulationError):
 
 class DivergenceError(SimulationError):
     """The solution left the finite range mid-run, or the discrete Maxwellian
-    fit did not converge."""
+    fit did not converge or hit a singular Jacobian."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ class VelocitySet:
         w = np.asarray(self.w, dtype=float).ravel()
         if v.shape != w.shape:
             raise ValueError("velocities and weights must have equal length")
+        if not (np.isfinite(v).all() and np.isfinite(w).all()):
+            raise ValueError("velocities and quadrature weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("quadrature weights must be positive")
         v.setflags(write=False)
@@ -80,8 +82,9 @@ class VelocitySet:
         """
         if n_v < 2:
             raise ValueError("need at least two velocity points")
-        v = np.linspace(v_min, v_max, n_v)
-        dv = (v_max - v_min) / (n_v - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ rejects non-finite
+            v = np.linspace(v_min, v_max, n_v)
+            dv = (v_max - v_min) / (n_v - 1)
         return cls(v=v, w=np.full(n_v, dv))
 
 
@@ -101,12 +104,6 @@ class KineticModel:
         """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given.
         ``scratch``, an array like ``out``, may be overwritten on the way."""
         raise NotImplementedError
-
-    def relaxation(self, f, eps: float) -> np.ndarray:
-        """(M[U[f]] - f) / eps, the stiff right-hand side."""
-        if eps <= 0.0:
-            raise ValueError("relaxation rate requires eps > 0")
-        return (self.equilibrium(self.moments(f)) - f) / eps
 
 
 class _TwoVelocity(KineticModel):
@@ -211,6 +208,8 @@ def maxwellian(v, rho, u, T, out=None, scratch=None):
 
 #: relative moment residual at which the discrete Maxwellian fit stops
 NEWTON_TOL = 1e-13
+#: Newton iterations after which the discrete Maxwellian fit gives up
+NEWTON_MAX_ITER = 50
 
 
 class BGK1D(KineticModel):
@@ -227,10 +226,9 @@ class BGK1D(KineticModel):
     n_invariants = 3
     invariant_names = ("mass", "momentum", "energy")
 
-    def __init__(self, velocity_set: VelocitySet | None = None, newton_max_iter: int = 50):
+    def __init__(self, velocity_set: VelocitySet | None = None):
         self.velocity_set = velocity_set if velocity_set is not None \
             else VelocitySet.uniform(-15.0, 15.0, 100)
-        self.newton_max_iter = int(newton_max_iter)
         v = self.velocity_set.v
         # weighted invariants (3, n_v): rows w, w*v, w*v^2/2
         self._wphi = np.stack([self.velocity_set.w,
@@ -290,7 +288,7 @@ class BGK1D(KineticModel):
         evaluated in ``out`` and ``scratch``, as in :func:`maxwellian`."""
         v = self.velocity_set.v
         scale = np.maximum(np.abs(U[0]), 1e-300)
-        for _ in range(self.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             M = maxwellian(v, rho, u, T, out, scratch)
             res = self._velocity_sums(M) - U
             if np.max(np.abs(res) / scale) <= NEWTON_TOL:
@@ -304,7 +302,10 @@ class BGK1D(KineticModel):
             J = self._velocity_sums(dM)                        # (3, ..., 3)
             J = np.moveaxis(J, 0, -2)                          # (..., 3, 3)
             rhs = np.moveaxis(res, 0, -1)[..., None]           # (..., 3, 1)
-            step = np.linalg.solve(J, rhs)[..., 0]
+            try:
+                step = np.linalg.solve(J, rhs)[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise DivergenceError("discrete Maxwellian fit hit a singular Jacobian") from exc
             rho = rho - step[..., 0]
             u = u - step[..., 1]
             # keep temperature positive; the warm start makes this guard
@@ -313,4 +314,4 @@ class BGK1D(KineticModel):
             if np.any(rho <= 0.0):
                 raise UnphysicalStateError("discrete Maxwellian fit drove rho <= 0")
         raise DivergenceError("discrete Maxwellian fit did not converge "
-                              f"within {self.newton_max_iter} iterations")
+                              f"within {NEWTON_MAX_ITER} iterations")

@@ -169,11 +169,11 @@ class SemiLagrangianSolver:
             where = f" near x = {x:.6g}"
         return UnphysicalStateError(f"{context}{where}: {exc}")
 
-    def step_values(self, values: np.ndarray, dt: float, return_stages: bool = False):
+    def step_values(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Advance raw nodal values (n_v, n_el, q) by one step of size dt.
 
-        The result is a fresh array, as is each returned stage; everything
-        else lives in the solver's workspace for the values' shape and dtype.
+        The result is a fresh array; everything else lives in the solver's
+        workspace for the values' shape and dtype.
         """
         eps = self.eps
         A = self.tableau.A
@@ -181,7 +181,6 @@ class SemiLagrangianSolver:
         ws = self._workspace(values)
         predicted, spare = ws.predicted, ws.spare
         ws.inputs[0][...] = values  # the step-start slot
-        stages: list[np.ndarray] = []
         for k, op in enumerate(self._stage_operators(dt)):
             op.apply(ws.inputs[op.n_blocks - 1], predicted, gather=ws.gather, product=ws.product)
             # stiff accuracy: only the last stage is the step output, and
@@ -195,21 +194,14 @@ class SemiLagrangianSolver:
                     exc, f"stage {k + 1} of tableau {self.tableau.name!r}") from exc
             w_dt = A[k, k] * dt
             if k == last:
-                stage = M
-                stage *= w_dt
-                stage += np.multiply(eps, predicted, out=spare)
-                stage /= eps + w_dt
-            elif return_stages:
-                stage = eps * predicted
-                stage += np.multiply(w_dt, M, out=spare)
-                stage /= eps + w_dt
-            if return_stages:
-                stages.append(stage)
-            if k < last:
+                M *= w_dt
+                M += np.multiply(eps, predicted, out=spare)
+                M /= eps + w_dt
+            else:
                 # the increment (M - predicted) / (eps + w_dt), in M's slot
                 M -= predicted
                 M /= eps + w_dt
-        return (stage.copy(), stages) if return_stages else stage
+        return M
 
     def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
         """Domain integrals of the conserved moments, shape (K,).
@@ -229,19 +221,6 @@ class SemiLagrangianSolver:
         M -= values
         per_v = self.mesh.integrate(np.abs(M, out=M), self._weights)
         return float(np.dot(self.model.velocity_set.w, per_v))
-
-
-def make_initial_field(cfg: SimConfig, func) -> DGField:
-    """Sample an initial condition f0(x, v) at the DG nodes.
-
-    ``func(x, v)`` receives the flat coordinate array and one velocity at a
-    time and returns the corresponding values.
-    """
-    coords = cfg.mesh.node_coords(cfg.degree)
-    vset = cfg.model.velocity_set
-    vals = np.stack([np.asarray(func(coords.ravel(), v)).reshape(coords.shape)
-                     for v in vset.v])
-    return DGField(mesh=cfg.mesh, values=vals)
 
 
 def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResult:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sldirk.butcher import ButcherTableau
+from sldirk.dg import DGField, ShiftOperator
 
 
 def random_sa_dirk(rng, s, diag_lo=0.05, diag_hi=2.0, name="random"):
@@ -23,6 +24,24 @@ def random_sa_dirk(rng, s, diag_lo=0.05, diag_hi=2.0, name="random"):
     else:
         A[0, 0] = 1.0
     return ButcherTableau(name, A)
+
+
+def remap(mesh, values, shifts):
+    """``values`` (L, n_el, q) remapped by one shift distance per slice, or
+    (n_el, q) by one distance, through a one-term ShiftOperator."""
+    values = np.asarray(values)
+    stack = values.reshape((-1,) + values.shape[-2:])
+    shifts = np.broadcast_to(shifts, stack.shape[:1])
+    return ShiftOperator(mesh, values.shape[-1] - 1, shifts).apply(stack).reshape(values.shape)
+
+
+def initial_field(cfg, func):
+    """``func(x, v)`` sampled at the DG nodes of ``cfg``, one velocity at a
+    time on the flat node coordinates."""
+    coords = cfg.mesh.node_coords(cfg.degree)
+    return DGField(mesh=cfg.mesh, values=np.stack(
+        [np.asarray(func(coords.ravel(), v)).reshape(coords.shape)
+         for v in cfg.model.velocity_set.v]))
 
 
 @pytest.fixture

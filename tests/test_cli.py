@@ -1,11 +1,10 @@
-import functools
 import re
 
 import numpy as np
 import pytest
 
-from sldirk import cli, harness
-from sldirk.models import BGK1D, SimulationError, UnphysicalStateError
+from sldirk import cli, harness, models
+from sldirk.models import SimulationError, UnphysicalStateError
 from sldirk.sl_solver import DivergenceError
 
 
@@ -265,12 +264,34 @@ def test_simulate_bare_simulation_error_exits_3(capsys, monkeypatch):
 
 
 def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(BGK1D, "__init__",
-                        functools.partialmethod(BGK1D.__init__, newton_max_iter=0))
+    monkeypatch.setattr(models, "NEWTON_MAX_ITER", 0)
     code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "8",
                            "--nv", "12", "--T", "0.01")
     assert code == 3
     assert "did not converge" in err
+
+
+def test_singular_newton_jacobian_is_a_failed_run(capsys, tmp_path):
+    # on four velocities the discrete Maxwellian fit meets a singular
+    # Jacobian: simulate exits 3, and a sweep records NaN rows
+    coarse = ("--nv", "4", "--nx", "8", "--T", "0.001")
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", *coarse)
+    assert code == 3
+    assert err.startswith("run diverged:") and "singular Jacobian" in err
+    rows = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "convergence", "--example", "5.3", "--tableaus", "BE",
+                         "--eps", "1e-2", "--cfls", "0.5,1,2", *coarse, "--out", str(rows))
+    assert code == 0
+    assert [line.split(",")[-1] for line in rows.read_text().split()[1:]] == ["nan"] * 3
+
+
+@pytest.mark.parametrize("vmax", ["nan", "inf", "1e308"])
+def test_simulate_non_finite_velocity_grid_exits_2(capsys, vmax):
+    # at 1e308 the grid spacing overflows to inf
+    code, out, err = run_cli(capsys, "simulate", "--model", "bgk", "--nx", "8", "--vmax", vmax)
+    assert code == 2
+    assert "velocities and quadrature weights must be finite" in err
+    assert "completed" not in out
 
 
 def _small_gas_snapshot(capsys, monkeypatch, prefix):

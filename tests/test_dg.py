@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sldirk import dg
-from sldirk.dg import (DGField, Mesh1D, ShiftOperator, advect,
-                       fourier_coefficient, gauss_nodes, lagrange_eval)
+from sldirk.dg import (DGField, Mesh1D, ShiftOperator, fourier_coefficient, gauss_nodes,
+                       lagrange_eval)
+from conftest import remap
 
 
 def test_gauss_nodes_unit_interval():
@@ -41,64 +42,56 @@ def test_mesh_properties():
         Mesh1D(1.0, 0.0, 4)
 
 
-def test_field_interpolate_and_evaluate():
-    mesh = Mesh1D(0.0, 1.0, 32)
-    f = DGField.interpolate(mesh, 2, lambda x: np.sin(2 * np.pi * x))
-    x = np.linspace(0.0, 1.0, 97)
-    np.testing.assert_allclose(f.evaluate(x), np.sin(2 * np.pi * x), atol=1e-4)
-    # at the stored nodes evaluation reproduces the nodal values
-    coords = mesh.node_coords(2)
-    np.testing.assert_allclose(f.evaluate(coords.ravel()),
-                               f.values.ravel(), atol=1e-12)
-
-
 def test_field_integral_and_l1():
     mesh = Mesh1D(0.0, 2.0, 13)
-    f = DGField.interpolate(mesh, 2, lambda x: np.full_like(x, 0.7))
-    assert f.integral() == pytest.approx(1.4, abs=1e-14)
-    assert f.l1_norm() == pytest.approx(1.4, abs=1e-14)
+    f = np.full((13, 3), -0.7)
+    w = gauss_nodes(2)[1]
+    assert mesh.integrate(f, w) == pytest.approx(-1.4, abs=1e-14)
+    assert mesh.integrate(np.abs(f), w) == pytest.approx(1.4, abs=1e-14)
 
 
 def test_field_leading_axes():
     mesh = Mesh1D(0.0, 1.0, 8)
-    f = DGField.interpolate(mesh, 1, lambda x: np.stack([x, 2 * x]))
-    assert f.values.shape == (2, 8, 2)
-    np.testing.assert_allclose(f.integral(), [0.5, 1.0], atol=1e-14)
+    x = mesh.node_coords(1)
+    f = DGField(mesh=mesh, values=np.stack([x, 2 * x]))
+    assert f.values.shape == (2, 8, 2) and f.degree == 1
+    np.testing.assert_allclose(mesh.integrate(f.values, gauss_nodes(1)[1]), [0.5, 1.0],
+                               atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # conservative remap
 # ---------------------------------------------------------------------------
 
+def _smooth(mesh):
+    return np.exp(np.sin(2 * np.pi * mesh.node_coords(2)))
+
+
 def test_advect_zero_shift_bit_identical():
     mesh = Mesh1D(0.0, 1.0, 20)
-    f = DGField.interpolate(mesh, 2, lambda x: np.exp(np.sin(2 * np.pi * x)))
-    g = advect(f, 1.0, 0.0)
-    assert np.array_equal(g.values, f.values)
+    f = _smooth(mesh)
+    assert np.array_equal(remap(mesh, f, 0.0), f)
 
 
 def test_advect_mesh_aligned_is_permutation():
     mesh = Mesh1D(0.0, 1.0, 20)
-    f = DGField.interpolate(mesh, 2, lambda x: np.exp(np.sin(2 * np.pi * x)))
-    g = advect(f, 1.0, mesh.dx)
-    assert np.array_equal(g.values, np.roll(f.values, 1, axis=0))
-    g3 = advect(f, 1.0, -3.0 * mesh.dx)
-    assert np.array_equal(g3.values, np.roll(f.values, -3, axis=0))
+    f = _smooth(mesh)
+    assert np.array_equal(remap(mesh, f, mesh.dx), np.roll(f, 1, axis=0))
+    assert np.array_equal(remap(mesh, f, -3.0 * mesh.dx), np.roll(f, -3, axis=0))
 
 
 def test_advect_conserves_mass(rng):
     mesh = Mesh1D(0.0, 1.0, 40)
-    f = DGField.interpolate(mesh, 2, lambda x: np.exp(np.sin(2 * np.pi * x)))
+    f = _smooth(mesh)
+    w = gauss_nodes(2)[1]
+    mass = mesh.integrate(f, w)
     for tau in (0.2, -0.37, 17.77, 0.003, float(rng.uniform(-2, 2))):
-        g = advect(f, 1.0, tau)
-        assert abs(g.integral() - f.integral()) <= 1e-13 * abs(f.integral())
+        assert abs(mesh.integrate(remap(mesh, f, tau), w) - mass) <= 1e-13 * abs(mass)
 
 
 def test_advect_exact_for_constants():
     mesh = Mesh1D(0.0, 1.0, 16)
-    f = DGField.interpolate(mesh, 2, lambda x: np.full_like(x, 1.7))
-    g = advect(f, 1.0, 0.123456)
-    np.testing.assert_allclose(g.values, 1.7, atol=1e-14)
+    np.testing.assert_allclose(remap(mesh, np.full((16, 3), 1.7), 0.123456), 1.7, atol=1e-14)
 
 
 def test_advect_exact_for_stored_polynomials_on_aligned_shift():
@@ -106,22 +99,17 @@ def test_advect_exact_for_stored_polynomials_on_aligned_shift():
     # moved exactly when the shift is a whole number of cells
     mesh = Mesh1D(0.0, 1.0, 10)
     rng = np.random.default_rng(3)
-    f = DGField(mesh=mesh, values=rng.normal(size=(10, 3)))
-    g = advect(f, 1.0, 4 * mesh.dx)
-    assert np.array_equal(g.values, np.roll(f.values, 4, axis=0))
+    f = rng.normal(size=(10, 3))
+    assert np.array_equal(remap(mesh, f, 4 * mesh.dx), np.roll(f, 4, axis=0))
 
 
-def _l1_against_exact(field, exact):
-    xq, wq = np.polynomial.legendre.leggauss(12)
-    xq = 0.5 * (xq + 1)
-    wq = 0.5 * wq
-    mesh = field.mesh
-    from sldirk.dg import lagrange_eval as le, gauss_nodes as gn
-    nodes, _ = gn(field.degree)
-    B = le(nodes, xq)
+def _l1_against_exact(mesh, values, exact):
+    xq, wq = gauss_nodes(11)
+    nodes, _ = gauss_nodes(values.shape[-1] - 1)
+    B = lagrange_eval(nodes, xq)
     left = mesh.x_lo + mesh.dx * np.arange(mesh.n_elements)
     X = left[:, None] + mesh.dx * xq[None, :]
-    vals = np.einsum("nb,mb->nm", field.values, B)
+    vals = np.einsum("nb,mb->nm", values, B)
     return mesh.dx * np.einsum("nm,m->", np.abs(vals - exact(X)), wq)
 
 
@@ -129,9 +117,8 @@ def test_advect_third_order_convergence():
     errs = []
     for n in (40, 80, 160):
         mesh = Mesh1D(0.0, 1.0, n)
-        f = DGField.interpolate(mesh, 2, lambda x: np.exp(np.sin(2 * np.pi * x)))
-        g = advect(f, 1.0, 0.2)
-        errs.append(_l1_against_exact(g, lambda x: np.exp(np.sin(2 * np.pi * (x - 0.2)))))
+        g = remap(mesh, _smooth(mesh), 0.2)
+        errs.append(_l1_against_exact(mesh, g, lambda x: np.exp(np.sin(2 * np.pi * (x - 0.2)))))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     for r in ratios:
         assert 6.0 < r < 10.0  # third order: halving dx cuts the error ~8x
@@ -144,10 +131,8 @@ def test_shift_operator_per_velocity():
     tau = 0.11
     op = ShiftOperator(mesh, 2, np.array([1.0, -1.0]) * tau)
     out = op.apply(vals)
-    one = advect(DGField(mesh=mesh, values=vals[0]), 1.0, tau)
-    two = advect(DGField(mesh=mesh, values=vals[1]), -1.0, tau)
-    np.testing.assert_array_equal(out[0], one.values)
-    np.testing.assert_array_equal(out[1], two.values)
+    np.testing.assert_array_equal(out[0], remap(mesh, vals[0], tau))
+    np.testing.assert_array_equal(out[1], remap(mesh, vals[1], -tau))
 
 
 def _fancy_index_apply(op, shifts, values):
@@ -540,20 +525,20 @@ def test_threads_sharing_an_operator_get_serial_bits(rng):
 
 def test_advect_complex_values():
     mesh = Mesh1D(0.0, 1.0, 32)
+    x = mesh.node_coords(2)
     k = 2 * np.pi
-    f = DGField.interpolate(mesh, 2, lambda x: np.exp(1j * k * x))
-    g = advect(f, 1.0, 0.25)
-    ref = DGField.interpolate(mesh, 2, lambda x: np.exp(1j * k * (x - 0.25)))
-    np.testing.assert_allclose(g.values, ref.values, atol=1e-4)
+    g = remap(mesh, np.exp(1j * k * x), 0.25)
+    np.testing.assert_allclose(g, np.exp(1j * k * (x - 0.25)), atol=1e-4)
 
 
 def test_fourier_coefficient_of_pure_mode():
     mesh = Mesh1D(0.0, 1.0, 32)
-    f = DGField.interpolate(mesh, 2, lambda x: np.exp(1j * 2 * np.pi * x))
+    x = mesh.node_coords(2)
+    f = DGField(mesh=mesh, values=np.exp(1j * 2 * np.pi * x))
     c1 = fourier_coefficient(f, 1)
     assert abs(c1 - 1.0) < 1e-8
     assert abs(fourier_coefficient(f, 2)) < 1e-8
-    g = DGField.interpolate(mesh, 2, lambda x: 0.3 * np.cos(2 * np.pi * x))
+    g = DGField(mesh=mesh, values=0.3 * np.cos(2 * np.pi * x))
     assert abs(fourier_coefficient(g, 1) - 0.15) < 1e-9
 
 

@@ -9,9 +9,9 @@ from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet)
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
-                              l1_error, make_initial_field, run)
+                              l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
-from conftest import random_sa_dirk
+from conftest import initial_field, random_sa_dirk, remap
 
 B = 0.6
 
@@ -38,48 +38,43 @@ def _mode_coeffs(field, mode=1):
 def test_constant_equilibrium_is_steady():
     cfg = _linear_cfg()
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    f0 = make_initial_field(cfg, lambda x, v: np.full_like(x, 0.8 if v > 0 else 0.2))
-    out, stages = solver.step_values(f0.values, cfg.dt, return_stages=True)
-    for stage in stages:
-        np.testing.assert_allclose(stage, f0.values, atol=1e-14)
-    np.testing.assert_allclose(out, f0.values, atol=1e-14)
+    f0 = initial_field(cfg, lambda x, v: np.full_like(x, 0.8 if v > 0 else 0.2))
+    np.testing.assert_allclose(solver.step_values(f0.values, cfg.dt), f0.values, atol=1e-14)
 
 
 @pytest.mark.parametrize("tableau", ["BE", "DIRK2", "DIRK3-B10"])
 def test_step_values_output_owns_its_memory(tableau):
     # the stage combination works in place; the step output must still be
-    # a fresh array, apart from the input and from the returned stages
+    # a fresh array, apart from the input and from earlier outputs
     for model in (LinearTwoVelocity(B), BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 16))):
         mesh = Mesh1D(-1.0, 1.0, 12)
         cfg = SimConfig(model=model, tableau=get_tableau(tableau), mesh=mesh, degree=2,
                         cfl=0.7, eps=1e-3, t_final=0.1)
-        f0 = make_initial_field(cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
-                                * np.exp(-0.5 * (v - 0.1) ** 2))
+        f0 = initial_field(cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
+                            * np.exp(-0.5 * (v - 0.1) ** 2))
         before = f0.values.copy()
         solver = SemiLagrangianSolver(model, mesh, 2, cfg.tableau, cfg.eps)
         out = solver.step_values(f0.values, cfg.dt)
-        again, stages = solver.step_values(f0.values, cfg.dt, return_stages=True)
+        again = solver.step_values(f0.values, cfg.dt)
         assert np.array_equal(f0.values, before)
         assert np.array_equal(again, out)
-        assert len(stages) == cfg.tableau.s
-        assert np.array_equal(stages[-1], out)
+        assert not np.shares_memory(out, again)
         for arr in (out, again):
             assert not np.shares_memory(arr, f0.values)
-            assert not any(np.shares_memory(arr, stage) for stage in stages)
 
 
 def test_step_results_never_alias_workspaces():
     # the solver reuses its workspaces from step to step; every returned
-    # array and stage must keep its bits while the solver steps on, and
-    # equal a step by a solver of its own
+    # array must keep its bits while the solver steps on, and equal a step
+    # by a solver of its own
     lin_cfg = _linear_cfg(tableau="DIRK3-B10", n=12)
     gas_cfg = SimConfig(model=BGK1D(velocity_set=VelocitySet.uniform(-5, 5, 16)),
                         tableau=get_tableau("DIRK3-B10"), mesh=lin_cfg.mesh, degree=2,
                         cfl=0.7, eps=1e-3, t_final=0.1)
-    f0 = make_initial_field(gas_cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
-                            * np.exp(-0.5 * (v - 0.1) ** 2)).values
-    r0 = make_initial_field(lin_cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
-                            * (1.5 if v > 0 else 0.5)).values
+    f0 = initial_field(gas_cfg, lambda x, v: (1.0 + 0.2 * np.sin(np.pi * x))
+                        * np.exp(-0.5 * (v - 0.1) ** 2)).values
+    r0 = initial_field(lin_cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                        * (1.5 if v > 0 else 0.5)).values
     c0 = _mode_field(lin_cfg.mesh, 2, [0.7 + 0.2j, -0.3 + 0.5j]).values
 
     def solver_for(cfg, eps):
@@ -92,14 +87,10 @@ def test_step_results_never_alias_workspaces():
         kept.append((out, out.copy(), solver_for(cfg, solver.eps).step_values(values, cfg.dt)))
         return out
 
-    # one solver in sequence, after a step that returned its stages
+    # one solver in sequence
     gas = solver_for(gas_cfg, 1e-3)
-    out, stages = gas.step_values(f0, gas_cfg.dt, return_stages=True)
-    stage_bits = [stage.copy() for stage in stages]
-    fresh_out, fresh_stages = solver_for(gas_cfg, 1e-3).step_values(f0, gas_cfg.dt,
-                                                                   return_stages=True)
-    values = out
-    for _ in range(3):
+    values = f0
+    for _ in range(4):
         values = step(gas, gas_cfg, values)
     # real and complex values alternating on one solver
     lin = solver_for(lin_cfg, lin_cfg.eps)
@@ -115,9 +106,6 @@ def test_step_results_never_alias_workspaces():
         va = step(first, gas_cfg, va)
         vb = step(second, gas_cfg, vb)
 
-    assert np.array_equal(out, fresh_out)
-    for stage, bits, fresh in zip(stages, stage_bits, fresh_stages):
-        assert np.array_equal(stage, bits) and np.array_equal(stage, fresh)
     for out, bits, fresh in kept:
         assert np.array_equal(out, bits) and np.array_equal(out, fresh)
 
@@ -178,34 +166,10 @@ def test_warm_step_gathers_by_run_copies_for_many_velocities(example, takes):
 def test_huge_eps_reduces_to_pure_advection():
     cfg = _linear_cfg(tableau="DIRK3-B10", eps=1e12)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)) * (1.5 if v > 0 else 0.5))
-    dt = cfg.dt
-    _, stages = solver.step_values(f0.values, dt, return_stages=True)
-    for k, stage in enumerate(stages):
-        shifted = _shift(solver, f0.values, cfg.tableau.c[k] * dt)
-        np.testing.assert_allclose(stage, shifted, atol=1e-10)
-
-
-def test_first_stage_matches_per_mode_algebra():
-    # stage 1 in Fourier space is the implicit relaxation factor times the
-    # advection phase
-    mesh = Mesh1D(0.0, 1.0, 128)
-    model = LinearTwoVelocity(B)
-    t = get_tableau("DIRK2")
-    dt = 0.5 * mesh.dx
-    k = 2 * np.pi
-    coeffs = np.array([0.7 + 0.2j, -0.3 + 0.5j])
-    for xi in (0.5, 4.0):
-        eps = dt / xi
-        solver = SemiLagrangianSolver(model, mesh, 2, t, eps)
-        f0 = _mode_field(mesh, 2, coeffs)
-        _, stages = solver.step_values(f0.values, dt, return_stages=True)
-        a11, c1 = t.A[0, 0], t.c[0]
-        J = 0.5 * np.array([[-1 + B, 1 + B], [1 - B, -1 - B]])
-        phase = np.diag([np.exp(-1j * k * c1 * dt), np.exp(1j * k * c1 * dt)])
-        expected = np.linalg.inv(np.eye(2) - a11 * xi * J) @ phase @ _mode_coeffs(f0)
-        got = _mode_coeffs(DGField(mesh=mesh, values=stages[0]))
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)) * (1.5 if v > 0 else 0.5))
+    # c_s = 1, so the step output is the data shifted by v * dt
+    shifted = remap(cfg.mesh, f0.values, cfg.model.velocity_set.v * cfg.dt)
+    np.testing.assert_allclose(solver.step_values(f0.values, cfg.dt), shifted, atol=1e-10)
 
 
 def test_backward_euler_step_matches_amplification():
@@ -267,11 +231,11 @@ def test_relaxation_drives_field_to_equilibrium():
     cfg = _linear_cfg(tableau="DIRK3-B10", eps=eps, n=64)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     u0 = lambda x: np.exp(np.sin(2 * np.pi * x))
-    f0 = make_initial_field(cfg, lambda x, v: 0.5 * (1 + B if v > 0 else 1 - B) * u0(x))
+    f0 = initial_field(cfg, lambda x, v: 0.5 * (1 + B if v > 0 else 1 - B) * u0(x))
     vals = solver.step_values(f0.values, cfg.dt)
     assert solver.equilibrium_distance(vals) < 100 * eps
     # data started off equilibrium relaxes within a few steps
-    g0 = make_initial_field(cfg, lambda x, v: 1.0 + (0.4 if v > 0 else -0.3) * np.sin(2 * np.pi * x))
+    g0 = initial_field(cfg, lambda x, v: 1.0 + (0.4 if v > 0 else -0.3) * np.sin(2 * np.pi * x))
     vals = g0.values
     for _ in range(3):
         vals = solver.step_values(vals, cfg.dt)
@@ -297,14 +261,14 @@ def test_run_bgk_benchmark_conserves_all_invariants():
 
 def test_run_zero_velocity_constant_state_unchanged():
     cfg = _linear_cfg(tableau="DIRK3-B2", eps=0.5, t_final=0.07)
-    f0 = make_initial_field(cfg, lambda x, v: np.full_like(x, 0.8 if v > 0 else 0.2))
+    f0 = initial_field(cfg, lambda x, v: np.full_like(x, 0.8 if v > 0 else 0.2))
     result = run(cfg, f0)
     np.testing.assert_allclose(result.final.values, f0.values, atol=1e-12)
 
 
 def test_run_final_partial_step_lands_on_t_final():
     cfg = _linear_cfg(t_final=0.0503)  # not a multiple of dt
-    f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
     result = run(cfg, f0)
     assert result.times[-1] == cfg.t_final
     assert result.n_steps == int(np.ceil(cfg.t_final / cfg.dt - 1e-12))
@@ -317,12 +281,12 @@ def test_run_aborts_on_nonfinite():
     mesh = Mesh1D(0.0, 1.0, 16)
     cfg = SimConfig(model=model, tableau=get_tableau("DIRK2"), mesh=mesh,
                     degree=2, cfl=0.5, eps=1e-2, t_final=0.1)
-    f0 = make_initial_field(cfg, lambda x, v: np.full_like(x, 1e200))
+    f0 = initial_field(cfg, lambda x, v: np.full_like(x, 1e200))
     with pytest.raises(DivergenceError) as info:
         run(cfg, f0)
     assert info.value.step == 1
     # corrupt initial data is rejected before stepping
-    g0 = make_initial_field(cfg, lambda x, v: np.full_like(x, 1.0))
+    g0 = initial_field(cfg, lambda x, v: np.full_like(x, 1.0))
     g0.values[0, 3, 1] = np.inf
     with pytest.raises(DivergenceError) as info:
         run(cfg, g0)
@@ -348,7 +312,7 @@ def test_unphysical_state_reports_stage_and_location():
     model = BGK1D(velocity_set=vs)
     mesh = Mesh1D(-1.0, 1.0, 8)
     solver = SemiLagrangianSolver(model, mesh, 2, get_tableau("BE"), eps=1e-2)
-    f0 = make_initial_field(
+    f0 = initial_field(
         SimConfig(model=model, tableau=get_tableau("BE"), mesh=mesh, degree=2,
                   cfl=0.5, eps=1e-2, t_final=0.1),
         lambda x, v: np.where(x > 0, -1.0, 1.0) * np.ones_like(x))
@@ -361,7 +325,7 @@ def test_unphysical_state_reports_stage_and_location():
         run(cfg, f0)
     # a positive density jump passes that check, but the remap of stage 1
     # undershoots below zero; run() stamps the failing step and its time
-    jump = make_initial_field(cfg, lambda x, v: np.where(x > 0, 1e-6, 1.0) * np.exp(-v * v / 2))
+    jump = initial_field(cfg, lambda x, v: np.where(x > 0, 1e-6, 1.0) * np.exp(-v * v / 2))
     with pytest.raises(UnphysicalStateError, match="stage 1.*near x") as info:
         run(cfg, jump)
     assert info.value.step == 1
@@ -373,12 +337,12 @@ def test_run_stamps_diagnostics_failures(monkeypatch):
     cfg = SimConfig(model=model, tableau=get_tableau("BE"), mesh=Mesh1D(-1.0, 1.0, 8),
                     degree=2, cfl=0.5, eps=1e-2, t_final=0.1)
     # unphysical initial data fails in the first record, at step 0
-    f0 = make_initial_field(cfg, lambda x, v: np.where(x > 0, -1.0, 1.0) * np.ones_like(x))
+    f0 = initial_field(cfg, lambda x, v: np.where(x > 0, -1.0, 1.0) * np.ones_like(x))
     with pytest.raises(UnphysicalStateError, match="diagnostics after step 0 near x") as info:
         run(cfg, f0)
     assert (info.value.step, info.value.time) == (0, 0.0)
     # a later record that fails carries its step and that step's time
-    good = make_initial_field(cfg, lambda x, v: np.exp(-v * v / 2) * np.ones_like(x))
+    good = initial_field(cfg, lambda x, v: np.exp(-v * v / 2) * np.ones_like(x))
     distance = SemiLagrangianSolver.equilibrium_distance
     for error, step in ((UnphysicalStateError, 4), (DivergenceError, 2)):
         calls = []
@@ -402,25 +366,20 @@ def test_run_stamps_diagnostics_failures(monkeypatch):
             assert f"diagnostics after step {step} near x" in str(info.value)
 
 
-def _shift(solver, values, tau):
-    """``values`` remapped by v * tau per velocity of the solver's model."""
-    shifts = solver.model.velocity_set.v * tau
-    return ShiftOperator(solver.mesh, solver.degree, shifts).apply(values)
-
-
-def _per_term_step(solver, values, dt, return_stages=False):
+def _per_term_step(solver, values, dt):
     """One step by single-term remaps: the step-start values and each earlier
     increment are shifted one at a time, weighted and added in order, as
     step_values did before a stage gathered them into one remap.  Kept as
     the bit-for-bit reference of the multi-term stage remap."""
     A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
+    mesh, v = solver.mesh, model.velocity_set.v
     values = np.asarray(values, dtype=np.promote_types(values.dtype, float))
-    increments, stages = [], []
+    increments = []
     for k in range(solver.tableau.s):
-        predicted = _shift(solver, values, c[k] * dt)
+        predicted = remap(mesh, values, v * (c[k] * dt))
         for j in range(k):
             if A[k, j] != 0.0:
-                shifted = _shift(solver, increments[j], (c[k] - c[j]) * dt)
+                shifted = remap(mesh, increments[j], v * ((c[k] - c[j]) * dt))
                 shifted *= dt * A[k, j]
                 predicted += shifted
         M = model.equilibrium(model.moments(predicted))
@@ -428,9 +387,8 @@ def _per_term_step(solver, values, dt, return_stages=False):
         stage = eps * predicted
         stage += w_dt * M
         stage /= eps + w_dt
-        stages.append(stage)
         increments.append((M - predicted) / (eps + w_dt))
-    return (stage, stages) if return_stages else stage
+    return stage
 
 
 @pytest.mark.parametrize("example", ["5.1", "5.2", "5.3"])
@@ -455,18 +413,14 @@ def test_stage_remap_matches_per_term_steps(example):
 def test_stage_remap_matches_per_term_stages_real_and_complex(tableau):
     cfg = _linear_cfg(tableau=tableau, n=20, eps=1e-2)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    real = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
-                              * (1.5 if v > 0 else 0.5)).values
+    real = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                          * (1.5 if v > 0 else 0.5)).values
     cplx = _mode_field(cfg.mesh, 2, [0.7 + 0.2j, -0.3 + 0.5j]).values
     for dt in (cfg.dt, 2 * cfg.mesh.dx, 0.37 * cfg.dt):
         for values in (real, cplx):
-            out, stages = solver.step_values(values, dt, return_stages=True)
-            ref, ref_stages = _per_term_step(solver, values, dt, return_stages=True)
+            out = solver.step_values(values, dt)
             assert out.dtype == values.dtype
-            assert np.array_equal(out, ref)
-            assert len(stages) == len(ref_stages)
-            for stage, expected in zip(stages, ref_stages):
-                assert np.array_equal(stage, expected)
+            assert np.array_equal(out, _per_term_step(solver, values, dt))
 
 
 def test_stage_operators_skip_zero_coefficients():
@@ -509,8 +463,8 @@ def test_warm_step_runs_kept_remap_bindings(monkeypatch):
     # kept; a new dt builds and binds new operators, once
     cfg = _linear_cfg(tableau="DIRK3-B10", n=20)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    values = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
-                                * (1.5 if v > 0 else 0.5)).values
+    values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                            * (1.5 if v > 0 else 0.5)).values
     values = solver.step_values(values, cfg.dt)
     calls = {"__init__": 0, "apply": 0, "_bind": 0}
 
@@ -543,11 +497,12 @@ def _dt_weighted_step(solver, values, dt):
     in place of a_kk * dt.  It is inconsistent with the stage equations
     whenever a_kk != 1; the tests below show what that costs."""
     A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
+    mesh, v = solver.mesh, model.velocity_set.v
     increments = []
     for k in range(solver.tableau.s):
-        predicted = _shift(solver, values, c[k] * dt)
+        predicted = remap(mesh, values, v * (c[k] * dt))
         for j in range(k):
-            predicted += dt * A[k, j] * _shift(solver, increments[j], (c[k] - c[j]) * dt)
+            predicted += dt * A[k, j] * remap(mesh, increments[j], v * ((c[k] - c[j]) * dt))
         M = model.equilibrium(model.moments(predicted))
         stage = (eps * predicted + dt * M) / (eps + dt)
         increments.append((M - predicted) / (eps + dt))
@@ -568,7 +523,7 @@ def _dt_weighted_run(cfg, f0):
 def test_legacy_update_matches_for_unit_diagonal():
     # with a_kk = 1 (implicit Euler) both stage-update weights coincide
     cfg = _linear_cfg(tableau="BE")
-    f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
     np.testing.assert_array_equal(solver.step_values(f0.values, cfg.dt),
                                   _dt_weighted_step(solver, f0.values, cfg.dt))
@@ -576,7 +531,7 @@ def test_legacy_update_matches_for_unit_diagonal():
 
 def test_legacy_update_differs_for_fractional_diagonal():
     cfg = _linear_cfg(tableau="DIRK2")
-    f0 = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
     va = solver.step_values(f0.values, cfg.dt)
     vb = _dt_weighted_step(solver, f0.values, cfg.dt)
@@ -608,49 +563,44 @@ def test_legacy_update_loses_second_order():
 
 def test_l1_error_identical_fields():
     cfg = _linear_cfg()
-    f = make_initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    f = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
     assert l1_error(f, f) == 0.0
 
 
 def test_l1_error_constant_offset():
     mesh = Mesh1D(0.0, 2.5, 17)
-    a = DGField.interpolate(mesh, 2, lambda x: np.sin(x))
-    b = DGField.interpolate(mesh, 2, lambda x: np.sin(x) + 0.3)
+    x = mesh.node_coords(2)
+    a = DGField(mesh=mesh, values=np.sin(x))
+    b = DGField(mesh=mesh, values=np.sin(x) + 0.3)
     assert l1_error(a, b) == pytest.approx(0.3 * 2.5, abs=1e-14)
 
 
 def test_l1_error_velocity_weighted():
     mesh = Mesh1D(0.0, 1.0, 9)
-    a = DGField.interpolate(mesh, 1, lambda x: np.stack([x * 0 + 1.0, x * 0 + 2.0]))
-    b = DGField.interpolate(mesh, 1, lambda x: np.stack([x * 0, x * 0]))
+    a = DGField(mesh=mesh, values=np.stack([np.full((9, 2), 1.0), np.full((9, 2), 2.0)]))
+    b = DGField(mesh=mesh, values=np.zeros((2, 9, 2)))
     assert l1_error(a, b, velocity_weights=[0.5, 0.25]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_l1_error_against_fine_riemann_oracle():
-    # sawtooth keeps |f - shifted f| one-signed inside every element, so
-    # the element Gauss quadrature is exact and must match a fine midpoint
-    # Riemann sum of the same piecewise polynomial difference
-    from sldirk.dg import advect
+    # a sawtooth against its mesh-aligned (exact) shift: the difference is
+    # dx except on the wrap element, where it is 1 - dx, so the element
+    # Gauss quadrature is exact
     mesh = Mesh1D(0.0, 1.0, 20)
-    f = DGField.interpolate(mesh, 2, lambda x: np.mod(x, 1.0))
-    g = advect(f, 1.0, mesh.dx)  # mesh-aligned: exact shift
+    f = DGField(mesh=mesh, values=np.mod(mesh.node_coords(2), 1.0))
+    g = DGField(mesh=mesh, values=remap(mesh, f.values, mesh.dx))
     quad = l1_error(f, g)
-    n = 400000
-    xs = (np.arange(n) + 0.5) / n
-    riemann = np.mean(np.abs(f.evaluate(xs) - g.evaluate(xs)))
-    assert quad == pytest.approx(riemann, abs=1e-6)
-    # analytic value: the difference is dx except on the wrap element
     assert quad == pytest.approx(2 * mesh.dx * (1 - mesh.dx), abs=1e-13)
 
 
 def test_l1_error_shape_mismatch():
     mesh = Mesh1D(0.0, 1.0, 8)
     other = Mesh1D(0.0, 1.0, 9)
-    a = DGField.interpolate(mesh, 2, lambda x: x)
-    b = DGField.interpolate(other, 2, lambda x: x)
+    a = DGField(mesh=mesh, values=mesh.node_coords(2))
+    b = DGField(mesh=other, values=other.node_coords(2))
     with pytest.raises(ValueError):
         l1_error(a, b)
-    c = DGField.interpolate(mesh, 1, lambda x: x)
+    c = DGField(mesh=mesh, values=mesh.node_coords(1))
     with pytest.raises(ValueError):
         l1_error(a, c)
 
