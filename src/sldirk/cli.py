@@ -350,7 +350,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SimulationError as exc:
-        print(f"run diverged: {exc}", file=sys.stderr)
+        where = [f"step {exc.step}"] if exc.step is not None else []
+        if exc.time is not None:
+            where.append(f"t = {exc.time:.6g}")
+        print(f"run diverged: {exc}" + (f" ({', '.join(where)})" if where else ""),
+              file=sys.stderr)
         return EXIT_DIVERGED
     except (KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message

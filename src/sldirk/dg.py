@@ -15,17 +15,25 @@ permutations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
+@functools.cache
 def gauss_nodes(degree: int):
-    """Gauss-Legendre nodes and weights on the unit interval [0, 1]."""
+    """Gauss-Legendre nodes and weights on the unit interval [0, 1].
+
+    Computed once per degree; the arrays are shared, hence read-only."""
     if degree < 0:
         raise ValueError("polynomial degree must be >= 0")
     x, w = np.polynomial.legendre.leggauss(degree + 1)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def lagrange_eval(nodes: np.ndarray, y) -> np.ndarray:
@@ -158,10 +166,10 @@ class ShiftOperator:
     ``apply`` gathers each slice's source elements into n_el+1 rows: row j
     holds source element j - cells - 1, periodically.  Target element i
     then reads its left piece (A0) from row i and its aligned piece (A1)
-    from row i + 1, so both operands of the two batched (n_el, q) @ (q, q)
-    products per slice are views of the one gather.  Terms whose shifts
-    are all mesh-aligned skip the products and copy the gathered rows, an
-    exact permutation.
+    from row i + 1, so the two n_el-row windows of the gather, rows
+    [0, n_el) and [1, n_el], are the operands of the A0 and A1 overlap
+    products.  Terms whose shifts are all mesh-aligned skip the products
+    and copy the gathered rows, an exact permutation.
 
     A slice's gather is a periodic rotation of its source rows, and
     consecutive slices of one term with the same ``cells`` (one run per
@@ -175,11 +183,18 @@ class ShiftOperator:
 
     Terms are processed in groups of as many as fit their gather of
     float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
-    gather and two products per group, added into the result while they
-    are still in cache.  Each term is formed as a one-term operator forms
-    it -- A1 product, plus A0 product, times its weight -- and added in
-    term order, so the result has the bits of the one-term remaps combined
-    in turn, whatever the grouping.
+    gather and one product per group, added into the result while they
+    are still in cache.  The product is a single batched matmul of the
+    gather's two windows, stacked as (2, rows, n_el, q), against the
+    group's stack of (A0^T, A1^T), built once; it writes both overlap
+    products into 2 * rows of product scratch, and every (n_el, q) @ (q, q)
+    in it is the one a separate matmul would make.  A group whose one term
+    alone overflows the budget (the gas model's 100 slices) makes the two
+    products separately instead, the A1 product straight into the sum, so
+    that a product, not an add, writes the result.  Each term is formed as
+    a one-term operator forms it -- A1 product, plus A0 product, times its
+    weight -- and added in term order, so the result has the bits of the
+    one-term remaps combined in turn, whatever the grouping.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
     ``values`` itself for a one-term operator because the gather reads
@@ -223,9 +238,10 @@ class ShiftOperator:
         cells = cells + bump
         theta = np.where(bump, 0.0, theta)
         cells = cells.astype(int)
-        a0, a1 = _fractional_matrices(nodes, weights, theta)
-        self._a0t = np.ascontiguousarray(np.swapaxes(a0, -1, -2))
-        self._a1t = np.ascontiguousarray(np.swapaxes(a1, -1, -2))
+        # (A0^T, A1^T) of every (term, slice), the matrices of the products
+        pair = np.ascontiguousarray(np.swapaxes(np.stack(
+            _fractional_matrices(nodes, weights, theta)), -1, -2))
+        self._a0t, self._a1t = pair
         n, q, L = mesh.n_elements, degree + 1, self._lead
         # row j of slice l of term b's gather holds source element
         # j - cells - 1 of that slice of block blocks[b], periodically:
@@ -246,9 +262,9 @@ class ShiftOperator:
         per_group = self._gather_shape[0] // L
         weights = (None,) + self._weights
         # per group: its first term, its number of terms, its flat gather
-        # rows (None when it copies its runs), its slice runs, its A1 and A0
-        # matrices, its weights (None for the first term) and the indices of
-        # its mesh-aligned terms (None when all of them are)
+        # rows (None when it copies its runs), its slice runs, its stack of
+        # A0 and A1 matrices, its weights (None for the first term) and the
+        # indices of its mesh-aligned terms (None when all of them are)
         self._groups = []
         for t0 in range(0, m, per_group):
             t1 = min(t0 + per_group, m)
@@ -258,8 +274,8 @@ class ShiftOperator:
             if (t1 - t0) * L * (n + 1) < 2 * len(group_runs) * _ROWS_PER_COPY:
                 rows = ((sources[slices] * n)[:, None]
                         + (np.arange(n + 1) - cells[slices, None] - 1) % n).ravel()
-            self._groups.append((t0, t1 - t0, rows, group_runs, self._a1t[slices],
-                                 self._a0t[slices], weights[t0:t1],
+            self._groups.append((t0, t1 - t0, rows, group_runs, pair[:, slices],
+                                 weights[t0:t1],
                                  None if aligned[t0:t1].all() else np.flatnonzero(aligned[t0:t1])))
         self._bound = (None,) * 6  # the binding kept, as _bind returns it
 
@@ -272,7 +288,7 @@ class ShiftOperator:
         lead, n, q = term_shape
         per_group = max(1, min(n_terms, _GATHER_BUDGET // (8 * lead * (n + 1) * q)))
         rows = lead * per_group
-        return (rows, n + 1, q), ((1 if n_terms == 1 else 2) * rows, n, q)
+        return (rows, n + 1, q), (2 * rows, n, q)
 
     def apply(self, values: np.ndarray, out: np.ndarray | None = None, *,
               gather: np.ndarray | None = None,
@@ -308,7 +324,7 @@ class ShiftOperator:
         gathered = self._scratch("gather", gather, self._gather_shape, values.dtype)
         products = self._scratch("product", product, self._product_shape, dtype)
         calls = []
-        for t0, size, rows, runs, a1t, a0t, weights, aligned in self._groups:
+        for t0, size, rows, runs, matrices, weights, aligned in self._groups:
             g = gathered[:size * L]
             if rows is None:
                 # gather row j of a run holds source element (j + first) % n
@@ -327,12 +343,21 @@ class ShiftOperator:
                 if alone:
                     calls.append((np.copyto, (out, acc)))
             else:
-                acc = out if alone else products[:size * L]
-                part = products[:L] if alone else products[size * L:2 * size * L]
-                # batched (n_el, q) @ (q, q)^T per leading slice
-                calls += [(np.matmul, (g[:, 1:], a1t, acc)),
-                          (np.matmul, (g[:, :-1], a0t, part)),
-                          (np.add, (acc, part, acc))]
+                both = products[:2 * size * L]
+                left, right = both[:size * L], both[size * L:]
+                acc = out if alone else right
+                # batched (n_el, q) @ (q, q)^T per window and leading slice
+                if g.size * 8 > _GATHER_BUDGET:
+                    # past the cache budget (one term of many slices) the
+                    # A1 product goes straight to acc: a product hides the
+                    # cache misses of writing the result, an add does not
+                    calls += [(np.matmul, (g[:, 1:], matrices[1], acc)),
+                              (np.matmul, (g[:, :-1], matrices[0], left)),
+                              (np.add, (acc, left, acc))]
+                else:
+                    windows = sliding_window_view(g, n, axis=1).transpose(1, 0, 3, 2)
+                    calls += [(np.matmul, (windows, matrices, both.reshape(2, size * L, n, q))),
+                              (np.add, (right, left, acc))]
                 # aligned terms are copied, as a one-term operator does
                 calls += [(np.copyto, (acc[i * L:(i + 1) * L], g[i * L:(i + 1) * L, 1:]))
                           for i in aligned]

@@ -105,11 +105,22 @@ class KineticModel:
         ``scratch``, an array like ``out``, may be overwritten on the way."""
         raise NotImplementedError
 
+    def stage_kernels(self, f, out, scratch, moments_buffer) -> list:
+        """(callable, arguments) pairs that, called in turn, leave
+        M[moments(f)] in ``out``, with the bits of ``equilibrium``.  They
+        read ``f`` when called, so a list bound to fixed arrays serves every
+        step; ``scratch`` and ``moments_buffer`` (shape (K,) + f.shape[1:])
+        may be overwritten.  By default one call of ``moments`` and
+        ``equilibrium``, looked up when it runs."""
+        return [(lambda: self.equilibrium(self.moments(f), out=out, scratch=scratch), ())]
+
 
 class _TwoVelocity(KineticModel):
     """Components (f_1, f_2) moving at v = +1 / -1 with coupling ``b``; the
     single conserved moment is U = f_1 + f_2.  Subclasses supply the
-    equilibrium."""
+    equilibrium as ``_equilibrium_kernels(u, out)``, the (ufunc, arguments)
+    pairs writing M of density ``u`` into ``out``, which ``equilibrium``
+    runs and ``stage_kernels`` binds."""
 
     n_invariants = 1
     invariant_names = ("mass",)
@@ -120,6 +131,18 @@ class _TwoVelocity(KineticModel):
 
     def moments(self, f):
         return (f[0] + f[1])[None, ...]
+
+    def equilibrium(self, U, out=None, scratch=None):
+        u = U[0]
+        out = _equilibrium_buffer(out, u)
+        for kernel, args in self._equilibrium_kernels(u, out):
+            kernel(*args)
+        return out
+
+    def stage_kernels(self, f, out, scratch, moments_buffer):
+        # the density, then the equilibrium's own kernels
+        u = moments_buffer[0]
+        return [(np.add, (f[0], f[1], u))] + self._equilibrium_kernels(u, out)
 
 
 class LinearTwoVelocity(_TwoVelocity):
@@ -137,12 +160,9 @@ class LinearTwoVelocity(_TwoVelocity):
             raise ValueError(f"coupling b = {b} must satisfy |b| < 1")
         super().__init__(b)
 
-    def equilibrium(self, U, out=None, scratch=None):
-        u = U[0]
-        out = _equilibrium_buffer(out, u)
-        np.multiply(0.5 * (1.0 + self.b), u, out=out[0, ...])
-        np.multiply(0.5 * (1.0 - self.b), u, out=out[1, ...])
-        return out
+    def _equilibrium_kernels(self, u, out):
+        return [(np.multiply, (0.5 * (1.0 + self.b), u, out[0, ...])),
+                (np.multiply, (0.5 * (1.0 - self.b), u, out[1, ...]))]
 
 
 class NonlinearTwoVelocity(_TwoVelocity):
@@ -154,18 +174,12 @@ class NonlinearTwoVelocity(_TwoVelocity):
 
     name = "nonlinear-two-velocity"
 
-    def equilibrium(self, U, out=None, scratch=None):
-        u = U[0]
-        out = _equilibrium_buffer(out, u)
+    def _equilibrium_kernels(self, u, out):
         flux, minus = out[0, ...], out[1, ...]  # views, also for 0-d u
-        np.multiply(self.b, u, out=flux)
-        flux *= u
-        np.negative(flux, out=minus)
-        minus += u
-        minus *= 0.5
-        flux += u
-        flux *= 0.5
-        return out
+        return [(np.multiply, (self.b, u, flux)), (np.multiply, (flux, u, flux)),
+                (np.negative, (flux, minus)), (np.add, (minus, u, minus)),
+                (np.multiply, (minus, 0.5, minus)), (np.add, (flux, u, flux)),
+                (np.multiply, (flux, 0.5, flux))]
 
 
 def _equilibrium_buffer(out, u):

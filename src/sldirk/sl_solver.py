@@ -32,8 +32,12 @@ budget, with the bits of one remap per term added in order.  The s stage
 operators of the current dt are cached and rebuilt when dt changes; a
 workspace keeps one view per remap input and increment slot, so a warm
 step hands each operator the arrays of its kept binding and runs only its
-kernels.  A step allocates no field-sized array except the one it
-returns, and no returned array is ever a workspace.
+kernels.  With the operators, each workspace gets a stage plan: per stage
+its operator, its remap input and its relaxation as (callable, arguments)
+pairs bound to the workspace -- the model's ``stage_kernels``, then the
+increment arithmetic -- so a warm step copies its input in and runs the
+plan.  A step allocates no field-sized array except the one it returns,
+and no returned array is ever a workspace.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class RunResult:
 class _Workspace:
     """Scratch arrays of one solver for values of one shape and dtype."""
 
-    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int):
+    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, n_moments: int):
         lead = shape[0]
         # slot 0 holds the step-start values, slot j + 1 the increment of stage j
         self.stages = np.empty((n_stages * lead,) + shape[1:], dtype)
@@ -102,11 +106,13 @@ class _Workspace:
         self.gather = np.empty(gather, dtype)
         self.product = np.empty(product, dtype)
         self.predicted = np.empty(shape, dtype)
+        self.moments = np.empty((n_moments,) + shape[1:], dtype)
         # the product rows are free between remaps
         self.spare = self.product[:lead]
         # the leading b slots, the remap input of b blocks, and each increment slot
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
+        self.plan = None  # the stage plan of the solver's current operators
 
 
 class SemiLagrangianSolver:
@@ -139,7 +145,8 @@ class SemiLagrangianSolver:
         if ws is None:
             A = self.tableau.A
             n_terms = max(1 + np.count_nonzero(A[k, :k]) for k in range(self.tableau.s))
-            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s, n_terms)
+            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s, n_terms,
+                                                    self.model.n_invariants)
         return ws
 
     def _stage_operators(self, dt: float) -> list[ShiftOperator]:
@@ -157,7 +164,33 @@ class SemiLagrangianSolver:
                     blocks=[0] + [j + 1 for j in earlier],
                     weights=[dt * A[k, j] for j in earlier]))
             self._ops_dt = dt
+            for ws in self._workspaces.values():
+                ws.plan = None
         return self._ops
+
+    def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
+        """The stage plan of ``ws`` for the current operators of step size
+        ``dt``: per stage (operator, remap input, relaxation kernels), then
+        the last stage's equilibrium buffer and denominator."""
+        eps, A, model = self.eps, self.tableau.A, self.model
+        predicted, spare = ws.predicted, ws.spare
+        last = len(self._ops) - 1
+        stages = []
+        for k, op in enumerate(self._ops):
+            w_dt = A[k, k] * dt
+            if k < last:
+                # the increment (M - predicted) / (eps + w_dt), in its slot
+                M = ws.slots[k]
+                tail = [(np.subtract, (M, predicted, M)), (np.true_divide, (M, eps + w_dt, M))]
+            else:
+                # only the earlier increments are read again: the last
+                # equilibrium goes to the step-start slot, free after its remap
+                M = ws.inputs[0]
+                tail = [(np.multiply, (M, w_dt, M)), (np.multiply, (eps, predicted, spare))]
+            kernels = model.stage_kernels(predicted, M, spare, ws.moments) + tail
+            stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
+        ws.plan = (stages, M, eps + w_dt)
+        return ws.plan
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
         """``exc`` restated after ``context``, with the coordinate of the
@@ -175,33 +208,23 @@ class SemiLagrangianSolver:
         The result is a fresh array; everything else lives in the solver's
         workspace for the values' shape and dtype.
         """
-        eps = self.eps
-        A = self.tableau.A
-        last = self.tableau.s - 1
         ws = self._workspace(values)
-        predicted, spare = ws.predicted, ws.spare
+        self._stage_operators(dt)  # a new dt drops every workspace's plan
+        stages, M, denom = ws.plan or self._stage_plan(ws, dt)
+        predicted, gather, product = ws.predicted, ws.gather, ws.product
         ws.inputs[0][...] = values  # the step-start slot
-        for k, op in enumerate(self._stage_operators(dt)):
-            op.apply(ws.inputs[op.n_blocks - 1], predicted, gather=ws.gather, product=ws.product)
-            # stiff accuracy: only the last stage is the step output, and
-            # only the earlier stages' increments are read again; the last
-            # equilibrium is built in the output array itself
-            M = np.empty_like(predicted) if k == last else ws.slots[k]
+        for k, (op, inputs, kernels) in enumerate(stages):
+            op.apply(inputs, predicted, gather=gather, product=product)
             try:
-                self.model.equilibrium(self.model.moments(predicted), out=M, scratch=spare)
+                for kernel, args in kernels:
+                    kernel(*args)
             except UnphysicalStateError as exc:
                 raise self._located(
                     exc, f"stage {k + 1} of tableau {self.tableau.name!r}") from exc
-            w_dt = A[k, k] * dt
-            if k == last:
-                M *= w_dt
-                M += np.multiply(eps, predicted, out=spare)
-                M /= eps + w_dt
-            else:
-                # the increment (M - predicted) / (eps + w_dt), in M's slot
-                M -= predicted
-                M /= eps + w_dt
-        return M
+        # stiff accuracy: the last stage, (a_kk * dt * M + eps * predicted)
+        # / (eps + a_kk * dt), is the step output
+        out = np.add(M, ws.spare)
+        return np.true_divide(out, denom, out)
 
     def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
         """Domain integrals of the conserved moments, shape (K,).

@@ -239,7 +239,7 @@ def test_simulate_divergence_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
                            "--T", "0.01")
     assert code == 3
-    assert "diverged" in err
+    assert "diverged" in err and "(step 7)" in err
 
 
 def test_simulate_unphysical_state_exits_3(capsys, monkeypatch):
@@ -260,7 +260,7 @@ def test_simulate_bare_simulation_error_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
                            "--T", "0.01")
     assert code == 3
-    assert "solver gave up" in err
+    assert "solver gave up (step 4, t = 0.002)" in err
 
 
 def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):
@@ -283,6 +283,14 @@ def test_singular_newton_jacobian_is_a_failed_run(capsys, tmp_path):
                          "--eps", "1e-2", "--cfls", "0.5,1,2", *coarse, "--out", str(rows))
     assert code == 0
     assert [line.split(",")[-1] for line in rows.read_text().split()[1:]] == ["nan"] * 3
+
+
+def test_failed_run_names_its_step_and_time(capsys):
+    # the initial data's fit fails before any step
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nv", "4", "--nx", "8",
+                           "--T", "0.001")
+    assert code == 3
+    assert err.startswith("run diverged:") and "(step 0, t = 0)" in err
 
 
 @pytest.mark.parametrize("vmax", ["nan", "inf", "1e308"])

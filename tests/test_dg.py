@@ -21,6 +21,17 @@ def test_gauss_nodes_unit_interval():
             assert np.dot(w, x ** d) == pytest.approx(1.0 / (d + 1), abs=1e-14)
 
 
+def test_gauss_nodes_are_cached_read_only():
+    for p in range(5):
+        x, w = gauss_nodes(p)
+        assert gauss_nodes(p)[0] is x and gauss_nodes(p)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        fresh_x, fresh_w = np.polynomial.legendre.leggauss(p + 1)
+        assert np.array_equal(x, 0.5 * (fresh_x + 1.0)) and np.array_equal(w, 0.5 * fresh_w)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+
+
 def test_lagrange_eval_cardinal_at_nodes():
     nodes, _ = gauss_nodes(3)
     np.testing.assert_array_equal(lagrange_eval(nodes, nodes), np.eye(4))
@@ -211,8 +222,8 @@ def test_shift_operator_out_matches_fresh_apply(degree, rng):
             assert op.apply(values, out) is out
             assert np.array_equal(out, fresh), name
             gather = np.empty(lead + (25, degree + 1), values.dtype)
-            scratch = op.apply(values, np.empty_like(fresh), gather=gather,
-                               product=np.empty_like(fresh))
+            product = np.empty(ShiftOperator.scratch_shapes(fresh.shape)[1], fresh.dtype)
+            scratch = op.apply(values, np.empty_like(fresh), gather=gather, product=product)
             assert np.array_equal(scratch, fresh), name
             inplace = values.copy()
             assert op.apply(inplace, inplace, gather=gather) is inplace
@@ -304,7 +315,8 @@ def test_multi_term_shift_bits_do_not_depend_on_grouping(rng, monkeypatch):
     real = rng.normal(size=(12, 24, 3))
     for values in (real, real + 1j * rng.normal(size=real.shape)):
         expected = _per_term_sum(mesh, 2, shifts, (0, 1, 2, 3), (0.5, -1.25, 3.0), values)
-        # a budget below one term, two terms of 3 x 25 x 3 float64 rows, all
+        # a budget below one term (whose two products are then made apart),
+        # two terms of 3 x 25 x 3 float64 rows, all
         for budget, per_group in ((1, 1), (2 * 3 * 25 * 3 * 8, 2), (1 << 40, 4)):
             monkeypatch.setattr(dg, "_GATHER_BUDGET", budget)
             op = ShiftOperator(mesh, 2, shifts, weights=(0.5, -1.25, 3.0))
@@ -455,7 +467,8 @@ def test_one_term_gather_by_run_copies_in_place(rng, monkeypatch):
                     inplace = values.copy()
                     assert op.apply(inplace, inplace,
                                     gather=np.empty((len(row), 25, 3), values.dtype),
-                                    product=np.empty_like(values)) is inplace
+                                    product=np.empty(ShiftOperator.scratch_shapes(
+                                        values.shape)[1], values.dtype)) is inplace
                     assert np.array_equal(inplace, expected), (path, row)
                     assert _takes(op) == (path == "take")
 
@@ -483,7 +496,7 @@ def test_bad_buffer_raises_after_a_kept_binding():
     op = ShiftOperator(mesh, 1, np.array([0.1, -0.2]))
     values = np.ones((2, 8, 2))
     good = {"out": np.empty((2, 8, 2)), "gather": np.empty((2, 9, 2)),
-            "product": np.empty((2, 8, 2))}
+            "product": np.empty(ShiftOperator.scratch_shapes((2, 8, 2))[1])}
     for name, buf in (("out", np.zeros((2, 8, 3))), ("out", np.zeros((2, 8, 2), complex)),
                       ("gather", np.zeros((2, 9, 2), np.float32)),
                       ("product", np.zeros((2, 9, 2)))):

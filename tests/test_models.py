@@ -202,6 +202,36 @@ def test_equilibrium_out_matches_fresh(rng):
             model.equilibrium(moments, out=np.empty(fresh.shape[:-1] + (7,), fresh.dtype))
 
 
+def test_stage_kernels_give_the_bits_of_equilibrium_of_moments(rng):
+    # bound once to fixed arrays, the kernels serve every new f written
+    # into them; real fields for all models, complex for the two-velocity ones
+    vs = VelocitySet.uniform(-6.0, 6.0, 24)
+    gas = BGK1D(velocity_set=vs)
+    shape = (5, 3)
+    for model in (gas, LinearTwoVelocity(0.6), NonlinearTwoVelocity(0.2)):
+        dtypes = (float,) if model is gas else (float, complex)
+        for dtype in dtypes:
+            n_v = model.velocity_set.n
+            f = np.empty((n_v,) + shape, dtype)
+            out = np.full_like(f, np.nan)
+            kernels = model.stage_kernels(f, out, np.empty_like(f),
+                                          np.empty((model.n_invariants,) + shape, dtype))
+            for _ in range(3):
+                if model is gas:
+                    f[...] = maxwellian(vs.v, rng.uniform(0.5, 2.0, shape),
+                                        rng.uniform(-0.5, 0.5, shape),
+                                        rng.uniform(0.5, 1.5, shape)) * rng.uniform(0.9, 1.1)
+                else:
+                    f.real = rng.uniform(0.1, 1.0, f.shape)
+                    if dtype is complex:
+                        f.imag = rng.normal(size=f.shape)
+                for kernel, args in kernels:
+                    kernel(*args)
+                expected = model.equilibrium(model.moments(f))
+                assert out.dtype == expected.dtype
+                assert np.array_equal(out, expected), (model.name, dtype)
+
+
 def test_bgk_equilibrium_rejects_negative_temperature():
     m = BGK1D()
     with pytest.raises(UnphysicalStateError):

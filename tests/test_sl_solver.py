@@ -477,6 +477,8 @@ def test_warm_step_runs_kept_remap_bindings(monkeypatch):
         return wrapper
 
     s = cfg.tableau.s
+    plans = []
+    plan = SemiLagrangianSolver._stage_plan
     for dt, built in ((cfg.dt, 0), (cfg.dt, 0), (0.5 * cfg.dt, s), (0.5 * cfg.dt, 0)):
         expected = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
                                         cfg.eps).step_values(values, dt)
@@ -484,12 +486,29 @@ def test_warm_step_runs_kept_remap_bindings(monkeypatch):
             for name in calls:
                 calls[name] = 0
                 patch.setattr(ShiftOperator, name, counted(name))
+            patch.setattr(SemiLagrangianSolver, "_stage_plan",
+                          lambda *args: plans.append(1) or plan(*args))
+            plans.clear()
             out = solver.step_values(values, dt)
         assert calls == {"__init__": built, "apply": s, "_bind": built}, dt
+        # the stage plan is built with the operators, once per dt
+        assert len(plans) == (built > 0), dt
         assert np.array_equal(out, expected), dt
         (ws,) = solver._workspaces.values()
         assert all(op._bound[0] is ws.inputs[op.n_blocks - 1] for op in solver._ops)
         values = out
+
+
+@pytest.mark.parametrize("tableau,kernels", [("DIRK3-B10", 20), ("DIRK3-B2", 15)])
+def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
+    # one take, one product of both overlaps and one add per stage, plus a
+    # scale and an add per weighted increment
+    cfg, f0 = build_case("5.1", tableau, 1e-6, 0.005)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for _ in range(2):
+        values = solver.step_values(values, cfg.dt)
+    assert sum(len(op._bound[5]) for op in solver._ops) == kernels
 
 
 def _dt_weighted_step(solver, values, dt):
@@ -649,6 +668,14 @@ def test_diagnostics_take_moments_once_per_record(example, monkeypatch):
     calls = []
     moments = cfg.model.moments
     monkeypatch.setattr(cfg.model, "moments", lambda f: calls.append(1) or moments(f))
+    if example == "5.1":
+        # the two-velocity stages take the density in their first kernel
+        stage_kernels = cfg.model.stage_kernels
+
+        def counted(*args):
+            (density, operands), *rest = stage_kernels(*args)
+            return [(lambda *a: calls.append(1) or density(*a), operands)] + rest
+        monkeypatch.setattr(cfg.model, "stage_kernels", counted)
     result = run(cfg, f0, diagnostics_every=1)
     n, s = result.n_steps, cfg.tableau.s
     # one per stage, one per record (the initial one included), one for the macro field
