@@ -83,9 +83,10 @@ class Mesh1D:
         left = self.x_lo + self.dx * np.arange(self.n_elements)
         return left[:, None] + self.dx * nodes[None, :]
 
-    def integrate(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def integrate(self, values: np.ndarray) -> np.ndarray:
         """Gauss-quadrature domain integral of nodal values (..., n_el, q), one
-        value per leading index; ``weights`` are :func:`gauss_nodes`' for q."""
+        value per leading index."""
+        _, weights = gauss_nodes(values.shape[-1] - 1)
         return self.dx * np.tensordot(values, weights, axes=(-1, 0)).sum(axis=-1)
 
 

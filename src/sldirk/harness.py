@@ -225,26 +225,17 @@ def run_convergence(study: ConvergenceStudy) -> StudyResult:
     combos = [(tab, eps) for tab in study.tableaus for eps in study.eps_values]
     # every case is built before the first run, so a bad tableau, eps or
     # degree fails the sweep before any work is spent on it
-    cases = {(tab, eps): build_case(study.example, tab, eps, study.ref_cfl,
-                                    study.n_elements, study.degree, study.n_v,
-                                    study.v_max, study.t_final)
-             for tab, eps in combos}
-    results: dict[tuple[str, float], tuple[list[ConvergenceRow], float]] = {}
+    jobs = [(study, tab, eps, *build_case(study.example, tab, eps, study.ref_cfl,
+                                          study.n_elements, study.degree, study.n_v,
+                                          study.v_max, study.t_final))
+            for tab, eps in combos]
     if study.jobs > 1 and len(combos) > 1:
         with ProcessPoolExecutor(max_workers=min(study.jobs, len(combos))) as pool:
-            futures = {combo: pool.submit(_sweep_job, study, *combo, *cases[combo])
-                       for combo in combos}
-            for combo, fut in futures.items():
-                results[combo] = fut.result()
+            results = list(pool.map(_sweep_job, *zip(*jobs)))
     else:
-        for combo in combos:
-            results[combo] = _sweep_job(study, *combo, *cases[combo])
-    rows: list[ConvergenceRow] = []
-    slopes: dict[tuple[str, float], float] = {}
-    for combo in combos:
-        job_rows, slope = results[combo]
-        rows.extend(job_rows)
-        slopes[combo] = slope
+        results = [_sweep_job(*job) for job in jobs]
+    rows = [row for job_rows, _ in results for row in job_rows]
+    slopes = {combo: slope for combo, (_, slope) in zip(combos, results)}
     return StudyResult(study=study, rows=tuple(rows), slopes=slopes)
 
 

@@ -20,24 +20,25 @@ go through the conservative remap of :mod:`sldirk.dg`, so the discrete
 collision invariants integrated over the domain are conserved to roundoff
 for every tableau and every epsilon.
 
-A solver keeps one set of workspaces per shape and dtype of the values it
-steps: a stacked stage buffer (s, n_v, n_el, q) whose slot 0 holds the
-step-start values and slot j + 1 the increment of stage j, the remap's
-gather and product scratch, and the prediction.  Stage k's prediction is
-one call of a multi-term :class:`~sldirk.dg.ShiftOperator` on the leading
-slots of that buffer: the values shifted by c_k * dt, plus each increment
-j with a_kj != 0 shifted by (c_k - c_j) * dt and weighted by dt * a_kj.
-The operator forms and adds the terms in groups that fit its gather byte
-budget, with the bits of one remap per term added in order.  The s stage
-operators of the current dt are cached and rebuilt when dt changes; a
-workspace keeps one view per remap input and increment slot, so a warm
-step hands each operator the arrays of its kept binding and runs only its
-kernels.  With the operators, each workspace gets a stage plan: per stage
-its operator, its remap input and its relaxation as (callable, arguments)
-pairs bound to the workspace -- the model's ``stage_kernels``, then the
-increment arithmetic -- so a warm step copies its input in and runs the
-plan.  A step allocates no field-sized array except the one it returns,
-and no returned array is ever a workspace.
+A solver keeps one workspace per dtype of the values it steps (their
+shape is the solver's, (n_v, n_el, degree + 1)), and the workspace owns
+all of the solver's warm state for that dtype: a stacked stage buffer
+(s, n_v, n_el, q) whose slot 0 holds the step-start values and slot j + 1
+the increment of stage j, the remap's gather and product scratch, the
+prediction, and the stage plan of the step size it last stepped.  Stage
+k's prediction is one call of a multi-term
+:class:`~sldirk.dg.ShiftOperator` on the leading slots of that buffer:
+the values shifted by c_k * dt, plus each increment j with a_kj != 0
+shifted by (c_k - c_j) * dt and weighted by dt * a_kj.  The operator forms
+and adds the terms in groups that fit its gather byte budget, with the
+bits of one remap per term added in order.  A workspace builds its plan
+when the step size changes: per stage its own operator, its remap input
+and its relaxation as (callable, arguments) pairs bound to the workspace
+-- the model's ``stage_kernels``, then the increment arithmetic.  Each
+operator keeps the binding of the one workspace it serves, so a warm step
+copies its input in, hands each operator the arrays of its kept binding
+and runs only bound kernels.  A step allocates no field-sized array
+except the one it returns, and no returned array is ever a workspace.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butcher import ButcherTableau
-from .dg import DGField, Mesh1D, ShiftOperator, gauss_nodes
+from .dg import DGField, Mesh1D, ShiftOperator
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
@@ -96,7 +97,8 @@ class RunResult:
 
 
 class _Workspace:
-    """Scratch arrays of one solver for values of one shape and dtype."""
+    """The warm state of one solver for values of one dtype: scratch
+    arrays, the step size last planned for and that step size's plan."""
 
     def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, n_moments: int):
         lead = shape[0]
@@ -112,16 +114,16 @@ class _Workspace:
         # the leading b slots, the remap input of b blocks, and each increment slot
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
-        self.plan = None  # the stage plan of the solver's current operators
+        self.dt: float | None = None
+        self.plan = None  # the stage plan of step size dt
 
 
 class SemiLagrangianSolver:
-    """Reusable stepper; caches the stage remap operators of the last dt.
+    """Reusable stepper; each workspace keeps the stage plan of its last dt.
 
     The same solver instance must not be shared across threads while
-    stepping (the operator cache and the workspaces mutate), but distinct
-    instances are independent and a finished instance is safe to read
-    concurrently.
+    stepping (the workspaces mutate), but distinct instances are
+    independent and a finished instance is safe to read concurrently.
     """
 
     def __init__(self, model: KineticModel, mesh: Mesh1D, degree: int,
@@ -132,51 +134,42 @@ class SemiLagrangianSolver:
         self.degree = degree
         self.tableau = tableau
         self.eps = float(eps)
-        # the stage operators of the last step size only
-        self._ops_dt: float | None = None
-        self._ops: list[ShiftOperator] = []
-        self._workspaces: dict[tuple, _Workspace] = {}
-        _, self._weights = gauss_nodes(degree)
+        self._shape = (model.velocity_set.n, mesh.n_elements, degree + 1)
+        # per stage k, the earlier increments its prediction reads (a_kj != 0)
+        A = tableau.A
+        self._earlier = [[j for j in range(k) if A[k, j] != 0.0] for k in range(tableau.s)]
+        self._workspaces: dict[np.dtype, _Workspace] = {}
 
     def _workspace(self, values: np.ndarray) -> _Workspace:
-        """The workspace for values of this shape, in the dtype of their remap."""
-        key = (values.shape, np.promote_types(values.dtype, float))
-        ws = self._workspaces.get(key)
+        """The workspace for the dtype of the values' remap; ``ValueError``
+        for values not of the solver's shape."""
+        if values.shape != self._shape:
+            raise ValueError(f"values of shape {values.shape} do not match the solver's "
+                             f"(n_v, n_el, degree + 1) = {self._shape}")
+        dtype = np.promote_types(values.dtype, float)
+        ws = self._workspaces.get(dtype)
         if ws is None:
-            A = self.tableau.A
-            n_terms = max(1 + np.count_nonzero(A[k, :k]) for k in range(self.tableau.s))
-            ws = self._workspaces[key] = _Workspace(*key, self.tableau.s, n_terms,
-                                                    self.model.n_invariants)
+            ws = self._workspaces[dtype] = _Workspace(
+                self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
+                self.model.n_invariants)
         return ws
 
-    def _stage_operators(self, dt: float) -> list[ShiftOperator]:
-        """One remap per stage k: the step-start values shifted by c_k * dt
-        plus each increment j with a_kj != 0, shifted by (c_k - c_j) * dt and
-        weighted by dt * a_kj; rebuilt whenever dt changes."""
-        if dt != self._ops_dt:
-            A, c, v = self.tableau.A, self.tableau.c, self.model.velocity_set.v
-            self._ops = []
-            for k in range(self.tableau.s):
-                earlier = [j for j in range(k) if A[k, j] != 0.0]
-                shifts = [v * (c[k] * dt)] + [v * ((c[k] - c[j]) * dt) for j in earlier]
-                self._ops.append(ShiftOperator(
-                    self.mesh, self.degree, np.array(shifts),
-                    blocks=[0] + [j + 1 for j in earlier],
-                    weights=[dt * A[k, j] for j in earlier]))
-            self._ops_dt = dt
-            for ws in self._workspaces.values():
-                ws.plan = None
-        return self._ops
-
     def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
-        """The stage plan of ``ws`` for the current operators of step size
-        ``dt``: per stage (operator, remap input, relaxation kernels), then
-        the last stage's equilibrium buffer and denominator."""
-        eps, A, model = self.eps, self.tableau.A, self.model
+        """The stage plan of ``ws`` for step size ``dt``: per stage k its
+        operator -- the step-start values shifted by c_k * dt plus each
+        earlier increment j with a_kj != 0, shifted by (c_k - c_j) * dt and
+        weighted by dt * a_kj -- its remap input and its relaxation kernels,
+        then the last stage's equilibrium buffer and denominator."""
+        eps, A, c, model = self.eps, self.tableau.A, self.tableau.c, self.model
+        v = model.velocity_set.v
         predicted, spare = ws.predicted, ws.spare
-        last = len(self._ops) - 1
+        last = self.tableau.s - 1
         stages = []
-        for k, op in enumerate(self._ops):
+        for k, earlier in enumerate(self._earlier):
+            shifts = [v * (c[k] * dt)] + [v * ((c[k] - c[j]) * dt) for j in earlier]
+            op = ShiftOperator(self.mesh, self.degree, np.array(shifts),
+                               blocks=[0] + [j + 1 for j in earlier],
+                               weights=[dt * A[k, j] for j in earlier])
             w_dt = A[k, k] * dt
             if k < last:
                 # the increment (M - predicted) / (eps + w_dt), in its slot
@@ -189,7 +182,7 @@ class SemiLagrangianSolver:
                 tail = [(np.multiply, (M, w_dt, M)), (np.multiply, (eps, predicted, spare))]
             kernels = model.stage_kernels(predicted, M, spare, ws.moments) + tail
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
-        ws.plan = (stages, M, eps + w_dt)
+        ws.dt, ws.plan = dt, (stages, M, eps + w_dt)
         return ws.plan
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
@@ -206,11 +199,11 @@ class SemiLagrangianSolver:
         """Advance raw nodal values (n_v, n_el, q) by one step of size dt.
 
         The result is a fresh array; everything else lives in the solver's
-        workspace for the values' shape and dtype.
+        workspace for the values' dtype.  Values of another shape raise
+        ``ValueError``.
         """
         ws = self._workspace(values)
-        self._stage_operators(dt)  # a new dt drops every workspace's plan
-        stages, M, denom = ws.plan or self._stage_plan(ws, dt)
+        stages, M, denom = ws.plan if ws.dt == dt else self._stage_plan(ws, dt)
         predicted, gather, product = ws.predicted, ws.gather, ws.product
         ws.inputs[0][...] = values  # the step-start slot
         for k, (op, inputs, kernels) in enumerate(stages):
@@ -233,16 +226,16 @@ class SemiLagrangianSolver:
         already has it.
         """
         U = self.model.moments(values) if moments is None else moments
-        return self.mesh.integrate(U, self._weights)
+        return self.mesh.integrate(U)
 
     def equilibrium_distance(self, values: np.ndarray, moments=None) -> float:
         """Velocity-weighted L1 distance of f from its own equilibrium;
         ``moments`` as in :meth:`invariant_integrals`."""
-        U = self.model.moments(values) if moments is None else moments
         ws = self._workspace(values)
+        U = self.model.moments(values) if moments is None else moments
         M = self.model.equilibrium(U, out=ws.spare, scratch=ws.predicted)
         M -= values
-        per_v = self.mesh.integrate(np.abs(M, out=M), self._weights)
+        per_v = self.mesh.integrate(np.abs(M, out=M))
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 
@@ -318,8 +311,7 @@ def l1_error(a: DGField, b: DGField, velocity_weights=None) -> float:
         raise ValueError("fields live on different meshes")
     if a.values.shape != b.values.shape:
         raise ValueError(f"field shapes differ: {a.values.shape} vs {b.values.shape}")
-    _, w = gauss_nodes(a.degree)
-    per_lead = a.mesh.integrate(np.abs(a.values - b.values), w)
+    per_lead = a.mesh.integrate(np.abs(a.values - b.values))
     if velocity_weights is not None:
         return float(np.tensordot(np.asarray(velocity_weights), per_lead, axes=(0, 0)))
     return float(np.sum(per_lead))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,12 @@ def _mode_field(mesh, degree, coeffs, mode=1):
     coords = mesh.node_coords(degree)
     vals = np.stack([c * np.exp(1j * k * coords) for c in coeffs])
     return DGField(mesh=mesh, values=vals)
+
+
+def _stage_ops(solver):
+    """The stage operators in the plan of the solver's one workspace."""
+    (ws,) = solver._workspaces.values()
+    return [op for op, _, _ in ws.plan[0]]
 
 
 def _mode_coeffs(field, mode=1):
@@ -158,7 +165,7 @@ def test_warm_step_gathers_by_run_copies_for_many_velocities(example, takes):
     values = f0.values
     for _ in range(2):
         values = solver.step_values(values, cfg.dt)
-    for op in solver._ops:
+    for op in _stage_ops(solver):
         kernels = [getattr(kernel, "__name__", "") for kernel, _ in op._bound[5]]
         assert kernels.count("take") == takes * len(op._groups), example
 
@@ -430,7 +437,8 @@ def test_stage_operators_skip_zero_coefficients():
     A = cfg.tableau.A
     assert A[3, 0] == 0.0 and A[3, 1] == 0.0 and A[3, 2] != 0.0
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    ops = solver._stage_operators(cfg.dt)
+    solver.step_values(np.ones((2, cfg.mesh.n_elements, 3)), cfg.dt)
+    ops = _stage_ops(solver)
     assert [op.n_blocks for op in ops] == [1, 2, 3, 4]
     last = ops[-1]
     assert last._weights == (cfg.dt * A[3, 2],)
@@ -447,15 +455,17 @@ def test_operator_cache_holds_one_step_size():
     for i in range(20):
         values = solver.step_values(values, cfg.dt * (1.0 - 0.01 * i))
     last_dt = cfg.dt * (1.0 - 0.01 * 19)
-    assert solver._ops_dt == last_dt
-    assert len(solver._ops) == cfg.tableau.s
+    (ws,) = solver._workspaces.values()
+    assert ws.dt == last_dt
+    assert len(_stage_ops(solver)) == cfg.tableau.s
     # the same dt again reuses them, another one replaces them
-    ops = list(solver._ops)
+    ops = _stage_ops(solver)
     solver.step_values(values, last_dt)
-    assert all(a is b for a, b in zip(solver._ops, ops))
+    assert all(a is b for a, b in zip(_stage_ops(solver), ops))
     solver.step_values(values, cfg.dt)
-    assert len(solver._ops) == cfg.tableau.s
-    assert not any(a is b for a, b in zip(solver._ops, ops))
+    assert ws.dt == cfg.dt
+    assert len(_stage_ops(solver)) == cfg.tableau.s
+    assert not any(a is b for a, b in zip(_stage_ops(solver), ops))
 
 
 def test_warm_step_runs_kept_remap_bindings(monkeypatch):
@@ -495,7 +505,7 @@ def test_warm_step_runs_kept_remap_bindings(monkeypatch):
         assert len(plans) == (built > 0), dt
         assert np.array_equal(out, expected), dt
         (ws,) = solver._workspaces.values()
-        assert all(op._bound[0] is ws.inputs[op.n_blocks - 1] for op in solver._ops)
+        assert all(op._bound[0] is ws.inputs[op.n_blocks - 1] for op in _stage_ops(solver))
         values = out
 
 
@@ -508,7 +518,50 @@ def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
     values = f0.values
     for _ in range(2):
         values = solver.step_values(values, cfg.dt)
-    assert sum(len(op._bound[5]) for op in solver._ops) == kernels
+    assert sum(len(op._bound[5]) for op in _stage_ops(solver)) == kernels
+
+
+def test_alternating_dtypes_keep_their_bindings(monkeypatch):
+    # each dtype's workspace owns its stage operators, so real and complex
+    # values stepped in turn bind no remap on a warm step, and each step
+    # has the bits of a solver that steps one dtype only
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.005, n_elements=20)
+
+    def fresh():
+        return SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+
+    starts = [f0.values, (0.8 - 0.3j) * f0.values]
+    singles = [fresh(), fresh()]
+    expected = []
+    values = list(starts)
+    for _ in range(6):
+        values = [single.step_values(v, cfg.dt) for single, v in zip(singles, values)]
+        expected.append(values)
+    solver = fresh()
+    values = [solver.step_values(v, cfg.dt) for v in starts]
+    binds = []
+    bind = ShiftOperator._bind
+    monkeypatch.setattr(ShiftOperator, "_bind",
+                        lambda *args: binds.append(1) or bind(*args))
+    for step in expected[1:]:
+        values = [solver.step_values(v, cfg.dt) for v in values]
+        for out, ref in zip(values, step):
+            assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    assert len(binds) == 0
+    assert len(solver._workspaces) == 2
+
+
+def test_values_of_another_shape_are_rejected():
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.5, n_elements=20)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    solver.step_values(f0.values, cfg.dt)
+    workspaces = dict(solver._workspaces)
+    for bad in (f0.values[:, :-1], f0.values[..., :-1], f0.values[:1], 1j * f0.values[:, 1:]):
+        for call in (lambda v: solver.step_values(v, cfg.dt), solver.equilibrium_distance):
+            with pytest.raises(ValueError, match=re.escape(f"{bad.shape} do not match")
+                               + r".*" + re.escape("(2, 20, 3)")):
+                call(bad)
+            assert solver._workspaces == workspaces
 
 
 def _dt_weighted_step(solver, values, dt):
