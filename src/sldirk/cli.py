@@ -1,7 +1,8 @@
 """Command-line front end: order checks, stability scans, runs, sweeps.
 
 Exit codes: 0 on success, 2 for configuration problems (``KeyError`` or
-``ValueError``), 3 when a run raised a :class:`~sldirk.models.SimulationError`.
+``ValueError``) and files that cannot be read or written (``OSError``), 3
+when a run raised a :class:`~sldirk.models.SimulationError`.
 All CSV output is deterministic for a fixed configuration (floats via repr,
 rows in configuration order).
 """
@@ -99,7 +100,10 @@ def cmd_order_check(args) -> int:
 
 def cmd_stability_scan(args) -> int:
     t = butcher.resolve_tableau(args.tableau)
-    result = stability.scan(t, parse_grid(args.b), parse_grid(args.kdt), parse_grid(args.xi))
+    b = stability.DEFAULT_B_GRID if args.b is None else parse_grid(args.b)
+    kdt = stability.DEFAULT_KDT_GRID if args.kdt is None else parse_grid(args.kdt)
+    xi = stability.DEFAULT_XI_GRID if args.xi is None else parse_grid(args.xi)
+    result = stability.scan(t, b, kdt, xi)
     rho_max, b_at, kdt_at, xi_at = result.max_point()
     print(f"tableau {t.name}: {result.rho.size} grid points")
     print(f"max spectral radius {rho_max!r} at b = {b_at!r}, "
@@ -262,13 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability-scan", help="spectral radii of the one-step "
                                               "amplification matrix over a parameter grid")
     p.add_argument("--tableau", required=True, help="catalog tableau name or file path")
-    p.add_argument("--b", default="0:1:101", help="coupling grid: value, lo:hi:n or list "
-                                                  "(default %(default)s)")
-    p.add_argument("--kdt", default="0:6.283185307179586:401",
-                   help="k*dt grid (default [0, 2 pi] with 401 points)")
-    p.add_argument("--xi", default="0:10:101,inf",
-                   help="dt/eps grid; 'inf' selects the stiff-limit projection "
-                        "(default %(default)s)")
+    p.add_argument("--b", help="coupling grid: value, lo:hi:n or list (default 0:1:101)")
+    p.add_argument("--kdt", help="k*dt grid (default [0, 2 pi] with 401 points)")
+    p.add_argument("--xi", help="dt/eps grid; 'inf' selects the stiff-limit projection "
+                                "(default 0:10:101,inf)")
     p.add_argument("--out", help="CSV output path (columns b, k_dt, xi, "
                                  "lambda1_abs, lambda2_abs, rho)")
     p.set_defaults(func=cmd_stability_scan)
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         print(f"run diverged: {exc}" + (f" ({', '.join(where)})" if where else ""),
               file=sys.stderr)
         return EXIT_DIVERGED
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -34,7 +34,7 @@ from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
 from .models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity, SimulationError,
                      VelocitySet, maxwellian)
-from .sl_solver import RunResult, SimConfig, l1_error, run
+from .sl_solver import RunResult, SimConfig, _require_positive, l1_error, run
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class ConvergenceStudy:
                       t_final=preset.t_final if self.t_final is None else float(self.t_final))
         if not out.tableaus or not out.eps_values:
             raise ValueError("a sweep needs at least one tableau and one eps value")
+        for cfl in out.cfl_values:
+            _require_positive("cfl", cfl)
         if len(set(out.cfl_values)) < 3:
             raise ValueError(f"slope fitting needs at least 3 CFL values that differ, "
                              f"got {out.cfl_values}")

@@ -100,19 +100,18 @@ class KineticModel:
     def moments(self, f) -> np.ndarray:
         raise NotImplementedError
 
-    def equilibrium(self, U, out=None, scratch=None) -> np.ndarray:
-        """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given.
-        ``scratch``, an array like ``out``, may be overwritten on the way."""
+    def equilibrium(self, U, out=None) -> np.ndarray:
+        """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given."""
         raise NotImplementedError
 
-    def stage_kernels(self, f, out, scratch, moments_buffer) -> list:
+    def stage_kernels(self, f, out, moments_buffer) -> list:
         """(callable, arguments) pairs that, called in turn, leave
         M[moments(f)] in ``out``, with the bits of ``equilibrium``.  They
         read ``f`` when called, so a list bound to fixed arrays serves every
-        step; ``scratch`` and ``moments_buffer`` (shape (K,) + f.shape[1:])
-        may be overwritten.  By default one call of ``moments`` and
+        step; ``moments_buffer`` (shape (K,) + f.shape[1:]) may be
+        overwritten.  By default one call of ``moments`` and
         ``equilibrium``, looked up when it runs."""
-        return [(lambda: self.equilibrium(self.moments(f), out=out, scratch=scratch), ())]
+        return [(lambda: self.equilibrium(self.moments(f), out=out), ())]
 
 
 class _TwoVelocity(KineticModel):
@@ -132,14 +131,14 @@ class _TwoVelocity(KineticModel):
     def moments(self, f):
         return (f[0] + f[1])[None, ...]
 
-    def equilibrium(self, U, out=None, scratch=None):
+    def equilibrium(self, U, out=None):
         u = U[0]
         out = _equilibrium_buffer(out, u)
         for kernel, args in self._equilibrium_kernels(u, out):
             kernel(*args)
         return out
 
-    def stage_kernels(self, f, out, scratch, moments_buffer):
+    def stage_kernels(self, f, out, moments_buffer):
         # the density, then the equilibrium's own kernels
         u = moments_buffer[0]
         return [(np.add, (f[0], f[1], u))] + self._equilibrium_kernels(u, out)
@@ -189,35 +188,24 @@ def _equilibrium_buffer(out, u):
     return ensure_buffer("out", out, (2,) + u.shape, dtype)
 
 
-def maxwellian(v, rho, u, T, out=None, scratch=None):
+def maxwellian(v, rho, u, T):
     """1V Maxwellian rho / sqrt(2 pi T) * exp(-(v-u)^2 / (2T)).
 
     ``v`` has shape (n_v,); rho/u/T broadcast against each other and become
     the trailing field axes, producing shape (n_v,) + field shape.  The
-    result is built in ``out`` and ``scratch`` (float arrays of that shape,
-    new ones when None) with the operations of the expression above, so it
-    equals the expression to the bit; the square is divided by -2T, not
-    negated and divided by 2T, which IEEE sign symmetry makes the same.
+    operations of that expression run in place on the result, so it is the
+    expression to the bit with no field-sized temporary.
     """
     v = np.asarray(v, dtype=float)
     rho, u, T = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(u, dtype=float),
                                     np.asarray(T, dtype=float))
-    shape = (v.shape[0],) + rho.shape
-    out = ensure_buffer("out", out, shape, np.float64)
-    scratch = ensure_buffer("scratch", scratch, shape, np.float64)
-    # each factor is spread over the whole shape in scratch first: a ufunc
-    # with a broadcast operand makes numpy allocate iteration buffers
-    np.copyto(out, v.reshape((v.shape[0],) + (1,) * rho.ndim))
-    np.copyto(scratch, u)
-    np.subtract(out, scratch, out=out)
-    np.square(out, out=out)
-    np.copyto(scratch, -2.0 * T)
-    np.divide(out, scratch, out=out)
-    np.exp(out, out=out)
-    np.copyto(scratch, rho / np.sqrt(2.0 * np.pi * T))
-    np.multiply(scratch, out, out=out)
-    return out
+    f = v.reshape((v.shape[0],) + (1,) * rho.ndim) - u
+    np.square(f, out=f)
+    np.negative(f, out=f)
+    np.divide(f, 2.0 * T, out=f)
+    np.exp(f, out=f)
+    return np.multiply(rho / np.sqrt(2.0 * np.pi * T), f, out=f)
 
 
 #: relative moment residual at which the discrete Maxwellian fit stops
@@ -230,8 +218,8 @@ class BGK1D(KineticModel):
     """1D1V gas model relaxing toward a local Maxwellian.
 
     Conserved moments are (rho, rho*u, E) against (1, v, v^2/2).  The
-    equilibrium is the *discrete* Maxwellian: its parameters are
-    Newton-corrected so that the quadrature moments match U exactly, making
+    equilibrium is the *discrete* Maxwellian exp(alpha + beta v + gamma v^2)
+    whose quadrature moments match U exactly (Mieussens, M3AS 2000), making
     the relaxation term conserve mass, momentum and energy to machine
     precision instead of quadrature accuracy.
     """
@@ -243,11 +231,14 @@ class BGK1D(KineticModel):
     def __init__(self, velocity_set: VelocitySet | None = None):
         self.velocity_set = velocity_set if velocity_set is not None \
             else VelocitySet.uniform(-15.0, 15.0, 100)
-        v = self.velocity_set.v
-        # weighted invariants (3, n_v): rows w, w*v, w*v^2/2
-        self._wphi = np.stack([self.velocity_set.w,
-                               self.velocity_set.w * v,
-                               0.5 * self.velocity_set.w * v * v])
+        v, w = self.velocity_set.v, self.velocity_set.w
+        # the basis (n_v, 3) of the exponent: 1, v, v^2
+        self._basis = np.stack([np.ones_like(v), v, v * v], axis=1)
+        # weighted powers (5, n_v): rows w, w*v, w*v^2/2, w*v^3/2, w*v^4/2;
+        # the first three are the weighted invariants
+        half = 0.5 * w * v * v
+        self._wpow = np.stack([w, w * v, half, half * v, half * v * v])
+        self._wphi = self._wpow[:3]
 
     def moments(self, f):
         U = self._velocity_sums(f)
@@ -277,55 +268,33 @@ class BGK1D(KineticModel):
             raise exc
         return rho, u, T
 
-    def equilibrium(self, U, out=None, scratch=None):
-        # the fit is elementwise over the field, so it runs on the points
-        # laid out flat: the Maxwellian's loops then span the whole field
-        # instead of one element's nodes
-        U = np.asarray(U)
+    def equilibrium(self, U, out=None):
+        """Newton on theta = (alpha, beta, gamma) at each point, started at
+        the analytic Maxwellian's parameters, which are already within
+        quadrature error, so usually no iteration runs.  The Jacobian of the moments in theta
+        is the Gram matrix of the same weighted power sums S that give them.
+        The fit is elementwise, so it runs on the points laid out flat."""
+        U = np.asarray(U, dtype=float)
         n_v = self.velocity_set.n
-        shape = (n_v,) + U.shape[1:]
-        out = ensure_buffer("out", out, shape, np.float64)
-        scratch = ensure_buffer("scratch", scratch, shape, np.float64)
-        flat = U.reshape(U.shape[0], -1)
-        self._fit_discrete_parameters(flat, *self.parameters(flat),
-                                      out.reshape(n_v, -1), scratch.reshape(n_v, -1))
-        return out
-
-    def _fit_discrete_parameters(self, U, rho, u, T, out=None, scratch=None):
-        """Newton-correct (rho, u, T) until the discrete Maxwellian moments
-        equal U.  Warm-started at the analytic parameters, which are already
-        within quadrature error, so usually 0-2 iterations run.
-
-        Returns the fitted (rho, u, T) and the discrete Maxwellian at them,
-        which is the array the converged residual check evaluated, so the
-        caller needs no further Maxwellian evaluation.  Every Maxwellian is
-        evaluated in ``out`` and ``scratch``, as in :func:`maxwellian`."""
-        v = self.velocity_set.v
-        scale = np.maximum(np.abs(U[0]), 1e-300)
+        out = ensure_buffer("out", out, (n_v,) + U.shape[1:], np.float64)
+        U = U.reshape(3, -1)
+        rho, u, T = self.parameters(U)
+        theta = np.stack([np.log(rho / np.sqrt(2.0 * np.pi * T)) - u * u / (2.0 * T),
+                          u / T, -0.5 / T])
+        del rho, u, T  # a warm step's equilibrium keeps only theta and S alive
+        M = out.reshape(n_v, -1)
         for _ in range(NEWTON_MAX_ITER):
-            M = maxwellian(v, rho, u, T, out, scratch)
-            res = self._velocity_sums(M) - U
-            if np.max(np.abs(res) / scale) <= NEWTON_TOL:
-                return rho, u, T, M
-            # columns of the 3x3 Jacobian: moments of dM/drho, dM/du, dM/dT
-            vshape = (v.shape[0],) + (1,) * np.ndim(rho)
-            dv = v.reshape(vshape) - u
-            dM = np.stack([M / rho,
-                           M * dv / T,
-                           M * (dv * dv / (2.0 * T * T) - 0.5 / T)], axis=-1)
-            J = self._velocity_sums(dM)                        # (3, ..., 3)
-            J = np.moveaxis(J, 0, -2)                          # (..., 3, 3)
-            rhs = np.moveaxis(res, 0, -1)[..., None]           # (..., 3, 1)
+            np.exp(np.dot(self._basis, theta, out=M), out=M)
+            S = np.dot(self._wpow, M)
+            res = S[:3] - U
+            if np.max(np.abs(res) / U[0]) <= NEWTON_TOL:
+                return out
+            J = np.stack([S[0], S[1], 2.0 * S[2], S[1], 2.0 * S[2], 2.0 * S[3],
+                          S[2], S[3], S[4]], axis=-1).reshape(-1, 3, 3)
             try:
-                step = np.linalg.solve(J, rhs)[..., 0]
+                step = np.linalg.solve(J, res.T[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise DivergenceError("discrete Maxwellian fit hit a singular Jacobian") from exc
-            rho = rho - step[..., 0]
-            u = u - step[..., 1]
-            # keep temperature positive; the warm start makes this guard
-            # a no-op in practice
-            T = np.maximum(T - step[..., 2], 0.05 * T)
-            if np.any(rho <= 0.0):
-                raise UnphysicalStateError("discrete Maxwellian fit drove rho <= 0")
+            theta -= step.T
         raise DivergenceError("discrete Maxwellian fit did not converge "
                               f"within {NEWTON_MAX_ITER} iterations")

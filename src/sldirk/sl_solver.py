@@ -180,7 +180,7 @@ class SemiLagrangianSolver:
                 # equilibrium goes to the step-start slot, free after its remap
                 M = ws.inputs[0]
                 tail = [(np.multiply, (M, w_dt, M)), (np.multiply, (eps, predicted, spare))]
-            kernels = model.stage_kernels(predicted, M, spare, ws.moments) + tail
+            kernels = model.stage_kernels(predicted, M, ws.moments) + tail
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
         ws.dt, ws.plan = dt, (stages, M, eps + w_dt)
         return ws.plan
@@ -233,7 +233,7 @@ class SemiLagrangianSolver:
         ``moments`` as in :meth:`invariant_integrals`."""
         ws = self._workspace(values)
         U = self.model.moments(values) if moments is None else moments
-        M = self.model.equilibrium(U, out=ws.spare, scratch=ws.predicted)
+        M = self.model.equilibrium(U, out=ws.spare)
         M -= values
         per_v = self.mesh.integrate(np.abs(M, out=M))
         return float(np.dot(self.model.velocity_set.w, per_v))
@@ -244,11 +244,14 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     exactly on t_final).
 
     ``diagnostics_every`` controls how often the conservation/relaxation
-    diagnostics are recorded (0 records only the endpoints).  Aborts with
-    :class:`DivergenceError` as soon as the field stops being finite; a
-    :class:`SimulationError` from a step or from its diagnostics carries that
-    step and its end time (step 0 and time 0 for the initial data).
+    diagnostics are recorded (0 records only the endpoints; a negative
+    value raises ``ValueError``).  Aborts with :class:`DivergenceError` as
+    soon as the field stops being finite; a :class:`SimulationError` from a
+    step or from its diagnostics carries that step and its end time (step 0
+    and time 0 for the initial data).
     """
+    if diagnostics_every < 0:
+        raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     dt = cfg.dt
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))

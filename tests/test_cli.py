@@ -152,6 +152,32 @@ def test_stability_scan_csv_bytes_match_row_list(capsys, tmp_path):
     assert f"wrote {len(rows)} rows" in out
 
 
+def test_stability_scan_default_grids_are_the_module_constants(capsys, monkeypatch):
+    # an omitted grid flag scans stability's default grid, which is
+    # bit-equal to the spec the help states
+    from sldirk import stability
+    real_scan, seen = stability.scan, []
+
+    def spy(t, *grids):
+        seen.append(grids)
+        return real_scan(t, *(grid[:2] for grid in grids))
+    monkeypatch.setattr(stability, "scan", spy)
+    code, _, _ = run_cli(capsys, "stability-scan", "--tableau", "BE", "--b", "0.5")
+    assert code == 0
+    b, kdt, xi = seen[0]
+    assert np.array_equal(b, [0.5])
+    assert kdt is stability.DEFAULT_KDT_GRID and xi is stability.DEFAULT_XI_GRID
+    with pytest.raises(SystemExit):
+        cli.main(["stability-scan", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for grid, spec in ((stability.DEFAULT_B_GRID, "0:1:101"),
+                       (stability.DEFAULT_KDT_GRID, "0:6.283185307179586:401"),
+                       (stability.DEFAULT_XI_GRID, "0:10:101,inf")):
+        assert np.array_equal(grid, cli.parse_grid(spec))
+    assert "default 0:1:101" in help_text and "default 0:10:101,inf" in help_text
+    assert "default [0, 2 pi] with 401 points" in help_text
+
+
 def test_grid_spec_parsing():
     np.testing.assert_allclose(cli.parse_grid("0:1:3"), [0.0, 0.5, 1.0])
     np.testing.assert_allclose(cli.parse_grid("0.25"), [0.25])
@@ -272,9 +298,10 @@ def test_simulate_newton_non_convergence_exits_3(capsys, monkeypatch):
 
 
 def test_singular_newton_jacobian_is_a_failed_run(capsys, tmp_path):
-    # on four velocities the discrete Maxwellian fit meets a singular
-    # Jacobian: simulate exits 3, and a sweep records NaN rows
-    coarse = ("--nv", "4", "--nx", "8", "--T", "0.001")
+    # two velocities cannot fix the three parameters of the discrete
+    # Maxwellian, so its fit meets a singular Jacobian: simulate exits 3,
+    # and a sweep records NaN rows
+    coarse = ("--nv", "2", "--nx", "8", "--T", "0.001")
     code, _, err = run_cli(capsys, "simulate", "--model", "bgk", *coarse)
     assert code == 3
     assert err.startswith("run diverged:") and "singular Jacobian" in err
@@ -287,10 +314,33 @@ def test_singular_newton_jacobian_is_a_failed_run(capsys, tmp_path):
 
 def test_failed_run_names_its_step_and_time(capsys):
     # the initial data's fit fails before any step
-    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nv", "4", "--nx", "8",
+    code, _, err = run_cli(capsys, "simulate", "--model", "bgk", "--nv", "2", "--nx", "8",
                            "--T", "0.001")
     assert code == 3
     assert err.startswith("run diverged:") and "(step 0, t = 0)" in err
+
+
+def test_simulate_negative_diagnostics_interval_exits_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                             "--T", "0.01", "--diag-every", "-3")
+    assert code == 2
+    assert "diagnostics_every must be >= 0" in err
+    assert "completed" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", "/nonexistent/run.cfg"),
+    ("simulate", "--model", "linear", "--nx", "8", "--T", "0.01",
+     "--out", "/nonexistent/dir/run"),
+    ("stability-scan", "--tableau", "BE", "--b", "0.5", "--kdt", "1", "--xi", "1",
+     "--out", "/nonexistent/s.csv"),
+    ("order-check", "BE", "--csv", "/nonexistent/c.csv"),
+])
+def test_file_errors_exit_2(capsys, argv):
+    # a file that cannot be read or written is an error line, not a traceback
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "/nonexistent/" in err
 
 
 @pytest.mark.parametrize("vmax", ["nan", "inf", "1e308"])
@@ -465,6 +515,8 @@ def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragmen
     (("--tableaus", "BE,DIRK2,BE"), "each tableau may be given once"),
     (("--eps", "1e-2,0.01"), "each eps may be given once"),
     (("--cfls", "0.2,0.4,0.8,0.4"), "each CFL may be given once"),
+    (("--cfls", "0.2,0.4,nan"), "cfl must be finite and positive"),
+    (("--cfls", "0.2,0.4,inf"), "cfl must be finite and positive"),
 ])
 def test_convergence_bad_sweep_input_exits_2_before_any_run(capsys, monkeypatch, args,
                                                             fragment):

@@ -266,6 +266,14 @@ def test_run_bgk_benchmark_conserves_all_invariants():
     assert result.times[-1] == cfg.t_final
 
 
+def test_run_rejects_a_negative_diagnostics_interval():
+    # Python's % by a negative divisor still reaches 0, which would record
+    # every third step for -3
+    cfg, f0 = build_case("5.1", "DIRK2", 1e-2, 0.5, n_elements=8)
+    with pytest.raises(ValueError, match="diagnostics_every must be >= 0, got -3"):
+        run(cfg, f0, diagnostics_every=-3)
+
+
 def test_run_zero_velocity_constant_state_unchanged():
     cfg = _linear_cfg(tableau="DIRK3-B2", eps=0.5, t_final=0.07)
     f0 = initial_field(cfg, lambda x, v: np.full_like(x, 0.8 if v > 0 else 0.2))
