@@ -86,8 +86,11 @@ class Mesh1D:
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Gauss-quadrature domain integral of nodal values (..., n_el, q), one
         value per leading index."""
-        _, weights = gauss_nodes(values.shape[-1] - 1)
-        return self.dx * np.tensordot(values, weights, axes=(-1, 0)).sum(axis=-1)
+        q = values.shape[-1]
+        _, weights = gauss_nodes(q - 1)
+        # the product np.tensordot makes, without its Python wrapper
+        per_element = np.dot(values.reshape(-1, q), weights).reshape(values.shape[:-1])
+        return self.dx * per_element.sum(axis=-1)
 
 
 @dataclass

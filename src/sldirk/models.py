@@ -90,7 +90,8 @@ class VelocitySet:
 
 class KineticModel:
     """Common relaxation machinery; subclasses set the attributes below and
-    implement ``moments`` and ``equilibrium``."""
+    implement ``moments`` and ``equilibrium`` together with their bound
+    forms, ``moment_kernel`` and ``equilibrium_kernels``."""
 
     name: str
     velocity_set: VelocitySet
@@ -104,22 +105,34 @@ class KineticModel:
         """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given."""
         raise NotImplementedError
 
+    def moment_kernel(self, f, U) -> tuple:
+        """The (callable, arguments) pair that writes the moments of ``f``
+        into ``U`` (shape (K,) + f.shape[1:]) with the bits of ``moments``;
+        the equilibrium kernels that read ``U`` check it as ``moments``
+        would."""
+        raise NotImplementedError
+
+    def equilibrium_kernels(self, U, out) -> list:
+        """(callable, arguments) pairs that, called in turn, write M[U] into
+        ``out`` with the bits of ``equilibrium``, raising as it does."""
+        raise NotImplementedError
+
     def stage_kernels(self, f, out, moments_buffer) -> list:
         """(callable, arguments) pairs that, called in turn, leave
-        M[moments(f)] in ``out``, with the bits of ``equilibrium``.  They
-        read ``f`` when called, so a list bound to fixed arrays serves every
-        step; ``moments_buffer`` (shape (K,) + f.shape[1:]) may be
-        overwritten.  By default one call of ``moments`` and
-        ``equilibrium``, looked up when it runs."""
-        return [(lambda: self.equilibrium(self.moments(f), out=out), ())]
+        M[moments(f)] in ``out``, with the bits of ``equilibrium``: the
+        moment kernel into ``moments_buffer`` (shape (K,) + f.shape[1:]),
+        then the equilibrium kernels.  They read ``f`` when called, so a
+        list bound to fixed arrays serves every step."""
+        return [self.moment_kernel(f, moments_buffer)] + self.equilibrium_kernels(
+            moments_buffer, out)
 
 
 class _TwoVelocity(KineticModel):
     """Components (f_1, f_2) moving at v = +1 / -1 with coupling ``b``; the
     single conserved moment is U = f_1 + f_2.  Subclasses supply the
-    equilibrium as ``_equilibrium_kernels(u, out)``, the (ufunc, arguments)
-    pairs writing M of density ``u`` into ``out``, which ``equilibrium``
-    runs and ``stage_kernels`` binds."""
+    equilibrium as ``equilibrium_kernels``, the (ufunc, arguments) pairs
+    writing M of the density U[0] into ``out``, which ``equilibrium``
+    runs."""
 
     n_invariants = 1
     invariant_names = ("mass",)
@@ -132,16 +145,13 @@ class _TwoVelocity(KineticModel):
         return (f[0] + f[1])[None, ...]
 
     def equilibrium(self, U, out=None):
-        u = U[0]
-        out = _equilibrium_buffer(out, u)
-        for kernel, args in self._equilibrium_kernels(u, out):
+        out = _equilibrium_buffer(out, U[0])
+        for kernel, args in self.equilibrium_kernels(U, out):
             kernel(*args)
         return out
 
-    def stage_kernels(self, f, out, moments_buffer):
-        # the density, then the equilibrium's own kernels
-        u = moments_buffer[0]
-        return [(np.add, (f[0], f[1], u))] + self._equilibrium_kernels(u, out)
+    def moment_kernel(self, f, U):
+        return (np.add, (f[0], f[1], U[0]))
 
 
 class LinearTwoVelocity(_TwoVelocity):
@@ -159,7 +169,8 @@ class LinearTwoVelocity(_TwoVelocity):
             raise ValueError(f"coupling b = {b} must satisfy |b| < 1")
         super().__init__(b)
 
-    def _equilibrium_kernels(self, u, out):
+    def equilibrium_kernels(self, U, out):
+        u = U[0]
         return [(np.multiply, (0.5 * (1.0 + self.b), u, out[0, ...])),
                 (np.multiply, (0.5 * (1.0 - self.b), u, out[1, ...]))]
 
@@ -173,7 +184,8 @@ class NonlinearTwoVelocity(_TwoVelocity):
 
     name = "nonlinear-two-velocity"
 
-    def _equilibrium_kernels(self, u, out):
+    def equilibrium_kernels(self, U, out):
+        u = U[0]
         flux, minus = out[0, ...], out[1, ...]  # views, also for 0-d u
         return [(np.multiply, (self.b, u, flux)), (np.multiply, (flux, u, flux)),
                 (np.negative, (flux, minus)), (np.add, (minus, u, minus)),
@@ -252,49 +264,112 @@ class BGK1D(KineticModel):
         Python wrapper."""
         return np.dot(self._wphi, f.reshape(f.shape[0], -1)).reshape((3,) + f.shape[1:])
 
+    def moment_kernel(self, f, U):
+        # the flat forms must be views, so both arrays are C-contiguous
+        ensure_buffer("f", f, f.shape, f.dtype)
+        ensure_buffer("moments", U, (3,) + f.shape[1:], np.result_type(self._wphi, f))
+        return (np.dot, (self._wphi, f.reshape(f.shape[0], -1), U.reshape(3, -1)))
+
     @staticmethod
     def parameters(U):
         """(rho, u, T) of the moments U.  Raises UnphysicalStateError, with
         the flat index of the first bad point, unless rho > 0 and T > 0."""
         rho = U[0]
-        u = U[1] / rho
-        T = 2.0 * U[2] / rho - u * u
-        bad = (rho <= 0.0) | (T <= 0.0)
-        if np.any(bad):
-            exc = UnphysicalStateError(
-                f"moments left the physical region: min rho = {np.min(rho):.3e}, "
-                f"min T = {np.min(T):.3e}")
-            exc.flat_index = int(np.argmax(np.ravel(bad)))
-            raise exc
-        return rho, u, T
+        params = np.empty((3,) + np.shape(rho))
+        _gas_parameters(U, params[0, ...], params[1, ...], params[2, ...])
+        return rho, params[0], params[1]
 
     def equilibrium(self, U, out=None):
-        """Newton on theta = (alpha, beta, gamma) at each point, started at
-        the analytic Maxwellian's parameters, which are already within
-        quadrature error, so usually no iteration runs.  The Jacobian of the moments in theta
-        is the Gram matrix of the same weighted power sums S that give them.
-        The fit is elementwise, so it runs on the points laid out flat."""
-        U = np.asarray(U, dtype=float)
+        """M[U]: the fit of :meth:`equilibrium_kernels` on fresh scratch."""
+        U = np.ascontiguousarray(U, dtype=float)
+        if out is None:
+            out = np.empty((self.velocity_set.n,) + U.shape[1:])
+        for kernel, args in self.equilibrium_kernels(U, out):
+            kernel(*args)
+        return out
+
+    def equilibrium_kernels(self, U, out):
+        """One kernel, the fit of ``_fit``, bound to the flat forms of ``U``
+        and ``out`` (C-contiguous float64) and to per-point scratch."""
+        ensure_buffer("moments", U, (3,) + U.shape[1:], np.float64)
         n_v = self.velocity_set.n
-        out = ensure_buffer("out", out, (n_v,) + U.shape[1:], np.float64)
+        ensure_buffer("out", out, (n_v,) + U.shape[1:], np.float64)
         U = U.reshape(3, -1)
-        rho, u, T = self.parameters(U)
-        theta = np.stack([np.log(rho / np.sqrt(2.0 * np.pi * T)) - u * u / (2.0 * T),
-                          u / T, -0.5 / T])
-        del rho, u, T  # a warm step's equilibrium keeps only theta and S alive
-        M = out.reshape(n_v, -1)
-        for _ in range(NEWTON_MAX_ITER):
+        n = U.shape[1]
+        scratch = np.empty((4, n)), np.empty((3, n)), np.empty((5, n)), np.empty((2, 3, n))
+        return [(self._fit, (U, out.reshape(n_v, -1)) + scratch)]
+
+    def _fit(self, U, M, params, theta, S, residual):
+        """Newton on theta = (alpha, beta, gamma) at each point of the flat
+        moments U (3, P), writing exp(alpha + beta v + gamma v^2) into M
+        (n_v, P).  It starts at the analytic Maxwellian's parameters, which
+        are already within quadrature error, so usually no iteration runs.
+        The Jacobian of the moments in theta is the Gram matrix of the same
+        weighted power sums S that give them.  ``params`` holds the rows
+        u, T, u^2 and a spare one, ``residual`` the residual and its
+        relative size."""
+        u, T, uu, spare = params
+        rho = U[0]
+        _gas_parameters(U, u, T, uu)
+        # theta = (log(rho / sqrt(2 pi T)) - u^2 / (2 T), u / T, -0.5 / T)
+        alpha = theta[0]
+        np.multiply(2.0 * np.pi, T, out=alpha)
+        np.sqrt(alpha, out=alpha)
+        np.divide(rho, alpha, out=alpha)
+        np.log(alpha, out=alpha)
+        np.multiply(2.0, T, out=spare)
+        np.divide(uu, spare, out=spare)
+        np.subtract(alpha, spare, out=alpha)
+        np.divide(u, T, out=theta[1])
+        np.divide(-0.5, T, out=theta[2])
+        res, rel = residual
+        max_iter = NEWTON_MAX_ITER
+        for _ in range(max_iter):
             np.exp(np.dot(self._basis, theta, out=M), out=M)
-            S = np.dot(self._wpow, M)
-            res = S[:3] - U
-            if np.max(np.abs(res) / U[0]) <= NEWTON_TOL:
-                return out
+            np.dot(self._wpow, M, out=S)
+            np.subtract(S[:3], U, out=res)
+            np.divide(np.abs(res, out=rel), rho, out=rel)
+            if rel.max() <= NEWTON_TOL:
+                return
             J = np.stack([S[0], S[1], 2.0 * S[2], S[1], 2.0 * S[2], 2.0 * S[3],
                           S[2], S[3], S[4]], axis=-1).reshape(-1, 3, 3)
             try:
                 step = np.linalg.solve(J, res.T[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
-                raise DivergenceError("discrete Maxwellian fit hit a singular Jacobian") from exc
+                raise self._fit_failure("hit a singular Jacobian", T, rel) from exc
             theta -= step.T
-        raise DivergenceError("discrete Maxwellian fit did not converge "
-                              f"within {NEWTON_MAX_ITER} iterations")
+        raise self._fit_failure(f"did not converge within {max_iter} iterations", T,
+                                rel if max_iter > 0 else None)
+
+    def _fit_failure(self, reason, T, rel):
+        """The DivergenceError of a fit that ``reason``.  It names the
+        velocity grid spacing dv (the largest gap) and the smallest sqrt(T)
+        among the points whose relative residual ``rel`` (None before the
+        first) misses NEWTON_TOL."""
+        failing = T if rel is None else T[~(rel.max(axis=0) <= NEWTON_TOL)]
+        gaps = np.diff(np.sort(self.velocity_set.v))
+        dv = gaps.max() if gaps.size else np.nan
+        return DivergenceError(
+            f"discrete Maxwellian fit {reason}: velocity spacing dv = {dv:.3g}, smallest "
+            f"sqrt(T) among the failing points = {np.sqrt(np.min(failing)):.3g}; grids "
+            f"with dv above about 2 sqrt(T) do not resolve the Maxwellian")
+
+
+def _gas_parameters(U, u, T, uu):
+    """Write u = U[1] / rho, T = 2 U[2] / rho - u^2 and u^2 of the gas
+    moments U (rho = U[0]) into the arrays ``u``, ``T`` and ``uu``.  Raises
+    UnphysicalStateError, with the flat index of the first bad point,
+    unless rho > 0 and T > 0."""
+    rho = U[0]
+    np.divide(U[1], rho, out=u)
+    np.multiply(u, u, out=uu)
+    np.multiply(2.0, U[2], out=T)
+    np.divide(T, rho, out=T)
+    np.subtract(T, uu, out=T)
+    bad = (rho <= 0.0) | (T <= 0.0)
+    if np.any(bad):
+        exc = UnphysicalStateError(
+            f"moments left the physical region: min rho = {np.min(rho):.3e}, "
+            f"min T = {np.min(T):.3e}")
+        exc.flat_index = int(np.argmax(np.ravel(bad)))
+        raise exc

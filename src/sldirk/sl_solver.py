@@ -34,11 +34,16 @@ and adds the terms in groups that fit its gather byte budget, with the
 bits of one remap per term added in order.  A workspace builds its plan
 when the step size changes: per stage its own operator, its remap input
 and its relaxation as (callable, arguments) pairs bound to the workspace
--- the model's ``stage_kernels``, then the increment arithmetic.  Each
-operator keeps the binding of the one workspace it serves, so a warm step
-copies its input in, hands each operator the arrays of its kept binding
-and runs only bound kernels.  A step allocates no field-sized array
-except the one it returns, and no returned array is ever a workspace.
+-- the model's ``stage_kernels`` (its moment kernel into the moments
+buffer, then its equilibrium kernels, for the gas model one Newton fit
+that checks the moments and owns its per-point scratch), then the
+increment arithmetic.  Each operator keeps the binding of the one
+workspace it serves, so a warm step copies its input in, hands each
+operator the arrays of its kept binding and runs only bound kernels.  A
+step allocates no field-sized array except the one it returns, and no
+returned array is ever a workspace.  The workspace also binds the
+equilibrium of its moments buffer once, which the diagnostics run for
+each record.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ class _Workspace:
     """The warm state of one solver for values of one dtype: scratch
     arrays, the step size last planned for and that step size's plan."""
 
-    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, n_moments: int):
+    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel):
         lead = shape[0]
         # slot 0 holds the step-start values, slot j + 1 the increment of stage j
         self.stages = np.empty((n_stages * lead,) + shape[1:], dtype)
@@ -108,9 +113,11 @@ class _Workspace:
         self.gather = np.empty(gather, dtype)
         self.product = np.empty(product, dtype)
         self.predicted = np.empty(shape, dtype)
-        self.moments = np.empty((n_moments,) + shape[1:], dtype)
+        self.moments = np.empty((model.n_invariants,) + shape[1:], dtype)
         # the product rows are free between remaps
         self.spare = self.product[:lead]
+        # the equilibrium of the moments buffer, into the spare rows
+        self.equilibrium = model.equilibrium_kernels(self.moments, self.spare)
         # the leading b slots, the remap input of b blocks, and each increment slot
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
@@ -151,7 +158,7 @@ class SemiLagrangianSolver:
         if ws is None:
             ws = self._workspaces[dtype] = _Workspace(
                 self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
-                self.model.n_invariants)
+                self.model)
         return ws
 
     def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
@@ -232,8 +239,10 @@ class SemiLagrangianSolver:
         """Velocity-weighted L1 distance of f from its own equilibrium;
         ``moments`` as in :meth:`invariant_integrals`."""
         ws = self._workspace(values)
-        U = self.model.moments(values) if moments is None else moments
-        M = self.model.equilibrium(U, out=ws.spare)
+        ws.moments[...] = self.model.moments(values) if moments is None else moments
+        for kernel, args in ws.equilibrium:
+            kernel(*args)
+        M = ws.spare
         M -= values
         per_v = self.mesh.integrate(np.abs(M, out=M))
         return float(np.dot(self.model.velocity_set.w, per_v))
@@ -257,7 +266,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
 
     values = np.array(initial.values)
-    if not np.isfinite(values).all():
+    finite = np.empty(values.shape, bool)  # the check of each step's values
+    if not np.isfinite(values, out=finite).all():
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
     times, invariants, eq_dist = [0.0], [], []
 
@@ -285,7 +295,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
             t = cfg.t_final if n == n_steps - 1 else t + step_dt
             try:
                 values = solver.step_values(values, step_dt)
-                if not np.isfinite(values).all():
+                if not np.isfinite(values, out=finite).all():
                     raise DivergenceError(
                         f"non-finite values after step {n + 1} (t = {t:.6g}, "
                         f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")

@@ -68,6 +68,17 @@ def test_field_leading_axes():
     np.testing.assert_allclose(mesh.integrate(f.values), [0.5, 1.0], atol=1e-14)
 
 
+def test_integrate_has_the_bits_of_tensordot(rng):
+    for shape in ((100, 160, 3), (3, 160, 3), (2, 160, 5), (100, 40, 1), (40, 2)):
+        mesh = Mesh1D(-1.0, 1.0, shape[-2])
+        values = rng.normal(size=shape)
+        strided = np.asfortranarray(values)[..., ::-1]
+        for f in (values, strided, values + 1j * rng.normal(size=shape)):
+            _, weights = gauss_nodes(shape[-1] - 1)
+            expected = mesh.dx * np.tensordot(f, weights, axes=(-1, 0)).sum(axis=-1)
+            assert np.array_equal(mesh.integrate(f), expected), shape
+
+
 # ---------------------------------------------------------------------------
 # conservative remap
 # ---------------------------------------------------------------------------

@@ -252,6 +252,23 @@ def test_bgk_newton_non_convergence_raises_divergence_error(monkeypatch):
     assert sldirk.DivergenceError is DivergenceError
 
 
+@pytest.mark.parametrize("n_v,reason", [(8, "hit a singular Jacobian"),
+                                         (10, "did not converge within 50 iterations")])
+def test_bgk_fit_failure_names_grid_spacing_and_temperature(n_v, reason):
+    # the point at T = 1 is under-resolved (dv > 2 sqrt(T)), the one at T = 9 is not
+    m = BGK1D(velocity_set=VelocitySet.uniform(-15.0, 15.0, n_v))
+    T = np.array([1.0, 9.0])
+    U = np.stack([np.ones(2), np.full(2, 0.3), 0.5 * (0.09 + T)])
+    m.equilibrium(U[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as info:
+        m.equilibrium(U)
+    message = str(info.value)
+    assert message.startswith(f"discrete Maxwellian fit {reason}: "), message
+    assert f"dv = {30.0 / (n_v - 1):.3g}, " in message
+    assert "smallest sqrt(T) among the failing points = 1;" in message
+
+
 def test_run_failures_form_one_family():
     # configuration problems are ValueErrors; a failed run is not
     for cls in (models.SimulationError, DivergenceError, UnphysicalStateError):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sldirk import models
 from sldirk.butcher import catalog, get_tableau, to_shu_osher
-from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient
+from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient, gauss_nodes
 from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
-                           UnphysicalStateError, VelocitySet)
+                           UnphysicalStateError, VelocitySet, maxwellian)
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
                               l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
@@ -122,14 +123,12 @@ def test_warm_step_allocates_only_its_result(monkeypatch):
     # workspaces, so the traced peak is the returned array plus the
     # per-point moments and fit parameters
     cfg, f0 = build_case("5.3", "DIRK3-B10", 1e-6, 0.1, n_elements=40, degree=2, n_v=100)
-    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
-    values = f0.values
-    for _ in range(2):
-        values = solver.step_values(values, cfg.dt)
-    layer_peaks = []
+    layer_peaks, tracing = [], []
 
     def traced(fn):
         def wrapper(*args, **kwargs):
+            if not tracing:
+                return fn(*args, **kwargs)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             result = fn(*args, **kwargs)
@@ -137,22 +136,42 @@ def test_warm_step_allocates_only_its_result(monkeypatch):
             return result
         return wrapper
 
+    # a lone transient field would hide under the returned array, so every
+    # remap and fit of the second traced step is traced on its own too; the
+    # fits are bound into the stage plan, so they are wrapped before it is
+    equilibrium_kernels = cfg.model.equilibrium_kernels
+    monkeypatch.setattr(cfg.model, "equilibrium_kernels", lambda U, out: [
+        (traced(kernel), args) for kernel, args in equilibrium_kernels(U, out)])
+    monkeypatch.setattr(ShiftOperator, "apply", traced(ShiftOperator.apply))
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for _ in range(2):
+        values = solver.step_values(values, cfg.dt)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         solver.step_values(values, cfg.dt)
         peak = tracemalloc.get_traced_memory()[1] - before
-        # a lone transient field would hide under the returned array, so
-        # every remap and equilibrium of a step is traced on its own too
-        monkeypatch.setattr(ShiftOperator, "apply", traced(ShiftOperator.apply))
-        monkeypatch.setattr(cfg.model, "equilibrium", traced(cfg.model.equilibrium))
+        tracing.append(True)
         solver.step_values(values, cfg.dt)
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * values.nbytes, peak / values.nbytes
-    # one remap and one equilibrium per stage
+    # one remap and one bound fit per stage
     assert len(layer_peaks) == 2 * cfg.tableau.s
     assert max(layer_peaks) <= 0.25 * values.nbytes, max(layer_peaks) / values.nbytes
+
+
+def test_gas_stage_checks_its_moments_once(monkeypatch):
+    # the stage's moment kernel only sums; its fit checks rho > 0 and T > 0
+    cfg, f0 = build_case("5.3", "DIRK3-B10", 1e-6, 0.1, n_elements=8, degree=2, n_v=16)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = solver.step_values(f0.values, cfg.dt)
+    calls = []
+    check = models._gas_parameters
+    monkeypatch.setattr(models, "_gas_parameters", lambda *a: calls.append(1) or check(*a))
+    solver.step_values(values, cfg.dt)
+    assert len(calls) == cfg.tableau.s
 
 
 @pytest.mark.parametrize("example,takes", [("5.3", 0), ("5.1", 1)])
@@ -729,14 +748,13 @@ def test_diagnostics_take_moments_once_per_record(example, monkeypatch):
     calls = []
     moments = cfg.model.moments
     monkeypatch.setattr(cfg.model, "moments", lambda f: calls.append(1) or moments(f))
-    if example == "5.1":
-        # the two-velocity stages take the density in their first kernel
-        stage_kernels = cfg.model.stage_kernels
+    # the stages take the moments in their bound moment kernel
+    moment_kernel = cfg.model.moment_kernel
 
-        def counted(*args):
-            (density, operands), *rest = stage_kernels(*args)
-            return [(lambda *a: calls.append(1) or density(*a), operands)] + rest
-        monkeypatch.setattr(cfg.model, "stage_kernels", counted)
+    def counted(f, U):
+        kernel, operands = moment_kernel(f, U)
+        return (lambda *a: calls.append(1) or kernel(*a), operands)
+    monkeypatch.setattr(cfg.model, "moment_kernel", counted)
     result = run(cfg, f0, diagnostics_every=1)
     n, s = result.n_steps, cfg.tableau.s
     # one per stage, one per record (the initial one included), one for the macro field
@@ -761,6 +779,51 @@ def test_diagnostics_history_bitwise_per_method(example):
         distance.append(solver.equilibrium_distance(values))
     assert np.array_equal(result.invariants, np.asarray(invariants))
     assert np.array_equal(result.equilibrium_distance, np.asarray(distance))
+
+
+def _allocating_gas_fit(model, U):
+    """The gas equilibrium of U (3, P) and its number of Newton solves, as
+    the fit computed it on fresh arrays before it was bound into the stage
+    plan; kept as the bit-for-bit reference of the bound fit."""
+    rho = U[0]
+    u = U[1] / rho
+    T = 2.0 * U[2] / rho - u * u
+    theta = np.stack([np.log(rho / np.sqrt(2.0 * np.pi * T)) - u * u / (2.0 * T),
+                      u / T, -0.5 / T])
+    for solves in range(models.NEWTON_MAX_ITER):
+        M = np.exp(np.dot(model._basis, theta))
+        S = np.dot(model._wpow, M)
+        res = S[:3] - U
+        if np.max(np.abs(res) / U[0]) <= models.NEWTON_TOL:
+            return M, solves
+        J = np.stack([S[0], S[1], 2.0 * S[2], S[1], 2.0 * S[2], 2.0 * S[3],
+                      S[2], S[3], S[4]], axis=-1).reshape(-1, 3, 3)
+        theta -= np.linalg.solve(J, res.T[..., None])[..., 0].T
+    raise AssertionError("the reference fit did not converge")
+
+
+@pytest.mark.parametrize("v_max,n_v,iterates", [(15.0, 100, False), (6.0, 24, True)])
+def test_equilibrium_distance_has_the_bits_of_the_allocating_fit(v_max, n_v, iterates, rng):
+    # the resolved default grid needs no Newton solve; on 24 velocities
+    # the analytic start misses the moments and the fit iterates
+    model = BGK1D(velocity_set=VelocitySet.uniform(-v_max, v_max, n_v))
+    mesh = Mesh1D(-1.0, 1.0, 7)
+    solver = SemiLagrangianSolver(model, mesh, 2, get_tableau("DIRK3-B10"), 1e-6)
+    shape = (7, 3)
+    values = maxwellian(model.velocity_set.v, rng.uniform(0.5, 2.0, shape),
+                        rng.uniform(-0.5, 0.5, shape), rng.uniform(0.5, 1.5, shape))
+    values *= rng.uniform(0.8, 1.2, values.shape)
+    U = model.moments(values)
+    M, solves = _allocating_gas_fit(model, U.reshape(3, -1))
+    assert (solves > 0) == iterates
+    # Mesh1D.integrate and the velocity sum as they were, by tensordot
+    _, weights = gauss_nodes(2)
+    per_v = mesh.dx * np.tensordot(np.abs(M.reshape(values.shape) - values), weights,
+                                   axes=(-1, 0)).sum(axis=-1)
+    expected = float(np.dot(model.velocity_set.w, per_v))
+    assert solver.equilibrium_distance(values) == expected
+    assert solver.equilibrium_distance(values, U) == expected
+    assert np.array_equal(model.equilibrium(U).reshape(n_v, -1), M)
 
 
 @pytest.mark.parametrize("degree", [-1, 5])
