@@ -147,7 +147,10 @@ def _fractional_matrices(nodes, weights, theta):
 _GATHER_BUDGET = 256 * 1024
 
 #: gathered rows per block copy from which a group gathers by copying its
-#: slice runs (see ShiftOperator); below it one indexed ``take`` is faster
+#: slice runs (see ShiftOperator); below it one indexed ``take`` is faster.
+#: That ``take`` copies rows, except rows of three 8-byte values (float64
+#: at degree 2), which it copies by element: ``take`` moves 24-byte items
+#: with ``memmove`` but 8-byte ones with one load and store each
 _ROWS_PER_COPY = 256
 
 
@@ -183,7 +186,10 @@ class ShiftOperator:
     ``_ROWS_PER_COPY`` rows each gathers by them; a group with runs too
     short for that (as the two slices of a two-velocity model make)
     gathers by one indexed ``take`` of flat rows in the (B * L * n_el, q)
-    view of the values, which building precomputes for it.
+    view of the values, which building precomputes for it.  Where a row
+    is three 8-byte values (float64 at degree 2), binding turns the rows
+    into element indices, row * q + (0, 1, 2), and the ``take`` copies
+    elements of the flat values into the flat gather instead.
 
     Terms are processed in groups of as many as fit their gather of
     float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
@@ -208,7 +214,8 @@ class ShiftOperator:
     makes ``apply`` allocate no field-sized array.
 
     ``apply`` binds its arrays -- checks them and lists its kernels with
-    their views as arguments -- and calls that list.  With all three
+    their views as arguments, each weight as a 0-d array of the dtype of
+    the term it scales -- and calls that list.  With all three
     buffers and C-contiguous values it keeps the binding, one tuple
     replaced whole, and a call on the same four arrays of the same shape
     runs the kept kernels on whatever the values hold by then.  Threads
@@ -340,7 +347,12 @@ class ShiftOperator:
             else:
                 # the rows are in range by construction; mode="clip" only spares
                 # the buffered copy that take(..., out=) makes under mode="raise"
-                calls.append((values.reshape(-1, q).take, (rows, 0, g.reshape(-1, q), "clip")))
+                if values.itemsize == 8 and q == 3:  # by element, see _ROWS_PER_COPY
+                    elements = (rows[:, None] * q + np.arange(q)).ravel()
+                    calls.append((values.reshape(-1).take, (elements, 0, g.reshape(-1), "clip")))
+                else:
+                    calls.append((values.reshape(-1, q).take,
+                                  (rows, 0, g.reshape(-1, q), "clip")))
             alone = t0 == 0 and size == 1  # formed in the result itself
             if aligned is None:
                 acc = g[:, 1:]
@@ -370,7 +382,8 @@ class ShiftOperator:
             for i in range(0 if t0 else 1, size):
                 term = acc[i * L:(i + 1) * L]
                 total = acc[:L] if t0 == 0 and i == 1 else out
-                calls += [(np.multiply, (term, weights[i], term)), (np.add, (total, term, out))]
+                calls += [(np.multiply, (term, scalar_operand(weights[i], term.dtype), term)),
+                          (np.add, (total, term, out))]
         return values, values.shape, out, gather, product, tuple(calls)
 
     def _scratch(self, name: str, buf, shape: tuple, dtype) -> np.ndarray:
@@ -396,6 +409,15 @@ def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.
         raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array of "
                          f"shape {shape}, got {buf.dtype} {buf.shape}")
     return buf
+
+
+def scalar_operand(value: float, dtype) -> np.ndarray:
+    """``value`` as a 0-d array of the inexact ``dtype``, to bind as a ufunc
+    operand.  A ufunc takes it for less than it spends converting a Python
+    float, and computes in ``dtype`` as it would with the float; a float64
+    0-d array would instead compute a float32 input in float64 (NEP 50).
+    ``TypeError`` for an integer or boolean ``dtype``."""
+    return np.array(value, float).astype(dtype, casting="same_kind")
 
 
 #: Gauss points per element of :func:`fourier_coefficient`'s quadrature

@@ -25,6 +25,7 @@ deterministic regardless of worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -123,6 +124,8 @@ class ConvergenceStudy:
                              f"than every tested CFL {out.cfl_values}")
         if out.error_on not in ("U", "f"):
             raise ValueError(f"error_on must be 'U' or 'f', got {out.error_on!r}")
+        if not (isinstance(out.jobs, numbers.Integral) and out.jobs >= 1):
+            raise ValueError(f"jobs must be an integer >= 1, got {out.jobs!r}")
         return out
 
 

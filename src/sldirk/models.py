@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg import ensure_buffer
+from .dg import ensure_buffer, scalar_operand
 
 
 class SimulationError(RuntimeError):
@@ -132,7 +132,7 @@ class _TwoVelocity(KineticModel):
     single conserved moment is U = f_1 + f_2.  Subclasses supply the
     equilibrium as ``equilibrium_kernels``, the (ufunc, arguments) pairs
     writing M of the density U[0] into ``out``, which ``equilibrium``
-    runs."""
+    runs; they bind each coefficient as a 0-d array of ``out``'s dtype."""
 
     n_invariants = 1
     invariant_names = ("mass",)
@@ -171,8 +171,8 @@ class LinearTwoVelocity(_TwoVelocity):
 
     def equilibrium_kernels(self, U, out):
         u = U[0]
-        return [(np.multiply, (0.5 * (1.0 + self.b), u, out[0, ...])),
-                (np.multiply, (0.5 * (1.0 - self.b), u, out[1, ...]))]
+        return [(np.multiply, (scalar_operand(0.5 * (1.0 + self.b), out.dtype), u, out[0, ...])),
+                (np.multiply, (scalar_operand(0.5 * (1.0 - self.b), out.dtype), u, out[1, ...]))]
 
 
 class NonlinearTwoVelocity(_TwoVelocity):
@@ -187,10 +187,11 @@ class NonlinearTwoVelocity(_TwoVelocity):
     def equilibrium_kernels(self, U, out):
         u = U[0]
         flux, minus = out[0, ...], out[1, ...]  # views, also for 0-d u
-        return [(np.multiply, (self.b, u, flux)), (np.multiply, (flux, u, flux)),
+        b, half = scalar_operand(self.b, out.dtype), scalar_operand(0.5, out.dtype)
+        return [(np.multiply, (b, u, flux)), (np.multiply, (flux, u, flux)),
                 (np.negative, (flux, minus)), (np.add, (minus, u, minus)),
-                (np.multiply, (minus, 0.5, minus)), (np.add, (flux, u, flux)),
-                (np.multiply, (flux, 0.5, flux))]
+                (np.multiply, (minus, half, minus)), (np.add, (flux, u, flux)),
+                (np.multiply, (flux, half, flux))]
 
 
 def _equilibrium_buffer(out, u):

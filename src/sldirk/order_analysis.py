@@ -128,8 +128,11 @@ def order_report(t: ButcherTableau, tol: float = DEFAULT_ORDER_TOL) -> OrderRepo
 
     Both orders are cumulative: order p requires every condition up to p.
     The fluid order is computed directly from the limit coefficients, never
-    inferred from the kinetic order.
+    inferred from the kinetic order.  A NaN, infinite or negative ``tol``
+    raises ``ValueError``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"order tolerance must be finite and >= 0, got {tol!r}")
     _, kc, lc = coefficient_table(t)
     res = {
         "c_s - 1": kc.c[-1] - 1.0,

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butcher import ButcherTableau
-from .dg import DGField, Mesh1D, ShiftOperator
+from .dg import DGField, Mesh1D, ShiftOperator, scalar_operand
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
@@ -166,7 +166,8 @@ class SemiLagrangianSolver:
         operator -- the step-start values shifted by c_k * dt plus each
         earlier increment j with a_kj != 0, shifted by (c_k - c_j) * dt and
         weighted by dt * a_kj -- its remap input and its relaxation kernels,
-        then the last stage's equilibrium buffer and denominator."""
+        then the last stage's equilibrium buffer and denominator.  Scalar
+        operands are bound as 0-d arrays of the workspace dtype."""
         eps, A, c, model = self.eps, self.tableau.A, self.tableau.c, self.model
         v = model.velocity_set.v
         predicted, spare = ws.predicted, ws.spare
@@ -178,18 +179,20 @@ class SemiLagrangianSolver:
                                blocks=[0] + [j + 1 for j in earlier],
                                weights=[dt * A[k, j] for j in earlier])
             w_dt = A[k, k] * dt
+            denom = scalar_operand(eps + w_dt, predicted.dtype)
             if k < last:
                 # the increment (M - predicted) / (eps + w_dt), in its slot
                 M = ws.slots[k]
-                tail = [(np.subtract, (M, predicted, M)), (np.true_divide, (M, eps + w_dt, M))]
+                tail = [(np.subtract, (M, predicted, M)), (np.true_divide, (M, denom, M))]
             else:
                 # only the earlier increments are read again: the last
                 # equilibrium goes to the step-start slot, free after its remap
                 M = ws.inputs[0]
-                tail = [(np.multiply, (M, w_dt, M)), (np.multiply, (eps, predicted, spare))]
+                tail = [(np.multiply, (M, scalar_operand(w_dt, M.dtype), M)),
+                        (np.multiply, (scalar_operand(eps, spare.dtype), predicted, spare))]
             kernels = model.stage_kernels(predicted, M, ws.moments) + tail
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
-        ws.dt, ws.plan = dt, (stages, M, eps + w_dt)
+        ws.dt, ws.plan = dt, (stages, M, denom)
         return ws.plan
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
@@ -266,8 +269,10 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
 
     values = np.array(initial.values)
-    finite = np.empty(values.shape, bool)  # the check of each step's values
-    if not np.isfinite(values, out=finite).all():
+    # the check of each step's values: the reduction ndarray.all makes,
+    # without its Python wrapper
+    finite = np.empty(values.shape, bool)
+    if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
     times, invariants, eq_dist = [0.0], [], []
 
@@ -295,7 +300,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
             t = cfg.t_final if n == n_steps - 1 else t + step_dt
             try:
                 values = solver.step_values(values, step_dt)
-                if not np.isfinite(values, out=finite).all():
+                if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
                     raise DivergenceError(
                         f"non-finite values after step {n + 1} (t = {t:.6g}, "
                         f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")

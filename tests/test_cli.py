@@ -54,6 +54,14 @@ def test_order_check_unknown_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_order_check_bad_tolerance_exits_2(capsys, tol):
+    code, out, err = run_cli(capsys, "order-check", "DIRK3-B10", "--tol", tol)
+    assert code == 2
+    assert err.startswith("error: order tolerance must be finite and >= 0")
+    assert "order" not in out
+
+
 def test_key_error_message_printed_without_repr_quotes(capsys):
     code, _, err = run_cli(capsys, "order-check", "NOPE")
     assert code == 2
@@ -496,6 +504,8 @@ def test_simulate_bad_run_parameter_exits_2(capsys, flag, value, name):
     (("--ref-cfl", "-0.01"), "reference CFL"),
     (("--tableaus", ","), "at least one tableau"),
     (("--cfls", "0.1,0.1,0.1"), "3 CFL values that differ"),
+    (("--jobs", "0"), "error: jobs must be an integer >= 1, got 0"),
+    (("--jobs", "-2"), "error: jobs must be an integer >= 1, got -2"),
 ])
 def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragment):
     def no_run(*a, **k):

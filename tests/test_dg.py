@@ -452,14 +452,46 @@ def test_gather_by_run_copies_has_the_bits_of_the_take(rng, monkeypatch):
                     assert np.array_equal(out, expected, equal_nan=True), (path, blocks)
                     assert _takes(op) == (len(op._groups) if path == "take" else 0)
     # the ramp runs one cell offset over several slices, the zigzag changes
-    # it at every slice; only a take group keeps flat gather rows
-    assert op._groups[0][2].size == op._gather_shape[0] * 25
+    # it at every slice; only a take group keeps flat gather rows, and its
+    # take of 48-byte complex rows binds one index per row
+    (indices,) = [args[0] for kernel, args in op._bound[5] if kernel.__name__ == "take"]
+    assert op._groups[0][2].size == indices.size == op._gather_shape[0] * 25
     monkeypatch.setattr(dg, "_ROWS_PER_COPY", 0)
     op = ShiftOperator(mesh, 2, _RAMP_SHIFTS * mesh.dx, weights=(1.0, 1.0))
     assert [run[2] for run in op._groups[0][3]] == [2] * 6 + [1] + [2, 4, 4, 3] + [1] * 13
     op = ShiftOperator(mesh, 2, zigzag * mesh.dx, weights=(1.0,))
     assert [run[2] for group in op._groups for run in group[3]] == [1] * zigzag.size
     assert all(group[2] is None for group in op._groups)
+
+
+def test_element_gather_has_the_bits_of_the_row_gather(rng, monkeypatch):
+    # a take group gathers rows of three 8-byte values (float64 or complex64
+    # at degree 2) by element indices, any other row by row indices; both
+    # leave the gathered rows in the gather scratch
+    monkeypatch.setattr(dg, "_ROWS_PER_COPY", 1 << 40)
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    real = rng.normal(size=(3 * 3, 24, 3))
+    real[4, 5, 0] = np.inf
+    complex_ = real + 1j * rng.normal(size=real.shape)
+    for degree, values, per_row in [(2, real, 3), (2, complex_.astype(np.complex64), 3),
+                                    (2, complex_, 1), (2, real.astype(np.float32), 1),
+                                    (3, rng.normal(size=(9, 24, 4)), 1)]:
+        op = ShiftOperator(mesh, degree, _TERM_SHIFTS[:3] * mesh.dx, weights=(0.5, -1.25))
+        gather_shape, product_shape = ShiftOperator.scratch_shapes((3,) + values.shape[1:], 3)
+        gather = np.empty(gather_shape, values.dtype)
+        result_dtype = np.promote_types(values.dtype, float)
+        with np.errstate(invalid="ignore"):
+            out = op.apply(values, np.empty((3,) + values.shape[1:], result_dtype),
+                           gather=gather, product=np.empty(product_shape, result_dtype))
+            expected = _per_term_sum(mesh, degree, _TERM_SHIFTS[:3] * mesh.dx, (0, 1, 2),
+                                     (0.5, -1.25), values)
+        (group,) = op._groups
+        rows = group[2]
+        (indices,) = [args[0] for kernel, args in op._bound[5] if kernel.__name__ == "take"]
+        assert indices.size == rows.size * per_row, (degree, values.dtype)
+        by_row = values.reshape(-1, degree + 1).take(rows, axis=0)
+        assert np.array_equal(gather.reshape(by_row.shape), by_row, equal_nan=True)
+        assert np.array_equal(out, expected, equal_nan=True), (degree, values.dtype)
 
 
 def test_one_term_gather_by_run_copies_in_place(rng, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ def test_study_validation():
     bgk = ConvergenceStudy(example="bgk", tableaus=("BE",), eps_values=(1e-2,),
                            cfl_values=(1.0, 2.0, 4.0)).resolved()
     assert bgk.ref_cfl == 0.01
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2"])
+def test_study_rejects_jobs_below_one(jobs):
+    study = ConvergenceStudy(example="5.1", tableaus=("BE",), eps_values=(1e-2,),
+                             cfl_values=(0.1, 0.2, 0.4), jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        study.resolved()
+    assert replace(study, jobs=3).resolved().jobs == 3
 
 
 def _small_study(**kw):

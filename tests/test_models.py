@@ -118,6 +118,23 @@ def test_nonlinear_equilibrium_values():
                                atol=1e-16)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex128])
+def test_two_velocity_equilibria_keep_the_input_dtype(rng, dtype):
+    # the coefficients are bound as 0-d arrays of the output dtype, which
+    # computes as the Python-scalar expressions do: float32 stays float32
+    u = rng.uniform(0.5, 2.0, size=(1, 7, 3)).astype(dtype)
+    if u.dtype.kind == "c":
+        u += 1j * rng.normal(size=u.shape)
+    b = 0.35
+    flux = b * u[0] * u[0]
+    cases = [(LinearTwoVelocity(b), [0.5 * (1.0 + b) * u[0], 0.5 * (1.0 - b) * u[0]]),
+             (NonlinearTwoVelocity(b), [(flux + u[0]) * 0.5, (-flux + u[0]) * 0.5])]
+    for model, expected in cases:
+        M = model.equilibrium(u)
+        assert M.dtype == dtype and expected[0].dtype == dtype, model.name
+        assert np.array_equal(M, np.stack(expected)), model.name
+
+
 def test_maxwellian_peak_value():
     val = maxwellian(np.array([0.0]), 1.0, 0.0, 1.0)
     assert val[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-15)

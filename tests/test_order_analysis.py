@@ -126,6 +126,16 @@ def test_order_report_tolerance_configurable():
     assert report.fluid_order == 3  # everything passes at an absurd tolerance
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_order_report_rejects_bad_tolerance(tol):
+    # a NaN tolerance passes no condition and an infinite one every one;
+    # a zero tolerance is valid and passes the exactly met conditions
+    with pytest.raises(ValueError, match="order tolerance must be finite and >= 0"):
+        order_report(get_tableau("DIRK3-B10"), tol=tol)
+    report = order_report(get_tableau("BE"), tol=0.0)
+    assert (report.kinetic_order, report.fluid_order) == (1, 1)
+
+
 def test_order_report_rejects_invalid_tableau():
     with pytest.raises(ValueError):
         order_report(ButcherTableau("bad", [[0.0]]))

@@ -548,6 +548,27 @@ def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
     assert sum(len(op._bound[5]) for op in _stage_ops(solver)) == kernels
 
 
+def test_warm_two_velocity_plan_binds_no_python_float():
+    # a Python float operand costs every ufunc call a conversion; the plan
+    # binds each scalar as a 0-d array of the workspace dtype instead
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.005)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    for values in (f0.values, (0.8 - 0.3j) * f0.values):
+        for _ in range(2):
+            values = solver.step_values(values, cfg.dt)
+    assert len(solver._workspaces) == 2
+    for dtype, ws in solver._workspaces.items():
+        stages, _, denom = ws.plan
+        args = [denom] + [a for op, _, kernels in stages
+                          for _, bound in kernels + list(op._bound[5]) for a in bound]
+        assert not any(isinstance(a, float) for a in args), dtype
+        scalars = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 0]
+        # the last stage's divisor, w_dt and eps, each earlier stage's
+        # divisor, each stage's two coefficients and the four weights
+        assert len(scalars) == 1 + 2 + 3 + 4 * 2 + 4, dtype
+        assert all(a.dtype == dtype for a in scalars), dtype
+
+
 def test_alternating_dtypes_keep_their_bindings(monkeypatch):
     # each dtype's workspace owns its stage operators, so real and complex
     # values stepped in turn bind no remap on a warm step, and each step
