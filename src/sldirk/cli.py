@@ -270,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kdt", help="k*dt grid (default [0, 2 pi] with 401 points)")
     p.add_argument("--xi", help="dt/eps grid; 'inf' selects the stiff-limit projection "
                                 "(default 0:10:101,inf)")
-    p.add_argument("--out", help="CSV output path (columns b, k_dt, xi, "
-                                 "lambda1_abs, lambda2_abs, rho)")
+    p.add_argument("--out", help="CSV output path (columns b, k_dt, xi, lambda1_abs, "
+                                 "lambda2_abs, rho: the smaller and the larger eigenvalue "
+                                 "magnitude, and rho = lambda2_abs)")
     p.set_defaults(func=cmd_stability_scan)
 
     p = sub.add_parser("simulate", help="advance one configuration and write snapshots")

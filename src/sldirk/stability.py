@@ -13,12 +13,14 @@ Since J = -(I - P0), with P0 the equilibrium projection, each stage
 inverse is P0 + r (I - P0) with r = 1 / (1 + a_kk * xi), so the map is a
 polynomial M = sum_kappa R_kappa(xi) N_kappa(b, k_dt) in the r of the
 distinct diagonal weights (s + 1 terms for a singly diagonal tableau).
-Per b, a scan builds the coefficients N over the k_dt grid, one real
-matrix product with R writes the entry planes m[r, c] of shape
-(n_kdt, n_xi), and their eigenvalue magnitudes go into the slices of the
-(n_b, n_kdt, n_xi) result.  ``amplification`` runs the same kernel on a
-one-point grid.  At xi = inf all r vanish and only kappa = 0 survives: the
-stiff limit is exact, with no large finite xi and no inf / inf.
+Per b, a scan builds the coefficients N over the k_dt grid, term-major as
+(2, 2, n_terms, n_kdt) so that each stage operation streams over
+contiguous k_dt rows; one real matrix product with R then writes the
+entry planes m[r, c] of shape (n_kdt, n_xi), and their eigenvalue
+magnitudes go into the slices of the (n_b, n_kdt, n_xi) result.
+``amplification`` runs the same kernel on a one-point grid.  At xi = inf
+all r vanish and only kappa = 0 survives: the stiff limit is exact, with
+no large finite xi and no inf / inf.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class StabilityPoint:
     xi: float
 
     def __post_init__(self):
+        for name in ("b", "k_dt", "xi"):
+            value = getattr(self, name)
+            if np.ndim(value) != 0:
+                raise ValueError(f"StabilityPoint {name} must be a scalar, got {value!r}")
         _check_grid(self.b, self.k_dt, self.xi)
 
 
@@ -109,16 +115,18 @@ def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):
     """The b-independent factors of the expanded map, built once per grid.
 
     ``start[l]`` is the diagonal of B_l as (2, nk) rows and ``coupling[l][j]``
-    that of C_lj as a (2, 1, nk, 1) column.  The terms kappa count the
-    stages of each distinct weight a_g, flattened in C order, so a factor
-    r_g = 1 / (1 + a_g * xi) moves a term ``shift[l]`` places up for the
-    weight of stage l.  ``weights`` is the real kron(R, I_2), with
-    R[kappa, xi] = prod_g r_g^kappa_g, applied to real and imaginary parts.
+    that of C_lj as a (2, 1, 1, nk) row, to scale term-major coefficients.
+    The terms kappa count the stages of each distinct weight a_g, flattened
+    in C order, so a factor r_g = 1 / (1 + a_g * xi) moves a term
+    ``shift[l]`` places up for the weight of stage l.  ``weights`` is the
+    real kron(R, I_2), with R[kappa, xi] = prod_g r_g^kappa_g, applied to
+    real and imaginary parts.  ``work`` holds the term-major coefficients
+    of every stage plus two more, room that each b reuses.
     """
     w, c = so.b_coeffs, so.c
     sign = np.array([[-1j], [1j]])
     start = [(1.0 - w[l, :l].sum()) * np.exp(sign * (c[l] * kdt_grid)) for l in range(so.s)]
-    coupling = [[(w[l, j] * np.exp(sign * ((c[l] - c[j]) * kdt_grid)))[:, None, :, None]
+    coupling = [[(w[l, j] * np.exp(sign * ((c[l] - c[j]) * kdt_grid)))[:, None, None, :]
                  for j in range(l)] for l in range(so.s)]
     a_g, group = np.unique(so.diag, return_inverse=True)
     dims = np.bincount(group) + 1
@@ -126,7 +134,8 @@ def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):
     r = 1.0 / (1.0 + a_g[:, None] * xi_grid)
     kappa = np.indices(dims).reshape(len(dims), -1)
     weights = np.kron(np.prod(r[:, None, :] ** kappa[:, :, None], axis=0), np.eye(2))
-    return start, coupling, stride[group], weights
+    work = np.empty((so.s + 2, 2, 2, kappa.shape[1], len(kdt_grid)), dtype=complex)
+    return start, coupling, stride[group], weights, work
 
 
 def _one_step_planes(b: float, factors, out) -> np.ndarray:
@@ -134,24 +143,30 @@ def _one_step_planes(b: float, factors, out) -> np.ndarray:
     m[r, c] of shape (2, 2, nk, nxi), and return it.
 
     The stage recursion E_l = B_l + sum_{j<l} C_lj X_j, X_l = A_l^{-1} E_l
-    runs on coefficients of shape (2, 2, nk, n_terms).  A_l^{-1} keeps each
-    term under P0 and moves it one power of r_g up under I - P0 = -J.  One
-    real matrix product with the weights sums the terms of the last stage.
+    runs on term-major coefficients of shape (2, 2, n_terms, nk), so each
+    coupling multiply and the shift of a term one power of r_g up (under
+    I - P0 = -J; P0 keeps it in place) stream over contiguous k_dt rows.
+    The last stage is transposed once to (2, 2, nk, n_terms), and one real
+    matrix product with the weights sums its terms.  The coefficients, the
+    coupling products and the transpose live in ``work``.
     """
-    start, coupling, shift, weights = factors
+    start, coupling, shift, weights, work = factors
     p0, q = equilibrium_projection(b), -relaxation_jacobian(b)
-    nk = start[0].shape[1]
-    stages = []
-    for l in range(len(start)):
-        e = np.zeros((2, 2, nk, weights.shape[0] // 2), dtype=complex)
-        e[0, 0, :, 0], e[1, 1, :, 0] = start[l]
+    stages, e, prod = work[:-2], work[-2], work[-1]
+    n_terms, nk = e.shape[2:]
+    rows, prod_rows = e.reshape(2, -1), prod.reshape(2, -1)
+    for l, x in enumerate(stages):
+        e.fill(0.0)
+        e[0, 0, 0], e[1, 1, 0] = start[l]
         for j in range(l):
-            e += coupling[l][j] * stages[j]
-        x = (p0 @ e.reshape(2, -1)).reshape(e.shape)
-        x[..., shift[l]:] += (q @ e.reshape(2, -1)).reshape(e.shape)[..., :-shift[l]]
-        stages.append(x)
-    coeffs = stages[-1].view(np.float64).reshape(4 * nk, -1)
-    np.matmul(coeffs, weights, out=out.view(np.float64).reshape(4 * nk, -1))
+            e += np.multiply(coupling[l][j], stages[j], out=prod)
+        np.matmul(p0, rows, out=x.reshape(2, -1))
+        np.matmul(q, rows, out=prod_rows)
+        x[:, :, shift[l]:] += prod[:, :, :-shift[l]]
+    coeffs = e.reshape(2, 2, nk, n_terms)
+    np.copyto(coeffs, stages[-1].transpose(0, 1, 3, 2))
+    np.matmul(coeffs.view(np.float64).reshape(4 * nk, -1), weights,
+              out=out.view(np.float64).reshape(4 * nk, -1))
     return out
 
 
@@ -162,55 +177,96 @@ def amplification(t: ButcherTableau, p: StabilityPoint) -> AmplificationMatrix:
     return AmplificationMatrix(m=m[:, :, 0, 0].copy(), tableau_name=t.name, point=p)
 
 
+#: the smallest positive double, so max(u, _TINY) is u for every u > 0
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _mask_in(plane):
+    """A boolean view on the first byte of each element of the C-contiguous
+    float64 ``plane``: room for a mask in a buffer that is free, so none is
+    allocated."""
+    return np.ndarray(plane.shape, np.bool_, buffer=plane, strides=plane.strides)
+
+
+#: elements per block of the eigenvalue kernel: the four input planes, the
+#: scratch and the output of 12,000 elements take 1.5 MB, which stays in a
+#: 2 MB per-core L2 cache across the kernel's passes
+_EIGEN_BLOCK = 12_000
+
+
 def eigenvalues_2x2(m, out=None, scratch=None):
     """Eigenvalue magnitudes (small, large) of stacked 2x2 complex matrices.
 
-    The root aligned with the trace, lambda_1 = (tr + sqrt(d)) / 2, has no
-    cancellation, and the other is det / lambda_1.  The discriminant
+    The magnitudes are |lambda_1| <= |lambda_2|, the ``lambda1_abs`` and
+    ``lambda2_abs`` columns of ``stability-scan --out``.  lambda_2 is the
+    root aligned with the trace, (tr + sqrt(d)) / 2, which has no
+    cancellation, and |lambda_1| = |det| / |lambda_2|.  The discriminant
     d = (m00 - m11)^2 + 4 m01 m10, unlike tr^2 - 4 det, stays accurate near
-    a double eigenvalue.  Only the planes ``m[..., r, c]`` are read, so a
-    transposed view of planes (2, 2, ...) needs no copy.  The magnitudes go
-    into the float pair ``out`` via ``scratch``, a complex array of shape
-    (3,) + m.shape[:-2]; new ones are made when None.
+    a double eigenvalue; m01 m10 is formed once for both d and det.  Only
+    the planes ``m[..., r, c]`` are read, so a transposed view of planes
+    (2, 2, ...) needs no copy.  The magnitudes go into the float pair
+    ``out`` via ``scratch``, a complex array of shape (3,) + m.shape[:-2];
+    new ones are made when None.  With both given and ``m`` complex, no
+    array of the size of a plane is allocated.  The kernel runs over blocks
+    of leading rows; no element's value depends on the blocks.
     """
     m = np.asarray(m)
     shape = m.shape[:-2]
     small, large = (None, None) if out is None else out
     small, large = (ensure_buffer("out", a, shape, np.float64) for a in (small, large))
     scratch = ensure_buffer("scratch", scratch, (3,) + shape, np.complex128)
-    sq, tr, tmp = scratch[0, ...], scratch[1, ...], scratch[2, ...]
-    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    np.subtract(m00, m11, out=sq)
-    np.multiply(sq, sq, out=sq)
-    np.multiply(m01, m10, out=tmp)
-    tmp *= 4.0
-    sq += tmp
-    # sqrt(d) in real parts, as accurate as and cheaper than a complex sqrt: with
-    # u = sqrt((|d| + |Re d|) / 2), v = Im d / 2u, it is u + iv if Re d >= 0, else v + iu
-    x, y, u, v = sq.real, sq.imag, tmp.real, tmp.imag
-    np.add(np.abs(sq, out=large), np.abs(x, out=small), out=large)
-    np.sqrt(np.multiply(large, 0.5, out=large), out=u)
-    v.fill(0.0)
-    np.divide(0.5 * y, u, out=v, where=u != 0.0)
-    swap = x < 0.0
-    np.copyto(sq, tmp)
-    np.copyto(x, v, where=swap)
-    np.copyto(y, u, where=swap)
-    # the larger |tr +- sqrt(d)| / 2 is |lambda_1|, whichever root sq holds
-    np.add(m00, m11, out=tr)
-    np.abs(np.add(tr, sq, out=tmp), out=large)
-    np.abs(np.subtract(tr, sq, out=tmp), out=small)
-    np.maximum(large, small, out=large)
-    large *= 0.5
-    np.multiply(m00, m11, out=tmp)
-    np.multiply(m01, m10, out=sq)
-    np.abs(np.subtract(tmp, sq, out=tmp), out=small)
-    np.divide(small, large, out=small, where=large != 0.0)
-    # where lambda_1 = 0 both roots vanish and small holds |det|, a rounding
-    np.maximum(small, large, out=tr.real)
-    np.minimum(small, large, out=small)
-    np.copyto(large, tr.real)
+    if not shape:
+        _eigen_block(m, small, large, scratch)
+        return small, large
+    row = int(np.prod(shape[1:]))
+    rows = max(1, _EIGEN_BLOCK // max(row, 1))
+    flat = scratch.reshape(-1)
+    for i in range(0, shape[0], rows):
+        block = slice(i, i + rows)
+        n = len(small[block])
+        _eigen_block(m[block], small[block], large[block],
+                     flat[:3 * n * row].reshape((3, n) + shape[1:]))
     return small, large
+
+
+def _eigen_block(m, small, large, scratch):
+    """``eigenvalues_2x2`` on one block, with C-contiguous ``small``,
+    ``large`` and ``scratch``.  Masks live in an ``out`` plane that is free
+    at the time, and the scratch doubles as six float planes ``f``."""
+    p, d, w = scratch[0, ...], scratch[1, ...], scratch[2, ...]
+    f = scratch.view(np.float64).reshape((6,) + small.shape)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    np.multiply(m01, m10, out=p)
+    np.subtract(m00, m11, out=d)
+    np.multiply(d, d, out=d)
+    d += np.multiply(p, 4.0, out=w)
+    np.abs(np.subtract(np.multiply(m00, m11, out=w), p, out=w), out=small)
+    # sqrt(d) in real parts, as accurate as and cheaper than a complex sqrt: with
+    # u = sqrt((|d| + |Re d|) / 2), v = Im d / 2u, it is u + iv if Re d >= 0, else v + iu;
+    # u = 0 only where d = 0, and there v = 0 / _TINY = 0.  w = u + iv throughout.
+    x, y = d.real, d.imag
+    np.add(np.abs(d, out=large), np.abs(x, out=f[0, ...]), out=large)
+    np.sqrt(np.multiply(large, 0.5, out=large), out=w.real)
+    np.divide(np.multiply(y, 0.5, out=f[1, ...]), np.maximum(w.real, _TINY, out=f[0, ...]),
+              out=w.imag)
+    # |tr +- (v + iu)| = |T +- w| for T = Im tr + i Re tr, so where Re d < 0 the
+    # trace is swapped instead of the root, computed again from the entries
+    swap = np.less(x, 0.0, out=_mask_in(large))
+    tr = np.add(m00, m11, out=p)
+    np.add(m00.imag, m11.imag, out=tr.real, where=swap)
+    np.add(m00.real, m11.real, out=tr.imag, where=swap)
+    # the larger |T +- w| / 2 is |lambda_2|, whichever root w is
+    lam = f[0, ...]  # in the memory of tr, after its last read
+    np.abs(np.add(tr, w, out=d), out=large)
+    np.abs(np.subtract(tr, w, out=d), out=lam)
+    np.maximum(large, lam, out=lam)
+    lam *= 0.5
+    if lam.min(initial=np.inf) > 0.0:
+        small /= lam
+    else:  # where lambda_2 = 0 both roots vanish and small keeps |det|, a rounding
+        np.divide(small, lam, out=small, where=np.not_equal(lam, 0.0, out=_mask_in(large)))
+    np.maximum(small, lam, out=large)
+    np.minimum(small, lam, out=small)
 
 
 def spectral_radius(m) -> float:
@@ -254,13 +310,19 @@ def scan(t: ButcherTableau, b_grid, kdt_grid, xi_grid) -> StabilityScan:
 
     xi entries may include ``inf``.  Each b is evaluated on its own by the
     same operations, so a row's bits do not depend on the other b values
-    or their order.  Raises ValueError for empty grids and for values
-    ``_check_grid`` rejects.
+    or their order.  A scalar is a one-point grid.  Raises ValueError for
+    grids that are empty or not 1-D, and for values ``_check_grid``
+    rejects.
     """
-    b_grid, kdt_grid, xi_grid = (np.atleast_1d(np.asarray(g, dtype=float))
-                                 for g in (b_grid, kdt_grid, xi_grid))
-    if b_grid.size == 0 or kdt_grid.size == 0 or xi_grid.size == 0:
-        raise ValueError("scan grids must be nonempty")
+    grids = []
+    for name, g in (("b", b_grid), ("k_dt", kdt_grid), ("xi", xi_grid)):
+        g = np.atleast_1d(np.asarray(g, dtype=float))
+        if g.ndim != 1:
+            raise ValueError(f"scan {name} grid must be 1-D, got shape {g.shape}")
+        if g.size == 0:
+            raise ValueError(f"scan {name} grid must be nonempty")
+        grids.append(g)
+    b_grid, kdt_grid, xi_grid = grids
     _check_grid(b_grid, kdt_grid, xi_grid)
     factors = _grid_factors(to_shu_osher(t), kdt_grid, xi_grid)
     lo, hi = np.empty((2, len(b_grid), len(kdt_grid), len(xi_grid)))

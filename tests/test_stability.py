@@ -517,3 +517,172 @@ def test_scan_working_set_is_a_few_planes():
         tracemalloc.stop()
     outputs = result.lam_small.nbytes + result.lam_large.nbytes
     assert peak - outputs < 10 * plane
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit references: the k-major stage recursion and the masked kernel
+# ---------------------------------------------------------------------------
+
+def _k_major_planes(t, b, kdt, xi):
+    """One-step planes (2, 2, nk, nxi) by the stage recursion on k-major
+    coefficients (2, 2, nk, n_terms), with a new array for every product,
+    as ``_one_step_planes`` ran before it went term-major.  Kept as the
+    bit-for-bit reference of the term-major recursion."""
+    so = to_shu_osher(t)
+    w, c = so.b_coeffs, so.c
+    kdt, xi = np.asarray(kdt, dtype=float), np.asarray(xi, dtype=float)
+    sign = np.array([[-1j], [1j]])
+    start = [(1.0 - w[l, :l].sum()) * np.exp(sign * (c[l] * kdt)) for l in range(so.s)]
+    coupling = [[(w[l, j] * np.exp(sign * ((c[l] - c[j]) * kdt)))[:, None, :, None]
+                 for j in range(l)] for l in range(so.s)]
+    a_g, group = np.unique(so.diag, return_inverse=True)
+    dims = np.bincount(group) + 1
+    shift = np.array([np.prod(dims[g + 1:]) for g in range(len(dims))])[group]
+    r = 1.0 / (1.0 + a_g[:, None] * xi)
+    kappa = np.indices(dims).reshape(len(dims), -1)
+    weights = np.kron(np.prod(r[:, None, :] ** kappa[:, :, None], axis=0), np.eye(2))
+    p0, q = equilibrium_projection(b), -relaxation_jacobian(b)
+    nk = len(kdt)
+    stages = []
+    for l in range(so.s):
+        e = np.zeros((2, 2, nk, weights.shape[0] // 2), dtype=complex)
+        e[0, 0, :, 0], e[1, 1, :, 0] = start[l]
+        for j in range(l):
+            e += coupling[l][j] * stages[j]
+        x = (p0 @ e.reshape(2, -1)).reshape(e.shape)
+        x[..., shift[l]:] += (q @ e.reshape(2, -1)).reshape(e.shape)[..., :-shift[l]]
+        stages.append(x)
+    out = np.empty((2, 2, nk, len(xi)), dtype=complex)
+    np.matmul(stages[-1].view(np.float64).reshape(4 * nk, -1), weights,
+              out=out.view(np.float64).reshape(4 * nk, -1))
+    return out
+
+
+def _masked_eigenvalues(m):
+    """Eigenvalue magnitudes (small, large) by the kernel that
+    ``eigenvalues_2x2`` ran before it went allocation-free: it forms
+    m01 m10 twice and routes sqrt(d) through fresh masks.  Kept as the
+    bit-for-bit reference of the allocation-free kernel."""
+    m = np.asarray(m)
+    shape = m.shape[:-2]
+    small, large = np.empty(shape), np.empty(shape)
+    scratch = np.empty((3,) + shape, dtype=complex)
+    sq, tr, tmp = scratch[0, ...], scratch[1, ...], scratch[2, ...]
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    np.subtract(m00, m11, out=sq)
+    np.multiply(sq, sq, out=sq)
+    np.multiply(m01, m10, out=tmp)
+    tmp *= 4.0
+    sq += tmp
+    x, y, u, v = sq.real, sq.imag, tmp.real, tmp.imag
+    np.add(np.abs(sq, out=large), np.abs(x, out=small), out=large)
+    np.sqrt(np.multiply(large, 0.5, out=large), out=u)
+    v.fill(0.0)
+    np.divide(0.5 * y, u, out=v, where=u != 0.0)
+    swap = x < 0.0
+    np.copyto(sq, tmp)
+    np.copyto(x, v, where=swap)
+    np.copyto(y, u, where=swap)
+    np.add(m00, m11, out=tr)
+    np.abs(np.add(tr, sq, out=tmp), out=large)
+    np.abs(np.subtract(tr, sq, out=tmp), out=small)
+    np.maximum(large, small, out=large)
+    large *= 0.5
+    np.multiply(m00, m11, out=tmp)
+    np.multiply(m01, m10, out=sq)
+    np.abs(np.subtract(tmp, sq, out=tmp), out=small)
+    np.divide(small, large, out=small, where=large != 0.0)
+    np.maximum(small, large, out=tr.real)
+    np.minimum(small, large, out=small)
+    np.copyto(large, tr.real)
+    return small, large
+
+
+_PIN_B = (-1.0, -0.3, 0.0, 0.37, 1.0)
+_PIN_KDT = np.linspace(0.0, 2.0 * np.pi, 401)
+_PIN_XI = np.array([0.0, 0.7, 13.0, 1e3, XI_INF])
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_scan_bits_match_the_k_major_recursion_and_masked_kernel(name):
+    from sldirk.stability import _grid_factors, _one_step_planes
+    t = get_tableau(name)
+    result = scan(t, _PIN_B, _PIN_KDT, _PIN_XI)
+    factors = _grid_factors(to_shu_osher(t), _PIN_KDT, _PIN_XI)
+    planes = np.empty((2, 2, len(_PIN_KDT), len(_PIN_XI)), dtype=complex)
+    for i, b in enumerate(_PIN_B):
+        ref = _k_major_planes(t, b, _PIN_KDT, _PIN_XI)
+        assert np.array_equal(_one_step_planes(b, factors, planes), ref), b
+        lo, hi = _masked_eigenvalues(np.moveaxis(ref, (0, 1), (-2, -1)))
+        assert np.array_equal(result.lam_small[i], lo), b
+        assert np.array_equal(result.lam_large[i], hi), b
+        for k in _PIN_KDT[::40]:
+            for xi in _PIN_XI:
+                m = amplification(t, StabilityPoint(b, float(k), float(xi))).m
+                assert np.array_equal(m, _k_major_planes(t, b, [k], [xi])[:, :, 0, 0]), (b, k, xi)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (6, 5), (30_001,), (401, 102)])
+def test_eigenvalues_2x2_bits_match_the_masked_kernel(rng, shape):
+    # the blocked kernel against the one-pass reference, on shapes of one
+    # and of several blocks, with double, zero, triangular and scaled maps
+    m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    flat = m.reshape(-1, 2, 2)
+    flat[::5] = np.eye(2)
+    flat[1::7] = 0.0
+    flat[2::9, 1, 0] = 0.0
+    flat[3::11, 1, 1] = flat[3::11, 0, 0]
+    flat[4::13] *= 1e-160
+    flat[5::17] *= 1e150
+    for arr in (m, m.real.copy()):
+        lo, hi = eigenvalues_2x2(arr)
+        ref = _masked_eigenvalues(arr)
+        assert np.array_equal(lo, ref[0])
+        assert np.array_equal(hi, ref[1])
+
+
+def test_eigenvalues_2x2_allocates_no_plane():
+    # with out and scratch given, the kernel's masks and temporaries live in
+    # them; the zero maps take the lambda_2 = 0 branch
+    import tracemalloc
+    rng = np.random.default_rng(7)
+    planes = rng.normal(size=(2, 2, 401, 102)) + 1j * rng.normal(size=(2, 2, 401, 102))
+    planes[:, :, 0, :5] = 0.0
+    m = np.moveaxis(planes, (0, 1), (-2, -1))
+    out = (np.empty((401, 102)), np.empty((401, 102)))
+    scratch = np.empty((3, 401, 102), dtype=complex)
+    eigenvalues_2x2(m, out=out, scratch=scratch)
+    tracemalloc.start()
+    try:
+        eigenvalues_2x2(m, out=out, scratch=scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(out[1][0, :5] == 0.0)
+    assert peak < 0.5 * out[0].nbytes
+
+
+@pytest.mark.parametrize("grids,name", [
+    (([[0.1, 0.2]], [1.0], [1.0]), "b"),
+    (([0.5], [[0.5, 1.0]], [1.0]), "k_dt"),
+    (([0.5], [[0.5], [1.0]], [1.0]), "k_dt"),
+    (([0.5], [1.0], [[0.0], [1.0]]), "xi"),
+])
+def test_scan_rejects_grids_that_are_not_1d(grids, name):
+    with pytest.raises(ValueError, match=f"scan {name} grid must be 1-D"):
+        scan(get_tableau("DIRK2"), *grids)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(b=[0.1, 0.2], k_dt=1.0, xi=1.0), "b"),
+    (dict(b=0.1, k_dt=np.array([1.0]), xi=1.0), "k_dt"),
+    (dict(b=0.1, k_dt=1.0, xi=[[1.0]]), "xi"),
+])
+def test_stability_point_rejects_non_scalars(kwargs, name):
+    with pytest.raises(ValueError, match=f"StabilityPoint {name} must be a scalar"):
+        StabilityPoint(**kwargs)
+
+
+def test_stability_point_accepts_numpy_scalars():
+    p = StabilityPoint(np.float64(0.3), np.array(1.0), 2)
+    assert spectral_radius(amplification(get_tableau("DIRK2"), p).m) <= 1.0 + 1e-12
