@@ -18,6 +18,7 @@ from A by a backward recursion over j at each stage k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,7 @@ def to_shu_osher(t: ButcherTableau) -> ShuOsherForm:
 # tableau catalog
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_catalog() -> dict[str, ButcherTableau]:
     cat: dict[str, ButcherTableau] = {}
 
@@ -195,24 +197,17 @@ def _build_catalog() -> dict[str, ButcherTableau]:
     return cat
 
 
-_CATALOG: dict[str, ButcherTableau] | None = None
-
-
 def catalog() -> dict[str, ButcherTableau]:
     """Named map of the built-in tableaus (BE, DIRK2, DIRK3-B2 .. DIRK3-B10)."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return dict(_CATALOG)
+    return dict(_build_catalog())
 
 
 def get_tableau(name: str) -> ButcherTableau:
-    cat = catalog()
-    try:
-        return cat[name]
-    except KeyError:
-        known = ", ".join(sorted(cat))
-        raise KeyError(f"unknown tableau {name!r}; known names: {known}") from None
+    """The catalog tableau ``name``; ``ValueError`` for an unknown name."""
+    cat = _build_catalog()
+    if name not in cat:
+        raise ValueError(f"unknown tableau {name!r}; known names: {', '.join(sorted(cat))}")
+    return cat[name]
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +278,13 @@ def load_tableau(path) -> ButcherTableau:
 
 
 def resolve_tableau(name_or_path: str) -> ButcherTableau:
-    """Look up a catalog name, falling back to reading a tableau file."""
-    cat = catalog()
+    """Look up a catalog name, falling back to reading a tableau file;
+    ``ValueError`` when it is neither."""
+    cat = _build_catalog()
     if name_or_path in cat:
         return cat[name_or_path]
     p = Path(name_or_path)
     if p.exists():
         return load_tableau(p)
-    known = ", ".join(sorted(cat))
-    raise KeyError(f"{name_or_path!r} is neither a catalog tableau ({known}) "
-                   f"nor an existing file")
+    raise ValueError(f"{name_or_path!r} is neither a catalog tableau "
+                     f"({', '.join(sorted(cat))}) nor an existing file")

@@ -1,8 +1,9 @@
 """Command-line front end: order checks, stability scans, runs, sweeps.
 
-Exit codes: 0 on success, 2 for configuration problems (``KeyError`` or
-``ValueError``) and files that cannot be read or written (``OSError``), 3
-when a run raised a :class:`~sldirk.models.SimulationError`.
+Exit codes: 0 on success, 2 for configuration problems (``ValueError``,
+an unknown tableau or example name included) and files that cannot be read
+or written (``OSError``), 3 when a run raised a
+:class:`~sldirk.models.SimulationError`.
 All CSV output is deterministic for a fixed configuration (floats via repr,
 rows in configuration order).
 """
@@ -358,10 +359,8 @@ def main(argv=None) -> int:
         print(f"run diverged: {exc}" + (f" ({', '.join(where)})" if where else ""),
               file=sys.stderr)
         return EXIT_DIVERGED
-    except (KeyError, ValueError, OSError) as exc:
-        # str() of a KeyError is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

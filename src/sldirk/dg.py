@@ -173,53 +173,28 @@ class ShiftOperator:
     ``apply`` gathers each slice's source elements into n_el+1 rows: row j
     holds source element j - cells - 1, periodically.  Target element i
     then reads its left piece (A0) from row i and its aligned piece (A1)
-    from row i + 1, so the two n_el-row windows of the gather, rows
-    [0, n_el) and [1, n_el], are the operands of the A0 and A1 overlap
-    products.  Terms whose shifts are all mesh-aligned skip the products
-    and copy the gathered rows, an exact permutation.
+    from row i + 1, so the gather's windows [0, n_el) and [1, n_el] are
+    the operands of the A0 and A1 overlap products.  A run of consecutive
+    slices with one ``cells`` is gathered by two block copies when the
+    copies move at least ``_ROWS_PER_COPY`` rows, and by one indexed
+    ``take`` otherwise.
 
-    A slice's gather is a periodic rotation of its source rows, and
-    consecutive slices of one term with the same ``cells`` (one run per
-    distinct offset on a monotone velocity grid) rotate alike, so a run is
-    gathered by two block copies between views.  Building splits every
-    term into such runs.  A group whose copies move at least
-    ``_ROWS_PER_COPY`` rows each gathers by them; a group with runs too
-    short for that (as the two slices of a two-velocity model make)
-    gathers by one indexed ``take`` of flat rows in the (B * L * n_el, q)
-    view of the values, which building precomputes for it.  Where a row
-    is three 8-byte values (float64 at degree 2), binding turns the rows
-    into element indices, row * q + (0, 1, 2), and the ``take`` copies
-    elements of the flat values into the flat gather instead.
-
-    Terms are processed in groups of as many as fit their gather of
-    float64 values into ``_GATHER_BUDGET`` bytes (at least one): one
-    gather and one product per group, added into the result while they
-    are still in cache.  The product is a single batched matmul of the
-    gather's two windows, stacked as (2, rows, n_el, q), against the
-    group's stack of (A0^T, A1^T), built once; it writes both overlap
-    products into 2 * rows of product scratch, and every (n_el, q) @ (q, q)
-    in it is the one a separate matmul would make.  A group whose one term
-    alone overflows the budget (the gas model's 100 slices) makes the two
-    products separately instead, the A1 product straight into the sum, so
-    that a product, not an add, writes the result.  Each term is formed as
-    a one-term operator forms it -- A1 product, plus A0 product, times its
-    weight -- and added in term order, so the result has the bits of the
-    one-term remaps combined in turn, whatever the grouping.
+    Terms are processed in groups whose float64 gather fits
+    ``_GATHER_BUDGET`` bytes (at least one term): one gather and one
+    batched matmul of both windows per group, or two matmuls for a lone
+    term past the budget.  A mesh-aligned term then copies its gathered
+    rows over its products, an exact permutation.  Each term is formed as
+    a one-term operator forms it and added in term order, so the result
+    has the same bits whatever the grouping.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
-    ``values`` itself for a one-term operator because the gather reads
-    every value before anything is written; the keyword-only ``gather`` and
-    ``product`` scratch arrays (shapes from :meth:`scratch_shapes`) spare
-    the remaining temporaries, so a caller that passes all three buffers
-    makes ``apply`` allocate no field-sized array.
-
-    ``apply`` binds its arrays -- checks them and lists its kernels with
-    their views as arguments, each weight as a 0-d array of the dtype of
-    the term it scales -- and calls that list.  With all three
-    buffers and C-contiguous values it keeps the binding, one tuple
-    replaced whole, and a call on the same four arrays of the same shape
-    runs the kept kernels on whatever the values hold by then.  Threads
-    sharing an operator, each with its own buffers, get serial bits.
+    ``values`` itself for a one-term operator; with the keyword-only
+    ``gather`` and ``product`` scratch (shapes from :meth:`scratch_shapes`)
+    as well, ``apply`` allocates no field-sized array.  It then also keeps
+    its binding -- its checked arrays and its (kernel, arguments) list --
+    and a call on the same four arrays of the same shape reruns those
+    kernels on whatever the values hold by then.  Threads sharing an
+    operator, each with its own buffers, get serial bits.
     """
 
     def __init__(self, mesh: Mesh1D, degree: int, shifts, blocks=None, weights=()):
@@ -275,7 +250,7 @@ class ShiftOperator:
         # per group: its first term, its number of terms, its flat gather
         # rows (None when it copies its runs), its slice runs, its stack of
         # A0 and A1 matrices, its weights (None for the first term) and the
-        # indices of its mesh-aligned terms (None when all of them are)
+        # indices of its mesh-aligned terms
         self._groups = []
         for t0 in range(0, m, per_group):
             t1 = min(t0 + per_group, m)
@@ -286,8 +261,7 @@ class ShiftOperator:
                 rows = ((sources[slices] * n)[:, None]
                         + (np.arange(n + 1) - cells[slices, None] - 1) % n).ravel()
             self._groups.append((t0, t1 - t0, rows, group_runs, pair[:, slices],
-                                 weights[t0:t1],
-                                 None if aligned[t0:t1].all() else np.flatnonzero(aligned[t0:t1])))
+                                 weights[t0:t1], np.flatnonzero(aligned[t0:t1])))
         self._bound = (None,) * 6  # the binding kept, as _bind returns it
 
     @staticmethod
@@ -353,30 +327,25 @@ class ShiftOperator:
                 else:
                     calls.append((values.reshape(-1, q).take,
                                   (rows, 0, g.reshape(-1, q), "clip")))
-            alone = t0 == 0 and size == 1  # formed in the result itself
-            if aligned is None:
-                acc = g[:, 1:]
-                if alone:
-                    calls.append((np.copyto, (out, acc)))
+            both = products[:2 * size * L]
+            left, right = both[:size * L], both[size * L:]
+            # a lone first term is formed in the result itself
+            acc = out if t0 == 0 and size == 1 else right
+            # batched (n_el, q) @ (q, q)^T per window and leading slice
+            if g.size * 8 > _GATHER_BUDGET:
+                # past the cache budget (one term of many slices) the
+                # A1 product goes straight to acc: a product hides the
+                # cache misses of writing the result, an add does not
+                calls += [(np.matmul, (g[:, 1:], matrices[1], acc)),
+                          (np.matmul, (g[:, :-1], matrices[0], left)),
+                          (np.add, (acc, left, acc))]
             else:
-                both = products[:2 * size * L]
-                left, right = both[:size * L], both[size * L:]
-                acc = out if alone else right
-                # batched (n_el, q) @ (q, q)^T per window and leading slice
-                if g.size * 8 > _GATHER_BUDGET:
-                    # past the cache budget (one term of many slices) the
-                    # A1 product goes straight to acc: a product hides the
-                    # cache misses of writing the result, an add does not
-                    calls += [(np.matmul, (g[:, 1:], matrices[1], acc)),
-                              (np.matmul, (g[:, :-1], matrices[0], left)),
-                              (np.add, (acc, left, acc))]
-                else:
-                    windows = sliding_window_view(g, n, axis=1).transpose(1, 0, 3, 2)
-                    calls += [(np.matmul, (windows, matrices, both.reshape(2, size * L, n, q))),
-                              (np.add, (right, left, acc))]
-                # aligned terms are copied, as a one-term operator does
-                calls += [(np.copyto, (acc[i * L:(i + 1) * L], g[i * L:(i + 1) * L, 1:]))
-                          for i in aligned]
+                windows = sliding_window_view(g, n, axis=1).transpose(1, 0, 3, 2)
+                calls += [(np.matmul, (windows, matrices, both.reshape(2, size * L, n, q))),
+                          (np.add, (right, left, acc))]
+            # mesh-aligned terms copy their gathered rows, an exact permutation
+            calls += [(np.copyto, (acc[i * L:(i + 1) * L], g[i * L:(i + 1) * L, 1:]))
+                      for i in aligned]
             # weighted terms added in order; the unweighted first term and
             # the second are added in one call
             for i in range(0 if t0 else 1, size):

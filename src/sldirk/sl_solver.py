@@ -20,30 +20,15 @@ go through the conservative remap of :mod:`sldirk.dg`, so the discrete
 collision invariants integrated over the domain are conserved to roundoff
 for every tableau and every epsilon.
 
-A solver keeps one workspace per dtype of the values it steps (their
-shape is the solver's, (n_v, n_el, degree + 1)), and the workspace owns
-all of the solver's warm state for that dtype: a stacked stage buffer
-(s, n_v, n_el, q) whose slot 0 holds the step-start values and slot j + 1
-the increment of stage j, the remap's gather and product scratch, the
-prediction, and the stage plan of the step size it last stepped.  Stage
-k's prediction is one call of a multi-term
-:class:`~sldirk.dg.ShiftOperator` on the leading slots of that buffer:
-the values shifted by c_k * dt, plus each increment j with a_kj != 0
-shifted by (c_k - c_j) * dt and weighted by dt * a_kj.  The operator forms
-and adds the terms in groups that fit its gather byte budget, with the
-bits of one remap per term added in order.  A workspace builds its plan
-when the step size changes: per stage its own operator, its remap input
-and its relaxation as (callable, arguments) pairs bound to the workspace
--- the model's ``stage_kernels`` (its moment kernel into the moments
-buffer, then its equilibrium kernels, for the gas model one Newton fit
-that checks the moments and owns its per-point scratch), then the
-increment arithmetic.  Each operator keeps the binding of the one
-workspace it serves, so a warm step copies its input in, hands each
-operator the arrays of its kept binding and runs only bound kernels.  A
-step allocates no field-sized array except the one it returns, and no
-returned array is ever a workspace.  The workspace also binds the
-equilibrium of its moments buffer once, which the diagnostics run for
-each record.
+A solver keeps one workspace per dtype of the values it steps.  Its
+stacked stage buffer holds the step-start values in slot 0 and the
+increment of stage j in slot j + 1, so stage k's prediction is one call
+of a multi-term :class:`~sldirk.dg.ShiftOperator` on the leading slots.
+Per step size the workspace binds a stage plan: per stage that operator
+and its relaxation kernels (the model's ``stage_kernels``, then the
+increment arithmetic).  A warm step copies its input in and runs only
+bound kernels; it allocates no field-sized array except the one it
+returns.
 """
 
 from __future__ import annotations
@@ -287,29 +272,24 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
 
     # overflow during a diverging run is reported via DivergenceError, not
     # as numpy warnings
+    step, t = 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             record(values, 0)
-        except SimulationError as exc:
-            exc.step, exc.time = 0, 0.0
-            raise
-
-        t = 0.0
-        for n in range(n_steps):
-            step_dt = min(dt, cfg.t_final - t)
-            t = cfg.t_final if n == n_steps - 1 else t + step_dt
-            try:
+            for step in range(1, n_steps + 1):
+                step_dt = min(dt, cfg.t_final - t)
+                t = cfg.t_final if step == n_steps else t + step_dt
                 values = solver.step_values(values, step_dt)
                 if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
                     raise DivergenceError(
-                        f"non-finite values after step {n + 1} (t = {t:.6g}, "
+                        f"non-finite values after step {step} (t = {t:.6g}, "
                         f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
-                if (diagnostics_every and (n + 1) % diagnostics_every == 0) or n == n_steps - 1:
+                if (diagnostics_every and step % diagnostics_every == 0) or step == n_steps:
                     times.append(t)
-                    record(values, n + 1)
-            except SimulationError as exc:
-                exc.step, exc.time = n + 1, t
-                raise
+                    record(values, step)
+        except SimulationError as exc:
+            exc.step, exc.time = step, t
+            raise
 
     final = DGField(mesh=cfg.mesh, values=values)
     macro = DGField(mesh=cfg.mesh, values=cfg.model.moments(values))

@@ -89,26 +89,17 @@ def equilibrium_projection(b):
 
 
 def stage_inverse(a_ll: float, xi, b) -> np.ndarray:
-    """Closed-form (I - a_ll * xi * J)^{-1}, broadcast over xi and b.
+    """(I - a_ll * xi * J)^{-1} = P0 + r (I - P0) with r = 1 / (1 + a_ll * xi),
+    broadcast over xi and b.
 
-    The matrix is nonsingular for every xi >= 0 because J has eigenvalues
-    {0, -1}; its determinant is 1 + a_ll * xi.  Where xi = inf the result
-    is the equilibrium projection, so no inf / inf is ever formed.
+    J = -(I - P0) has eigenvalues {0, -1}, so the matrix is nonsingular for
+    every xi >= 0.  At xi = inf, r = 0 and the result is exactly P0.
     """
     if a_ll <= 0.0:
         raise ValueError(f"stage weight a_ll = {a_ll} must be positive")
-    ax, b = np.broadcast_arrays(a_ll * np.asarray(xi, dtype=float),
-                                np.asarray(b, dtype=float))
-    stiff = np.isinf(ax)
-    ax = np.where(stiff, 0.0, ax)
-    out = np.empty(ax.shape + (2, 2))
-    out[..., 0, 0] = 1.0 + 0.5 * (1.0 + b) * ax
-    out[..., 0, 1] = 0.5 * (1.0 + b) * ax
-    out[..., 1, 0] = 0.5 * (1.0 - b) * ax
-    out[..., 1, 1] = 1.0 + 0.5 * (1.0 - b) * ax
-    out /= (1.0 + ax)[..., None, None]
-    out[stiff] = equilibrium_projection(b[stiff])
-    return out
+    r = 1.0 / (1.0 + a_ll * np.asarray(xi, dtype=float))
+    p0 = equilibrium_projection(b)
+    return p0 + r[..., None, None] * (np.eye(2) - p0)
 
 
 def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):

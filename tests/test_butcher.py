@@ -234,7 +234,7 @@ def test_catalog_b3_entry():
 
 
 def test_get_tableau_unknown():
-    with pytest.raises(KeyError, match="unknown tableau"):
+    with pytest.raises(ValueError, match="unknown tableau"):
         get_tableau("DIRK9")
 
 
@@ -303,7 +303,7 @@ def test_load_and_resolve_from_file(tmp_path):
     assert t.s == 2
     t2 = resolve_tableau(str(path))
     np.testing.assert_array_equal(t2.A, t.A)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         resolve_tableau("no-such-tableau-or-file")
 
 

@@ -281,12 +281,15 @@ _TERM_SHIFTS = np.array([[0.3, -1.71, 0.0], [2.0, -3.0, 1.0], [0.25, 7.123, -0.5
 @pytest.mark.parametrize("degree", [0, 2, 4])
 def test_multi_term_shift_matches_per_term_applies(degree, rng):
     mesh = Mesh1D(-1.0, 1.0, 24)
-    shifts = _TERM_SHIFTS * mesh.dx  # rows 1 and 3 are mesh-aligned terms
-    cases = [((0, 1, 2, 3), (0.5, -1.25, 3.0)), ((0, 3, 1, 3), (1e-3, 2.0, -0.7)),
-             ((2, 0, 0, 1), (0.1, 0.2, 0.3))]
-    for blocks, weights in cases:
+    rows = _TERM_SHIFTS * mesh.dx  # rows 1 and 3 are mesh-aligned terms
+    cases = [(rows, (0, 1, 2, 3), (0.5, -1.25, 3.0)), (rows, (0, 3, 1, 3), (1e-3, 2.0, -0.7)),
+             (rows, (2, 0, 0, 1), (0.1, 0.2, 0.3)),
+             # all terms aligned: each is formed and then overwritten by its copy
+             (rows[[1, 3]], (1, 0), (-0.7,))]
+    for shifts, blocks, weights in cases:
         op = ShiftOperator(mesh, degree, shifts, blocks=blocks, weights=weights)
         assert op.n_blocks == max(blocks) + 1
+        assert op._pure_roll == (len(blocks) == 2)
         real = rng.normal(size=(3 * op.n_blocks, 24, degree + 1))
         # an aligned term copies its rows: a product with the identity
         # would spread this inf over its element as inf * 0 = nan

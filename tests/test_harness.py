@@ -52,6 +52,15 @@ def test_build_case_rejects_coupling_for_gas_preset():
         build_case("bgk", "DIRK2", 1e-2, 0.5, n_elements=16, n_v=20, b=0.3)
 
 
+@pytest.mark.parametrize("example, tableau, message", [
+    ("5.1", "DIRK9", "'DIRK9' is neither a catalog tableau"),
+    ("7.1", "DIRK2", "unknown example '7.1'"),
+])
+def test_build_case_rejects_unknown_names(example, tableau, message):
+    with pytest.raises(ValueError, match=message):
+        build_case(example, tableau, 1e-2, 0.5, n_elements=16)
+
+
 def test_build_case_bgk_profile():
     cfg, f0 = build_case("5.3", "DIRK3-B10", 1e-2, 1.0, n_elements=16, n_v=40)
     assert f0.values.shape == (40, 16, 3)
