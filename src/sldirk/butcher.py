@@ -228,7 +228,8 @@ def tableau_to_text(t: ButcherTableau) -> str:
 
 
 def parse_key_values(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blank lines are skipped."""
+    """Parse `key = value` lines; '#' starts a comment, blank lines are
+    skipped.  A malformed line or a repeated key raises ``ValueError``."""
     entries: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -236,8 +237,10 @@ def parse_key_values(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"malformed line {raw!r} (expected 'key = value')")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ValueError(f"repeated key {key!r} in line {raw!r}")
+        entries[key] = value
     return entries
 
 

@@ -243,7 +243,6 @@ class ShiftOperator:
                          (-cells[starts] - 1) % n], axis=1)
         run_bounds = np.searchsorted(starts // L, np.arange(m + 1))
         aligned = np.all(theta.reshape(m, -1) == 0.0, axis=1)
-        self._pure_roll = bool(np.all(aligned))
         self._gather_shape, self._product_shape = self.scratch_shapes((L, n, q), m)
         per_group = self._gather_shape[0] // L
         weights = (None,) + self._weights

@@ -1,6 +1,7 @@
 """Convergence studies: run the solver over (tableau, eps, CFL) sweeps.
 
-Three benchmark setups are built in (``PRESETS``), selectable by id or alias:
+Three benchmark setups are built in (``PRESETS``), selectable by id or
+model name:
 
 * ``5.1`` / ``linear``    -- linear two-velocity model, smooth periodic
   wave exp(sin 2 pi x) started at equilibrium;
@@ -42,9 +43,9 @@ from .sl_solver import RunResult, SimConfig, _require_positive, l1_error, run
 class Preset:
     """One benchmark setup.  ``amplitude`` scales the initial data: it is
     the factor on exp(sin 2 pi x) of a two-velocity preset and the uniform
-    density of the gas preset.  ``desk_cfls`` and ``paper_cfls`` are the
-    CLI's default sweep CFLs without and with ``--paper-scale``."""
-    aliases: tuple[str, ...]
+    density of the gas preset.  ``model`` names the preset as well as its
+    id does.  ``desk_cfls`` and ``paper_cfls`` are the CLI's default sweep
+    CFLs without and with ``--paper-scale``."""
     model: str
     b: float | None
     amplitude: float
@@ -57,18 +58,18 @@ class Preset:
 
 #: the benchmark presets by id
 PRESETS = {
-    "5.1": Preset(("linear",), "linear", 0.6, 1.0, (0.0, 1.0), 0.2, 0.001,
+    "5.1": Preset("linear", 0.6, 1.0, (0.0, 1.0), 0.2, 0.001,
                   (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
-    "5.2": Preset(("nonlinear",), "nonlinear", 0.2, 0.5, (0.0, 1.0), 0.2, 0.001,
+    "5.2": Preset("nonlinear", 0.2, 0.5, (0.0, 1.0), 0.2, 0.001,
                   (0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.4, 0.8)),
-    "5.3": Preset(("bgk",), "bgk", None, 1.0, (-1.0, 1.0), 0.04, 0.01,
+    "5.3": Preset("bgk", None, 1.0, (-1.0, 1.0), 0.04, 0.01,
                   (0.5, 1.0, 2.0, 4.0), (1.0, 2.0, 4.0)),
 }
 
 
 def normalize_example(example: str) -> str:
-    """The preset id for a preset id or alias."""
-    names = {name: ex for ex, preset in PRESETS.items() for name in (ex, *preset.aliases)}
+    """The preset id for a preset id or its model name."""
+    names = {name: ex for ex, preset in PRESETS.items() for name in (ex, preset.model)}
     try:
         return names[str(example)]
     except KeyError:

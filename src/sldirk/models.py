@@ -6,6 +6,12 @@ equilibrium.  Distribution arrays carry the velocity index on the leading
 axis, so f has shape (n_v, ...) and the moment vector U has shape (K, ...)
 with K the number of collision invariants.
 
+A model states U and M[U] once, as bound kernels: ``moment_kernel``
+writes the moments of f into U and ``equilibrium_kernels`` write M[U].
+The solver binds them once per stage plan; ``moments`` and
+``equilibrium`` run them on fresh arrays.  The gas model takes real
+values only and raises ``ValueError`` for complex ones.
+
 A failed run raises a :class:`SimulationError`: an
 :class:`UnphysicalStateError` when the moments leave the physical region,
 a :class:`DivergenceError` when the field stops being finite or the
@@ -89,50 +95,61 @@ class VelocitySet:
 
 
 class KineticModel:
-    """Common relaxation machinery; subclasses set the attributes below and
-    implement ``moments`` and ``equilibrium`` together with their bound
-    forms, ``moment_kernel`` and ``equilibrium_kernels``."""
+    """Common relaxation machinery.  Subclasses set the attributes below
+    and give their relaxation once, in bound form: ``moment_kernel`` and
+    ``equilibrium_kernels``.  ``moments`` and ``equilibrium`` run those
+    kernels on fresh arrays."""
 
     name: str
     velocity_set: VelocitySet
     n_invariants: int
     invariant_names: tuple[str, ...]
 
+    def _dtype(self, a: np.ndarray) -> np.dtype:
+        """The dtype the model computes ``a`` in: float64; ``ValueError``
+        for complex ``a``."""
+        if a.dtype.kind == "c":
+            raise ValueError(f"the {self.name} model takes real values, got {a.dtype}")
+        return np.dtype(np.float64)
+
     def moments(self, f) -> np.ndarray:
-        raise NotImplementedError
+        """The moments U of ``f`` (n_v, ...), shape (K,) + f.shape[1:]."""
+        f = np.asarray(f)
+        f = np.ascontiguousarray(f, dtype=self._dtype(f))
+        U = np.empty((self.n_invariants,) + f.shape[1:], f.dtype)
+        kernel, args = self.moment_kernel(f, U)
+        kernel(*args)
+        return U
 
     def equilibrium(self, U, out=None) -> np.ndarray:
         """M[U], shape (n_v,) + U.shape[1:], written into ``out`` when given."""
-        raise NotImplementedError
+        U = np.asarray(U)
+        U = np.ascontiguousarray(U, dtype=self._dtype(U))
+        out = ensure_buffer("out", out, (self.velocity_set.n,) + U.shape[1:], U.dtype)
+        for kernel, args in self.equilibrium_kernels(U, out):
+            kernel(*args)
+        return out
 
     def moment_kernel(self, f, U) -> tuple:
         """The (callable, arguments) pair that writes the moments of ``f``
-        into ``U`` (shape (K,) + f.shape[1:]) with the bits of ``moments``;
-        the equilibrium kernels that read ``U`` check it as ``moments``
-        would."""
+        into ``U`` (shape (K,) + f.shape[1:]); the equilibrium kernels that
+        read ``U`` check it.  It reads ``f`` when called, so a pair bound
+        to fixed arrays serves every step."""
         raise NotImplementedError
 
     def equilibrium_kernels(self, U, out) -> list:
         """(callable, arguments) pairs that, called in turn, write M[U] into
-        ``out`` with the bits of ``equilibrium``, raising as it does."""
+        ``out``, raising for moments outside the physical region."""
         raise NotImplementedError
-
-    def stage_kernels(self, f, out, moments_buffer) -> list:
-        """(callable, arguments) pairs that, called in turn, leave
-        M[moments(f)] in ``out``, with the bits of ``equilibrium``: the
-        moment kernel into ``moments_buffer`` (shape (K,) + f.shape[1:]),
-        then the equilibrium kernels.  They read ``f`` when called, so a
-        list bound to fixed arrays serves every step."""
-        return [self.moment_kernel(f, moments_buffer)] + self.equilibrium_kernels(
-            moments_buffer, out)
 
 
 class _TwoVelocity(KineticModel):
     """Components (f_1, f_2) moving at v = +1 / -1 with coupling ``b``; the
-    single conserved moment is U = f_1 + f_2.  Subclasses supply the
-    equilibrium as ``equilibrium_kernels``, the (ufunc, arguments) pairs
-    writing M of the density U[0] into ``out``, which ``equilibrium``
-    runs; they bind each coefficient as a 0-d array of ``out``'s dtype."""
+    single conserved moment is U = f_1 + f_2.  Float and complex values
+    keep their dtype.  Subclasses supply the equilibrium as
+    ``equilibrium_kernels``, the (ufunc, arguments) pairs writing M of the
+    density U[0] into ``out``; they bind each coefficient as a 0-d array
+    of ``out``'s dtype."""
 
     n_invariants = 1
     invariant_names = ("mass",)
@@ -141,17 +158,12 @@ class _TwoVelocity(KineticModel):
         self.b = float(b)
         self.velocity_set = VelocitySet.two_velocity()
 
-    def moments(self, f):
-        return (f[0] + f[1])[None, ...]
-
-    def equilibrium(self, U, out=None):
-        out = _equilibrium_buffer(out, U[0])
-        for kernel, args in self.equilibrium_kernels(U, out):
-            kernel(*args)
-        return out
+    def _dtype(self, a):
+        return a.dtype if a.dtype.kind in "fc" else np.dtype(np.float64)
 
     def moment_kernel(self, f, U):
-        return (np.add, (f[0], f[1], U[0]))
+        # views, also for f of shape (2,)
+        return (np.add, (f[0, ...], f[1, ...], U[0, ...]))
 
 
 class LinearTwoVelocity(_TwoVelocity):
@@ -170,7 +182,7 @@ class LinearTwoVelocity(_TwoVelocity):
         super().__init__(b)
 
     def equilibrium_kernels(self, U, out):
-        u = U[0]
+        u = U[0, ...]
         return [(np.multiply, (scalar_operand(0.5 * (1.0 + self.b), out.dtype), u, out[0, ...])),
                 (np.multiply, (scalar_operand(0.5 * (1.0 - self.b), out.dtype), u, out[1, ...]))]
 
@@ -185,20 +197,12 @@ class NonlinearTwoVelocity(_TwoVelocity):
     name = "nonlinear-two-velocity"
 
     def equilibrium_kernels(self, U, out):
-        u = U[0]
-        flux, minus = out[0, ...], out[1, ...]  # views, also for 0-d u
+        u, flux, minus = U[0, ...], out[0, ...], out[1, ...]  # views, also for 0-d u
         b, half = scalar_operand(self.b, out.dtype), scalar_operand(0.5, out.dtype)
         return [(np.multiply, (b, u, flux)), (np.multiply, (flux, u, flux)),
                 (np.negative, (flux, minus)), (np.add, (minus, u, minus)),
                 (np.multiply, (minus, half, minus)), (np.add, (flux, u, flux)),
                 (np.multiply, (flux, half, flux))]
-
-
-def _equilibrium_buffer(out, u):
-    """``out`` checked to hold a two-velocity equilibrium of density ``u``,
-    or a fresh array for it."""
-    dtype = u.dtype if u.dtype.kind in "fc" else np.dtype(float)
-    return ensure_buffer("out", out, (2,) + u.shape, dtype)
 
 
 def maxwellian(v, rho, u, T):
@@ -254,16 +258,9 @@ class BGK1D(KineticModel):
         self._wphi = self._wpow[:3]
 
     def moments(self, f):
-        U = self._velocity_sums(f)
+        U = super().moments(f)
         self.parameters(U)  # rejects rho <= 0 and T <= 0
         return U
-
-    def _velocity_sums(self, f):
-        """Quadrature sums of ``f`` (n_v, ...) against the three invariants,
-        shape (3,) + f.shape[1:]: the product that
-        ``np.tensordot(self._wphi, f, axes=(1, 0))`` makes, without its
-        Python wrapper."""
-        return np.dot(self._wphi, f.reshape(f.shape[0], -1)).reshape((3,) + f.shape[1:])
 
     def moment_kernel(self, f, U):
         # the flat forms must be views, so both arrays are C-contiguous
@@ -279,15 +276,6 @@ class BGK1D(KineticModel):
         params = np.empty((3,) + np.shape(rho))
         _gas_parameters(U, params[0, ...], params[1, ...], params[2, ...])
         return rho, params[0], params[1]
-
-    def equilibrium(self, U, out=None):
-        """M[U]: the fit of :meth:`equilibrium_kernels` on fresh scratch."""
-        U = np.ascontiguousarray(U, dtype=float)
-        if out is None:
-            out = np.empty((self.velocity_set.n,) + U.shape[1:])
-        for kernel, args in self.equilibrium_kernels(U, out):
-            kernel(*args)
-        return out
 
     def equilibrium_kernels(self, U, out):
         """One kernel, the fit of ``_fit``, bound to the flat forms of ``U``

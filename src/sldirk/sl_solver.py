@@ -25,7 +25,8 @@ stacked stage buffer holds the step-start values in slot 0 and the
 increment of stage j in slot j + 1, so stage k's prediction is one call
 of a multi-term :class:`~sldirk.dg.ShiftOperator` on the leading slots.
 Per step size the workspace binds a stage plan: per stage that operator
-and its relaxation kernels (the model's ``stage_kernels``, then the
+and its relaxation kernels (the model's ``moment_kernel`` on the
+prediction, its ``equilibrium_kernels`` on those moments, then the
 increment arithmetic).  A warm step copies its input in and runs only
 bound kernels; it allocates no field-sized array except the one it
 returns.
@@ -68,6 +69,8 @@ class SimConfig:
                              f"range 0-{MAX_DEGREE}")
         for name in ("cfl", "eps", "t_final"):
             _require_positive(name, getattr(self, name))
+        if self.model.velocity_set.max_speed == 0.0:
+            raise ValueError("every velocity is 0, so the CFL number gives no time step")
 
     @property
     def dt(self) -> float:
@@ -175,7 +178,8 @@ class SemiLagrangianSolver:
                 M = ws.inputs[0]
                 tail = [(np.multiply, (M, scalar_operand(w_dt, M.dtype), M)),
                         (np.multiply, (scalar_operand(eps, spare.dtype), predicted, spare))]
-            kernels = model.stage_kernels(predicted, M, ws.moments) + tail
+            kernels = ([model.moment_kernel(predicted, ws.moments)]
+                       + model.equilibrium_kernels(ws.moments, M) + tail)
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
         ws.dt, ws.plan = dt, (stages, M, denom)
         return ws.plan

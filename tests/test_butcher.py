@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sldirk.butcher import (ButcherTableau, catalog, get_tableau, load_tableau,
-                            resolve_tableau, tableau_from_text, tableau_to_text,
-                            to_shu_osher)
+                            parse_key_values, resolve_tableau, tableau_from_text,
+                            tableau_to_text, to_shu_osher)
 from conftest import random_sa_dirk
 
 NU = 1.0 - np.sqrt(2.0) / 2.0
@@ -294,6 +294,14 @@ def test_text_parse_errors():
         tableau_from_text("s = 2\nA = 1 0 1\nc = 0.5 1\nb = 0.5 0.5\n")
     with pytest.raises(ValueError, match="malformed"):
         tableau_from_text("not a key value line\n")
+    with pytest.raises(ValueError, match="repeated key 's'"):
+        tableau_from_text("s = 1\nA = 1\ns = 2\n")
+
+
+def test_parse_key_values_rejects_repeated_keys():
+    assert parse_key_values("eps = 1\n# eps = 3\nnx = 8\n") == {"eps": "1", "nx": "8"}
+    with pytest.raises(ValueError, match="repeated key 'eps'"):
+        parse_key_values("eps = 1\n eps=2 # again\n")
 
 
 def test_load_and_resolve_from_file(tmp_path):

@@ -266,6 +266,14 @@ def test_simulate_malformed_config_line_exits_2(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_simulate_repeated_config_key_exits_2(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("model = linear\nnx = 8\nT = 0.02\nnx = 16\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 2 and out == ""
+    assert "repeated key 'nx'" in err
+
+
 def test_simulate_divergence_exits_3(capsys, monkeypatch):
     def explode(cfg, initial, diagnostics_every=1):
         raise DivergenceError("non-finite values after step 7", step=7)

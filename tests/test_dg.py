@@ -154,21 +154,28 @@ def test_shift_operator_per_velocity():
     np.testing.assert_array_equal(out[1], remap(mesh, vals[1], -tau))
 
 
-def _fancy_index_apply(op, shifts, values):
-    """Remap by 2-D fancy indexing, the formula ShiftOperator.apply had
-    before it gathered rows through flat indices; kept as the reference."""
-    mesh = op.mesh
+def _snapped_cells(mesh, shifts):
+    """The cell offsets of ``shifts`` and whether all of them are whole
+    cells, with shifts within roundoff of a whole cell snapped to it."""
     z = np.asarray(shifts, dtype=float) / mesh.dx
     nearest = np.round(z)
     z = np.where(np.abs(z - nearest) <= 1e-12 * (1.0 + np.abs(z)), nearest, z)
     cells = np.floor(z)
-    cells = (cells + (z - cells >= 1.0)).astype(int)
+    theta = z - cells
+    return (cells + (theta >= 1.0)).astype(int), bool(np.all((theta == 0.0) | (theta >= 1.0)))
+
+
+def _fancy_index_apply(op, shifts, values):
+    """Remap by 2-D fancy indexing, the formula ShiftOperator.apply had
+    before it gathered rows through flat indices; kept as the reference."""
+    mesh = op.mesh
+    cells, aligned = _snapped_cells(mesh, shifts)
     n = mesh.n_elements
     tgt = np.arange(n)
     idx0 = (tgt[None, :] - cells[:, None] - 1) % n
     idx1 = (tgt[None, :] - cells[:, None]) % n
     lead = np.arange(values.shape[0])[:, None]
-    if op._pure_roll:
+    if aligned:
         return values[lead, idx1]
     out = values[lead, idx1] @ op._a1t
     out += values[lead, idx0] @ op._a0t
@@ -188,7 +195,7 @@ def test_shift_operator_matches_fancy_index_formula(degree, rng):
     }
     for name, shifts in per_slice.items():
         op = ShiftOperator(mesh, degree, shifts)
-        assert op._pure_roll == (name == "aligned")
+        assert _snapped_cells(mesh, shifts)[1] == (name == "aligned")
         values = rng.normal(size=(len(shifts), 24, degree + 1))
         out = op.apply(values)
         assert np.array_equal(out, _fancy_index_apply(op, shifts, values)), name
@@ -289,7 +296,7 @@ def test_multi_term_shift_matches_per_term_applies(degree, rng):
     for shifts, blocks, weights in cases:
         op = ShiftOperator(mesh, degree, shifts, blocks=blocks, weights=weights)
         assert op.n_blocks == max(blocks) + 1
-        assert op._pure_roll == (len(blocks) == 2)
+        assert _snapped_cells(mesh, shifts.ravel())[1] == (len(blocks) == 2)
         real = rng.normal(size=(3 * op.n_blocks, 24, degree + 1))
         # an aligned term copies its rows: a product with the identity
         # would spread this inf over its element as inf * 0 = nan

@@ -220,8 +220,9 @@ def test_equilibrium_out_matches_fresh(rng):
 
 
 def test_stage_kernels_give_the_bits_of_equilibrium_of_moments(rng):
-    # bound once to fixed arrays, the kernels serve every new f written
-    # into them; real fields for all models, complex for the two-velocity ones
+    # the moment kernel then the equilibrium kernels, as the solver binds
+    # them once to fixed arrays, serve every new f written into them; real
+    # fields for all models, complex for the two-velocity ones
     vs = VelocitySet.uniform(-6.0, 6.0, 24)
     gas = BGK1D(velocity_set=vs)
     shape = (5, 3)
@@ -231,7 +232,8 @@ def test_stage_kernels_give_the_bits_of_equilibrium_of_moments(rng):
             n_v = model.velocity_set.n
             f = np.empty((n_v,) + shape, dtype)
             out = np.full_like(f, np.nan)
-            kernels = model.stage_kernels(f, out, np.empty((model.n_invariants,) + shape, dtype))
+            U = np.empty((model.n_invariants,) + shape, dtype)
+            kernels = [model.moment_kernel(f, U)] + model.equilibrium_kernels(U, out)
             for _ in range(3):
                 if model is gas:
                     f[...] = maxwellian(vs.v, rng.uniform(0.5, 2.0, shape),
@@ -246,6 +248,18 @@ def test_stage_kernels_give_the_bits_of_equilibrium_of_moments(rng):
                 expected = model.equilibrium(model.moments(f))
                 assert out.dtype == expected.dtype
                 assert np.array_equal(out, expected), (model.name, dtype)
+
+
+def test_gas_model_rejects_complex_values():
+    # the gas model computes in float64: complex moments or f raise one
+    # ValueError naming the dtype, not a ComplexWarning or a numpy error
+    m = BGK1D(velocity_set=VelocitySet.uniform(-6.0, 6.0, 24))
+    U = np.array([[1.0, 1.2], [0.0, 0.1], [0.5, 0.7]])
+    f = m.equilibrium(U)
+    assert m.equilibrium(U.astype(np.float32)).dtype == np.float64
+    for call, values in ((m.equilibrium, U), (m.moments, f)):
+        with pytest.raises(ValueError, match="complex128"):
+            call(values + 0j)
 
 
 def test_bgk_equilibrium_rejects_negative_temperature():
