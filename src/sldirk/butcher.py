@@ -58,7 +58,7 @@ class ButcherTableau:
         if bad.size:
             problems.append(f"nonpositive diagonal at stage(s) {(bad + 1).tolist()}")
         if not abs(c[-1] - 1.0) <= VALIDATION_TOL:
-            problems.append(f"last row sums to {c[-1]!r}, not 1: only stiffly "
+            problems.append(f"last row sums to {float(c[-1])!r}, not 1: only stiffly "
                             f"accurate tableaus are supported")
         if problems:
             raise ValueError(f"tableau {self.name!r} rejected: {'; '.join(problems)}")

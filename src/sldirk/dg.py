@@ -16,10 +16,10 @@ permutations.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @functools.cache
@@ -142,16 +142,25 @@ def _fractional_matrices(nodes, weights, theta):
     return a0, a1
 
 
-#: bytes of gathered float64 rows a multi-term remap handles per group
-#: (see ShiftOperator): a group's gather and products stay in a core's cache
+#: bytes of stacked float64 gather a multi-term remap handles per group (see
+#: ShiftOperator): a group's gather and product stay in a core's cache
 _GATHER_BUDGET = 256 * 1024
 
-#: gathered rows per block copy from which a group gathers by copying its
-#: slice runs (see ShiftOperator); below it one indexed ``take`` is faster.
-#: That ``take`` copies rows, except rows of three 8-byte values (float64
-#: at degree 2), which it copies by element: ``take`` moves 24-byte items
-#: with ``memmove`` but 8-byte ones with one load and store each
+#: gathered rows per block copy from which a lone term past the budget
+#: gathers by copying its slice runs (see ShiftOperator); below it one
+#: indexed ``take`` is faster.  That ``take`` copies rows, except rows of
+#: three 8-byte values (float64 at degree 2), which it copies by element:
+#: ``take`` moves 24-byte items with ``memmove`` but 8-byte ones with one
+#: load and store each
 _ROWS_PER_COPY = 256
+
+
+def _group_size(term_shape: tuple, n_terms: int) -> int:
+    """Terms per stacked group of a remap of ``n_terms`` terms of shape
+    ``term_shape`` (L, n_el, q); 0 when one term's stacked gather, both
+    windows of float64 values, is past ``_GATHER_BUDGET``."""
+    lead, n, q = term_shape
+    return min(n_terms, _GATHER_BUDGET // (16 * lead * n * q))
 
 
 class ShiftOperator:
@@ -170,22 +179,26 @@ class ShiftOperator:
 
         S_0 x_0 + sum_{b >= 1} weights[b - 1] * S_b x_b.
 
-    ``apply`` gathers each slice's source elements into n_el+1 rows: row j
-    holds source element j - cells - 1, periodically.  Target element i
-    then reads its left piece (A0) from row i and its aligned piece (A1)
-    from row i + 1, so the gather's windows [0, n_el) and [1, n_el] are
-    the operands of the A0 and A1 overlap products.  A run of consecutive
-    slices with one ``cells`` is gathered by two block copies when the
-    copies move at least ``_ROWS_PER_COPY`` rows, and by one indexed
-    ``take`` otherwise.
+    A slice shifted by ``cells`` whole elements and a fraction maps source
+    element i - cells - 1 (its left piece, matrix A0) and source element
+    i - cells (its aligned piece, A1) onto target element i, periodically.
+    The remap is linear, so each term's weight is folded into its A0 and
+    A1 when the operator is built.
 
-    Terms are processed in groups whose float64 gather fits
-    ``_GATHER_BUDGET`` bytes (at least one term): one gather and one
-    batched matmul of both windows per group, or two matmuls for a lone
-    term past the budget.  A mesh-aligned term then copies its gathered
-    rows over its products, an exact permutation.  Each term is formed as
-    a one-term operator forms it and added in term order, so the result
-    has the same bits whatever the grouping.
+    Terms are processed in groups whose stacked float64 gather fits
+    ``_GATHER_BUDGET`` bytes.  One indexed ``take`` gathers both source
+    elements of every term of a group into an (L, n_el, 2 * terms * q)
+    array, and one batched matmul with the (L, 2 * terms * q, q) stack of
+    the terms' matrices forms the group's sum.  The first group writes the
+    result; each later one is added to it.  A lone term past the budget (a
+    remap of many slices) gathers n_el + 1 rows per slice instead, row j
+    holding source element j - cells - 1, so that the windows [0, n_el)
+    and [1, n_el] are the operands of its two overlap products; a run of
+    consecutive slices with one ``cells`` is gathered by two block copies
+    when the copies move at least ``_ROWS_PER_COPY`` rows, and by one
+    ``take`` otherwise.  A one-term operator whose shifts are all whole
+    cells only gathers and copies, an exact permutation.  The sum of the
+    terms agrees with a sum of one-term remaps to roundoff.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
     ``values`` itself for a one-term operator; with the keyword-only
@@ -224,55 +237,66 @@ class ShiftOperator:
         cells = cells + bump
         theta = np.where(bump, 0.0, theta)
         cells = cells.astype(int)
-        # (A0^T, A1^T) of every (term, slice), the matrices of the products
-        pair = np.ascontiguousarray(np.swapaxes(np.stack(
-            _fractional_matrices(nodes, weights, theta)), -1, -2))
-        self._a0t, self._a1t = pair
         n, q, L = mesh.n_elements, degree + 1, self._lead
-        # row j of slice l of term b's gather holds source element
-        # j - cells - 1 of that slice of block blocks[b], periodically:
-        # target i reads rows i (left piece) and i + 1
+        # (w A0^T, w A1^T) of every (term, slice), the matrices of the products
+        scale = np.repeat((1.0,) + self._weights, L)[:, None, None]
+        pair = np.ascontiguousarray(np.swapaxes(np.stack(
+            _fractional_matrices(nodes, weights, theta)), -1, -2) * scale)
+        # the flat source slice of every (term, slice)
         sources = (np.asarray(blocks)[:, None] * L + np.arange(L)).ravel()
-        # the runs of slices with one cell offset, by flat (term, slice)
-        # index; each term's slice 0 starts one.  Per run: its first slice
-        # counted from its group's first term, its first source slice, its
-        # length and the source element of its gather row 0
-        per_term = cells.reshape(m, L)
-        starts = np.flatnonzero(np.c_[np.ones(m, bool), per_term[:, 1:] != per_term[:, :-1]])
-        runs = np.stack([starts, sources[starts], np.diff(starts, append=m * L),
-                         (-cells[starts] - 1) % n], axis=1)
-        run_bounds = np.searchsorted(starts // L, np.arange(m + 1))
-        aligned = np.all(theta.reshape(m, -1) == 0.0, axis=1)
-        self._gather_shape, self._product_shape = self.scratch_shapes((L, n, q), m)
-        per_group = self._gather_shape[0] // L
-        weights = (None,) + self._weights
-        # per group: its first term, its number of terms, its flat gather
-        # rows (None when it copies its runs), its slice runs, its stack of
-        # A0 and A1 matrices, its weights (None for the first term) and the
-        # indices of its mesh-aligned terms
+        size = _group_size((L, n, q), m)
+        roll = m == 1 and not theta.any()
+        # per group: its first term, its gather shape, its flat gather rows
+        # (None when it copies its runs), its slice runs and its matrices
+        # (None for a roll)
         self._groups = []
-        for t0 in range(0, m, per_group):
-            t1 = min(t0 + per_group, m)
-            slices = slice(t0 * L, t1 * L)
-            group_runs = (runs[run_bounds[t0]:run_bounds[t1]] - [t0 * L, 0, 0, 0]).tolist()
-            rows = None
-            if (t1 - t0) * L * (n + 1) < 2 * len(group_runs) * _ROWS_PER_COPY:
-                rows = ((sources[slices] * n)[:, None]
-                        + (np.arange(n + 1) - cells[slices, None] - 1) % n).ravel()
-            self._groups.append((t0, t1 - t0, rows, group_runs, pair[:, slices],
-                                 weights[t0:t1], np.flatnonzero(aligned[t0:t1])))
+        if size and not roll:
+            for t0 in range(0, m, size):
+                t1 = min(t0 + size, m)
+                # gather entry (l, i, t, w) holds source element
+                # i + w - cells - 1 of slice l of term t0 + t
+                src, shift = (a[t0 * L:t1 * L].reshape(-1, L).T[:, None, :, None]
+                              for a in (sources, cells))
+                i, w = np.arange(n)[:, None, None], np.arange(2)
+                rows = (src * n + (i + w - shift - 1) % n).ravel()
+                stack = pair[:, t0 * L:t1 * L].reshape(2, t1 - t0, L, q, q)
+                stack = np.ascontiguousarray(stack.transpose(2, 1, 0, 3, 4)).reshape(L, -1, q)
+                self._groups.append((t0, (L, n, 2 * (t1 - t0) * q), rows, None, stack))
+            # each later group's sum passes through the product
+            product_rows = L if len(self._groups) > 1 else 0
+        else:
+            # the runs of slices with one cell offset, per term; slice 0
+            # starts one.  Per run: its first slice, its first source slice,
+            # its length and the source element of its gather row 0
+            for t in range(m):
+                per_slice = cells[t * L:(t + 1) * L]
+                starts = np.flatnonzero(np.r_[True, per_slice[1:] != per_slice[:-1]])
+                runs = np.stack([starts, sources[t * L + starts], np.diff(starts, append=L),
+                                 (-per_slice[starts] - 1) % n], axis=1).tolist()
+                rows = None
+                if L * (n + 1) < 2 * len(runs) * _ROWS_PER_COPY:
+                    rows = ((sources[t * L:(t + 1) * L] * n)[:, None]
+                            + (np.arange(n + 1) - per_slice[:, None] - 1) % n).ravel()
+                matrices = None if roll else pair[:, t * L:(t + 1) * L]
+                self._groups.append((t, (L, n + 1, q), rows, runs, matrices))
+            # a lone term's two overlap products
+            product_rows = 0 if roll else 2 * L
+        # the first group gathers the most
+        self._gather_shape = (math.prod(self._groups[0][1]),)
+        self._product_shape = (product_rows, n, q)
         self._bound = (None,) * 6  # the binding kept, as _bind returns it
 
     @staticmethod
     def scratch_shapes(term_shape: tuple, n_terms: int = 1) -> tuple[tuple, tuple]:
         """Shapes of the ``gather`` and ``product`` scratch with which
         ``apply`` remaps ``n_terms`` terms of shape ``term_shape``
-        (L, n_el, q).  Longer leading axes serve as well, so one pair sized
-        for the most terms serves operators with fewer."""
+        (L, n_el, q): a flat gather and (rows, n_el, q) products, at least
+        L rows.  Longer buffers serve as well, so one pair sized for the
+        most terms serves operators with fewer."""
         lead, n, q = term_shape
-        per_group = max(1, min(n_terms, _GATHER_BUDGET // (8 * lead * (n + 1) * q)))
-        rows = lead * per_group
-        return (rows, n + 1, q), (2 * rows, n, q)
+        size = _group_size(term_shape, n_terms)
+        gather = lead * n * 2 * size * q if size else lead * (n + 1) * q
+        return (gather,), ((1 if size else 2) * lead, n, q)
 
     def apply(self, values: np.ndarray, out: np.ndarray | None = None, *,
               gather: np.ndarray | None = None,
@@ -303,13 +327,13 @@ class ShiftOperator:
         if values.shape[:-1] != (self.n_blocks * L, n):
             raise ValueError(f"values of shape {values.shape} do not match an operator "
                              f"for {self.n_blocks} block(s) of {L} shifts on {n} elements")
-        dtype = np.promote_types(values.dtype, self._a1t.dtype)
+        dtype = np.promote_types(values.dtype, float)
         out = ensure_buffer("out", out, (L, n, q), dtype)
         gathered = self._scratch("gather", gather, self._gather_shape, values.dtype)
         products = self._scratch("product", product, self._product_shape, dtype)
         calls = []
-        for t0, size, rows, runs, matrices, weights, aligned in self._groups:
-            g = gathered[:size * L]
+        for t0, shape, rows, runs, matrices in self._groups:
+            g = gathered[:math.prod(shape)].reshape(shape)
             if rows is None:
                 # gather row j of a run holds source element (j + first) % n
                 for dst, src, length, first in runs:
@@ -317,50 +341,39 @@ class ShiftOperator:
                                            values[src:src + length, first:])),
                               (np.copyto, (g[dst:dst + length, n - first:],
                                            values[src:src + length, :first + 1]))]
+            # the rows are in range by construction; mode="clip" only spares
+            # the buffered copy that take(..., out=) makes under mode="raise"
+            elif values.itemsize == 8 and q == 3:  # by element, see _ROWS_PER_COPY
+                elements = (rows[:, None] * q + np.arange(q)).ravel()
+                calls.append((values.reshape(-1).take, (elements, 0, g.reshape(-1), "clip")))
             else:
-                # the rows are in range by construction; mode="clip" only spares
-                # the buffered copy that take(..., out=) makes under mode="raise"
-                if values.itemsize == 8 and q == 3:  # by element, see _ROWS_PER_COPY
-                    elements = (rows[:, None] * q + np.arange(q)).ravel()
-                    calls.append((values.reshape(-1).take, (elements, 0, g.reshape(-1), "clip")))
-                else:
-                    calls.append((values.reshape(-1, q).take,
-                                  (rows, 0, g.reshape(-1, q), "clip")))
-            both = products[:2 * size * L]
-            left, right = both[:size * L], both[size * L:]
-            # a lone first term is formed in the result itself
-            acc = out if t0 == 0 and size == 1 else right
-            # batched (n_el, q) @ (q, q)^T per window and leading slice
-            if g.size * 8 > _GATHER_BUDGET:
-                # past the cache budget (one term of many slices) the
-                # A1 product goes straight to acc: a product hides the
-                # cache misses of writing the result, an add does not
+                calls.append((values.reshape(-1, q).take, (rows, 0, g.reshape(-1, q), "clip")))
+            if matrices is None:  # whole-cell shifts: the gathered rows are the result
+                calls.append((np.copyto, (out, g[:, 1:])))
+                continue
+            matrices = matrices.astype(dtype, copy=False)
+            acc = out if t0 == 0 else products[:L]
+            if shape[1] > n:
+                # a lone term past the budget: the A1 product goes straight
+                # to acc, as a product hides the cache misses of writing
+                # the result and an add does not
+                left = products[L:2 * L]
                 calls += [(np.matmul, (g[:, 1:], matrices[1], acc)),
                           (np.matmul, (g[:, :-1], matrices[0], left)),
                           (np.add, (acc, left, acc))]
             else:
-                windows = sliding_window_view(g, n, axis=1).transpose(1, 0, 3, 2)
-                calls += [(np.matmul, (windows, matrices, both.reshape(2, size * L, n, q))),
-                          (np.add, (right, left, acc))]
-            # mesh-aligned terms copy their gathered rows, an exact permutation
-            calls += [(np.copyto, (acc[i * L:(i + 1) * L], g[i * L:(i + 1) * L, 1:]))
-                      for i in aligned]
-            # weighted terms added in order; the unweighted first term and
-            # the second are added in one call
-            for i in range(0 if t0 else 1, size):
-                term = acc[i * L:(i + 1) * L]
-                total = acc[:L] if t0 == 0 and i == 1 else out
-                calls += [(np.multiply, (term, scalar_operand(weights[i], term.dtype), term)),
-                          (np.add, (total, term, out))]
+                calls.append((np.matmul, (g, matrices, acc)))
+            if t0:
+                calls.append((np.add, (out, acc, out)))
         return values, values.shape, out, gather, product, tuple(calls)
 
     def _scratch(self, name: str, buf, shape: tuple, dtype) -> np.ndarray:
-        """The leading ``shape[0]`` rows of scratch ``buf``, or a new array;
-        ``ValueError`` unless ``buf`` is C-contiguous, in ``dtype``, of
-        ``shape`` apart from a leading axis at least as long."""
+        """The leading ``shape[0]`` entries of scratch ``buf``, or a new
+        array; ``ValueError`` unless ``buf`` is C-contiguous, in ``dtype``,
+        of ``shape`` apart from a leading axis at least as long."""
         if buf is None:
             return np.empty(shape, dtype)
-        if (buf.dtype != dtype or not buf.flags.c_contiguous or buf.ndim != 3
+        if (buf.dtype != dtype or not buf.flags.c_contiguous or buf.ndim != len(shape)
                 or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]):
             raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array "
                              f"of shape {shape} or longer, got {buf.dtype} {buf.shape}")

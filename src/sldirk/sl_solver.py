@@ -12,8 +12,11 @@ Each DIRK stage is advanced with a prediction/correction pair:
 
        f_k = (eps * predicted + a_kk * dt * M) / (eps + a_kk * dt).
 
-The stored stage increment (M - f_k) / eps is formed as
-(M - predicted) / (eps + a_kk * dt), which stays O(1) as eps -> 0.
+The stage increment (M - f_k) / eps equals
+(M - predicted) / (eps + a_kk * dt), which stays O(1) as eps -> 0.  Its
+slot holds M - predicted, unscaled: the remap is linear, so the divisor
+joins the weight of every term that reads the slot,
+dt * a_kj / (eps + a_jj * dt).
 
 Stiff accuracy makes the last stage the step output.  All spatial shifts
 go through the conservative remap of :mod:`sldirk.dg`, so the discrete
@@ -26,10 +29,10 @@ increment of stage j in slot j + 1, so stage k's prediction is one call
 of a multi-term :class:`~sldirk.dg.ShiftOperator` on the leading slots.
 Per step size the workspace binds a stage plan: per stage that operator
 and its relaxation kernels (the model's ``moment_kernel`` on the
-prediction, its ``equilibrium_kernels`` on those moments, then the
-increment arithmetic).  A warm step copies its input in and runs only
-bound kernels; it allocates no field-sized array except the one it
-returns.
+prediction, its ``equilibrium_kernels`` on those moments, then one
+subtraction, or the last stage's two scaled terms).  A warm step copies
+its input in and runs only bound kernels; it allocates no field-sized
+array except the one it returns.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ MAX_DEGREE = 4
 def _require_positive(name: str, value) -> None:
     """Raise ValueError unless ``value`` is finite and > 0 (NaN fails)."""
     if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise ValueError(f"{name} must be finite and positive, got {float(value)!r}")
 
 
 @dataclass
@@ -95,7 +98,8 @@ class _Workspace:
 
     def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel):
         lead = shape[0]
-        # slot 0 holds the step-start values, slot j + 1 the increment of stage j
+        # slot 0 holds the step-start values, slot j + 1 the increment of
+        # stage j times eps + a_jj * dt
         self.stages = np.empty((n_stages * lead,) + shape[1:], dtype)
         gather, product = ShiftOperator.scratch_shapes(shape, n_terms)
         self.gather = np.empty(gather, dtype)
@@ -152,10 +156,11 @@ class SemiLagrangianSolver:
     def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
         """The stage plan of ``ws`` for step size ``dt``: per stage k its
         operator -- the step-start values shifted by c_k * dt plus each
-        earlier increment j with a_kj != 0, shifted by (c_k - c_j) * dt and
-        weighted by dt * a_kj -- its remap input and its relaxation kernels,
-        then the last stage's equilibrium buffer and denominator.  Scalar
-        operands are bound as 0-d arrays of the workspace dtype."""
+        earlier increment slot j with a_kj != 0, shifted by (c_k - c_j) * dt
+        and weighted by dt * a_kj / (eps + a_jj * dt) -- its remap input
+        and its relaxation kernels, then the two terms whose sum is the
+        step output.  Scalar operands are bound as 0-d arrays of the
+        workspace dtype."""
         eps, A, c, model = self.eps, self.tableau.A, self.tableau.c, self.model
         v = model.velocity_set.v
         predicted, spare = ws.predicted, ws.spare
@@ -165,23 +170,23 @@ class SemiLagrangianSolver:
             shifts = [v * (c[k] * dt)] + [v * ((c[k] - c[j]) * dt) for j in earlier]
             op = ShiftOperator(self.mesh, self.degree, np.array(shifts),
                                blocks=[0] + [j + 1 for j in earlier],
-                               weights=[dt * A[k, j] for j in earlier])
+                               weights=[dt * A[k, j] / (eps + A[j, j] * dt) for j in earlier])
             w_dt = A[k, k] * dt
-            denom = scalar_operand(eps + w_dt, predicted.dtype)
             if k < last:
-                # the increment (M - predicted) / (eps + w_dt), in its slot
+                # M - predicted, the increment times eps + w_dt, in its slot
                 M = ws.slots[k]
-                tail = [(np.subtract, (M, predicted, M)), (np.true_divide, (M, denom, M))]
+                tail = [(np.subtract, (M, predicted, M))]
             else:
                 # only the earlier increments are read again: the last
                 # equilibrium goes to the step-start slot, free after its remap
                 M = ws.inputs[0]
-                tail = [(np.multiply, (M, scalar_operand(w_dt, M.dtype), M)),
-                        (np.multiply, (scalar_operand(eps, spare.dtype), predicted, spare))]
+                tail = [(np.multiply, (M, scalar_operand(w_dt / (eps + w_dt), M.dtype), M)),
+                        (np.multiply, (scalar_operand(eps / (eps + w_dt), spare.dtype),
+                                       predicted, spare))]
             kernels = ([model.moment_kernel(predicted, ws.moments)]
                        + model.equilibrium_kernels(ws.moments, M) + tail)
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
-        ws.dt, ws.plan = dt, (stages, M, denom)
+        ws.dt, ws.plan = dt, (stages, M)
         return ws.plan
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
@@ -202,7 +207,7 @@ class SemiLagrangianSolver:
         ``ValueError``.
         """
         ws = self._workspace(values)
-        stages, M, denom = ws.plan if ws.dt == dt else self._stage_plan(ws, dt)
+        stages, M = ws.plan if ws.dt == dt else self._stage_plan(ws, dt)
         predicted, gather, product = ws.predicted, ws.gather, ws.product
         ws.inputs[0][...] = values  # the step-start slot
         for k, (op, inputs, kernels) in enumerate(stages):
@@ -214,9 +219,8 @@ class SemiLagrangianSolver:
                 raise self._located(
                     exc, f"stage {k + 1} of tableau {self.tableau.name!r}") from exc
         # stiff accuracy: the last stage, (a_kk * dt * M + eps * predicted)
-        # / (eps + a_kk * dt), is the step output
-        out = np.add(M, ws.spare)
-        return np.true_divide(out, denom, out)
+        # / (eps + a_kk * dt), is the step output, the sum of its two terms
+        return np.add(M, ws.spare)
 
     def invariant_integrals(self, values: np.ndarray, moments=None) -> np.ndarray:
         """Domain integrals of the conserved moments, shape (K,).

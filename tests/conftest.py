@@ -35,6 +35,22 @@ def remap(mesh, values, shifts):
     return ShiftOperator(mesh, values.shape[-1] - 1, shifts).apply(stack).reshape(values.shape)
 
 
+#: largest deviation of a remap or a step from its former-kernel reference,
+#: relative to the reference's largest magnitude.  The kernels fold weights
+#: into matrices and sum the terms in one product, so they keep the
+#: numerics of the reference to roundoff but not its bits
+REF_RTOL = 1e-14
+
+
+def assert_close(got, expected, rtol=REF_RTOL):
+    """``got`` has the shape and dtype of ``expected`` and lies within
+    ``rtol * max|expected|`` of it everywhere."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    scale, delta = np.max(np.abs(expected)), np.max(np.abs(got - expected))
+    assert delta <= rtol * scale, f"max|delta| {delta:.3g} against max|ref| {scale:.3g}"
+
+
 def initial_field(cfg, func):
     """``func(x, v)`` sampled at the DG nodes of ``cfg``, one velocity at a
     time on the flat node coordinates."""

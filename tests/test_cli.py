@@ -48,6 +48,16 @@ def test_order_check_custom_file(capsys, tmp_path):
     assert "kinetic order: 2" in out
 
 
+def test_order_check_prints_a_plain_last_row_sum(capsys, tmp_path):
+    # the row sum is a numpy scalar, which numpy 2 would print as np.float64(0.5)
+    path = tmp_path / "half.txt"
+    path.write_text("name = half\ns = 1\nA = 0.5\nc = 0.5\nb = 0.5\n")
+    code, _, err = run_cli(capsys, "order-check", str(path))
+    assert code == 2
+    assert err == ("error: tableau 'half' rejected: last row sums to 0.5, not 1: only "
+                   "stiffly accurate tableaus are supported\n")
+
+
 def test_order_check_unknown_exits_2(capsys):
     code, _, err = run_cli(capsys, "order-check", "DIRK17")
     assert code == 2

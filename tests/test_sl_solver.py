@@ -13,7 +13,7 @@ from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
                               l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
-from conftest import initial_field, random_sa_dirk, remap
+from conftest import assert_close, initial_field, random_sa_dirk, remap
 
 B = 0.6
 
@@ -334,6 +334,13 @@ def test_sim_config_rejects_bad_run_parameters(name, value):
         _linear_cfg(**{name: value})
 
 
+def test_bad_run_parameter_is_printed_as_a_plain_float():
+    # numpy 2 prints a numpy scalar as np.float64(-1.0)
+    with pytest.raises(ValueError, match=re.escape("eps must be finite and positive, got -1.0")
+                       + "$"):
+        _linear_cfg(eps=np.float64(-1.0))
+
+
 def test_sim_config_rejects_a_velocity_set_at_rest():
     # no nonzero speed: the CFL number gives no time step
     model = BGK1D(velocity_set=VelocitySet(v=[0.0, 0.0], w=[1.0, 1.0]))
@@ -411,8 +418,9 @@ def test_run_stamps_diagnostics_failures(monkeypatch):
 def _per_term_step(solver, values, dt):
     """One step by single-term remaps: the step-start values and each earlier
     increment are shifted one at a time, weighted and added in order, as
-    step_values did before a stage gathered them into one remap.  Kept as
-    the bit-for-bit reference of the multi-term stage remap."""
+    step_values did before a stage gathered them into one remap and folded
+    the weights and divisors into its matrices.  Kept as the reference of
+    the stage plan."""
     A, c, eps, model = solver.tableau.A, solver.tableau.c, solver.eps, solver.model
     mesh, v = solver.mesh, model.velocity_set.v
     values = np.asarray(values, dtype=np.promote_types(values.dtype, float))
@@ -445,9 +453,8 @@ def test_stage_remap_matches_per_term_steps(example):
             solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
             values = f0.values
             for _ in range(3):
-                ref = _per_term_step(solver, values, cfg.dt)
                 out = solver.step_values(values, cfg.dt)
-                assert np.array_equal(out, ref), (name, cfl)
+                assert_close(out, _per_term_step(solver, values, cfg.dt))
                 values = out
 
 
@@ -462,7 +469,7 @@ def test_stage_remap_matches_per_term_stages_real_and_complex(tableau):
         for values in (real, cplx):
             out = solver.step_values(values, dt)
             assert out.dtype == values.dtype
-            assert np.array_equal(out, _per_term_step(solver, values, dt))
+            assert_close(out, _per_term_step(solver, values, dt))
 
 
 def test_stage_operators_skip_zero_coefficients():
@@ -476,11 +483,12 @@ def test_stage_operators_skip_zero_coefficients():
     ops = _stage_ops(solver)
     assert [op.n_blocks for op in ops] == [1, 2, 3, 4]
     last = ops[-1]
-    assert last._weights == (cfg.dt * A[3, 2],)
+    # the third increment slot holds M - predicted, unscaled
+    assert last._weights == (cfg.dt * A[3, 2] / (cfg.eps + cfg.dt * A[2, 2]),)
     stacked = np.zeros((4 * 2, cfg.mesh.n_elements, 3))
     stacked[2:6] = 1.0  # the first two increments must not be read
     stacked[6:] = 0.5
-    np.testing.assert_allclose(last.apply(stacked), 0.5 * cfg.dt * A[3, 2], rtol=1e-13)
+    np.testing.assert_allclose(last.apply(stacked), 0.5 * last._weights[0], rtol=1e-13)
 
 
 def test_operator_cache_holds_one_step_size():
@@ -544,16 +552,22 @@ def test_warm_step_runs_kept_remap_bindings(monkeypatch):
         values = out
 
 
-@pytest.mark.parametrize("tableau,kernels", [("DIRK3-B10", 20), ("DIRK3-B2", 15)])
+@pytest.mark.parametrize("tableau,kernels", [("DIRK3-B10", 8), ("DIRK3-B2", 6)])
 def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
-    # one take, one product of both overlaps and one add per stage, plus a
-    # scale and an add per weighted increment
+    # every weight and divisor sits in the remap matrices: a stage's
+    # prediction binds one take and one product of every term's both
+    # overlaps, and no stage divides
     cfg, f0 = build_case("5.1", tableau, 1e-6, 0.005)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     values = f0.values
     for _ in range(2):
         values = solver.step_values(values, cfg.dt)
     assert sum(len(op._bound[5]) for op in _stage_ops(solver)) == kernels
+    (ws,) = solver._workspaces.values()
+    for op, _, stage_kernels in ws.plan[0]:
+        assert [getattr(kernel, "__name__", "") for kernel, _ in op._bound[5]] == [
+            "take", "matmul"]
+        assert not any(kernel is np.true_divide for kernel, _ in stage_kernels)
 
 
 def test_warm_two_velocity_plan_binds_no_python_float():
@@ -566,14 +580,14 @@ def test_warm_two_velocity_plan_binds_no_python_float():
             values = solver.step_values(values, cfg.dt)
     assert len(solver._workspaces) == 2
     for dtype, ws in solver._workspaces.items():
-        stages, _, denom = ws.plan
-        args = [denom] + [a for op, _, kernels in stages
-                          for _, bound in kernels + list(op._bound[5]) for a in bound]
+        stages, _ = ws.plan
+        args = [a for op, _, kernels in stages
+                for _, bound in kernels + list(op._bound[5]) for a in bound]
         assert not any(isinstance(a, float) for a in args), dtype
         scalars = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 0]
-        # the last stage's divisor, w_dt and eps, each earlier stage's
-        # divisor, each stage's two coefficients and the four weights
-        assert len(scalars) == 1 + 2 + 3 + 4 * 2 + 4, dtype
+        # the last stage's two scales and each stage's two coefficients;
+        # the weights and divisors sit in the remap matrices
+        assert len(scalars) == 2 + 4 * 2, dtype
         assert all(a.dtype == dtype for a in scalars), dtype
 
 
@@ -653,8 +667,8 @@ def test_legacy_update_matches_for_unit_diagonal():
     cfg = _linear_cfg(tableau="BE")
     f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, 2, cfg.tableau, cfg.eps)
-    np.testing.assert_array_equal(solver.step_values(f0.values, cfg.dt),
-                                  _dt_weighted_step(solver, f0.values, cfg.dt))
+    assert_close(solver.step_values(f0.values, cfg.dt),
+                 _dt_weighted_step(solver, f0.values, cfg.dt))
 
 
 def test_legacy_update_differs_for_fractional_diagonal():
