@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import butcher, harness, order_analysis, stability
-from .models import BGK1D, SimulationError
-from .sl_solver import run
+from .models import BGK1D, N_V, V_MAX, SimulationError
+from .sl_solver import MAX_DEGREE, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,9 +33,7 @@ def parse_grid(spec: str) -> np.ndarray:
         token = token.strip()
         if not token:
             continue
-        if token == "inf":
-            out.append(np.array([np.inf]))
-        elif ":" in token:
+        if ":" in token:
             parts = token.split(":")
             if len(parts) != 3:
                 raise ValueError(f"bad range {token!r}, expected lo:hi:n")
@@ -133,35 +131,64 @@ def _write_scan_csv(path: str, result: stability.StabilityScan):
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_DEFAULTS = {"model": "linear", "tableau": "DIRK3-B10", "b": None,
-                 "eps": "1e-2", "cfl": "0.5", "nx": "160", "p": "2",
-                 "nv": "100", "vmax": "15", "T": None, "out": None}
+#: the run options that simulate and convergence share: flag (and config
+#: key) -> (keyword of build_case and ConvergenceStudy, type, default, help)
+_RUN_OPTIONS = {
+    "nx": ("n_elements", int, harness.N_ELEMENTS, "number of mesh elements"),
+    "p": ("degree", int, harness.DEGREE, f"polynomial degree per element, 0-{MAX_DEGREE}"),
+    "nv": ("n_v", int, N_V, "velocity grid points for the gas model"),
+    "vmax": ("v_max", float, V_MAX, "velocity domain half-width for the gas model"),
+    "T": ("t_final", float, None, "final time (default: the preset's)"),
+}
+
+#: every option of simulate, declared as the shared ones; all but ``out``
+#: are build_case arguments
+_SIM_OPTIONS = {
+    "model": ("example", str, "linear", "kinetic model: "
+              + ", ".join(preset.model for preset in harness.PRESETS.values())),
+    "tableau": ("tableau_name", str, "DIRK3-B10", "time integrator"),
+    "b": ("b", float, None, "coupling constant of the two-velocity models "
+                            "(default: the preset's)"),
+    "eps": ("eps", float, 1e-2, "relaxation time"),
+    "cfl": ("cfl", float, 0.5, "CFL number dt * a / dx"),
+    **_RUN_OPTIONS,
+    "out": ("out", str, None, "output prefix for the snapshot CSVs"),
+}
 
 
-def _merged_options(args, keys) -> dict[str, str | None]:
-    base = dict(_SIM_DEFAULTS)
-    if args.config:
-        file_opts = butcher.parse_key_values(Path(args.config).read_text())
-        unknown = set(file_opts) - set(keys)
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                             f"expected a subset of {sorted(keys)}")
-        base.update(file_opts)
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            base[key] = flag_val
-    return base
+def _add_options(parser, options):
+    """One ``--flag`` per declared option; its text is converted by
+    :func:`_read_options`, so a bad value is an error line, not a usage exit."""
+    for flag, (_, _, default, text) in options.items():
+        parser.add_argument(f"--{flag}", help=text if default is None
+                            else f"{text} (default {default})")
+
+
+def _read_options(args, options, config=None) -> dict:
+    """The declared options by keyword: a flag overrides an entry of the
+    ``config`` file, which overrides the default, and text from either
+    source is converted by the option's type."""
+    entries = butcher.parse_key_values(Path(config).read_text()) if config else {}
+    unknown = set(entries) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}; "
+                         f"expected a subset of {sorted(options)}")
+    values = {}
+    for flag, (keyword, convert, default, _) in options.items():
+        text = getattr(args, flag)
+        if text is None:
+            text = entries.get(flag)
+        try:
+            values[keyword] = default if text is None else convert(text)
+        except ValueError:
+            raise ValueError(f"{flag}: invalid {convert.__name__} value {text!r}") from None
+    return values
 
 
 def cmd_simulate(args) -> int:
-    opts = _merged_options(args, _SIM_DEFAULTS.keys())
-    t_final = None if opts["T"] is None else float(opts["T"])
-    b = None if opts["b"] is None else float(opts["b"])
-    cfg, f0 = harness.build_case(
-        opts["model"], opts["tableau"], float(opts["eps"]), float(opts["cfl"]),
-        n_elements=int(opts["nx"]), degree=int(opts["p"]), n_v=int(opts["nv"]),
-        v_max=float(opts["vmax"]), t_final=t_final, b=b)
+    opts = _read_options(args, _SIM_OPTIONS, args.config)
+    prefix = opts.pop("out")
+    cfg, f0 = harness.build_case(**opts)
 
     result = run(cfg, f0, diagnostics_every=args.diag_every)
     drift = np.abs(result.invariants[-1] - result.invariants[0])
@@ -172,8 +199,7 @@ def cmd_simulate(args) -> int:
         print(f"  {name} drift (relative): {rel:.3e}")
     print(f"  distance from equilibrium: {float(result.equilibrium_distance[-1])!r}")
 
-    if opts["out"]:
-        prefix = opts["out"]
+    if prefix:
         _write_snapshot(prefix, cfg, result)
         print(f"wrote {prefix}_distribution.csv, {prefix}_macro.csv, "
               f"{prefix}_diagnostics.csv")
@@ -211,26 +237,16 @@ def _write_snapshot(prefix, cfg, result):
 
 def cmd_convergence(args) -> int:
     example = harness.normalize_example(args.example)
-    if args.cfls is not None:
-        cfls = parse_float_list(args.cfls)
-    else:
-        preset = harness.PRESETS[example]
-        cfls = preset.paper_cfls if args.paper_scale else preset.desk_cfls
-    nx = args.nx if args.nx is not None else (640 if args.paper_scale else 160)
+    preset = harness.PRESETS[example]
+    opts = _read_options(args, _RUN_OPTIONS)
+    if args.paper_scale and args.nx is None:
+        opts["n_elements"] = harness.PAPER_N_ELEMENTS
+    cfls = (parse_float_list(args.cfls) if args.cfls is not None
+            else preset.paper_cfls if args.paper_scale else preset.desk_cfls)
     study = harness.ConvergenceStudy(
-        example=example,
+        example=example, cfl_values=cfls, eps_values=parse_float_list(args.eps),
         tableaus=tuple(tok.strip() for tok in args.tableaus.split(",") if tok.strip()),
-        eps_values=parse_float_list(args.eps),
-        cfl_values=cfls,
-        ref_cfl=args.ref_cfl,
-        n_elements=nx,
-        degree=args.p,
-        n_v=args.nv,
-        v_max=args.vmax,
-        t_final=args.T,
-        error_on=args.error_on,
-        jobs=args.jobs,
-    )
+        ref_cfl=args.ref_cfl, error_on=args.error_on, jobs=args.jobs, **opts)
     result = harness.run_convergence(study)
     study = result.study
     print(f"example {study.example}: {len(result.rows)} runs "
@@ -279,25 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="advance one configuration and write snapshots")
     p.add_argument("--config", help="plain-text key = value config file; "
                                     "command-line flags override file entries")
-    p.add_argument("--model", choices=[preset.model for preset in harness.PRESETS.values()],
-                   help="kinetic model (default linear)")
-    p.add_argument("--tableau", help="time integrator (default DIRK3-B10)")
-    p.add_argument("--b", help="coupling constant of the two-velocity models "
-                               "(default: the preset's)")
-    p.add_argument("--eps", help="relaxation time (default 1e-2)")
-    p.add_argument("--cfl", help="CFL number dt * a / dx (default 0.5)")
-    p.add_argument("--nx", help="number of mesh elements (default 160)")
-    p.add_argument("--p", help="polynomial degree per element, 0-4 (default 2)")
-    p.add_argument("--nv", help="velocity grid points for the gas model (default 100)")
-    p.add_argument("--vmax", help="velocity domain half-width for the gas model (default 15)")
-    p.add_argument("--T", help="final time (default: per-model benchmark value)")
-    p.add_argument("--out", help="output prefix for the snapshot CSVs")
+    _add_options(p, _SIM_OPTIONS)
     p.add_argument("--diag-every", type=int, default=1,
                    help="record diagnostics every N steps (0: endpoints only)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("convergence", help="temporal convergence sweep against a "
                                            "small-CFL reference")
+    two_velocity, gas = harness.PRESETS["5.1"], harness.PRESETS["5.3"]
+    gas_cfls = ", ".join(f"{cfl:g}" for cfl in gas.paper_cfls)
     p.add_argument("--example", required=True,
                    help="benchmark preset: 5.1/linear, 5.2/nonlinear, 5.3/bgk")
     p.add_argument("--tableaus", default="DIRK3-B2,DIRK3-B10",
@@ -306,24 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated relaxation times (default %(default)s)")
     p.add_argument("--cfls", help="comma-separated CFL values "
                                   "(default: desk-scale preset per example)")
-    p.add_argument("--ref-cfl", type=float, help="reference CFL (default 0.001, "
-                                                 "0.01 for the gas model)")
-    p.add_argument("--nx", type=int, help="mesh elements (default 160; 640 with "
-                                          "--paper-scale)")
-    p.add_argument("--p", type=int, default=2, help="polynomial degree (default %(default)s)")
-    p.add_argument("--nv", type=int, default=100, help="velocity points (default %(default)s)")
-    p.add_argument("--vmax", type=float, default=15.0,
-                   help="velocity half-width (default %(default)s)")
-    p.add_argument("--T", type=float, help="final time override")
+    p.add_argument("--ref-cfl", type=float,
+                   help=f"reference CFL (default {two_velocity.ref_cfl:g}, "
+                        f"{gas.ref_cfl:g} for the gas model)")
+    _add_options(p, _RUN_OPTIONS)
     p.add_argument("--error-on", choices=("U", "f"), default="U",
                    help="measure the L1 error on the moments or on the full "
                         "distribution (default %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for independent sweep jobs (default %(default)s)")
     p.add_argument("--paper-scale", action="store_true",
-                   help="640 elements instead of 160, and CFLs 1, 2, 4 for the gas "
-                        "model (slow; at degree 2 a spatial floor still caps the "
-                        "fluid-limit slopes, see the README)")
+                   help=f"{harness.PAPER_N_ELEMENTS} elements instead of "
+                        f"{harness.N_ELEMENTS}, and CFLs {gas_cfls} for the "
+                        "gas model (slow; at the default degree a spatial floor still "
+                        "caps the fluid-limit slopes, see the README)")
     p.add_argument("--out", help="CSV output path for the error rows")
     p.add_argument("--slopes-out", help="CSV output path for the fitted slopes")
     p.set_defaults(func=cmd_convergence)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,12 @@ class Mesh1D:
     n_elements: int
 
     def __post_init__(self):
+        if not isinstance(self.n_elements, numbers.Integral):
+            raise ValueError(f"the element count must be a whole number, got {self.n_elements!r}")
         if self.n_elements < 1:
             raise ValueError("need at least one element")
+        if not math.isfinite(self.x_hi - self.x_lo):
+            raise ValueError(f"mesh length must be finite, got [{self.x_lo}, {self.x_hi}]")
         if not self.x_hi > self.x_lo:
             raise ValueError("empty domain")
 
@@ -417,8 +422,7 @@ def fourier_coefficient(field: DGField, mode: int) -> np.ndarray:
     nodes, _ = gauss_nodes(field.degree)
     basis = lagrange_eval(nodes, xq)                       # (points, q)
     f_at_q = np.einsum("...nb,mb->...nm", field.values, basis)
-    left = mesh.x_lo + mesh.dx * np.arange(mesh.n_elements)
-    x = left[:, None] + mesh.dx * xq[None, :]
+    x = mesh.node_coords(_FOURIER_POINTS - 1)
     k = 2.0 * np.pi * mode / mesh.length
     phase = np.exp(-1j * k * x)
     acc = np.einsum("...nm,nm,m->...", f_at_q, phase, wq)

@@ -34,9 +34,15 @@ import numpy as np
 
 from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
-from .models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity, SimulationError,
-                     VelocitySet, maxwellian)
+from .models import (BGK1D, N_V, V_MAX, LinearTwoVelocity, NonlinearTwoVelocity,
+                     SimulationError, VelocitySet, maxwellian)
 from .sl_solver import RunResult, SimConfig, _require_positive, l1_error, run
+
+#: the default mesh of a run: its elements, its elements at paper scale
+#: (the CLI's ``--paper-scale``) and the polynomial degree per element
+N_ELEMENTS = 160
+PAPER_N_ELEMENTS = 640
+DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,10 @@ class ConvergenceStudy:
     eps_values: tuple[float, ...]
     cfl_values: tuple[float, ...]
     ref_cfl: float | None = None
-    n_elements: int = 160
-    degree: int = 2
-    n_v: int = 100
-    v_max: float = 15.0
+    n_elements: int = N_ELEMENTS
+    degree: int = DEGREE
+    n_v: int = N_V
+    v_max: float = V_MAX
     t_final: float | None = None
     error_on: str = "U"
     jobs: int = 1
@@ -131,8 +137,8 @@ class ConvergenceStudy:
 
 
 def build_case(example: str, tableau_name: str, eps: float, cfl: float,
-               n_elements: int = 160, degree: int = 2, n_v: int = 100,
-               v_max: float = 15.0, t_final: float | None = None,
+               n_elements: int = N_ELEMENTS, degree: int = DEGREE, n_v: int = N_V,
+               v_max: float = V_MAX, t_final: float | None = None,
                b: float | None = None) -> tuple[SimConfig, DGField]:
     """Materialize (config, initial field) for one benchmark run.
 

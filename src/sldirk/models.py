@@ -229,6 +229,9 @@ def maxwellian(v, rho, u, T):
 NEWTON_TOL = 1e-13
 #: Newton iterations after which the discrete Maxwellian fit gives up
 NEWTON_MAX_ITER = 50
+#: the default velocity grid of the gas model: N_V points on [-V_MAX, V_MAX]
+N_V = 100
+V_MAX = 15.0
 
 
 class BGK1D(KineticModel):
@@ -247,7 +250,7 @@ class BGK1D(KineticModel):
 
     def __init__(self, velocity_set: VelocitySet | None = None):
         self.velocity_set = velocity_set if velocity_set is not None \
-            else VelocitySet.uniform(-15.0, 15.0, 100)
+            else VelocitySet.uniform(-V_MAX, V_MAX, N_V)
         v, w = self.velocity_set.v, self.velocity_set.w
         # the basis (n_v, 3) of the exponent: 1, v, v^2
         self._basis = np.stack([np.ones_like(v), v, v * v], axis=1)

@@ -71,10 +71,7 @@ def kinetic_coefficients(so: ShuOsherForm) -> KineticCoefficients:
     """
     s = so.s
     w, a = so.b_coeffs, so.diag
-    c = np.zeros(s)
-    d = np.zeros(s)
-    g = np.zeros(s)
-    h = np.zeros(s)
+    c, d, g, h = np.zeros((4, s))
     for k in range(s):
         wk = w[k, :k]
         c[k] = wk @ c[:k] + a[k]
@@ -93,13 +90,7 @@ def limit_coefficients(so: ShuOsherForm, kc: KineticCoefficients) -> LimitCoeffi
     w = so.b_coeffs
     c = kc.c
     C = c.copy()
-    D = np.zeros(s)
-    B = np.zeros(s)
-    G = np.zeros(s)
-    H = np.zeros(s)
-    Bs = np.zeros(s)
-    Bss = np.zeros(s)
-    Bsss = np.zeros(s)
+    D, B, G, H, Bs, Bss, Bsss = np.zeros((7, s))
     for k in range(s):
         wk = w[k, :k]
         dc = c[k] - c[:k]
@@ -148,21 +139,12 @@ def order_report(t: ButcherTableau, tol: float = DEFAULT_ORDER_TOL) -> OrderRepo
         "B**_s": lc.Bstarstar[-1],
         "B***_s": lc.Bstarstarstar[-1],
     }
-    ok = lambda *keys: all(abs(res[k]) <= tol for k in keys)
-    kinetic = 0
-    if ok("c_s - 1"):
-        kinetic = 1
-        if ok("d_s - 1/2"):
-            kinetic = 2
-            if ok("g_s - 1/6", "h_s - 1/6"):
-                kinetic = 3
-    fluid = 0
-    if ok("C_s - 1"):
-        fluid = 1
-        if ok("D_s - 1/2", "B_s"):
-            fluid = 2
-            if ok("G_s - 1/6", "H_s - 1/6", "B*_s", "B**_s", "B***_s"):
-                fluid = 3
+    # an order is the count of leading condition groups that all hold
+    order = lambda *groups: next((p for p, keys in enumerate(groups)
+                                  if not all(abs(res[k]) <= tol for k in keys)), len(groups))
+    kinetic = order(["c_s - 1"], ["d_s - 1/2"], ["g_s - 1/6", "h_s - 1/6"])
+    fluid = order(["C_s - 1"], ["D_s - 1/2", "B_s"],
+                  ["G_s - 1/6", "H_s - 1/6", "B*_s", "B**_s", "B***_s"])
     return OrderReport(name=t.name, kinetic_order=kinetic, fluid_order=fluid,
                        residuals={k: float(v) for k, v in res.items()}, tol=tol)
 

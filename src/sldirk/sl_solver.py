@@ -37,6 +37,7 @@ array except the one it returns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ class SimConfig:
     t_final: float
 
     def __post_init__(self):
-        if not 0 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"polynomial degree {self.degree} outside the supported "
-                             f"range 0-{MAX_DEGREE}")
+        if not (isinstance(self.degree, numbers.Integral) and 0 <= self.degree <= MAX_DEGREE):
+            raise ValueError(f"polynomial degree {self.degree!r} is not a whole number in "
+                             f"the supported range 0-{MAX_DEGREE}")
         for name in ("cfl", "eps", "t_final"):
             _require_positive(name, getattr(self, name))
         if self.model.velocity_set.max_speed == 0.0:
@@ -232,15 +233,15 @@ class SemiLagrangianSolver:
         return self.mesh.integrate(U)
 
     def equilibrium_distance(self, values: np.ndarray, moments=None) -> float:
-        """Velocity-weighted L1 distance of f from its own equilibrium;
-        ``moments`` as in :meth:`invariant_integrals`."""
+        """Velocity-weighted L1 distance of f from its own equilibrium, real
+        also for complex values; ``moments`` as in :meth:`invariant_integrals`."""
         ws = self._workspace(values)
         ws.moments[...] = self.model.moments(values) if moments is None else moments
         for kernel, args in ws.equilibrium:
             kernel(*args)
         M = ws.spare
         M -= values
-        per_v = self.mesh.integrate(np.abs(M, out=M))
+        per_v = self.mesh.integrate(np.abs(M, out=M).real)
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 

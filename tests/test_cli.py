@@ -260,6 +260,67 @@ def test_simulate_config_file_with_flag_override(capsys, tmp_path):
     assert code == 0
 
 
+def test_simulate_config_setting_every_key_equals_the_flags(capsys, tmp_path):
+    # one declaration converts both sources, so the run and its CSVs agree
+    settings = dict(model="linear", tableau="DIRK3-B2", b="0.4", eps="1e-3", cfl="0.5",
+                    nx="8", p="1", nv="20", vmax="8", T="0.01")
+    config = tmp_path / "every.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items())
+                      + f"out = {tmp_path / 'file'}\n")
+    code, from_file, _ = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    flags = [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+    code, from_flags, _ = run_cli(capsys, "simulate", *flags, "--out", str(tmp_path / "flag"))
+    assert code == 0
+    assert from_file.replace("file_", "flag_") == from_flags
+    for name in ("distribution", "macro", "diagnostics"):
+        assert ((tmp_path / f"file_{name}.csv").read_bytes()
+                == (tmp_path / f"flag_{name}.csv").read_bytes())
+
+
+def test_simulate_defaults_are_build_case_defaults(capsys, monkeypatch):
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise ValueError("captured")
+
+    monkeypatch.setattr(harness, "build_case", capture)
+    assert run_cli(capsys, "simulate")[0] == 2
+    assert seen == [((), dict(example="linear", tableau_name="DIRK3-B10", b=None, eps=0.01,
+                              cfl=0.5, n_elements=160, degree=2, n_v=100, v_max=15.0,
+                              t_final=None))]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("nx", "8x"), ("vmax", "wide"), ("p", "2.5")])
+def test_simulate_value_that_does_not_parse_exits_2(capsys, tmp_path, source, key, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    argv = ("--config", str(config)) if source == "config" else (f"--{key}", value)
+    code, out, err = run_cli(capsys, "simulate", "--T", "0.01", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {key}: invalid ") and repr(value) in err
+
+
+def test_convergence_value_that_does_not_parse_exits_2(capsys):
+    code, _, err = run_cli(capsys, "convergence", "--example", "5.1", "--p", "two")
+    assert code == 2
+    assert err == "error: p: invalid int value 'two'\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_help_shows_the_run_defaults(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("nx", "160"), ("p", "2"), ("nv", "100"), ("vmax", "15.0")):
+        assert re.search(rf"--{flag} \w+ .*?\(default {re.escape(default)}\)", text), flag
+    if command == "convergence":
+        assert "640 elements instead of 160, and CFLs 1, 2, 4 for the gas model" in text
+        assert "reference CFL (default 0.001, 0.01 for the gas model)" in text
+
+
 def test_simulate_unknown_config_key_exits_2(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("model = linear\nwavelets = 7\n")

@@ -53,6 +53,18 @@ def test_mesh_properties():
         Mesh1D(1.0, 0.0, 4)
 
 
+@pytest.mark.parametrize("x_lo, x_hi, n_elements, match", [
+    # a fractional count gave dx 0.4 with 3 node rows
+    (0.0, 1.0, 2.5, "whole number"),
+    # an infinite bound gave dx = inf, and so did finite bounds whose distance overflows
+    (0.0, np.inf, 4, "finite"),
+    (-1e308, 1e308, 4, "finite"),
+])
+def test_mesh_rejects_a_fractional_count_and_infinite_bounds(x_lo, x_hi, n_elements, match):
+    with pytest.raises(ValueError, match=match):
+        Mesh1D(x_lo, x_hi, n_elements)
+
+
 def test_field_integral_and_l1():
     mesh = Mesh1D(0.0, 2.0, 13)
     f = np.full((13, 3), -0.7)

@@ -1,12 +1,20 @@
-"""Golden check of desk-size runs: the solver's numerics against stored results.
+"""Golden check of desk-size runs and of the tableau catalog: the numerics
+against stored results.
 
 ``data/golden_runs.npz`` holds, per case of ``CASES``, the final
 distribution, the macro field and the invariant history of a ``run()``.
 A kernel change may reorder roundoff but must keep every field within
 ``FIELD_RTOL`` of the stored one (max|delta| against max|ref|) and keep
-each run's conservation drift within ``DRIFT_TOL``.  The stored results
-are fixed: write them again only for a change that is meant to move the
-numerics, with ``PYTHONPATH=src python tests/test_golden.py --write``.
+each run's conservation drift within ``DRIFT_TOL``.
+
+``data/golden_tableaus.npz`` holds, per catalog tableau, the residuals of
+``order_report`` (named by ``residual_names``) and the largest spectral
+radius of a ``scan`` over ``SCAN_GRID``.  They must stay within
+``RESIDUAL_ATOL`` and ``RHO_RTOL`` of the stored figures.
+
+The stored results are fixed: write a file again only for a change that is
+meant to move its numerics, with
+``PYTHONPATH=src python tests/test_golden.py --write runs`` (or ``tableaus``).
 """
 
 import pathlib
@@ -15,10 +23,14 @@ import sys
 import numpy as np
 import pytest
 
+from sldirk.butcher import catalog
 from sldirk.harness import build_case
+from sldirk.order_analysis import order_report
 from sldirk.sl_solver import run
+from sldirk.stability import scan
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "golden_runs.npz"
+GOLDEN_TABLEAUS = GOLDEN.with_name("golden_tableaus.npz")
 
 #: largest field deviation, relative to the field's largest magnitude
 FIELD_RTOL = 1e-12
@@ -91,8 +103,80 @@ def test_golden_check_fails_on_a_perturbed_copy(runs):
             assert [m.split(":")[0] for m in mismatches(got, ref)] == [field], (name, field)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+# ---------------------------------------------------------------------------
+# tableau catalog
+# ---------------------------------------------------------------------------
+
+#: largest deviation of an order-condition residual
+RESIDUAL_ATOL = 1e-14
+#: largest deviation of a tableau's largest spectral radius, relative to it
+RHO_RTOL = 1e-12
+#: the (b, k_dt, xi) grid of the stored scans, a reduced default grid
+SCAN_GRID = (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 2.0 * np.pi, 81),
+             np.append(np.linspace(0.0, 10.0, 21), np.inf))
+
+
+def tableau_figures(name: str) -> dict[str, np.ndarray]:
+    """The stored figures of catalog tableau ``name``, computed by the current code."""
+    tableau = catalog()[name]
+    residuals = order_report(tableau).residuals
+    return {"residual_names": np.array(list(residuals)),
+            "residuals": np.array(list(residuals.values())),
+            "rho": np.array(scan(tableau, *SCAN_GRID).rho.max())}
+
+
+def tableau_mismatches(got: dict, ref: dict) -> list[str]:
+    """The figures of ``got`` off ``ref`` past their tolerance, each with its
+    figure; empty when all hold."""
+    if not np.array_equal(got["residual_names"], ref["residual_names"]):
+        return [f"residual_names: {list(got['residual_names'])}"]
+    bad = []
+    delta = np.max(np.abs(got["residuals"] - ref["residuals"]))
+    if not delta <= RESIDUAL_ATOL:
+        bad.append(f"residuals: max|delta| {delta:.3g}")
+    rel = abs(got["rho"] - ref["rho"]) / abs(ref["rho"])
+    if not rel <= RHO_RTOL:
+        bad.append(f"rho: relative delta {rel:.3g}")
+    return bad
+
+
+def _stored_tableau(name: str) -> dict[str, np.ndarray]:
+    with np.load(GOLDEN_TABLEAUS) as data:
+        return {key: data[f"{name}/{key}"] for key in ("residual_names", "residuals", "rho")}
+
+
+@pytest.fixture(scope="module")
+def tableau_runs():
+    return {name: tableau_figures(name) for name in catalog()}
+
+
+def test_tableaus_match_the_golden_figures(tableau_runs):
+    with np.load(GOLDEN_TABLEAUS) as data:
+        assert {key.split("/")[0] for key in data.files} == set(tableau_runs)
+    for name, got in tableau_runs.items():
+        assert tableau_mismatches(got, _stored_tableau(name)) == [], name
+
+
+def test_tableau_check_fails_on_a_perturbed_copy(tableau_runs):
+    # a residual moved by twice its tolerance, or rho by ten times its own,
+    # must fail, so neither tolerance can loosen unseen
+    for name, got in tableau_runs.items():
+        ref = _stored_tableau(name)
+        ref["residuals"][-1] += 2 * RESIDUAL_ATOL
+        assert [m.split(":")[0] for m in tableau_mismatches(got, ref)] == ["residuals"], name
+        ref = _stored_tableau(name)
+        ref["rho"] = ref["rho"] * (1 + 10 * RHO_RTOL)
+        assert [m.split(":")[0] for m in tableau_mismatches(got, ref)] == ["rho"], name
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
     GOLDEN.parent.mkdir(exist_ok=True)
-    np.savez_compressed(GOLDEN, **{f"{name}/{field}": array for name in CASES
-                                   for field, array in golden_run(name).items()})
-    print(f"wrote {GOLDEN}")
+    if sys.argv[2:] == ["runs"]:
+        np.savez_compressed(GOLDEN, **{f"{name}/{field}": array for name in CASES
+                                       for field, array in golden_run(name).items()})
+        print(f"wrote {GOLDEN}")
+    elif sys.argv[2:] == ["tableaus"]:
+        np.savez_compressed(GOLDEN_TABLEAUS, **{
+            f"{name}/{key}": array for name in catalog()
+            for key, array in tableau_figures(name).items()})
+        print(f"wrote {GOLDEN_TABLEAUS}")

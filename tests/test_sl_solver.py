@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -867,7 +868,7 @@ def test_equilibrium_distance_has_the_bits_of_the_allocating_fit(v_max, n_v, ite
     assert np.array_equal(model.equilibrium(U).reshape(n_v, -1), M)
 
 
-@pytest.mark.parametrize("degree", [-1, 5])
+@pytest.mark.parametrize("degree", [-1, 5, 2.5])
 def test_sim_config_rejects_unsupported_degree(degree):
     with pytest.raises(ValueError, match="degree"):
         _linear_cfg(degree=degree)
@@ -876,3 +877,17 @@ def test_sim_config_rejects_unsupported_degree(degree):
 @pytest.mark.parametrize("degree", [0, 4])
 def test_sim_config_accepts_degree_range_ends(degree):
     assert _linear_cfg(degree=degree).degree == degree
+
+
+@pytest.mark.parametrize("example", ["5.1", "5.2"])
+def test_complex_run_records_the_real_distances(example):
+    # the distance of complex values is real: a complex run must not raise
+    # ComplexWarning, and with a zero imaginary part it reads the real run's
+    cfg, f0 = build_case(example, "DIRK3-B10", 1e-2, 0.5, n_elements=16, t_final=0.02)
+    real = run(cfg, f0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cplx = run(cfg, DGField(mesh=f0.mesh, values=f0.values.astype(complex)))
+    assert cplx.equilibrium_distance.dtype == float
+    np.testing.assert_allclose(cplx.equilibrium_distance, real.equilibrium_distance,
+                               rtol=1e-12, atol=0.0)
