@@ -1,9 +1,9 @@
 """Command-line front end: order checks, stability scans, runs, sweeps.
 
 Exit codes: 0 on success, 2 for configuration problems (``ValueError``,
-an unknown tableau or example name included) and files that cannot be read
-or written (``OSError``), 3 when a run raised a
-:class:`~sldirk.models.SimulationError`.
+an unknown tableau or example name and an option value that does not parse
+included) and files that cannot be read or written (``OSError``), 3 when a
+run raised a :class:`~sldirk.models.SimulationError`.
 All CSV output is deterministic for a fixed configuration (floats via repr,
 rows in configuration order).
 """
@@ -29,18 +29,12 @@ EXIT_DIVERGED = 3
 def parse_grid(spec: str) -> np.ndarray:
     """Parse a grid spec: value | lo:hi:n | inf, comma-separated mixes allowed."""
     out = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in parse_name_list(spec):
         if ":" in token:
             parts = token.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"bad range {token!r}, expected lo:hi:n")
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1:
-                raise ValueError(f"bad range {token!r}: need n >= 1")
-            out.append(np.linspace(lo, hi, n))
+            if len(parts) != 3 or int(parts[2]) < 1:
+                raise ValueError(f"bad range {token!r}, expected lo:hi:n with n >= 1")
+            out.append(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
         else:
             out.append(np.array([float(token)]))
     if not out:
@@ -49,24 +43,67 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def parse_float_list(spec: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in spec.split(",") if tok.strip())
-    if not vals:
-        raise ValueError(f"empty list {spec!r}")
-    return vals
+    return tuple(float(tok) for tok in spec.split(",") if tok.strip())
+
+
+def parse_name_list(spec: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in spec.split(",") if tok.strip())
 
 
 def _write(path: str, text: str):
     Path(path).write_text(text, newline="\n")
 
 
+def _add_options(parser, options):
+    """One ``--flag`` of plain text per option of a table that maps each
+    flag to (keyword, converter, default, help); the help ends in the
+    default unless that is None or a grid array (whose help states it)."""
+    for flag, (_, _, default, text) in options.items():
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        if default is not None and not isinstance(default, np.ndarray):
+            text = f"{text} (default {default})"
+        parser.add_argument(f"--{flag}", help=text)
+
+
+def _read_options(args, options, config=None) -> dict:
+    """The declared options by keyword: a flag overrides an entry of the
+    ``config`` file, which overrides the default, and text from either
+    source is converted, a failure being a ``ValueError`` naming the flag."""
+    entries = butcher.parse_key_values(Path(config).read_text()) if config else {}
+    unknown = set(entries) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}; "
+                         f"expected a subset of {sorted(options)}")
+    values = {}
+    for flag, (keyword, convert, default, _) in options.items():
+        text = getattr(args, flag.replace("-", "_"))
+        if text is None:
+            text = entries.get(flag)
+        try:
+            values[keyword] = default if text is None else convert(text)
+        except ValueError:
+            kind = convert.__name__.removeprefix("parse_").replace("_", " ")
+            raise ValueError(f"{flag}: invalid {kind} value {text!r}") from None
+    return values
+
+
 # ---------------------------------------------------------------------------
 # order-check
 # ---------------------------------------------------------------------------
 
+_ORDER_OPTIONS = {
+    "tol": ("tol", float, order_analysis.DEFAULT_ORDER_TOL,
+            "residual tolerance for the order verdict"),
+    "csv": ("csv", str, None, "write the per-stage coefficient table to this CSV file"),
+}
+
+
 def cmd_order_check(args) -> int:
+    opts = _read_options(args, _ORDER_OPTIONS)
     t = butcher.resolve_tableau(args.tableau)
     so, kc, lc = order_analysis.coefficient_table(t)
-    report = order_analysis.order_report(t, tol=args.tol)
+    report = order_analysis.order_report(t, tol=opts["tol"])
 
     cols = [("c", kc.c), ("d", kc.d), ("g", kc.g), ("h", kc.h),
             ("C", lc.C), ("D", lc.D), ("B", lc.B), ("G", lc.G), ("H", lc.H),
@@ -86,10 +123,10 @@ def cmd_order_check(args) -> int:
     ident = order_analysis.max_identity_residual(so)
     print(f"max cross-identity residual over stages: {ident:.3e}")
 
-    if args.csv:
+    if opts["csv"]:
         header_row = ["stage"] + [name for name, _ in cols]
         rows = [[k + 1] + [float(vals[k]) for _, vals in cols] for k in range(t.s)]
-        _write(args.csv, harness.rows_to_csv(rows, header_row))
+        _write(opts["csv"], harness.rows_to_csv(rows, header_row))
     return EXIT_OK
 
 
@@ -97,19 +134,30 @@ def cmd_order_check(args) -> int:
 # stability-scan
 # ---------------------------------------------------------------------------
 
+_SCAN_OPTIONS = {
+    "b": ("b", parse_grid, stability.DEFAULT_B_GRID,
+          "coupling grid: value, lo:hi:n or list (default 0:1:101)"),
+    "kdt": ("kdt", parse_grid, stability.DEFAULT_KDT_GRID,
+            "k*dt grid (default [0, 2 pi] with 401 points)"),
+    "xi": ("xi", parse_grid, stability.DEFAULT_XI_GRID,
+           "dt/eps grid; 'inf' selects the stiff-limit projection (default 0:10:101,inf)"),
+    "out": ("out", str, None, "CSV output path (columns b, k_dt, xi, lambda1_abs, "
+                              "lambda2_abs, rho: the smaller and the larger eigenvalue "
+                              "magnitude, and rho = lambda2_abs)"),
+}
+
+
 def cmd_stability_scan(args) -> int:
+    opts = _read_options(args, _SCAN_OPTIONS)
     t = butcher.resolve_tableau(args.tableau)
-    b = stability.DEFAULT_B_GRID if args.b is None else parse_grid(args.b)
-    kdt = stability.DEFAULT_KDT_GRID if args.kdt is None else parse_grid(args.kdt)
-    xi = stability.DEFAULT_XI_GRID if args.xi is None else parse_grid(args.xi)
-    result = stability.scan(t, b, kdt, xi)
+    result = stability.scan(t, opts["b"], opts["kdt"], opts["xi"])
     rho_max, b_at, kdt_at, xi_at = result.max_point()
     print(f"tableau {t.name}: {result.rho.size} grid points")
     print(f"max spectral radius {rho_max!r} at b = {b_at!r}, "
           f"k_dt = {kdt_at!r}, xi = {xi_at!r}")
-    if args.out:
-        _write_scan_csv(args.out, result)
-        print(f"wrote {result.rho.size} rows to {args.out}")
+    if opts["out"]:
+        _write_scan_csv(opts["out"], result)
+        print(f"wrote {result.rho.size} rows to {opts['out']}")
     return EXIT_OK
 
 
@@ -155,42 +203,18 @@ _SIM_OPTIONS = {
     "out": ("out", str, None, "output prefix for the snapshot CSVs"),
 }
 
-
-def _add_options(parser, options):
-    """One ``--flag`` per declared option; its text is converted by
-    :func:`_read_options`, so a bad value is an error line, not a usage exit."""
-    for flag, (_, _, default, text) in options.items():
-        parser.add_argument(f"--{flag}", help=text if default is None
-                            else f"{text} (default {default})")
-
-
-def _read_options(args, options, config=None) -> dict:
-    """The declared options by keyword: a flag overrides an entry of the
-    ``config`` file, which overrides the default, and text from either
-    source is converted by the option's type."""
-    entries = butcher.parse_key_values(Path(config).read_text()) if config else {}
-    unknown = set(entries) - set(options)
-    if unknown:
-        raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                         f"expected a subset of {sorted(options)}")
-    values = {}
-    for flag, (keyword, convert, default, _) in options.items():
-        text = getattr(args, flag)
-        if text is None:
-            text = entries.get(flag)
-        try:
-            values[keyword] = default if text is None else convert(text)
-        except ValueError:
-            raise ValueError(f"{flag}: invalid {convert.__name__} value {text!r}") from None
-    return values
+#: simulate's option that is a flag only, not a ``--config`` key
+_DIAG_OPTIONS = {"diag-every": ("diagnostics_every", int, 1,
+                                "record diagnostics every N steps (0: endpoints only)")}
 
 
 def cmd_simulate(args) -> int:
     opts = _read_options(args, _SIM_OPTIONS, args.config)
+    diagnostics = _read_options(args, _DIAG_OPTIONS)
     prefix = opts.pop("out")
     cfg, f0 = harness.build_case(**opts)
 
-    result = run(cfg, f0, diagnostics_every=args.diag_every)
+    result = run(cfg, f0, **diagnostics)
     drift = np.abs(result.invariants[-1] - result.invariants[0])
     scale = np.maximum(np.abs(result.invariants[0]), 1e-300)
     print(f"completed {result.n_steps} steps to T = {cfg.t_final!r} "
@@ -235,29 +259,44 @@ def _write_snapshot(prefix, cfg, result):
 # convergence
 # ---------------------------------------------------------------------------
 
+#: every option of convergence; all but the two output paths are
+#: ConvergenceStudy fields
+_SWEEP_OPTIONS = {
+    "tableaus": ("tableaus", parse_name_list, ("DIRK3-B2", "DIRK3-B10"),
+                 "comma-separated tableau names"),
+    "eps": ("eps_values", parse_float_list, (1e-2, 1e-6), "comma-separated relaxation times"),
+    "cfls": ("cfl_values", parse_float_list, None,
+             "comma-separated CFL values (default: desk-scale preset per example)"),
+    "ref-cfl": ("ref_cfl", float, None,
+                f"reference CFL (default {harness.PRESETS['5.1'].ref_cfl:g}, "
+                f"{harness.PRESETS['5.3'].ref_cfl:g} for the gas model)"),
+    **_RUN_OPTIONS,
+    "error-on": ("error_on", str, "U", "L1 error on the moments (U) or the distribution (f)"),
+    "jobs": ("jobs", int, 1, "worker processes for independent sweep jobs"),
+    "out": ("out", str, None, "CSV output path for the error rows"),
+    "slopes-out": ("slopes_out", str, None, "CSV output path for the fitted slopes"),
+}
+
+
 def cmd_convergence(args) -> int:
-    example = harness.normalize_example(args.example)
-    preset = harness.PRESETS[example]
-    opts = _read_options(args, _RUN_OPTIONS)
+    preset = harness.PRESETS[harness.normalize_example(args.example)]
+    opts = _read_options(args, _SWEEP_OPTIONS)
+    out, slopes_out = opts.pop("out"), opts.pop("slopes_out")
     if args.paper_scale and args.nx is None:
         opts["n_elements"] = harness.PAPER_N_ELEMENTS
-    cfls = (parse_float_list(args.cfls) if args.cfls is not None
-            else preset.paper_cfls if args.paper_scale else preset.desk_cfls)
-    study = harness.ConvergenceStudy(
-        example=example, cfl_values=cfls, eps_values=parse_float_list(args.eps),
-        tableaus=tuple(tok.strip() for tok in args.tableaus.split(",") if tok.strip()),
-        ref_cfl=args.ref_cfl, error_on=args.error_on, jobs=args.jobs, **opts)
-    result = harness.run_convergence(study)
+    if opts["cfl_values"] is None:
+        opts["cfl_values"] = preset.paper_cfls if args.paper_scale else preset.desk_cfls
+    result = harness.run_convergence(harness.ConvergenceStudy(example=args.example, **opts))
     study = result.study
     print(f"example {study.example}: {len(result.rows)} runs "
           f"(reference CFL {study.ref_cfl!r}, N_x = {study.n_elements})")
     for (tab, eps), slope in result.slopes.items():
         print(f"  {tab:12s} eps = {eps:<8g} slope = {slope:.4f}")
-    if args.out:
-        _write(args.out, harness.study_csv(result))
-        print(f"wrote {len(result.rows)} rows to {args.out}")
-    if args.slopes_out:
-        _write(args.slopes_out, harness.slopes_csv(result))
+    if out:
+        _write(out, harness.study_csv(result))
+        print(f"wrote {len(result.rows)} rows to {out}")
+    if slopes_out:
+        _write(slopes_out, harness.slopes_csv(result))
     return EXIT_OK
 
 
@@ -275,74 +314,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order-check", help="per-stage order-condition coefficients "
                                            "and kinetic/fluid order verdicts")
     p.add_argument("tableau", help="catalog tableau name or tableau file path")
-    p.add_argument("--tol", type=float, default=order_analysis.DEFAULT_ORDER_TOL,
-                   help="residual tolerance for the order verdict (default %(default)g)")
-    p.add_argument("--csv", help="write the per-stage coefficient table to this CSV file")
+    _add_options(p, _ORDER_OPTIONS)
     p.set_defaults(func=cmd_order_check)
 
     p = sub.add_parser("stability-scan", help="spectral radii of the one-step "
                                               "amplification matrix over a parameter grid")
     p.add_argument("--tableau", required=True, help="catalog tableau name or file path")
-    p.add_argument("--b", help="coupling grid: value, lo:hi:n or list (default 0:1:101)")
-    p.add_argument("--kdt", help="k*dt grid (default [0, 2 pi] with 401 points)")
-    p.add_argument("--xi", help="dt/eps grid; 'inf' selects the stiff-limit projection "
-                                "(default 0:10:101,inf)")
-    p.add_argument("--out", help="CSV output path (columns b, k_dt, xi, lambda1_abs, "
-                                 "lambda2_abs, rho: the smaller and the larger eigenvalue "
-                                 "magnitude, and rho = lambda2_abs)")
+    _add_options(p, _SCAN_OPTIONS)
     p.set_defaults(func=cmd_stability_scan)
 
     p = sub.add_parser("simulate", help="advance one configuration and write snapshots")
     p.add_argument("--config", help="plain-text key = value config file; "
                                     "command-line flags override file entries")
     _add_options(p, _SIM_OPTIONS)
-    p.add_argument("--diag-every", type=int, default=1,
-                   help="record diagnostics every N steps (0: endpoints only)")
+    _add_options(p, _DIAG_OPTIONS)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("convergence", help="temporal convergence sweep against a "
                                            "small-CFL reference")
-    two_velocity, gas = harness.PRESETS["5.1"], harness.PRESETS["5.3"]
-    gas_cfls = ", ".join(f"{cfl:g}" for cfl in gas.paper_cfls)
+    gas_cfls = ", ".join(f"{cfl:g}" for cfl in harness.PRESETS["5.3"].paper_cfls)
     p.add_argument("--example", required=True,
                    help="benchmark preset: 5.1/linear, 5.2/nonlinear, 5.3/bgk")
-    p.add_argument("--tableaus", default="DIRK3-B2,DIRK3-B10",
-                   help="comma-separated tableau names (default %(default)s)")
-    p.add_argument("--eps", default="1e-2,1e-6",
-                   help="comma-separated relaxation times (default %(default)s)")
-    p.add_argument("--cfls", help="comma-separated CFL values "
-                                  "(default: desk-scale preset per example)")
-    p.add_argument("--ref-cfl", type=float,
-                   help=f"reference CFL (default {two_velocity.ref_cfl:g}, "
-                        f"{gas.ref_cfl:g} for the gas model)")
-    _add_options(p, _RUN_OPTIONS)
-    p.add_argument("--error-on", choices=("U", "f"), default="U",
-                   help="measure the L1 error on the moments or on the full "
-                        "distribution (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for independent sweep jobs (default %(default)s)")
+    _add_options(p, _SWEEP_OPTIONS)
     p.add_argument("--paper-scale", action="store_true",
                    help=f"{harness.PAPER_N_ELEMENTS} elements instead of "
                         f"{harness.N_ELEMENTS}, and CFLs {gas_cfls} for the "
                         "gas model (slow; at the default degree a spatial floor still "
                         "caps the fluid-limit slopes, see the README)")
-    p.add_argument("--out", help="CSV output path for the error rows")
-    p.add_argument("--slopes-out", help="CSV output path for the fitted slopes")
     p.set_defaults(func=cmd_convergence)
     return parser
 
 
-#: grid options, whose value may start with '-' without being a plain number
-_GRID_OPTIONS = ("--b", "--kdt", "--xi")
-
-
-def _join_grid_values(argv: list[str]) -> list[str]:
-    """``argv`` with each grid option and a separate value that starts with
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each long option and a separate value that starts with
     '-' and a digit, '.' or 'inf' joined as ``--option=value``: argparse
-    reads a separate ``-1:1:5`` as an unknown option."""
+    reads a separate ``-1e-3`` or ``-1:1:5`` as an unknown option."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] in _GRID_OPTIONS and re.match(r"-(\d|\.|inf)", arg):
+        if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-(\d|\.|inf)", arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -351,7 +360,7 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SimulationError as exc:

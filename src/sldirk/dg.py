@@ -151,14 +151,6 @@ def _fractional_matrices(nodes, weights, theta):
 #: ShiftOperator): a group's gather and product stay in a core's cache
 _GATHER_BUDGET = 256 * 1024
 
-#: gathered rows per block copy from which a lone term past the budget
-#: gathers by copying its slice runs (see ShiftOperator); below it one
-#: indexed ``take`` is faster.  That ``take`` copies rows, except rows of
-#: three 8-byte values (float64 at degree 2), which it copies by element:
-#: ``take`` moves 24-byte items with ``memmove`` but 8-byte ones with one
-#: load and store each
-_ROWS_PER_COPY = 256
-
 
 def _group_size(term_shape: tuple, n_terms: int) -> int:
     """Terms per stacked group of a remap of ``n_terms`` terms of shape
@@ -198,12 +190,11 @@ class ShiftOperator:
     result; each later one is added to it.  A lone term past the budget (a
     remap of many slices) gathers n_el + 1 rows per slice instead, row j
     holding source element j - cells - 1, so that the windows [0, n_el)
-    and [1, n_el] are the operands of its two overlap products; a run of
-    consecutive slices with one ``cells`` is gathered by two block copies
-    when the copies move at least ``_ROWS_PER_COPY`` rows, and by one
-    ``take`` otherwise.  A one-term operator whose shifts are all whole
-    cells only gathers and copies, an exact permutation.  The sum of the
-    terms agrees with a sum of one-term remaps to roundoff.
+    and [1, n_el] are the operands of its two overlap products; each run
+    of consecutive slices with one ``cells`` is gathered by two block
+    copies.  A one-term operator whose shifts are all whole cells only
+    gathers and copies, an exact permutation.  The sum of the terms agrees
+    with a sum of one-term remaps to roundoff.
 
     ``apply(values, out=...)`` writes the result into ``out``, which may be
     ``values`` itself for a one-term operator; with the keyword-only
@@ -278,12 +269,8 @@ class ShiftOperator:
                 starts = np.flatnonzero(np.r_[True, per_slice[1:] != per_slice[:-1]])
                 runs = np.stack([starts, sources[t * L + starts], np.diff(starts, append=L),
                                  (-per_slice[starts] - 1) % n], axis=1).tolist()
-                rows = None
-                if L * (n + 1) < 2 * len(runs) * _ROWS_PER_COPY:
-                    rows = ((sources[t * L:(t + 1) * L] * n)[:, None]
-                            + (np.arange(n + 1) - per_slice[:, None] - 1) % n).ravel()
                 matrices = None if roll else pair[:, t * L:(t + 1) * L]
-                self._groups.append((t, (L, n + 1, q), rows, runs, matrices))
+                self._groups.append((t, (L, n + 1, q), None, runs, matrices))
             # a lone term's two overlap products
             product_rows = 0 if roll else 2 * L
         # the first group gathers the most
@@ -347,8 +334,11 @@ class ShiftOperator:
                               (np.copyto, (g[dst:dst + length, n - first:],
                                            values[src:src + length, :first + 1]))]
             # the rows are in range by construction; mode="clip" only spares
-            # the buffered copy that take(..., out=) makes under mode="raise"
-            elif values.itemsize == 8 and q == 3:  # by element, see _ROWS_PER_COPY
+            # the buffered copy that take(..., out=) makes under mode="raise".
+            # Rows of three 8-byte values (float64 at degree 2) go by element:
+            # take moves 24-byte items with memmove but 8-byte ones with one
+            # load and store each
+            elif values.itemsize == 8 and q == 3:
                 elements = (rows[:, None] * q + np.arange(q)).ravel()
                 calls.append((values.reshape(-1).take, (elements, 0, g.reshape(-1), "clip")))
             else:

@@ -86,8 +86,8 @@ class VelocitySet:
         this quadrature is spectrally accurate, so the grid doubles as a
         trapezoid/midpoint rule.
         """
-        if n_v < 2:
-            raise ValueError("need at least two velocity points")
+        if not (isinstance(n_v, (int, np.integer)) and n_v >= 2):
+            raise ValueError(f"the velocity count must be a whole number >= 2, got {n_v!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ rejects non-finite
             v = np.linspace(v_min, v_max, n_v)
             dv = (v_max - v_min) / (n_v - 1)

@@ -64,7 +64,7 @@ def test_order_check_unknown_exits_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-3"])
 def test_order_check_bad_tolerance_exits_2(capsys, tol):
     code, out, err = run_cli(capsys, "order-check", "DIRK3-B10", "--tol", tol)
     assert code == 2
@@ -293,20 +293,41 @@ def test_simulate_defaults_are_build_case_defaults(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("key, value", [("nx", "8x"), ("vmax", "wide"), ("p", "2.5")])
+@pytest.mark.parametrize("key, value", [
+    ("nx", "8x"), ("vmax", "wide"), ("p", "2.5"), ("nv", "1e2"), ("T", "soon"),
+    ("b", "0.6x"), ("eps", "1e-2,1e-6"), ("cfl", "half")])
 def test_simulate_value_that_does_not_parse_exits_2(capsys, tmp_path, source, key, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
     argv = ("--config", str(config)) if source == "config" else (f"--{key}", value)
-    code, out, err = run_cli(capsys, "simulate", "--T", "0.01", *argv)
+    short = ("--T", "0.01") if key != "T" else ()  # a flag would override the entry
+    code, out, err = run_cli(capsys, "simulate", *short, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {key}: invalid ") and repr(value) in err
+    assert err.count("\n") == 1
 
 
 def test_convergence_value_that_does_not_parse_exits_2(capsys):
     code, _, err = run_cli(capsys, "convergence", "--example", "5.1", "--p", "two")
     assert code == 2
     assert err == "error: p: invalid int value 'two'\n"
+    # the same one-line error, and no argparse exit, for every declared
+    # value option of every subcommand whose text can fail to convert
+    bad = {int: "two", float: "1.5x", cli.parse_grid: "0:1:x", cli.parse_float_list: "1e-2,x"}
+    any_text = set()
+    for argv, options in ((("order-check", "BE"), cli._ORDER_OPTIONS),
+                          (("stability-scan", "--tableau", "BE"), cli._SCAN_OPTIONS),
+                          (("simulate",), {**cli._SIM_OPTIONS, **cli._DIAG_OPTIONS}),
+                          (("convergence", "--example", "5.1"), cli._SWEEP_OPTIONS)):
+        for flag, (_, convert, _, _) in options.items():
+            if convert in (str, cli.parse_name_list):
+                any_text.add(flag)
+                continue
+            code, out, err = run_cli(capsys, *argv, f"--{flag}", bad[convert])
+            assert code == 2 and out == "", (argv[0], flag)
+            assert err.startswith(f"error: {flag}: invalid "), (argv[0], err)
+            assert repr(bad[convert]) in err and err.count("\n") == 1, (argv[0], err)
+    assert any_text == {"csv", "out", "model", "tableau", "tableaus", "error-on", "slopes-out"}
 
 
 @pytest.mark.parametrize("command", ["simulate", "convergence"])
@@ -494,15 +515,17 @@ def test_simulate_coupling_runs_on_build_case_data(capsys, monkeypatch):
         return real_run(cfg, initial, diagnostics_every=diagnostics_every)
 
     monkeypatch.setattr(cli, "run", capture)
-    code, _, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
-                         "--b", "0.3", "--T", "0.01")
-    assert code == 0
-    cfg, f0 = seen[0]
-    want_cfg, want_f0 = harness.build_case("5.1", "DIRK3-B10", 1e-2, 0.5, n_elements=8,
-                                           t_final=0.01, b=0.3)
-    assert cfg.model.b == 0.3
-    assert cfg.dt == want_cfg.dt
-    np.testing.assert_array_equal(f0.values, want_f0.values)
+    # a negative value in exponent notation is the option's value too
+    for text, b in (("0.3", 0.3), ("-5e-1", -0.5)):
+        code, _, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
+                             "--b", text, "--T", "0.01")
+        assert code == 0
+        cfg, f0 = seen[-1]
+        want_cfg, want_f0 = harness.build_case("5.1", "DIRK3-B10", 1e-2, 0.5, n_elements=8,
+                                               t_final=0.01, b=b)
+        assert cfg.model.b == b
+        assert cfg.dt == want_cfg.dt
+        np.testing.assert_array_equal(f0.values, want_f0.values)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +593,8 @@ def test_convergence_bad_config_exits_2(capsys):
     ("--T", "inf", "t_final"),
     ("--eps", "nan", "eps"),
     ("--eps", "inf", "eps"),
+    ("--eps", "-1e-3", "eps"),
+    ("--T", "-1e-3", "t_final"),
 ])
 def test_simulate_bad_run_parameter_exits_2(capsys, flag, value, name):
     code, out, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
@@ -585,6 +610,8 @@ def test_simulate_bad_run_parameter_exits_2(capsys, flag, value, name):
     (("--cfls", "0.1,0.1,0.1"), "3 CFL values that differ"),
     (("--jobs", "0"), "error: jobs must be an integer >= 1, got 0"),
     (("--jobs", "-2"), "error: jobs must be an integer >= 1, got -2"),
+    (("--ref-cfl", "-1e-3"), "error: reference CFL -0.001 must be positive"),
+    (("--T", "-1e-3"), "error: t_final must be finite and positive, got -0.001"),
 ])
 def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragment):
     def no_run(*a, **k):

@@ -234,22 +234,22 @@ def test_shift_operator_matches_fancy_index_formula(degree, rng):
 
 @pytest.mark.parametrize("budget", [None, 1])
 def test_one_term_aligned_shift_is_a_roll(budget, rng, monkeypatch):
-    # whole-cell shifts, one or many slices, gathered by a take or by run
-    # copies: the remap only moves values, so an inf stays on its node
+    # whole-cell shifts, one or many slices, within the budget or past it,
+    # gathered by run copies: the remap only moves values, so an inf stays
+    # on its node
     if budget is not None:
         monkeypatch.setattr(dg, "_GATHER_BUDGET", budget)
     mesh = Mesh1D(0.0, 1.0, 20)
     for cells in ([3], [-1, 0, 2], [5] * 40 + [-7] * 300):
-        for rows_per_copy in (0, 1 << 40):
-            monkeypatch.setattr(dg, "_ROWS_PER_COPY", rows_per_copy)
-            op = ShiftOperator(mesh, 2, np.array(cells) * mesh.dx)
-            real = rng.normal(size=(len(cells), 20, 3))
-            real[0, 4, 1] = np.inf
-            for values in (real, real + 1j * rng.normal(size=real.shape)):
-                expected = np.stack([np.roll(v, c, axis=0) for v, c in zip(values, cells)])
-                assert np.array_equal(op.apply(values), expected)
-                assert np.array_equal(_apply_bound(op, values), expected)
-                assert not any(kernel is np.matmul for kernel, _ in op._bound[5])
+        op = ShiftOperator(mesh, 2, np.array(cells) * mesh.dx)
+        real = rng.normal(size=(len(cells), 20, 3))
+        real[0, 4, 1] = np.inf
+        for values in (real, real + 1j * rng.normal(size=real.shape)):
+            expected = np.stack([np.roll(v, c, axis=0) for v, c in zip(values, cells)])
+            assert np.array_equal(op.apply(values), expected)
+            assert np.array_equal(_apply_bound(op, values), expected)
+            assert not any(kernel is np.matmul for kernel, _ in op._bound[5])
+            assert _takes(op) == 0
 
 
 _PER_SLICE_SHIFTS = {
@@ -433,7 +433,6 @@ def test_kept_binding_reads_values_changed_in_place(rng, monkeypatch):
 def test_kept_binding_by_run_copies_reads_values_changed_in_place(rng, monkeypatch):
     # only a lone term past the budget gathers by run copies
     monkeypatch.setattr(dg, "_GATHER_BUDGET", 1)
-    monkeypatch.setattr(dg, "_ROWS_PER_COPY", 0)
     _check_kept_binding(rng, monkeypatch, takes=0)
 
 
@@ -467,14 +466,6 @@ def _check_kept_binding(rng, monkeypatch, takes):
 _RAMP_SHIFTS = np.linspace(-2.6, 3.4, 13) * np.array([[1.0], [0.5], [-10.0]])
 
 
-def _both_gathers(monkeypatch):
-    """Yield once with every lone term gathering by its slice-run copies and
-    once with every lone term gathering by one ``take``."""
-    for rows_per_copy, name in ((0, "copies"), (1 << 40, "take")):
-        monkeypatch.setattr(dg, "_ROWS_PER_COPY", rows_per_copy)
-        yield name
-
-
 def _apply_bound(op, values):
     """``op.apply(values)`` with caller buffers, so the binding is kept."""
     gather_shape, product_shape = ShiftOperator.scratch_shapes(
@@ -485,11 +476,11 @@ def _apply_bound(op, values):
                     product=np.empty(product_shape, result_dtype))
 
 
-def test_gather_by_run_copies_has_the_bits_of_the_take(rng, monkeypatch):
-    # lone terms past the budget: aligned terms, an inf, multi-cell and
-    # negative shifts, monotone shifts (runs of several slices), shifts
-    # whose cell offsets change at every slice (runs of one slice), complex
-    # values
+def test_gather_by_run_copies_matches_the_per_term_sum(rng, monkeypatch):
+    # lone terms past the budget, gathered by run copies only: aligned
+    # terms, an inf, multi-cell and negative shifts, monotone shifts (runs
+    # of several slices), shifts whose cell offsets change at every slice
+    # (runs of one slice), complex values
     monkeypatch.setattr(dg, "_GATHER_BUDGET", 1)
     mesh = Mesh1D(-1.0, 1.0, 24)
     zigzag = np.array([[0.3, -2.4, 5.7, -0.2, 3.1, -7.9], [2.2, 0.6, -1.0, 31.5, 0.0, -0.7]])
@@ -510,18 +501,14 @@ def test_gather_by_run_copies_has_the_bits_of_the_take(rng, monkeypatch):
                 values = values.copy()
                 values[4, 5, 0] = np.inf
                 results = []
-                for path in _both_gathers(monkeypatch):
+                for apply in (ShiftOperator.apply, _apply_bound):
                     op = ShiftOperator(mesh, degree, shifts, blocks=blocks, weights=weights)
                     with np.errstate(invalid="ignore"):
-                        results.append(_apply_bound(op, values))
-                    assert _takes(op) == (len(op._groups) if path == "take" else 0)
+                        results.append(apply(op, values))
                 assert np.array_equal(*results, equal_nan=True), blocks
+                assert _takes(op) == 0
     # the ramp runs one cell offset over several slices, the zigzag changes
-    # it at every slice; only a take group keeps flat gather rows, and the
-    # take of the first term's 48-byte complex rows binds one index per row
-    indices = [args[0] for kernel, args in op._bound[5] if kernel.__name__ == "take"][0]
-    assert op._groups[0][2].size == indices.size == op._gather_shape[0] // 3
-    monkeypatch.setattr(dg, "_ROWS_PER_COPY", 0)
+    # it at every slice; only a take group keeps flat gather rows
     op = ShiftOperator(mesh, 2, _RAMP_SHIFTS * mesh.dx, weights=(1.0, 1.0))
     assert ([run[2] for group in op._groups for run in group[3]]
             == [2] * 6 + [1] + [2, 4, 4, 3] + [1] * 13)
@@ -566,15 +553,14 @@ def test_one_term_gather_by_run_copies_in_place(rng, monkeypatch):
             real = rng.normal(size=(len(row), 24, 3))
             for values in (real, real + 1j * rng.normal(size=real.shape)):
                 expected = _fancy_index_apply(mesh, row, values)
-                for path in _both_gathers(monkeypatch):
-                    op = ShiftOperator(mesh, 2, row)
-                    gather_shape, product_shape = ShiftOperator.scratch_shapes(values.shape)
-                    inplace = values.copy()
-                    assert op.apply(inplace, inplace,
-                                    gather=np.empty(gather_shape, values.dtype),
-                                    product=np.empty(product_shape, values.dtype)) is inplace
-                    _check_remap(inplace, expected, not _snapped(mesh, row)[1].any())
-                    assert _takes(op) == (path == "take")
+                op = ShiftOperator(mesh, 2, row)
+                gather_shape, product_shape = ShiftOperator.scratch_shapes(values.shape)
+                inplace = values.copy()
+                assert op.apply(inplace, inplace,
+                                gather=np.empty(gather_shape, values.dtype),
+                                product=np.empty(product_shape, values.dtype)) is inplace
+                _check_remap(inplace, expected, not _snapped(mesh, row)[1].any())
+                assert _takes(op) == 0
 
 
 def test_swapped_buffer_rebinds(rng, monkeypatch):

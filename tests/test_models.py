@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sldirk
-from sldirk import models, sl_solver
+from sldirk import harness, models, sl_solver
 from sldirk.models import (BGK1D, DivergenceError, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, maxwellian)
 
@@ -39,6 +39,14 @@ def test_velocity_set_validation():
         VelocitySet(v=[1.0], w=[1.0, 1.0])
     with pytest.raises(ValueError):
         VelocitySet.uniform(0.0, 1.0, 1)
+    # a count that is not an integer, also through a sweep's build_case:
+    # numpy's linspace would raise TypeError
+    for n_v in (2.5, 100.0):
+        with pytest.raises(ValueError, match="velocity count must be a whole number >= 2"):
+            VelocitySet.uniform(0.0, 1.0, n_v)
+        study = harness.ConvergenceStudy("5.3", ("BE",), (1e-2,), (0.5, 1.0, 2.0), n_v=n_v)
+        with pytest.raises(ValueError, match="velocity count"):
+            harness.run_convergence(study)
     # NaN passes the w <= 0 test, so finiteness is checked first
     for v, w in (([1.0, np.nan], [1.0, 1.0]), ([np.inf, -1.0], [1.0, 1.0]),
                  ([1.0, -1.0], [np.nan, 1.0]), ([1.0, -1.0], [np.inf, 1.0])):
