@@ -7,9 +7,8 @@ from .dg import DGField, Mesh1D, fourier_coefficient, gauss_nodes
 from .harness import ConvergenceStudy, build_case, fit_slope, run_convergence
 from .models import (BGK1D, KineticModel, LinearTwoVelocity, NonlinearTwoVelocity,
                      SimulationError, UnphysicalStateError, VelocitySet, maxwellian)
-from .order_analysis import (KineticCoefficients, LimitCoefficients, OrderReport,
-                             coefficient_table, kinetic_coefficients,
-                             limit_coefficients, order_report, verify_identities)
+from .order_analysis import (CONDITIONS, OrderReport, coefficients, order_report,
+                             verify_identities)
 from .sl_solver import (DivergenceError, RunResult, SemiLagrangianSolver,
                         SimConfig, l1_error, run)
 from .stability import (XI_INF, AmplificationMatrix, StabilityPoint,

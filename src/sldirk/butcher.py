@@ -83,7 +83,6 @@ class ShuOsherForm:
     carries the implicit weights a_kk and ``c`` the abscissae.
     """
 
-    name: str
     b_coeffs: np.ndarray
     diag: np.ndarray
     c: np.ndarray
@@ -116,7 +115,7 @@ def to_shu_osher(t: ButcherTableau) -> ShuOsherForm:
             for l in range(j + 1, k):
                 acc -= A[k, l] * w[l, j] / A[l, l]
             w[k, j] = acc
-    return ShuOsherForm(name=t.name, b_coeffs=w, diag=diag.copy(), c=t.c.copy())
+    return ShuOsherForm(b_coeffs=w, diag=diag.copy(), c=t.c.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -244,29 +243,48 @@ def parse_key_values(text: str) -> dict[str, str]:
     return entries
 
 
+_TABLEAU_KEYS = ("A", "b", "c", "name", "s", "stiffly_accurate")
+
+
 def tableau_from_text(text: str) -> ButcherTableau:
     """Parse the `key = value` format written by :func:`tableau_to_text`.
 
-    ``s`` and ``A`` are required.  ``c`` and ``b`` are optional; when given,
-    each must match what A implies (row sums, last row) within
-    ``VALIDATION_TOL``.  ``stiffly_accurate``, if present, must be 1.
+    ``s`` (at least 1) and ``A`` are required.  ``c`` and ``b`` are
+    optional; when given, each must match what A implies (row sums, last
+    row) within ``VALIDATION_TOL``.  ``stiffly_accurate``, if present, must
+    be 1.  An unknown key, or a value that does not parse (reported as
+    ``<key>: invalid <kind> value '<text>'``), raises ``ValueError``.
     """
     entries = parse_key_values(text)
+    unknown = entries.keys() - set(_TABLEAU_KEYS)
+    if unknown:
+        raise ValueError(f"unknown tableau keys {sorted(unknown)}; "
+                         f"expected a subset of {list(_TABLEAU_KEYS)}")
     missing = {"s", "A"} - entries.keys()
     if missing:
         raise ValueError(f"tableau file missing keys: {sorted(missing)}")
-    if int(entries.get("stiffly_accurate", "1")) != 1:
-        raise ValueError("stiffly_accurate = 0: only stiffly accurate tableaus "
-                         "are supported")
-    s = int(entries["s"])
-    A = np.array([float(v) for v in entries["A"].split()], dtype=float)
+
+    def parse(key, convert, kind):
+        try:
+            return convert(entries[key])
+        except ValueError:
+            raise ValueError(f"{key}: invalid {kind} value {entries[key]!r}") from None
+
+    floats = lambda text: np.array([float(v) for v in text.split()], dtype=float)
+    if "stiffly_accurate" in entries and parse("stiffly_accurate", int, "int") != 1:
+        raise ValueError(f"stiffly_accurate = {entries['stiffly_accurate']}: only "
+                         f"stiffly accurate tableaus are supported")
+    s = parse("s", int, "int")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    A = parse("A", floats, "float list")
     if A.size != s * s:
         raise ValueError(f"A has {A.size} entries, expected {s * s}")
     t = ButcherTableau(entries.get("name", "custom"), A.reshape(s, s))
     for key, implied, what in (("c", t.c, "the row sums of A"),
                                ("b", t.b_weights, "the last row of A")):
         if key in entries:
-            given = np.array([float(v) for v in entries[key].split()], dtype=float)
+            given = parse(key, floats, "float list")
             if given.shape != (s,):
                 raise ValueError(f"{key} has {given.size} entries, expected {s}")
             dev = np.max(np.abs(given - implied))

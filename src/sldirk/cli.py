@@ -102,21 +102,19 @@ _ORDER_OPTIONS = {
 def cmd_order_check(args) -> int:
     opts = _read_options(args, _ORDER_OPTIONS)
     t = butcher.resolve_tableau(args.tableau)
-    so, kc, lc = order_analysis.coefficient_table(t)
+    so = butcher.to_shu_osher(t)
+    cols = order_analysis.coefficients(so)
     report = order_analysis.order_report(t, tol=opts["tol"])
 
-    cols = [("c", kc.c), ("d", kc.d), ("g", kc.g), ("h", kc.h),
-            ("C", lc.C), ("D", lc.D), ("B", lc.B), ("G", lc.G), ("H", lc.H),
-            ("B*", lc.Bstar), ("B**", lc.Bstarstar), ("B***", lc.Bstarstarstar)]
     print(f"tableau {t.name} ({t.s} stages)")
-    header = "stage" + "".join(f"{name:>14}" for name, _ in cols)
-    print(header)
+    print("stage" + "".join(f"{name:>14}" for name in cols))
     for k in range(t.s):
-        print(f"{k + 1:5d}" + "".join(f"{vals[k]:14.6g}" for _, vals in cols))
-    suffix = lambda order: "+" if order == 3 else ""
-    print(f"kinetic order: {report.kinetic_order}{suffix(report.kinetic_order)}")
-    print(f"fluid order: {report.fluid_order}{suffix(report.fluid_order)}")
-    print(f"G_s = {float(lc.G[-1])!r}")
+        print(f"{k + 1:5d}" + "".join(f"{vals[k]:14.6g}" for vals in cols.values()))
+    for regime in ("kinetic", "fluid"):
+        order = getattr(report, f"{regime}_order")
+        top = max(o for *_, r, o in order_analysis.CONDITIONS if r == regime)
+        print(f"{regime} order: {order}{'+' if order == top else ''}")
+    print(f"G_s = {float(cols['G'][-1])!r}")
     print("condition residuals:")
     for name, value in report.residuals.items():
         print(f"  {name:12s} {value: .3e}")
@@ -124,9 +122,8 @@ def cmd_order_check(args) -> int:
     print(f"max cross-identity residual over stages: {ident:.3e}")
 
     if opts["csv"]:
-        header_row = ["stage"] + [name for name, _ in cols]
-        rows = [[k + 1] + [float(vals[k]) for _, vals in cols] for k in range(t.s)]
-        _write(opts["csv"], harness.rows_to_csv(rows, header_row))
+        rows = [[k + 1] + [float(vals[k]) for vals in cols.values()] for k in range(t.s)]
+        _write(opts["csv"], harness.rows_to_csv(rows, ["stage", *cols]))
     return EXIT_OK
 
 

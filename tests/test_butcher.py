@@ -298,6 +298,33 @@ def test_text_parse_errors():
         tableau_from_text("s = 1\nA = 1\ns = 2\n")
 
 
+def test_text_rejects_unknown_keys():
+    text = tableau_to_text(get_tableau("DIRK2"))
+    for extra in ("stifly_accurate = 1", "b_weights = 0.7 0.3"):
+        key = extra.split()[0]
+        with pytest.raises(ValueError) as info:
+            tableau_from_text(text + extra + "\n")
+        assert str(info.value) == (f"unknown tableau keys ['{key}']; expected a subset of "
+                                   "['A', 'b', 'c', 'name', 's', 'stiffly_accurate']")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("s = 1.5\nA = 1.0\n", "s: invalid int value '1.5'"),
+    ("s = 1\nA = 1 x\n", "A: invalid float list value '1 x'"),
+    ("s = 1\nA = 1.0\nstiffly_accurate = yes\n", "stiffly_accurate: invalid int value 'yes'"),
+    ("s = 1\nA = 1.0\nstiffly_accurate = 2\n",
+     "stiffly_accurate = 2: only stiffly accurate tableaus are supported"),
+    ("s = 1\nA = 1.0\nc = one\n", "c: invalid float list value 'one'"),
+    ("s = 1\nA = 1.0\nb = 1,0\n", "b: invalid float list value '1,0'"),
+    ("s = -1\nA = 1.0\n", "s must be >= 1, got -1"),
+    ("s = 0\nA =\n", "s must be >= 1, got 0"),
+])
+def test_text_value_errors_name_their_key(text, message):
+    with pytest.raises(ValueError) as info:
+        tableau_from_text(text)
+    assert str(info.value) == message
+
+
 def test_parse_key_values_rejects_repeated_keys():
     assert parse_key_values("eps = 1\n# eps = 3\nnx = 8\n") == {"eps": "1", "nx": "8"}
     with pytest.raises(ValueError, match="repeated key 'eps'"):

@@ -39,6 +39,38 @@ def test_order_check_csv(capsys, tmp_path):
     assert float(last[8]) == pytest.approx(1 / 6, abs=1e-12)     # G_s
 
 
+def test_order_check_names_come_from_the_condition_table(capsys, tmp_path):
+    # the printed columns and residual names, the CSV header and the report's
+    # keys are the rows of the one condition table, in its order
+    from sldirk.butcher import get_tableau
+    from sldirk.order_analysis import CONDITIONS, order_report
+    names = [name for name, *_ in CONDITIONS]
+    residuals = [f"{name}_s" + (f" - {target}" if target != "0" else "")
+                 for name, target, *_ in CONDITIONS]
+    assert residuals == ["c_s - 1", "d_s - 1/2", "g_s - 1/6", "h_s - 1/6", "C_s - 1",
+                         "D_s - 1/2", "B_s", "G_s - 1/6", "H_s - 1/6", "B*_s", "B**_s",
+                         "B***_s"]
+    path = tmp_path / "coeffs.csv"
+    code, out, _ = run_cli(capsys, "order-check", "DIRK3-B10", "--csv", str(path))
+    assert code == 0
+    assert path.read_text().splitlines()[0] == ",".join(["stage", *names])
+    assert out.splitlines()[1].split() == ["stage", *names]
+    printed = out.split("condition residuals:\n")[1].splitlines()[:len(CONDITIONS)]
+    assert [line[2:14].rstrip() for line in printed] == residuals
+    assert list(order_report(get_tableau("DIRK3-B10")).residuals) == residuals
+
+
+def test_order_check_tableau_file_with_unknown_key_exits_2(capsys, tmp_path):
+    from sldirk.butcher import get_tableau, tableau_to_text
+    path = tmp_path / "t.tab"
+    path.write_text(tableau_to_text(get_tableau("DIRK2")) + "stifly_accurate = 1\n")
+    code, out, err = run_cli(capsys, "order-check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: unknown tableau keys ['stifly_accurate']; expected a subset "
+                   "of ['A', 'b', 'c', 'name', 's', 'stiffly_accurate']\n")
+
+
 def test_order_check_custom_file(capsys, tmp_path):
     from sldirk.butcher import get_tableau, tableau_to_text
     path = tmp_path / "t.tab"

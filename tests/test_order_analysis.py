@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sldirk.butcher import ButcherTableau, catalog, get_tableau, to_shu_osher
-from sldirk.order_analysis import (kinetic_coefficients, limit_coefficients,
-                                   max_identity_residual, order_report,
-                                   verify_identities)
+from sldirk.order_analysis import (CONDITIONS, coefficients, max_identity_residual,
+                                   order_report, verify_identities)
 from conftest import random_sa_dirk
 
 
@@ -20,74 +19,69 @@ def _kinetic_oracle(t):
 
 
 def test_backward_euler_stage_one_values():
-    kc = kinetic_coefficients(to_shu_osher(get_tableau("BE")))
-    assert kc.c[0] == 1.0
-    assert kc.d[0] == 1.0
-    assert kc.g[0] == 0.5
-    assert kc.h[0] == 1.0
+    x = coefficients(to_shu_osher(get_tableau("BE")))
+    assert x["c"][0] == 1.0
+    assert x["d"][0] == 1.0
+    assert x["g"][0] == 0.5
+    assert x["h"][0] == 1.0
 
 
 def test_backward_euler_limit_seeds():
-    so = to_shu_osher(get_tableau("BE"))
-    lc = limit_coefficients(so, kinetic_coefficients(so))
-    assert lc.C[0] == 1.0
-    assert lc.D[0] == 0.0
-    assert lc.B[0] == 1.0
+    x = coefficients(to_shu_osher(get_tableau("BE")))
+    assert x["C"][0] == 1.0
+    assert x["D"][0] == 0.0
+    assert x["B"][0] == 1.0
 
 
 def test_dirk2_second_order():
-    kc = kinetic_coefficients(to_shu_osher(get_tableau("DIRK2")))
-    assert kc.c[-1] == pytest.approx(1.0, abs=1e-14)
-    assert kc.d[-1] == pytest.approx(0.5, abs=1e-14)
+    x = coefficients(to_shu_osher(get_tableau("DIRK2")))
+    assert x["c"][-1] == pytest.approx(1.0, abs=1e-14)
+    assert x["d"][-1] == pytest.approx(0.5, abs=1e-14)
     # cross-check against the classical condition sum(b_j c_j)
     t = get_tableau("DIRK2")
-    assert kc.d[-1] == pytest.approx(float(t.b_weights @ t.c), abs=1e-14)
+    assert x["d"][-1] == pytest.approx(float(t.b_weights @ t.c), abs=1e-14)
 
 
 def test_kinetic_recursion_matches_matrix_oracle(rng):
     for _ in range(100):
         t = random_sa_dirk(rng, int(rng.integers(1, 6)))
-        kc = kinetic_coefficients(to_shu_osher(t))
+        x = coefficients(to_shu_osher(t))
         c, d, g, h = _kinetic_oracle(t)
-        np.testing.assert_allclose(kc.c, c, rtol=1e-11, atol=1e-11)
-        np.testing.assert_allclose(kc.d, d, rtol=1e-11, atol=1e-11)
-        np.testing.assert_allclose(kc.g, g, rtol=1e-11, atol=1e-11)
-        np.testing.assert_allclose(kc.h, h, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(x["c"], c, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(x["d"], d, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(x["g"], g, rtol=1e-11, atol=1e-11)
+        np.testing.assert_allclose(x["h"], h, rtol=1e-11, atol=1e-11)
 
 
 def test_dirk3_b2_third_order_kinetic():
-    kc = kinetic_coefficients(to_shu_osher(get_tableau("DIRK3-B2")))
-    assert kc.g[-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
-    assert kc.h[-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
+    x = coefficients(to_shu_osher(get_tableau("DIRK3-B2")))
+    assert x["g"][-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
+    assert x["h"][-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
 
 
 def test_dirk3_b2_limit_third_order_fails():
-    so = to_shu_osher(get_tableau("DIRK3-B2"))
-    lc = limit_coefficients(so, kinetic_coefficients(so))
-    assert lc.G[-1] == pytest.approx(0.066745, abs=5e-6)
-    assert abs(lc.G[-1] - 1.0 / 6.0) > 1e-2
+    G = coefficients(to_shu_osher(get_tableau("DIRK3-B2")))["G"]
+    assert G[-1] == pytest.approx(0.066745, abs=5e-6)
+    assert abs(G[-1] - 1.0 / 6.0) > 1e-2
 
 
 def test_dirk3_b10_limit_third_order():
-    so = to_shu_osher(get_tableau("DIRK3-B10"))
-    lc = limit_coefficients(so, kinetic_coefficients(so))
-    assert lc.G[-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
+    G = coefficients(to_shu_osher(get_tableau("DIRK3-B10")))["G"]
+    assert G[-1] == pytest.approx(1.0 / 6.0, abs=1e-10)
 
 
 def test_b10_hand_computed_fractions():
     # stage values derived by hand from the exact rational tableau entries
-    so = to_shu_osher(get_tableau("DIRK3-B10"))
-    kc = kinetic_coefficients(so)
-    assert kc.d[1] == pytest.approx(15.0 / 112.0, abs=1e-14)
-    assert kc.d[2] == pytest.approx(1.0 / 18.0, abs=1e-14)
-    assert kc.g[1] == pytest.approx(149.0 / 6272.0, abs=1e-14)
-    assert kc.g[2] == pytest.approx(7.0 / 8064.0, abs=1e-14)
-    assert kc.h[2] == pytest.approx(-1.0 / 192.0, abs=1e-14)
-    assert kc.g[3] == pytest.approx(1.0 / 6.0, abs=1e-14)
-    assert kc.h[3] == pytest.approx(1.0 / 6.0, abs=1e-14)
-    lc = limit_coefficients(so, kc)
-    assert lc.D[1] == pytest.approx(1.0 / 49.0, abs=1e-14)
-    assert lc.G[1] == pytest.approx(1.0 / 392.0, abs=1e-14)
+    x = coefficients(to_shu_osher(get_tableau("DIRK3-B10")))
+    assert x["d"][1] == pytest.approx(15.0 / 112.0, abs=1e-14)
+    assert x["d"][2] == pytest.approx(1.0 / 18.0, abs=1e-14)
+    assert x["g"][1] == pytest.approx(149.0 / 6272.0, abs=1e-14)
+    assert x["g"][2] == pytest.approx(7.0 / 8064.0, abs=1e-14)
+    assert x["h"][2] == pytest.approx(-1.0 / 192.0, abs=1e-14)
+    assert x["g"][3] == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert x["h"][3] == pytest.approx(1.0 / 6.0, abs=1e-14)
+    assert x["D"][1] == pytest.approx(1.0 / 49.0, abs=1e-14)
+    assert x["G"][1] == pytest.approx(1.0 / 392.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +155,7 @@ def test_identities_hold_despite_order_failure():
     # stagewise identities are order-independent
     so = to_shu_osher(get_tableau("DIRK3-B2"))
     assert max_identity_residual(so) < 1e-10
-    lc = limit_coefficients(so, kinetic_coefficients(so))
-    assert abs(lc.G[-1] - 1.0 / 6.0) > 1e-2
+    assert abs(coefficients(so)["G"][-1] - 1.0 / 6.0) > 1e-2
 
 
 def test_identities_random_tableaus(rng):
