@@ -9,8 +9,9 @@ with K the number of collision invariants.
 A model states U and M[U] once, as bound kernels: ``moment_kernel``
 writes the moments of f into U and ``equilibrium_kernels`` write M[U].
 The solver binds them once per stage plan; ``moments`` and
-``equilibrium`` run them on fresh arrays.  The gas model takes real
-values only and raises ``ValueError`` for complex ones.
+``equilibrium`` run them on fresh arrays.  A model whose M[U] is linear
+says so (``linear``), and the solver then compiles its step.  The gas
+model takes real values only and raises ``ValueError`` for complex ones.
 
 A failed run raises a :class:`SimulationError`: an
 :class:`UnphysicalStateError` when the moments leave the physical region,
@@ -104,6 +105,8 @@ class KineticModel:
     velocity_set: VelocitySet
     n_invariants: int
     invariant_names: tuple[str, ...]
+    #: M[U] is linear in U, so that a step of the model is a linear map of f
+    linear = False
 
     def _dtype(self, a: np.ndarray) -> np.dtype:
         """The dtype the model computes ``a`` in: float64; ``ValueError``
@@ -175,6 +178,7 @@ class LinearTwoVelocity(_TwoVelocity):
     """
 
     name = "linear-two-velocity"
+    linear = True
 
     def __init__(self, b: float):
         if not abs(b) < 1.0:

@@ -33,6 +33,14 @@ prediction, its ``equilibrium_kernels`` on those moments, then one
 subtraction, or the last stage's two scaled terms).  A warm step copies
 its input in and runs only bound kernels; it allocates no field-sized
 array except the one it returns.
+
+A linear model (``model.linear``) steps through a compiled stencil
+instead.  On the uniform periodic mesh its step is a block-circulant map
+over the few element offsets it reaches; the workspace builds that
+stencil once per step size from the stage plan, run on unit impulses in
+long double and rounded once to the workspace dtype.  A warm step is then
+one ``take`` into a gather buffer and one ``matmul`` that writes the
+result.
 """
 
 from __future__ import annotations
@@ -95,7 +103,8 @@ class RunResult:
 
 class _Workspace:
     """The warm state of one solver for values of one dtype: scratch
-    arrays, the step size last planned for and that step size's plan."""
+    arrays, the step size last planned for and that step size's plan or
+    stencil."""
 
     def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel):
         lead = shape[0]
@@ -115,7 +124,8 @@ class _Workspace:
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
         self.dt: float | None = None
-        self.plan = None  # the stage plan of step size dt
+        # the stage plan of step size dt; a linear model's stencil instead
+        self.plan = None
 
 
 class SemiLagrangianSolver:
@@ -140,6 +150,11 @@ class SemiLagrangianSolver:
         self._earlier = [[j for j in range(k) if A[k, j] != 0.0] for k in range(tableau.s)]
         self._workspaces: dict[np.dtype, _Workspace] = {}
 
+    def _new_workspace(self, dtype) -> _Workspace:
+        """A new workspace for values of ``dtype``, kept by no one."""
+        return _Workspace(self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
+                          self.model)
+
     def _workspace(self, values: np.ndarray) -> _Workspace:
         """The workspace for the dtype of the values' remap; ``ValueError``
         for values not of the solver's shape."""
@@ -149,9 +164,7 @@ class SemiLagrangianSolver:
         dtype = np.promote_types(values.dtype, float)
         ws = self._workspaces.get(dtype)
         if ws is None:
-            ws = self._workspaces[dtype] = _Workspace(
-                self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
-                self.model)
+            ws = self._workspaces[dtype] = self._new_workspace(dtype)
         return ws
 
     def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
@@ -190,6 +203,42 @@ class SemiLagrangianSolver:
         ws.dt, ws.plan = dt, (stages, M)
         return ws.plan
 
+    def _stencil(self, ws: _Workspace, dt: float) -> tuple:
+        """The stencil of ``ws`` for step size ``dt``, a linear model's step
+        compiled: on the uniform periodic mesh that step is the block
+        circulant map
+
+            out[w, i, a] = sum over d in D, v, j of K[w, d, v, j, a] * values[v, i - d, j]
+
+        over the element offsets D it reaches.  K is the step of the unit
+        impulses of element 0, run through the stage plan in long double;
+        the offsets of exact zeros lie beyond the reach (on a mesh
+        narrower than the reach every offset stays and wraps), and K is
+        rounded once to the workspace dtype.  Returns D, the flat indexes
+        that gather values[v, i - d, j] into row i of the gather buffer,
+        that buffer, (n_el, |D| * n_v * q), and the (n_v, |D| * n_v * q, q)
+        stack of K."""
+        n_v, n, q = self._shape
+        exact = self._new_workspace(np.longdouble)
+        stages, M = self._stage_plan(exact, dt)
+        impulse = np.zeros(self._shape, np.longdouble)
+        # response[v, j, w, d, a]: node a of element d of velocity w after
+        # the step of the impulse at node j of element 0 of velocity v
+        response = np.empty((n_v, q) + self._shape, np.longdouble)
+        for v in range(n_v):
+            for j in range(q):
+                impulse[v, 0, j] = 1.0
+                response[v, j] = self._run_plan(exact, impulse, stages, M)
+                impulse[v, 0, j] = 0.0
+        offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
+        stack = response[:, :, :, offsets].transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
+        i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
+        rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
+        dtype = ws.stages.dtype
+        ws.dt, ws.plan = dt, (offsets, rows, np.empty((n, rows.size // n), dtype),
+                              np.ascontiguousarray(stack.astype(dtype)))
+        return ws.plan
+
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
         """``exc`` restated after ``context``, with the coordinate of the
         node its ``flat_index`` names when it has one."""
@@ -208,7 +257,18 @@ class SemiLagrangianSolver:
         ``ValueError``.
         """
         ws = self._workspace(values)
-        stages, M = ws.plan if ws.dt == dt else self._stage_plan(ws, dt)
+        if self.model.linear:
+            _, rows, gathered, stack = ws.plan if ws.dt == dt else self._stencil(ws, dt)
+            # take writes only into its own dtype; the rows are in range, and
+            # mode="clip" spares the buffered copy of mode="raise"
+            values.astype(gathered.dtype, copy=False).reshape(-1).take(
+                rows, 0, gathered.reshape(-1), "clip")
+            return np.matmul(gathered, stack)
+        return self._run_plan(ws, values, *(ws.plan if ws.dt == dt else self._stage_plan(ws, dt)))
+
+    def _run_plan(self, ws: _Workspace, values: np.ndarray, stages: list, M) -> np.ndarray:
+        """One step of ``values`` through the stage plan ``stages`` of
+        ``ws``, whose last equilibrium goes to ``M``; a fresh result."""
         predicted, gather, product = ws.predicted, ws.gather, ws.product
         ws.inputs[0][...] = values  # the step-start slot
         for k, (op, inputs, kernels) in enumerate(stages):
@@ -246,8 +306,9 @@ class SemiLagrangianSolver:
 
 
 def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResult:
-    """Advance from t = 0 to t_final with fixed dt (last step shrunk to land
-    exactly on t_final).
+    """Advance from t = 0 to t_final with fixed dt; unless t_final is a whole
+    number of steps (to 1e-12 of a step), the last step shrinks to land on
+    t_final.  The last recorded time is t_final.
 
     ``diagnostics_every`` controls how often the conservation/relaxation
     diagnostics are recorded (0 records only the endpoints; a negative
@@ -261,6 +322,9 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     dt = cfg.dt
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
+    # a t_final of a whole number of steps takes full steps only, rather
+    # than a last one shortened by the roundoff of the summed times
+    whole = n_steps - cfg.t_final / dt <= 1e-12
 
     values = np.array(initial.values)
     # the check of each step's values: the reduction ndarray.all makes,
@@ -286,7 +350,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
         try:
             record(values, 0)
             for step in range(1, n_steps + 1):
-                step_dt = min(dt, cfg.t_final - t)
+                step_dt = dt if whole else min(dt, cfg.t_final - t)
                 t = cfg.t_final if step == n_steps else t + step_dt
                 values = solver.step_values(values, step_dt)
                 if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):

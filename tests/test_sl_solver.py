@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -24,6 +25,12 @@ def _linear_cfg(tableau="DIRK2", n=32, eps=1e-2, cfl=0.5, t_final=0.1, degree=2)
     mesh = Mesh1D(0.0, 1.0, n)
     return SimConfig(model=model, tableau=get_tableau(tableau), mesh=mesh,
                      degree=degree, cfl=cfl, eps=eps, t_final=t_final)
+
+
+def _nonlinear_cfg(**kwargs):
+    """``_linear_cfg`` on the quadratic-flux model: the same remaps, stepped
+    through the stage plan."""
+    return dataclasses.replace(_linear_cfg(**kwargs), model=NonlinearTwoVelocity(0.2))
 
 
 def _mode_field(mesh, degree, coeffs, mode=1):
@@ -175,7 +182,7 @@ def test_gas_stage_checks_its_moments_once(monkeypatch):
     assert len(calls) == cfg.tableau.s
 
 
-@pytest.mark.parametrize("example,takes", [("5.3", 0), ("5.1", 1)])
+@pytest.mark.parametrize("example,takes", [("5.3", 0), ("5.2", 1)])
 def test_warm_step_gathers_by_run_copies_for_many_velocities(example, takes):
     # the gas model's 100 velocities make long runs of one cell offset,
     # gathered by block copies; the two-velocity slices each make their
@@ -307,6 +314,20 @@ def test_run_final_partial_step_lands_on_t_final():
     result = run(cfg, f0)
     assert result.times[-1] == cfg.t_final
     assert result.n_steps == int(np.ceil(cfg.t_final / cfg.dt - 1e-12))
+
+
+def test_run_takes_full_steps_when_t_final_is_a_whole_number_of_steps(monkeypatch):
+    # T = 0.2 is 6,400 steps at CFL 0.005, but the summed times fall short
+    # of it by 4.7e-10 dt; the last step is still a full one, so the run
+    # builds one plan
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.005)
+    plans = []
+    plan = SemiLagrangianSolver._stage_plan
+    monkeypatch.setattr(SemiLagrangianSolver, "_stage_plan",
+                        lambda self, ws, dt: plans.append(dt) or plan(self, ws, dt))
+    result = run(cfg, f0, diagnostics_every=0)
+    assert result.n_steps == 6400 and result.times[-1] == cfg.t_final
+    assert plans == [cfg.dt]
 
 
 def test_run_aborts_on_nonfinite():
@@ -476,7 +497,7 @@ def test_stage_remap_matches_per_term_stages_real_and_complex(tableau):
 def test_stage_operators_skip_zero_coefficients():
     # DIRK3-B10's last stage reads the values and the third increment only
     # (a_41 = a_42 = 0): one remap of two terms
-    cfg = _linear_cfg(tableau="DIRK3-B10")
+    cfg = _nonlinear_cfg(tableau="DIRK3-B10")
     A = cfg.tableau.A
     assert A[3, 0] == 0.0 and A[3, 1] == 0.0 and A[3, 2] != 0.0
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
@@ -515,7 +536,7 @@ def test_operator_cache_holds_one_step_size():
 def test_warm_step_runs_kept_remap_bindings(monkeypatch):
     # a warm step makes one apply per stage on the bindings its operators
     # kept; a new dt builds and binds new operators, once
-    cfg = _linear_cfg(tableau="DIRK3-B10", n=20)
+    cfg = _nonlinear_cfg(tableau="DIRK3-B10", n=20)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
                             * (1.5 if v > 0 else 0.5)).values
@@ -558,7 +579,7 @@ def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
     # every weight and divisor sits in the remap matrices: a stage's
     # prediction binds one take and one product of every term's both
     # overlaps, and no stage divides
-    cfg, f0 = build_case("5.1", tableau, 1e-6, 0.005)
+    cfg, f0 = build_case("5.2", tableau, 1e-6, 0.005)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     values = f0.values
     for _ in range(2):
@@ -574,7 +595,7 @@ def test_warm_two_velocity_step_remap_kernels(tableau, kernels):
 def test_warm_two_velocity_plan_binds_no_python_float():
     # a Python float operand costs every ufunc call a conversion; the plan
     # binds each scalar as a 0-d array of the workspace dtype instead
-    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.005)
+    cfg, f0 = build_case("5.2", "DIRK3-B10", 1e-6, 0.005)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     for values in (f0.values, (0.8 - 0.3j) * f0.values):
         for _ in range(2):
@@ -585,7 +606,9 @@ def test_warm_two_velocity_plan_binds_no_python_float():
         args = [a for op, _, kernels in stages
                 for _, bound in kernels + list(op._bound[5]) for a in bound]
         assert not any(isinstance(a, float) for a in args), dtype
-        scalars = [a for a in args if isinstance(a, np.ndarray) and a.ndim == 0]
+        # each scalar once: the quadratic-flux equilibrium binds its 1/2 twice
+        scalars = list({id(a): a for a in args
+                        if isinstance(a, np.ndarray) and a.ndim == 0}.values())
         # the last stage's two scales and each stage's two coefficients;
         # the weights and divisors sit in the remap matrices
         assert len(scalars) == 2 + 4 * 2, dtype
@@ -596,7 +619,7 @@ def test_alternating_dtypes_keep_their_bindings(monkeypatch):
     # each dtype's workspace owns its stage operators, so real and complex
     # values stepped in turn bind no remap on a warm step, and each step
     # has the bits of a solver that steps one dtype only
-    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.005, n_elements=20)
+    cfg, f0 = build_case("5.2", "DIRK3-B10", 1e-6, 0.005, n_elements=20)
 
     def fresh():
         return SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
@@ -633,6 +656,124 @@ def test_values_of_another_shape_are_rejected():
                                + r".*" + re.escape("(2, 20, 3)")):
                 call(bad)
             assert solver._workspaces == workspaces
+
+
+# ---------------------------------------------------------------------------
+# the compiled step of the linear model
+# ---------------------------------------------------------------------------
+
+class _Planned(LinearTwoVelocity):
+    """The linear model stepped through its stage plan, the source of its
+    compiled step."""
+    linear = False
+
+
+def _solvers(cfg):
+    """A solver of ``cfg`` and one that steps the same model through its plan."""
+    return tuple(SemiLagrangianSolver(model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+                 for model in (cfg.model, _Planned(cfg.model.b)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_compiled_step_matches_the_plan(degree, n):
+    # on 1, 2 and 4 elements the step reaches further than the mesh, so
+    # every offset wraps; float32 values step in float64, complex ones in
+    # complex128, and one solver takes real and complex values in turn
+    for tableau in ("DIRK3-B2", "DIRK3-B10"):
+        cfg = _linear_cfg(tableau=tableau, n=n, eps=1e-3, cfl=0.7, degree=degree)
+        real = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                              * (1.5 if v > 0 else 0.5)).values
+        cplx = (0.8 - 0.3j) * real + 0.2j
+        for dt in (cfg.dt, 2.3 * cfg.mesh.dx):
+            for starts in ([real.astype(np.float32)], [real], [cplx], [real, cplx]):
+                compiled, planned = _solvers(cfg)
+                values = starts
+                for _ in range(3):
+                    values = [compiled.step_values(v, dt) for v in values]
+                    for v, out in zip(starts, values):
+                        assert_close(out, planned.step_values(v, dt))
+                    starts = values
+
+
+def test_compiled_warm_step_allocates_only_its_result(monkeypatch):
+    # a warm step is one take into the workspace's gather buffer and one
+    # matmul that writes the fresh result; it runs no remap
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.1)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = solver.step_values(f0.values, cfg.dt)
+    applies = []
+    apply = ShiftOperator.apply
+    monkeypatch.setattr(ShiftOperator, "apply", lambda *a, **k: applies.append(1) or apply(*a, **k))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = solver.step_values(values, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 1024, peak - out.nbytes
+    assert applies == []
+
+
+def test_compiled_step_is_built_once_per_dt(monkeypatch):
+    # each new dt builds one stencil, from one long-double plan that no
+    # workspace keeps; the same dt again reuses the stencil
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.5, n_elements=20)
+    compiled, planned = _solvers(cfg)
+    builds = []
+    stencil = SemiLagrangianSolver._stencil
+    monkeypatch.setattr(SemiLagrangianSolver, "_stencil",
+                        lambda self, ws, dt: builds.append(dt) or stencil(self, ws, dt))
+    values = f0.values
+    for dt, built in ((cfg.dt, 1), (cfg.dt, 0), (0.5 * cfg.dt, 1), (0.5 * cfg.dt, 0),
+                      (cfg.dt, 1)):
+        builds.clear()
+        out = compiled.step_values(values, dt)
+        assert builds == [dt] * built, dt
+        assert_close(out, planned.step_values(values, dt))
+        values = out
+    assert list(compiled._workspaces) == [np.dtype(float)]
+
+
+def test_compiled_run_stays_near_a_long_double_run_of_the_plan():
+    # 2,000 steps in both regimes: the stencil is rounded once from a
+    # long-double build, and its float64 run stays within 5e-13 of the
+    # plan run in long double (at most 1.3e-13 measured)
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double has no more precision than float64 here")
+    for eps in (1e-6, 1e-2):
+        for tableau in ("DIRK3-B2", "DIRK3-B10"):
+            cfg, f0 = build_case("5.1", tableau, eps, 0.1, n_elements=40)
+            compiled, planned = _solvers(cfg)
+            values, exact = f0.values, f0.values.astype(np.longdouble)
+            for _ in range(2000):
+                values = compiled.step_values(values, cfg.dt)
+                exact = planned.step_values(exact, cfg.dt)
+            assert_close(values.astype(np.longdouble), exact, rtol=5e-13)
+
+
+@pytest.mark.parametrize("tableau,unstable", [("DIRK3-B10", (1.150, 1.479)),
+                                              ("DIRK3-B2", (1.181, 1.356))])
+def test_stencil_symbol_gives_the_quoted_spectral_radii(tableau, unstable):
+    # the FFT of the stencil over its offsets is the step's (n_v q)^2 block
+    # per wavenumber; preset 5.1 at degree 3, 160 elements, eps 1e-10 is
+    # stable at criterion 9's CFLs and not at CFL 0.7 and 0.8
+    cfg, f0 = build_case("5.1", tableau, 1e-10, 0.1, degree=3)
+    n_v, n, q = f0.values.shape
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    radii = []
+    for cfl in (0.075, 0.15, 0.3, 0.6, 0.7, 0.8):
+        solver.step_values(f0.values, cfl * cfg.mesh.dx)
+        (ws,) = solver._workspaces.values()
+        offsets, _, _, stack = ws.plan
+        # stack[w, (d, v, j), a] is entry ((w, a), (v, j)) of the block of offset d
+        blocks = np.zeros((n, n_v * q, n_v * q))
+        blocks[offsets] = stack.reshape(n_v, len(offsets), n_v, q, q).transpose(
+            1, 0, 4, 2, 3).reshape(len(offsets), n_v * q, n_v * q)
+        radii.append(np.max(np.abs(np.linalg.eigvals(np.fft.fft(blocks, axis=0)))))
+    np.testing.assert_allclose(radii[:4], 1.0, rtol=0.0, atol=1e-14)
+    assert tuple(np.round(radii[4:], 3)) == unstable, radii
 
 
 def _dt_weighted_step(solver, values, dt):
@@ -786,7 +927,7 @@ def test_fluid_limit_per_mode_orders():
         assert slope == pytest.approx(expected, abs=0.15), (name, slope)
 
 
-@pytest.mark.parametrize("example", ["5.1", "5.3"])
+@pytest.mark.parametrize("example", ["5.2", "5.3"])
 def test_diagnostics_take_moments_once_per_record(example, monkeypatch):
     cfg, f0 = build_case(example, "DIRK3-B10", 1e-6, 0.5, n_elements=8, degree=2, n_v=16)
     calls = []
