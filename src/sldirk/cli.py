@@ -245,10 +245,9 @@ def _write_snapshot(prefix, cfg, result):
     _write(f"{prefix}_macro.csv", harness.rows_to_csv(macro_rows, macro_header))
 
     diag_header = ("step", "t") + cfg.model.invariant_names + ("equilibrium_distance",)
-    diag_rows = []
-    for i, t in enumerate(result.times):
-        diag_rows.append((i, float(t)) + tuple(map(float, result.invariants[i]))
-                         + (float(result.equilibrium_distance[i]),))
+    diag_rows = [(step, t) + tuple(map(float, inv)) + (float(dist),)
+                 for step, t, inv, dist in zip(result.steps.tolist(), result.times.tolist(),
+                                               result.invariants, result.equilibrium_distance)]
     _write(f"{prefix}_diagnostics.csv", harness.rows_to_csv(diag_rows, diag_header))
 
 

@@ -197,11 +197,12 @@ class StudyResult:
 
 
 def fit_slope(dts, errors) -> float:
-    """Least-squares slope of log(error) vs log(dt), skipping bad rows."""
+    """Least-squares slope of log(error) vs log(dt), skipping bad rows; NaN
+    unless the rows kept have at least two distinct step sizes."""
     dts = np.asarray(dts, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = np.isfinite(errors) & (errors > 0.0)
-    if keep.sum() < 2:
+    if len(set(dts[keep].tolist())) < 2:
         return math.nan
     coeffs = np.polyfit(np.log(dts[keep]), np.log(errors[keep]), 1)
     return float(coeffs[0])
@@ -225,8 +226,9 @@ def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float,
                 err = _case_error(run(cfg, f0, diagnostics_every=0), reference, study.error_on)
             except SimulationError:
                 pass
+        # a dt past T runs one step of size T
         rows.append(ConvergenceRow(example=study.example, tableau=tableau_name,
-                                   eps=eps, cfl=cfl, dt=cfg.dt, error=err))
+                                   eps=eps, cfl=cfl, dt=min(cfg.dt, cfg.t_final), error=err))
     slope = fit_slope([r.dt for r in rows], [r.error for r in rows])
     return rows, slope
 

@@ -34,19 +34,25 @@ subtraction, or the last stage's two scaled terms).  A warm step copies
 its input in and runs only bound kernels; it allocates no field-sized
 array except the one it returns.
 
-A linear model (``model.linear``) steps through a compiled stencil
-instead.  On the uniform periodic mesh its step is a block-circulant map
-over the few element offsets it reaches; the workspace builds that
-stencil once per step size from the stage plan, run on unit impulses in
-long double and rounded once to the workspace dtype.  A warm step is then
-one ``take`` into a gather buffer and one ``matmul`` that writes the
-result.
+A linear model (``model.linear``) steps through a compiled step instead.
+On the uniform periodic mesh its step is a block-circulant map over the
+few element offsets it reaches.  Once per step size the solver runs the
+stage plan on unit impulses in long double; those responses are the
+stencil, and their DFT over the offsets is the step's Fourier symbol,
+one (n_v q) x (n_v q) block per wavenumber.  Every workspace shares that
+build.  A warm single step is one ``take`` into a gather buffer and one
+``matmul`` with the stencil, rounded once to the workspace dtype.  Many
+steps at once are one FFT pair around a product with the symbol's power,
+raised in long double and rounded once to complex128.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -56,6 +62,9 @@ from .models import DivergenceError, KineticModel, SimulationError, UnphysicalSt
 
 #: highest supported polynomial degree per element
 MAX_DEGREE = 4
+
+#: the dtypes that every supported numpy transforms in their own precision
+_FFT_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
 def _require_positive(name: str, value) -> None:
@@ -99,6 +108,8 @@ class RunResult:
     invariants: np.ndarray
     equilibrium_distance: np.ndarray
     n_steps: int
+    #: the step number of each record, 0 for the initial data
+    steps: np.ndarray
 
 
 class _Workspace:
@@ -128,8 +139,24 @@ class _Workspace:
         self.plan = None
 
 
+@dataclass
+class _LinearStep:
+    """A linear model's step of size ``dt``, built once and shared by every
+    workspace: the element offsets it reaches, the flat indexes that gather
+    values[v, i - d, j] into row i of a gather buffer, the long-double
+    stencil stack, the long-double symbol of the wavenumbers 0 ... n_el // 2
+    and its powers rounded to complex128, by step count."""
+    dt: float
+    offsets: np.ndarray
+    rows: np.ndarray
+    stack: np.ndarray
+    symbol: np.ndarray
+    powers: dict = field(default_factory=dict)
+
+
 class SemiLagrangianSolver:
-    """Reusable stepper; each workspace keeps the stage plan of its last dt.
+    """Reusable stepper; each workspace keeps the stage plan of its last dt,
+    and a linear model's compiled step of the last dt is shared by all.
 
     The same solver instance must not be shared across threads while
     stepping (the workspaces mutate), but distinct instances are
@@ -149,6 +176,8 @@ class SemiLagrangianSolver:
         A = tableau.A
         self._earlier = [[j for j in range(k) if A[k, j] != 0.0] for k in range(tableau.s)]
         self._workspaces: dict[np.dtype, _Workspace] = {}
+        # a linear model's step of the last dt
+        self._linear: _LinearStep | None = None
 
     def _new_workspace(self, dtype) -> _Workspace:
         """A new workspace for values of ``dtype``, kept by no one."""
@@ -203,21 +232,27 @@ class SemiLagrangianSolver:
         ws.dt, ws.plan = dt, (stages, M)
         return ws.plan
 
-    def _stencil(self, ws: _Workspace, dt: float) -> tuple:
-        """The stencil of ``ws`` for step size ``dt``, a linear model's step
-        compiled: on the uniform periodic mesh that step is the block
-        circulant map
+    def _linear_step(self, dt: float) -> _LinearStep:
+        """The linear model's step of size ``dt``, built on the first call
+        for that dt."""
+        if self._linear is None or self._linear.dt != dt:
+            self._linear = self._compile(dt)
+        return self._linear
+
+    def _compile(self, dt: float) -> _LinearStep:
+        """A linear model's step compiled: on the uniform periodic mesh it is
+        the block circulant map
 
             out[w, i, a] = sum over d in D, v, j of K[w, d, v, j, a] * values[v, i - d, j]
 
         over the element offsets D it reaches.  K is the step of the unit
         impulses of element 0, run through the stage plan in long double;
-        the offsets of exact zeros lie beyond the reach (on a mesh
-        narrower than the reach every offset stays and wraps), and K is
-        rounded once to the workspace dtype.  Returns D, the flat indexes
-        that gather values[v, i - d, j] into row i of the gather buffer,
-        that buffer, (n_el, |D| * n_v * q), and the (n_v, |D| * n_v * q, q)
-        stack of K."""
+        the offsets of exact zeros lie beyond the reach (on a mesh narrower
+        than the reach every offset stays and wraps).  The symbol of
+        wavenumber k is the block sum over d of K[:, d] exp(-2 pi i k d / n_el),
+        with rows (w, a) and columns (v, j), its phases taken in long double
+        too.  Where long double is no wider than float64, all of this
+        composes in float64 precision."""
         n_v, n, q = self._shape
         exact = self._new_workspace(np.longdouble)
         stages, M = self._stage_plan(exact, dt)
@@ -231,13 +266,50 @@ class SemiLagrangianSolver:
                 response[v, j] = self._run_plan(exact, impulse, stages, M)
                 impulse[v, 0, j] = 0.0
         offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
-        stack = response[:, :, :, offsets].transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
+        kept = response[:, :, :, offsets]
+        stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
         i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
         rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
-        dtype = ws.stages.dtype
-        ws.dt, ws.plan = dt, (offsets, rows, np.empty((n, rows.size // n), dtype),
-                              np.ascontiguousarray(stack.astype(dtype)))
+        # the angle 2 pi (k d mod n) / n, reduced while exact
+        k = np.arange(n // 2 + 1)[:, None]
+        angle = (2 * np.arccos(np.longdouble(-1)) / n) * (k * offsets % n)
+        blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
+        symbol = (np.exp(-1j * angle) @ blocks).reshape(len(k), n_v * q, n_v * q)
+        return _LinearStep(dt, offsets, rows, stack, symbol)
+
+    def _stencil(self, ws: _Workspace, dt: float) -> tuple:
+        """The stencil of ``ws`` for step size ``dt``: the gather indexes,
+        a gather buffer (n_el, |D| * n_v * q) and the (n_v, |D| * n_v * q, q)
+        stack of K rounded once to the workspace dtype."""
+        step, n, dtype = self._linear_step(dt), self._shape[1], ws.stages.dtype
+        gathered = np.empty((n, step.rows.size // n), dtype)
+        ws.dt, ws.plan = dt, (step.rows, gathered, np.ascontiguousarray(step.stack.astype(dtype)))
         return ws.plan
+
+    def _jump(self, values: np.ndarray, dt: float, steps: int) -> np.ndarray:
+        """``steps`` steps of a linear model at once, for float64 or complex128
+        work: the rfft of the values over the elements, times the symbol to
+        the power ``steps``, transformed back.  The power is raised in long
+        double and kept, rounded once to complex128, for the next span of
+        as many steps.  The step has real coefficients, so complex values
+        go as their real and imaginary parts."""
+        n_v, n, q = self._shape
+        step = self._linear_step(dt)
+        power = step.powers.get(steps)
+        if power is None:
+            power = step.powers[steps] = np.linalg.matrix_power(step.symbol, steps).astype(complex)
+        cplx = np.iscomplexobj(values)
+        parts = np.stack((values.real, values.imag)) if cplx else values[None]
+        # (parts, n_v, k, q) -> a (n_v q, parts) column block per wavenumber k
+        spectrum = np.fft.rfft(parts.astype(float, copy=False), axis=2)
+        columns = spectrum.transpose(2, 1, 3, 0).reshape(len(power), n_v * q, len(parts))
+        moved = np.matmul(power, columns).reshape(len(power), n_v, q, len(parts))
+        out = np.fft.irfft(moved.transpose(3, 1, 0, 2), n, axis=2)
+        if not cplx:
+            return out[0]
+        result = np.empty(self._shape, complex)
+        result.real, result.imag = out
+        return result
 
     def _located(self, exc: UnphysicalStateError, context: str) -> UnphysicalStateError:
         """``exc`` restated after ``context``, with the coordinate of the
@@ -249,16 +321,27 @@ class SemiLagrangianSolver:
             where = f" near x = {x:.6g}"
         return UnphysicalStateError(f"{context}{where}: {exc}")
 
-    def step_values(self, values: np.ndarray, dt: float) -> np.ndarray:
-        """Advance raw nodal values (n_v, n_el, q) by one step of size dt.
+    def step_values(self, values: np.ndarray, dt: float, steps: int = 1) -> np.ndarray:
+        """Advance raw nodal values (n_v, n_el, q) by ``steps`` steps of size dt.
 
         The result is a fresh array; everything else lives in the solver's
         workspace for the values' dtype.  Values of another shape raise
-        ``ValueError``.
+        ``ValueError``, as does a ``steps`` that is not a whole number >= 1.
+        A linear model takes several steps in float64 or complex128 work as
+        one jump through its symbol's power (to roundoff, the same as
+        stepping them in turn); other models and work dtypes step in turn.
         """
         ws = self._workspace(values)
+        if steps != 1:
+            if not (isinstance(steps, numbers.Integral) and steps >= 1):
+                raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
+            if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
+                return self._jump(values, dt, steps)
+            for _ in range(steps):
+                values = self.step_values(values, dt)
+            return values
         if self.model.linear:
-            _, rows, gathered, stack = ws.plan if ws.dt == dt else self._stencil(ws, dt)
+            rows, gathered, stack = ws.plan if ws.dt == dt else self._stencil(ws, dt)
             # take writes only into its own dtype; the rows are in range, and
             # mode="clip" spares the buffered copy of mode="raise"
             values.astype(gathered.dtype, copy=False).reshape(-1).take(
@@ -308,14 +391,18 @@ class SemiLagrangianSolver:
 def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResult:
     """Advance from t = 0 to t_final with fixed dt; unless t_final is a whole
     number of steps (to 1e-12 of a step), the last step shrinks to land on
-    t_final.  The last recorded time is t_final.
+    t_final.  The last recorded time is t_final; each other time is the
+    sum of the step sizes before it, added in turn.
 
     ``diagnostics_every`` controls how often the conservation/relaxation
     diagnostics are recorded (0 records only the endpoints; a negative
-    value raises ``ValueError``).  Aborts with :class:`DivergenceError` as
-    soon as the field stops being finite; a :class:`SimulationError` from a
-    step or from its diagnostics carries that step and its end time (step 0
-    and time 0 for the initial data).
+    value raises ``ValueError``).  A linear model goes from one record to
+    the next in one ``step_values`` call; other models take one step per
+    call.  Aborts with :class:`DivergenceError` as soon as the field stops
+    being finite (a jump that ends non-finite is taken again one step at a
+    time, to find that step); a :class:`SimulationError` from a step or
+    from its diagnostics carries that step and its end time (step 0 and
+    time 0 for the initial data).
     """
     if diagnostics_every < 0:
         raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")
@@ -325,12 +412,20 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     # a t_final of a whole number of steps takes full steps only, rather
     # than a last one shortened by the roundoff of the summed times
     whole = n_steps - cfg.t_final / dt <= 1e-12
+    full = n_steps if whole else n_steps - 1
+    # the steps after which a record is taken
+    marks = [*range(diagnostics_every, n_steps, diagnostics_every)] if diagnostics_every else []
+    marks.append(n_steps)
 
     values = np.array(initial.values)
     # the check of each step's values: the reduction ndarray.all makes,
     # without its Python wrapper
     finite = np.empty(values.shape, bool)
-    if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
+
+    def is_finite(values):
+        return np.logical_and.reduce(np.isfinite(values, out=finite), axis=None)
+
+    if not is_finite(values):
         raise DivergenceError("initial data contains non-finite values", step=0, time=0.0)
     times, invariants, eq_dist = [0.0], [], []
 
@@ -343,23 +438,40 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
         except UnphysicalStateError as exc:
             raise solver._located(exc, f"diagnostics after step {step}") from exc
 
+    step, t = 0, 0.0
+
+    def advance(values, count, size):
+        # count steps of size after step `step`, time t: a linear model jumps,
+        # and a jump that ends non-finite is taken again step by step
+        nonlocal step, t
+        if count > 1 and cfg.model.linear:
+            jumped = solver.step_values(values, size, count)
+            if is_finite(jumped):
+                step += count
+                # the time is the sum of the steps, added in turn
+                t = cfg.t_final if step == n_steps else reduce(add, repeat(size, count), t)
+                return jumped
+        for _ in range(count):
+            step += 1
+            t = cfg.t_final if step == n_steps else t + size
+            values = solver.step_values(values, size)
+            if not is_finite(values):
+                raise DivergenceError(
+                    f"non-finite values after step {step} (t = {t:.6g}, "
+                    f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
+        return values
+
     # overflow during a diverging run is reported via DivergenceError, not
     # as numpy warnings
-    step, t = 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             record(values, 0)
-            for step in range(1, n_steps + 1):
-                step_dt = dt if whole else min(dt, cfg.t_final - t)
-                t = cfg.t_final if step == n_steps else t + step_dt
-                values = solver.step_values(values, step_dt)
-                if not np.logical_and.reduce(np.isfinite(values, out=finite), axis=None):
-                    raise DivergenceError(
-                        f"non-finite values after step {step} (t = {t:.6g}, "
-                        f"tableau {cfg.tableau.name!r}, cfl = {cfg.cfl})")
-                if (diagnostics_every and step % diagnostics_every == 0) or step == n_steps:
-                    times.append(t)
-                    record(values, step)
+            for mark in marks:
+                values = advance(values, min(mark, full) - step, dt)
+                if step < mark:  # the shortened last step
+                    values = advance(values, 1, min(dt, cfg.t_final - t))
+                times.append(t)
+                record(values, mark)
         except SimulationError as exc:
             exc.step, exc.time = step, t
             raise
@@ -368,7 +480,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     macro = DGField(mesh=cfg.mesh, values=cfg.model.moments(values))
     return RunResult(config=cfg, final=final, macro=macro,
                      times=np.asarray(times), invariants=np.asarray(invariants),
-                     equilibrium_distance=np.asarray(eq_dist), n_steps=n_steps)
+                     equilibrium_distance=np.asarray(eq_dist), n_steps=n_steps,
+                     steps=np.array([0] + marks))
 
 
 def l1_error(a: DGField, b: DGField, velocity_weights=None) -> float:

@@ -262,6 +262,18 @@ def test_simulate_writes_snapshots(capsys, tmp_path):
     assert abs(mass[-1] - mass[0]) < 1e-12 * abs(mass[0])
 
 
+def test_simulate_diagnostics_name_each_record_by_its_step(capsys, tmp_path):
+    # 16 steps to T = 1, recorded every 5 steps and at the last one
+    prefix = str(tmp_path / "lin")
+    code, _, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8", "--T", "1",
+                         "--diag-every", "5", "--out", prefix)
+    assert code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "lin_diagnostics.csv").read_text().strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["0", "5", "10", "15", "16"]
+    assert rows[-1][1] == "1.0"
+
+
 def test_simulate_states_the_stiffness_regime(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
                            "--eps", "1e-3", "--cfl", "0.5", "--T", "0.02")

@@ -34,6 +34,22 @@ def test_fit_slope_skips_nan_rows():
     assert math.isnan(fit_slope(dts, [math.nan] * 4))
 
 
+def test_fit_slope_needs_two_distinct_step_sizes():
+    assert math.isnan(fit_slope([1e-3] * 3, [1e-6, 2e-6, 3e-6]))
+    assert math.isnan(fit_slope([1e-3, 1e-3, 2e-3], [1e-6, 2e-6, math.nan]))
+
+
+def test_sweep_past_t_final_records_the_step_taken_and_no_slope():
+    # every dt (0.025 to 0.1) is past T = 0.01, so each run is one step of
+    # size T with the same error, and there is no slope to fit
+    study = ConvergenceStudy(example="5.1", tableaus=("BE",), eps_values=(1e-2,),
+                             cfl_values=(0.2, 0.4, 0.8), n_elements=8, t_final=0.01)
+    result = run_convergence(study)
+    assert [row.dt for row in result.rows] == [0.01] * 3
+    assert len({row.error for row in result.rows}) == 1
+    assert math.isnan(result.slope("BE", 1e-2))
+
+
 def test_build_case_two_velocity_well_prepared():
     for example in ("5.1", "5.2"):
         cfg, f0 = build_case(example, "DIRK2", 1e-2, 0.5, n_elements=16)

@@ -717,29 +717,120 @@ def test_compiled_warm_step_allocates_only_its_result(monkeypatch):
 
 
 def test_compiled_step_is_built_once_per_dt(monkeypatch):
-    # each new dt builds one stencil, from one long-double plan that no
-    # workspace keeps; the same dt again reuses the stencil
+    # each new dt builds one compiled step, from one long-double plan that
+    # no workspace keeps; real and complex values share it, and the same dt
+    # again reuses it
     cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.5, n_elements=20)
     compiled, planned = _solvers(cfg)
     builds = []
-    stencil = SemiLagrangianSolver._stencil
-    monkeypatch.setattr(SemiLagrangianSolver, "_stencil",
-                        lambda self, ws, dt: builds.append(dt) or stencil(self, ws, dt))
-    values = f0.values
+    build = SemiLagrangianSolver._compile
+    monkeypatch.setattr(SemiLagrangianSolver, "_compile",
+                        lambda self, dt: builds.append(dt) or build(self, dt))
+    values = [f0.values, (0.8 - 0.3j) * f0.values]
     for dt, built in ((cfg.dt, 1), (cfg.dt, 0), (0.5 * cfg.dt, 1), (0.5 * cfg.dt, 0),
                       (cfg.dt, 1)):
         builds.clear()
-        out = compiled.step_values(values, dt)
+        out = [compiled.step_values(v, dt) for v in values]
         assert builds == [dt] * built, dt
-        assert_close(out, planned.step_values(values, dt))
+        for v, o in zip(values, out):
+            assert_close(o, planned.step_values(v, dt))
         values = out
-    assert list(compiled._workspaces) == [np.dtype(float)]
+    assert list(compiled._workspaces) == [np.dtype(float), np.dtype(complex)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_jump_matches_stepping(degree, n):
+    # several steps of a linear model are one product with the symbol's
+    # power, also where every offset wraps; float32 values jump in float64
+    # and complex ones as their real and imaginary parts
+    cfg = _linear_cfg(tableau="DIRK3-B10", n=n, eps=1e-3, cfl=0.7, degree=degree)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    real = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))
+                          * (1.5 if v > 0 else 0.5)).values
+    for values in (real.astype(np.float32), real, (0.8 - 0.3j) * real + 0.2j):
+        stepped = values
+        for _ in range(7):
+            stepped = solver.step_values(stepped, cfg.dt)
+        assert_close(solver.step_values(values, cfg.dt, 7), stepped, rtol=1e-13)
+
+
+def test_steps_of_other_models_and_work_dtypes_go_in_turn():
+    # a nonlinear model and long-double work take several steps one by one
+    cfg = _linear_cfg(tableau="DIRK3-B10", n=8)
+    values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))).values
+    for model, start in ((NonlinearTwoVelocity(0.2), values),
+                         (cfg.model, values.astype(np.longdouble))):
+        solver = SemiLagrangianSolver(model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+        stepped = start
+        for _ in range(3):
+            stepped = solver.step_values(stepped, cfg.dt)
+        out = solver.step_values(start, cfg.dt, 3)
+        assert out.dtype == stepped.dtype and np.array_equal(out, stepped)
+
+
+@pytest.mark.parametrize("steps", [0, -2, 2.0, 1.5])
+def test_step_count_must_be_a_whole_number(steps):
+    cfg = _linear_cfg(n=8)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))).values
+    with pytest.raises(ValueError, match=re.escape(f"steps must be a whole number >= 1, "
+                                                   f"got {steps!r}")):
+        solver.step_values(values, cfg.dt, steps)
+
+
+@pytest.mark.parametrize("t_final", [0.28125, 0.29])
+def test_jumped_run_records_what_stepping_records(t_final, monkeypatch):
+    # dt = 3/320: T = 0.28125 is 30 whole steps and T = 0.29 ends with a
+    # shortened 31st; records every 7 steps jump from one to the next, the
+    # shortened step goes alone, and the times are the sums of stepping
+    cfg = _linear_cfg(tableau="DIRK3-B10", eps=1e-6, cfl=0.3, t_final=t_final)
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    stepped = run(cfg, f0, diagnostics_every=1)
+    assert stepped.steps.tolist() == list(range(stepped.n_steps + 1))
+    # stepping in turn: full steps, then what is left of T
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = f0.values
+    for _ in range(stepped.n_steps - 1):
+        values = solver.step_values(values, cfg.dt)
+    values = solver.step_values(values, min(cfg.dt, t_final - stepped.times[-2]))
+    assert_close(stepped.final.values, values, rtol=1e-14)
+    calls = []
+    step_values = SemiLagrangianSolver.step_values
+    monkeypatch.setattr(SemiLagrangianSolver, "step_values",
+                        lambda self, v, dt, steps=1: calls.append(steps)
+                        or step_values(self, v, dt, steps))
+    jumped = run(cfg, f0, diagnostics_every=7)
+    assert calls == ([7, 7, 7, 7, 2] if t_final == 0.28125 else [7, 7, 7, 7, 2, 1])
+    picked = jumped.steps
+    assert picked.tolist() == [*range(0, stepped.n_steps, 7), stepped.n_steps]
+    assert np.array_equal(jumped.times, stepped.times[picked])
+    assert jumped.times[-1] == t_final
+    assert_close(jumped.final.values, stepped.final.values, rtol=1e-12)
+    assert_close(jumped.invariants, stepped.invariants[picked], rtol=1e-12)
+    assert_close(jumped.equilibrium_distance, stepped.equilibrium_distance[picked], rtol=1e-12)
+
+
+def test_jumped_run_diverges_at_the_step_of_stepping():
+    # preset 5.1 at degree 3 is unstable at CFL 0.8 (rho 1.48) and
+    # overflows within the 2,400 steps to T = 12; the jump over the whole
+    # run ends non-finite and is taken again step by step, so it names the
+    # step and time that a run recording every step names
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-10, 0.8, degree=3, t_final=12.0)
+    failures = []
+    for every in (1, 0):
+        with pytest.raises(DivergenceError) as info:
+            run(cfg, f0, diagnostics_every=every)
+        failures.append((info.value.step, info.value.time, str(info.value)))
+    assert failures[0] == failures[1]
+    assert 1 < failures[0][0] < 2400
 
 
 def test_compiled_run_stays_near_a_long_double_run_of_the_plan():
     # 2,000 steps in both regimes: the stencil is rounded once from a
     # long-double build, and its float64 run stays within 5e-13 of the
-    # plan run in long double (at most 1.3e-13 measured)
+    # plan run in long double (at most 1.3e-13 measured); one jump over
+    # the 2,000 steps is no further from it
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("long double has no more precision than float64 here")
     for eps in (1e-6, 1e-2):
@@ -751,27 +842,33 @@ def test_compiled_run_stays_near_a_long_double_run_of_the_plan():
                 values = compiled.step_values(values, cfg.dt)
                 exact = planned.step_values(exact, cfg.dt)
             assert_close(values.astype(np.longdouble), exact, rtol=5e-13)
+            # the jump, powered in long double, stays closer still
+            jumped = compiled.step_values(f0.values, cfg.dt, 2000).astype(np.longdouble)
+            assert np.max(np.abs(jumped - exact)) <= np.max(np.abs(values - exact))
 
 
 @pytest.mark.parametrize("tableau,unstable", [("DIRK3-B10", (1.150, 1.479)),
                                               ("DIRK3-B2", (1.181, 1.356))])
 def test_stencil_symbol_gives_the_quoted_spectral_radii(tableau, unstable):
-    # the FFT of the stencil over its offsets is the step's (n_v q)^2 block
-    # per wavenumber; preset 5.1 at degree 3, 160 elements, eps 1e-10 is
-    # stable at criterion 9's CFLs and not at CFL 0.7 and 0.8
+    # the solver's symbol is the step's (n_v q)^2 block per wavenumber, the
+    # FFT of its stencil over the element offsets; preset 5.1 at degree 3,
+    # 160 elements, eps 1e-10 is stable at criterion 9's CFLs and not at
+    # CFL 0.7 and 0.8
     cfg, f0 = build_case("5.1", tableau, 1e-10, 0.1, degree=3)
     n_v, n, q = f0.values.shape
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     radii = []
     for cfl in (0.075, 0.15, 0.3, 0.6, 0.7, 0.8):
-        solver.step_values(f0.values, cfl * cfg.mesh.dx)
-        (ws,) = solver._workspaces.values()
-        offsets, _, _, stack = ws.plan
-        # stack[w, (d, v, j), a] is entry ((w, a), (v, j)) of the block of offset d
-        blocks = np.zeros((n, n_v * q, n_v * q))
-        blocks[offsets] = stack.reshape(n_v, len(offsets), n_v, q, q).transpose(
-            1, 0, 4, 2, 3).reshape(len(offsets), n_v * q, n_v * q)
-        radii.append(np.max(np.abs(np.linalg.eigvals(np.fft.fft(blocks, axis=0)))))
+        step = solver._linear_step(cfl * cfg.mesh.dx)
+        # the symbol of wavenumbers 0 ... n // 2; the rest are their conjugates
+        assert step.symbol.shape == (n // 2 + 1, n_v * q, n_v * q)
+        radii.append(np.max(np.abs(np.linalg.eigvals(step.symbol.astype(complex)))))
+    # stack[w, (d, v, j), a] is entry ((w, a), (v, j)) of the block of offset d
+    blocks = np.zeros((n, n_v * q, n_v * q))
+    blocks[step.offsets] = step.stack.astype(float).reshape(
+        n_v, len(step.offsets), n_v, q, q).transpose(1, 0, 4, 2, 3).reshape(
+        len(step.offsets), n_v * q, n_v * q)
+    assert_close(step.symbol.astype(complex), np.fft.rfft(blocks, axis=0), rtol=1e-15)
     np.testing.assert_allclose(radii[:4], 1.0, rtol=0.0, atol=1e-14)
     assert tuple(np.round(radii[4:], 3)) == unstable, radii
 
