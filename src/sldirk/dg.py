@@ -180,7 +180,10 @@ class ShiftOperator:
     element i - cells - 1 (its left piece, matrix A0) and source element
     i - cells (its aligned piece, A1) onto target element i, periodically.
     The remap is linear, so each term's weight is folded into its A0 and
-    A1 when the operator is built.
+    A1 when the operator is built.  ``reach`` holds, per term, the lowest
+    and highest element offset, target minus source, that it reads: the
+    least ``cells`` of its slices and the greatest plus one.  ``blocks``
+    holds each term's source block.
 
     Terms are processed in groups whose stacked float64 gather fits
     ``_GATHER_BUDGET`` bytes.  One indexed ``take`` gathers both source
@@ -234,6 +237,12 @@ class ShiftOperator:
         theta = np.where(bump, 0.0, theta)
         cells = cells.astype(int)
         n, q, L = mesh.n_elements, degree + 1, self._lead
+        self.blocks = blocks
+        # a slice's left piece lies cells + 1 elements before its target,
+        # its aligned piece cells elements
+        per_term = cells.reshape(m, L)
+        self.reach = tuple(zip(per_term.min(axis=1).tolist(),
+                               (per_term.max(axis=1) + 1).tolist()))
         # (w A0^T, w A1^T) of every (term, slice), the matrices of the products
         scale = np.repeat((1.0,) + self._weights, L)[:, None, None]
         pair = np.ascontiguousarray(np.swapaxes(np.stack(

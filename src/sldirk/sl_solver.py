@@ -37,13 +37,15 @@ array except the one it returns.
 A linear model (``model.linear``) steps through a compiled step instead.
 On the uniform periodic mesh its step is a block-circulant map over the
 few element offsets it reaches.  Once per step size the solver runs the
-stage plan on unit impulses in long double; those responses are the
-stencil, and their DFT over the offsets is the step's Fourier symbol,
-one (n_v q) x (n_v q) block per wavenumber.  Every workspace shares that
-build.  A warm single step is one ``take`` into a gather buffer and one
-``matmul`` with the stencil, rounded once to the workspace dtype.  Many
-steps at once are one FFT pair around a product with the symbol's power,
-raised in long double and rounded once to complex128.
+stage plan on unit impulses in long double, as many in each run as fit
+on the mesh spaced past the reach that the stage operators bound; those
+responses are the stencil, and their DFT over the offsets is the step's
+Fourier symbol, one (n_v q) x (n_v q) block per wavenumber.  Every
+workspace shares that build.  A warm single step is one ``take`` into a
+gather buffer and one ``matmul`` with the stencil, rounded once to the
+workspace dtype.  Many steps at once are one FFT pair around a product
+with the symbol's power, raised in long double and rounded once to
+complex128.
 """
 
 from __future__ import annotations
@@ -154,6 +156,30 @@ class _LinearStep:
     powers: dict = field(default_factory=dict)
 
 
+def _linear_step_of(dt: float, response: np.ndarray) -> _LinearStep:
+    """The compiled step of size ``dt`` from the long-double responses
+    ``response[v, j, w, d, a]``: node a of element d of velocity w after the
+    step of the unit impulse at node j of element 0 of velocity v.  The
+    offsets of exact zeros lie beyond the reach (on a mesh narrower than
+    the reach every offset stays and wraps).  The symbol of wavenumber k
+    is the block sum over d of K[:, d] exp(-2 pi i k d / n_el), with rows
+    (w, a) and columns (v, j), its phases taken in long double too.  Where
+    long double is no wider than float64, all of this composes in float64
+    precision."""
+    n_v, q, _, n, _ = response.shape
+    offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
+    kept = response[:, :, :, offsets]
+    stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
+    i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
+    rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
+    # the angle 2 pi (k d mod n) / n, reduced while exact
+    k = np.arange(n // 2 + 1)[:, None]
+    angle = (2 * np.arccos(np.longdouble(-1)) / n) * (k * offsets % n)
+    blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
+    symbol = (np.exp(-1j * angle) @ blocks).reshape(len(k), n_v * q, n_v * q)
+    return _LinearStep(dt, offsets, rows, stack, symbol)
+
+
 class SemiLagrangianSolver:
     """Reusable stepper; each workspace keeps the stage plan of its last dt,
     and a linear model's compiled step of the last dt is shared by all.
@@ -246,36 +272,51 @@ class SemiLagrangianSolver:
             out[w, i, a] = sum over d in D, v, j of K[w, d, v, j, a] * values[v, i - d, j]
 
         over the element offsets D it reaches.  K is the step of the unit
-        impulses of element 0, run through the stage plan in long double;
-        the offsets of exact zeros lie beyond the reach (on a mesh narrower
-        than the reach every offset stays and wraps).  The symbol of
-        wavenumber k is the block sum over d of K[:, d] exp(-2 pi i k d / n_el),
-        with rows (w, a) and columns (v, j), its phases taken in long double
-        too.  Where long double is no wider than float64, all of this
-        composes in float64 precision."""
+        impulses (v, j) of element 0, run through the stage plan in long
+        double.  The step commutes with translation, so one plan run
+        carries as many impulses as fit on the mesh spaced by the widest
+        stage reach (:meth:`_reach`), where no stage of one impulse meets a
+        stage of another, and reads each response from its impulse's
+        window of the step's reach: the bits of that impulse run alone.
+        Where only one window fits, a run carries one impulse and its
+        response is the whole field.  :func:`_linear_step_of` makes the
+        rest of the build."""
         n_v, n, q = self._shape
         exact = self._new_workspace(np.longdouble)
         stages, M = self._stage_plan(exact, dt)
-        impulse = np.zeros(self._shape, np.longdouble)
-        # response[v, j, w, d, a]: node a of element d of velocity w after
-        # the step of the impulse at node j of element 0 of velocity v
-        response = np.empty((n_v, q) + self._shape, np.longdouble)
-        for v in range(n_v):
-            for j in range(q):
-                impulse[v, 0, j] = 1.0
-                response[v, j] = self._run_plan(exact, impulse, stages, M)
-                impulse[v, 0, j] = 0.0
-        offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
-        kept = response[:, :, :, offsets]
-        stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
-        i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
-        rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
-        # the angle 2 pi (k d mod n) / n, reduced while exact
-        k = np.arange(n // 2 + 1)[:, None]
-        angle = (2 * np.arccos(np.longdouble(-1)) / n) * (k * offsets % n)
-        blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
-        symbol = (np.exp(-1j * angle) @ blocks).reshape(len(k), n_v * q, n_v * q)
-        return _LinearStep(dt, offsets, rows, stack, symbol)
+        reach = self._reach(stages)
+        spacing = max(hi - lo + 1 for lo, hi in reach)
+        per_run = max(1, n // spacing)
+        lo, hi = reach[-1]
+        # the elements a response is read from, by offset from its impulse
+        window = np.arange(lo, hi + 1) % n if per_run > 1 else np.arange(n)
+        impulses = [(v, j) for v in range(n_v) for j in range(q)]
+        field = np.zeros(self._shape, np.longdouble)
+        response = np.zeros((n_v, q) + self._shape, np.longdouble)
+        elements = range(0, per_run * spacing, spacing)
+        for first in range(0, len(impulses), per_run):
+            placed = list(zip(elements, impulses[first:first + per_run]))
+            for e, (v, j) in placed:
+                field[v, e, j] = 1.0
+            out = self._run_plan(exact, field, stages, M)
+            for e, (v, j) in placed:
+                field[v, e, j] = 0.0
+                response[v, j][:, window] = out[:, (e + window) % n]
+        return _linear_step_of(dt, response)
+
+    def _reach(self, stages: list) -> list[tuple[int, int]]:
+        """Per stage of the plan ``stages``, the lowest and highest element
+        offset from an impulse at which the stage's output can differ from
+        zero: the step-start slot reaches offset 0 only, a stage the hull
+        over its terms of the source slot's reach plus the term's, and the
+        increment slot of stage k what stage k reaches.  The last stage's is
+        the step's.  Impulses at least the widest of these apart never meet."""
+        slots = [(0, 0)]
+        for op, _, _ in stages:
+            reached = [(slots[b][0] + lo, slots[b][1] + hi)
+                       for b, (lo, hi) in zip(op.blocks, op.reach)]
+            slots.append((min(lo for lo, _ in reached), max(hi for _, hi in reached)))
+        return slots[1:]
 
     def _stencil(self, ws: _Workspace, dt: float) -> tuple:
         """The stencil of ``ws`` for step size ``dt``: the gather indexes,

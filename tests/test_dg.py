@@ -358,6 +358,22 @@ def test_multi_term_shift_matches_per_term_applies(degree, rng):
             assert np.array_equal(again, out), blocks
 
 
+def test_reach_spans_the_offsets_each_term_reads():
+    # per term, from the least cells of its slices to the greatest plus one:
+    # an impulse in element 0 of its source block lands only at those
+    # element offsets, target minus source
+    mesh = Mesh1D(0.0, 1.0, 64)
+    op = ShiftOperator(mesh, 2, _TERM_SHIFTS * mesh.dx, blocks=(3, 2, 1, 0),
+                       weights=(1.0, 1.0, 1.0))
+    assert op.blocks == (3, 2, 1, 0)
+    assert op.reach == ((-2, 1), (-3, 3), (-1, 8), (-4, 30))
+    for block, (lo, hi) in zip(op.blocks, op.reach):
+        values = np.zeros((12, 64, 3))
+        values[3 * block:3 * block + 3, 0] = 1.0
+        landed = np.flatnonzero(op.apply(values).any(axis=(0, 2)))
+        assert set((landed - lo) % 64 + lo) <= set(range(lo, hi + 1)), block
+
+
 def test_one_term_shift_is_the_plain_operator(rng):
     mesh = Mesh1D(0.0, 1.0, 16)
     for row in _TERM_SHIFTS * mesh.dx:

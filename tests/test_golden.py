@@ -8,9 +8,10 @@ A kernel change may reorder roundoff but must keep every field within
 each run's conservation drift within ``DRIFT_TOL``.
 
 ``data/golden_tableaus.npz`` holds, per catalog tableau, the residuals of
-``order_report`` (named by ``residual_names``) and the largest spectral
-radius of a ``scan`` over ``SCAN_GRID``.  They must stay within
-``RESIDUAL_ATOL`` and ``RHO_RTOL`` of the stored figures.
+``order_report`` (named by ``residual_names``), the largest spectral
+radius of a ``scan`` over ``SCAN_GRID`` and the grid point (b, k_dt, xi)
+where it lies.  They must stay within ``RESIDUAL_ATOL`` and ``RHO_RTOL``
+of the stored figures, and the point must be the stored one exactly.
 
 The stored results are fixed: write a file again only for a change that is
 meant to move its numerics, with
@@ -120,9 +121,10 @@ def tableau_figures(name: str) -> dict[str, np.ndarray]:
     """The stored figures of catalog tableau ``name``, computed by the current code."""
     tableau = catalog()[name]
     residuals = order_report(tableau).residuals
+    rho, *point = scan(tableau, *SCAN_GRID).max_point()
     return {"residual_names": np.array(list(residuals)),
             "residuals": np.array(list(residuals.values())),
-            "rho": np.array(scan(tableau, *SCAN_GRID).rho.max())}
+            "rho": np.array(rho), "max_point": np.array(point)}
 
 
 def tableau_mismatches(got: dict, ref: dict) -> list[str]:
@@ -137,12 +139,15 @@ def tableau_mismatches(got: dict, ref: dict) -> list[str]:
     rel = abs(got["rho"] - ref["rho"]) / abs(ref["rho"])
     if not rel <= RHO_RTOL:
         bad.append(f"rho: relative delta {rel:.3g}")
+    if not np.array_equal(got["max_point"], ref["max_point"]):
+        bad.append(f"max_point: {got['max_point']} against {ref['max_point']}")
     return bad
 
 
 def _stored_tableau(name: str) -> dict[str, np.ndarray]:
     with np.load(GOLDEN_TABLEAUS) as data:
-        return {key: data[f"{name}/{key}"] for key in ("residual_names", "residuals", "rho")}
+        return {key: data[f"{name}/{key}"]
+                for key in ("residual_names", "residuals", "rho", "max_point")}
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +163,9 @@ def test_tableaus_match_the_golden_figures(tableau_runs):
 
 
 def test_tableau_check_fails_on_a_perturbed_copy(tableau_runs):
-    # a residual moved by twice its tolerance, or rho by ten times its own,
-    # must fail, so neither tolerance can loosen unseen
+    # a residual moved by twice its tolerance, rho by ten times its own, or
+    # the maximum point by one ulp of one coordinate must fail, so no
+    # tolerance can loosen unseen
     for name, got in tableau_runs.items():
         ref = _stored_tableau(name)
         ref["residuals"][-1] += 2 * RESIDUAL_ATOL
@@ -167,6 +173,11 @@ def test_tableau_check_fails_on_a_perturbed_copy(tableau_runs):
         ref = _stored_tableau(name)
         ref["rho"] = ref["rho"] * (1 + 10 * RHO_RTOL)
         assert [m.split(":")[0] for m in tableau_mismatches(got, ref)] == ["rho"], name
+        for axis in range(3):
+            ref = _stored_tableau(name)
+            ref["max_point"][axis] = np.nextafter(ref["max_point"][axis], 1.0)
+            assert [m.split(":")[0] for m in tableau_mismatches(got, ref)] == ["max_point"], \
+                (name, axis)
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:

@@ -13,7 +13,7 @@ from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, maxwellian)
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
-                              l1_error, run)
+                              _linear_step_of, l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
 from conftest import assert_close, initial_field, random_sa_dirk, remap
 
@@ -736,6 +736,91 @@ def test_compiled_step_is_built_once_per_dt(monkeypatch):
             assert_close(o, planned.step_values(v, dt))
         values = out
     assert list(compiled._workspaces) == [np.dtype(float), np.dtype(complex)]
+
+
+def _one_impulse_per_run(solver, dt):
+    """The compiled step of ``dt`` built one impulse per plan run: each unit
+    impulse (v, j) of element 0 alone through the long-double plan, its
+    response the whole field."""
+    n_v, n, q = solver._shape
+    exact = solver._new_workspace(np.longdouble)
+    stages, M = solver._stage_plan(exact, dt)
+    impulse = np.zeros(solver._shape, np.longdouble)
+    response = np.empty((n_v, q) + solver._shape, np.longdouble)
+    for v in range(n_v):
+        for j in range(q):
+            impulse[v, 0, j] = 1.0
+            response[v, j] = solver._run_plan(exact, impulse, stages, M)
+            impulse[v, 0, j] = 0.0
+    return _linear_step_of(dt, response)
+
+
+def _step_reach(solver, dt):
+    """The lowest and highest element offset the step of ``dt`` can reach."""
+    return solver._reach(solver._stage_plan(solver._new_workspace(np.longdouble), dt)[0])[-1]
+
+
+@pytest.mark.parametrize("tableau", ["BE", "DIRK3-B2", "DIRK3-B10"])
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_impulses_sharing_plan_runs_build_the_bits_of_one_per_run(degree, tableau):
+    # on 1-4 elements a run carries one impulse, on the wider meshes several,
+    # and at CFL 5 on 16 elements one again
+    for n in (1, 2, 4, 16, 24, 160):
+        for cfl in (0.1, 0.7, 2.3, 5.0):
+            for eps in (1e-3, 1e-10):
+                cfg = _linear_cfg(tableau=tableau, n=n, eps=eps, cfl=cfl, degree=degree)
+                solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
+                                              cfg.eps)
+                got, ref = solver._compile(cfg.dt), _one_impulse_per_run(solver, cfg.dt)
+                for name in ("offsets", "rows", "stack", "symbol"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name)), \
+                        (n, cfl, eps, name)
+
+
+@pytest.mark.parametrize("tableau,n,degree,runs", [
+    ("DIRK3-B10", 160, 2, 1), ("DIRK3-B2", 160, 2, 1),  # the 5.1 desk size
+    ("DIRK3-B10", 32, 4, 4),  # 3 of the 10 impulses per run, 9 elements apart
+    ("DIRK3-B10", 4, 2, 6), ("DIRK3-B2", 4, 2, 6)])  # one impulse per run
+def test_a_build_runs_the_plan_once_per_group_of_impulses(tableau, n, degree, runs,
+                                                           monkeypatch):
+    cfg, _ = build_case("5.1", tableau, 1e-6, 0.1, n_elements=n, degree=degree)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    calls = []
+    run_plan = SemiLagrangianSolver._run_plan
+    monkeypatch.setattr(SemiLagrangianSolver, "_run_plan",
+                        lambda self, *a: calls.append(1) or run_plan(self, *a))
+    solver._compile(cfg.dt)
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_step_reach_holds_every_kept_offset(degree):
+    # on 80 elements no catalog step at these CFLs reaches around the mesh
+    # (DIRK3-B5, c_1 = 4.03, reaches +-38 at CFL 5), and each kept offset of
+    # a build of one impulse per run lies in its reach
+    n = 80
+    for name in catalog():
+        for cfl in (0.1, 0.7, 2.3, 5.0):
+            for eps in (1e-3, 1e-10):
+                cfg = _linear_cfg(tableau=name, n=n, eps=eps, cfl=cfl, degree=degree)
+                solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
+                                              cfg.eps)
+                lo, hi = _step_reach(solver, cfg.dt)
+                assert hi - lo + 1 < n, (name, cfl)
+                kept = _one_impulse_per_run(solver, cfg.dt).offsets
+                assert set(kept.tolist()) <= set(np.arange(lo, hi + 1) % n), (name, cfl, eps)
+
+
+@pytest.mark.parametrize("tableau,reach", [("DIRK3-B10", 4), ("DIRK3-B2", 3)])
+def test_step_reach_is_the_kept_span_at_the_desk_settings(tableau, reach):
+    # preset 5.1 at degree 2 on 160 elements, at the desk and reference CFLs
+    for cfl in (0.005, 0.1, 0.2, 0.4, 0.8):
+        cfg, _ = build_case("5.1", tableau, 1e-6, cfl)
+        solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+        n = cfg.mesh.n_elements
+        kept = (solver._linear_step(cfg.dt).offsets + reach) % n - reach
+        assert _step_reach(solver, cfg.dt) == (-reach, reach)
+        assert (kept.min(), kept.max()) == (-reach, reach), cfl
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
