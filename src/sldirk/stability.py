@@ -13,14 +13,16 @@ Since J = -(I - P0), with P0 the equilibrium projection, each stage
 inverse is P0 + r (I - P0) with r = 1 / (1 + a_kk * xi), so the map is a
 polynomial M = sum_kappa R_kappa(xi) N_kappa(b, k_dt) in the r of the
 distinct diagonal weights (s + 1 terms for a singly diagonal tableau).
-Per b, a scan builds the coefficients N over the k_dt grid, term-major as
-(2, 2, n_terms, n_kdt) so that each stage operation streams over
-contiguous k_dt rows; one real matrix product with R then writes the
-entry planes m[r, c] of shape (n_kdt, n_xi), and their eigenvalue
-magnitudes go into the slices of the (n_b, n_kdt, n_xi) result.
-``amplification`` runs the same kernel on a one-point grid.  At xi = inf
-all r vanish and only kappa = 0 survives: the stiff limit is exact, with
-no large finite xi and no inf / inf.
+Per b, a scan builds the coefficients N over the k_dt grid as
+(row, term, column, k_dt), so that each stage operation streams over
+contiguous k_dt rows and works only on the terms the stage can reach.
+Then, one block of k_dt rows at a time, a real matrix product with R
+writes the block's entry planes m[r, c] into a block-sized buffer, and
+the eigenvalue kernel reads them from cache into the slices of the
+(n_b, n_kdt, n_xi) result.  ``amplification`` runs the same recursion
+and one product on a one-point grid.  At xi = inf all r vanish and only
+kappa = 0 survives: the stiff limit is exact, with no large finite xi and
+no inf / inf.
 """
 
 from __future__ import annotations
@@ -106,13 +108,18 @@ def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):
     """The b-independent factors of the expanded map, built once per grid.
 
     ``start[l]`` is the diagonal of B_l as (2, nk) rows and ``coupling[l][j]``
-    that of C_lj as a (2, 1, 1, nk) row, to scale term-major coefficients.
-    The terms kappa count the stages of each distinct weight a_g, flattened
-    in C order, so a factor r_g = 1 / (1 + a_g * xi) moves a term
-    ``shift[l]`` places up for the weight of stage l.  ``weights`` is the
-    real kron(R, I_2), with R[kappa, xi] = prod_g r_g^kappa_g, applied to
-    real and imaginary parts.  ``work`` holds the term-major coefficients
-    of every stage plus two more, room that each b reuses.
+    that of C_lj as a (2, 1, 1, nk) array, whose row r scales row r of
+    coefficients laid out as (row, term, column, k).  The terms kappa count
+    the stages of each distinct weight a_g, flattened in C order, so the
+    factor r_g = 1 / (1 + a_g * xi) moves a term stride_g places up.  Stage
+    l, of weight a_g(l), thus reaches only the leading ``reach[l + 1]`` =
+    1 + stride_g(0) + ... + stride_g(l) terms; ``reach[0]`` = 1 is B_l's.
+    ``weights`` is the real kron(R, I_2), with R[kappa, xi] =
+    prod_g r_g^kappa_g, applied to real and imaginary parts; a scan
+    multiplies a block of k_dt rows of coefficients by it at a time.
+    ``work`` holds the coefficients of every stage plus two more, room that
+    each b reuses; it starts zero, and the terms a stage cannot reach stay
+    zero.
     """
     w, c = so.b_coeffs, so.c
     sign = np.array([[-1j], [1j]])
@@ -125,38 +132,58 @@ def _grid_factors(so: ShuOsherForm, kdt_grid, xi_grid):
     r = 1.0 / (1.0 + a_g[:, None] * xi_grid)
     kappa = np.indices(dims).reshape(len(dims), -1)
     weights = np.kron(np.prod(r[:, None, :] ** kappa[:, :, None], axis=0), np.eye(2))
-    work = np.empty((so.s + 2, 2, 2, kappa.shape[1], len(kdt_grid)), dtype=complex)
-    return start, coupling, stride[group], weights, work
+    reach = [1] + (1 + np.cumsum(stride[group])).tolist()
+    work = np.zeros((so.s + 2, 2, kappa.shape[1], 2, len(kdt_grid)), dtype=complex)
+    return start, coupling, reach, weights, work
+
+
+def _coefficients(b: float, factors) -> np.ndarray:
+    """The coefficients N_kappa of the one-step map at ``b``, as a
+    (2, 2, nk, n_terms) array in ``work``.
+
+    The stage recursion E_l = B_l + sum_{j<l} C_lj X_j, X_l = A_l^{-1} E_l
+    runs on coefficients (row, term, column, k), so the leading terms of a
+    row are one contiguous block, and stage l works only on the terms it can
+    reach.  Each coupling multiply streams over the contiguous terms of one
+    row, which numpy runs without iterator buffers (those of a broadcast
+    over both rows would be the largest allocation of a scan), and
+    I - P0 = -J moves a term one power of r_g up (P0 keeps it in place).
+    The last stage is transposed once, for a product with the weights.
+    """
+    start, coupling, reach, _, work = factors
+    p0, q = equilibrium_projection(b), -relaxation_jacobian(b)
+    stages, e, prod = work[:-2], work[-2], work[-1]
+    for l, x in enumerate(stages):
+        n, up = reach[l], reach[l + 1] - reach[l]  # the terms of E_l, their shift in X_l
+        head = e[:, :n]
+        head.fill(0.0)
+        head[0, 0, 0], head[1, 0, 1] = start[l]
+        for j in range(l):
+            n_j = reach[j + 1]
+            for r in range(2):
+                head[r, :n_j] += np.multiply(coupling[l][j][r], stages[j][r, :n_j],
+                                             out=prod[r, :n_j])
+        rows = head.reshape(2, -1)
+        np.matmul(p0, rows, out=x[:, :n].reshape(2, -1))
+        np.matmul(q, rows, out=prod[:, :n].reshape(2, -1))
+        if up < n:
+            x[:, up:n] += prod[:, :n - up]
+        x[:, max(n, up):n + up] = prod[:, max(n, up) - up:n]  # the terms [n, up) stay zero
+    _, n_terms, _, nk = e.shape
+    coeffs = e.reshape(2, 2, nk, n_terms)
+    np.copyto(coeffs, stages[-1].transpose(0, 2, 3, 1))
+    return coeffs
 
 
 def _one_step_planes(b: float, factors, out) -> np.ndarray:
     """Write the one-step map at ``b`` into ``out``, as complex planes
-    m[r, c] of shape (2, 2, nk, nxi), and return it.
-
-    The stage recursion E_l = B_l + sum_{j<l} C_lj X_j, X_l = A_l^{-1} E_l
-    runs on term-major coefficients of shape (2, 2, n_terms, nk), so each
-    coupling multiply and the shift of a term one power of r_g up (under
-    I - P0 = -J; P0 keeps it in place) stream over contiguous k_dt rows.
-    The last stage is transposed once to (2, 2, nk, n_terms), and one real
-    matrix product with the weights sums its terms.  The coefficients, the
-    coupling products and the transpose live in ``work``.
-    """
-    start, coupling, shift, weights, work = factors
-    p0, q = equilibrium_projection(b), -relaxation_jacobian(b)
-    stages, e, prod = work[:-2], work[-2], work[-1]
-    n_terms, nk = e.shape[2:]
-    rows, prod_rows = e.reshape(2, -1), prod.reshape(2, -1)
-    for l, x in enumerate(stages):
-        e.fill(0.0)
-        e[0, 0, 0], e[1, 1, 0] = start[l]
-        for j in range(l):
-            e += np.multiply(coupling[l][j], stages[j], out=prod)
-        np.matmul(p0, rows, out=x.reshape(2, -1))
-        np.matmul(q, rows, out=prod_rows)
-        x[:, :, shift[l]:] += prod[:, :, :-shift[l]]
-    coeffs = e.reshape(2, 2, nk, n_terms)
-    np.copyto(coeffs, stages[-1].transpose(0, 1, 3, 2))
-    np.matmul(coeffs.view(np.float64).reshape(4 * nk, -1), weights,
+    m[r, c] of shape (2, 2, nk, nxi), and return it: one real matrix
+    product of all k_dt rows of the coefficients with the weights sums
+    their terms; a scan runs the same product one block of rows at a
+    time."""
+    coeffs = _coefficients(b, factors)
+    nk = coeffs.shape[2]
+    np.matmul(coeffs.view(np.float64).reshape(4 * nk, -1), factors[3],
               out=out.view(np.float64).reshape(4 * nk, -1))
     return out
 
@@ -179,9 +206,10 @@ def _mask_in(plane):
     return np.ndarray(plane.shape, np.bool_, buffer=plane, strides=plane.strides)
 
 
-#: elements per block of the eigenvalue kernel: the four input planes, the
+#: elements per block of the eigenvalue kernel, and of the entry planes that
+#: a scan writes straight from the weights product: the four planes, the
 #: scratch and the output of 12,000 elements take 1.5 MB, which stays in a
-#: 2 MB per-core L2 cache across the kernel's passes
+#: 2 MB per-core L2 cache from the product through the kernel's passes
 _EIGEN_BLOCK = 12_000
 
 
@@ -301,7 +329,9 @@ def scan(t: ButcherTableau, b_grid, kdt_grid, xi_grid) -> StabilityScan:
 
     xi entries may include ``inf``.  Each b is evaluated on its own by the
     same operations, so a row's bits do not depend on the other b values
-    or their order.  A scalar is a one-point grid.  Raises ValueError for
+    or their order.  Per b, a block of ``_EIGEN_BLOCK // n_xi`` k_dt rows at
+    a time goes from the coefficients to its entry planes and eigenvalue
+    magnitudes, in buffers of one block.  A scalar is a one-point grid.  Raises ValueError for
     grids that are empty or not 1-D, and for values ``_check_grid``
     rejects.
     """
@@ -316,13 +346,24 @@ def scan(t: ButcherTableau, b_grid, kdt_grid, xi_grid) -> StabilityScan:
     b_grid, kdt_grid, xi_grid = grids
     _check_grid(b_grid, kdt_grid, xi_grid)
     factors = _grid_factors(to_shu_osher(t), kdt_grid, xi_grid)
-    lo, hi = np.empty((2, len(b_grid), len(kdt_grid), len(xi_grid)))
-    planes = np.empty((2, 2) + lo.shape[1:], dtype=complex)
-    m = np.moveaxis(planes, (0, 1), (-2, -1))
-    scratch = np.empty((3,) + lo.shape[1:], dtype=complex)
+    nk, nxi = len(kdt_grid), len(xi_grid)
+    lo, hi = np.empty((2, len(b_grid), nk, nxi))
+    rows = min(nk, max(1, _EIGEN_BLOCK // nxi))
+    planes = np.empty(4 * rows * nxi, dtype=complex)
+    scratch = np.empty(3 * rows * nxi, dtype=complex)
+    blocks = []  # per block of k_dt rows: the rows, its planes as floats and as maps, its scratch
+    for k in range(0, nk, rows):
+        n = min(rows, nk - k)
+        block = planes[:4 * n * nxi].reshape(2, 2, n, nxi)
+        blocks.append((slice(k, k + n), block.view(np.float64),
+                       np.moveaxis(block, (0, 1), (-2, -1)),
+                       scratch[:3 * n * nxi].reshape(3, n, nxi)))
+    weights = factors[3]
     for i, b in enumerate(b_grid.tolist()):
-        _one_step_planes(b, factors, planes)
-        eigenvalues_2x2(m, out=(lo[i], hi[i]), scratch=scratch)
+        coeffs = _coefficients(b, factors).view(np.float64)
+        for ks, block, m, block_scratch in blocks:
+            np.matmul(coeffs[:, :, ks], weights, out=block)
+            eigenvalues_2x2(m, out=(lo[i, ks], hi[i, ks]), scratch=block_scratch)
     return StabilityScan(tableau_name=t.name, b=b_grid, k_dt=kdt_grid,
                          xi=xi_grid, lam_small=lo, lam_large=hi)
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from sldirk.butcher import ButcherTableau, catalog, get_tableau, to_shu_osher
-from sldirk.stability import (XI_INF, StabilityPoint, amplification,
-                              eigenvalues_2x2, equilibrium_projection,
-                              relaxation_jacobian, scan, spectral_radius,
-                              stage_inverse)
-from conftest import random_sa_dirk
+from sldirk.stability import (DEFAULT_KDT_GRID, DEFAULT_XI_GRID, XI_INF,
+                              StabilityPoint, amplification, eigenvalues_2x2,
+                              equilibrium_projection, relaxation_jacobian,
+                              scan, spectral_radius, stage_inverse)
+from conftest import assert_close, random_sa_dirk
+
+#: weights (a, b, a): two distinct weights, one of them twice, so 3 x 2 terms
+_MIXED = ButcherTableau("mixed", [[0.3, 0.0, 0.0], [0.2, 0.5, 0.0], [0.4, 0.3, 0.3]])
 
 
 def _mode_recursion_oracle(t, b, k_dt, xi):
@@ -461,8 +464,7 @@ def test_grid_map_matches_butcher_oracle_off_the_catalog(rng):
     from sldirk.stability import _grid_factors, _one_step_planes
     kdt = np.array([0.0, 1.1, 2.0 * np.pi])
     xi = np.array([0.0, 0.7, 13.0, 1e3, XI_INF])
-    mixed = ButcherTableau("mixed", [[0.3, 0.0, 0.0], [0.2, 0.5, 0.0], [0.4, 0.3, 0.3]])
-    cases = [(mixed, 6)] + [(random_sa_dirk(rng, s, diag_lo=0.1), 2 ** s)
+    cases = [(_MIXED, 6)] + [(random_sa_dirk(rng, s, diag_lo=0.1), 2 ** s)
                             for s in range(1, 6) for _ in range(3)]
     for t, n_terms in cases:
         factors = _grid_factors(to_shu_osher(t), kdt, xi)
@@ -502,8 +504,9 @@ def test_radius_symmetric_in_b(name):
 
 
 def test_scan_working_set_is_a_few_planes():
-    # a scan keeps one map of four planes, three eigenvalue scratch planes
-    # and the small coefficient arrays; nothing of the size of the output
+    # a scan keeps the four entry planes and three eigenvalue scratch planes
+    # of one block of k_dt rows, and the coefficients of every stage;
+    # nothing of the size of the output
     import tracemalloc
     t = get_tableau("DIRK3-B10")
     b = np.array([0.0, 0.6, 1.0])
@@ -516,7 +519,7 @@ def test_scan_working_set_is_a_few_planes():
     finally:
         tracemalloc.stop()
     outputs = result.lam_small.nbytes + result.lam_large.nbytes
-    assert peak - outputs < 10 * plane
+    assert peak - outputs < 4 * plane
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +528,10 @@ def test_scan_working_set_is_a_few_planes():
 
 def _k_major_planes(t, b, kdt, xi):
     """One-step planes (2, 2, nk, nxi) by the stage recursion on k-major
-    coefficients (2, 2, nk, n_terms), with a new array for every product,
-    as ``_one_step_planes`` ran before it went term-major.  Kept as the
-    bit-for-bit reference of the term-major recursion."""
+    coefficients (2, 2, nk, n_terms), with a new array for every product
+    and every term in every stage, as ``_one_step_planes`` ran before it
+    went term-major.  Kept as the bit-for-bit reference of the recursion on
+    (row, term, column, k) coefficients over the terms each stage reaches."""
     so = to_shu_osher(t)
     w, c = so.b_coeffs, so.c
     kdt, xi = np.asarray(kdt, dtype=float), np.asarray(xi, dtype=float)
@@ -620,6 +624,41 @@ def test_scan_bits_match_the_k_major_recursion_and_masked_kernel(name):
             for xi in _PIN_XI:
                 m = amplification(t, StabilityPoint(b, float(k), float(xi))).m
                 assert np.array_equal(m, _k_major_planes(t, b, [k], [xi])[:, :, 0, 0]), (b, k, xi)
+
+
+def test_one_step_planes_bits_match_the_k_major_recursion_off_the_catalog(rng):
+    # weights (a, b, a) and distinct weights make multi-indexed terms, so a
+    # stage reaches its terms in steps of several places; the product of all
+    # rows keeps its operands, so its bits do not depend on the BLAS
+    from sldirk.stability import _grid_factors, _one_step_planes
+    cases = [(_MIXED, 6)] + [(random_sa_dirk(rng, s, diag_lo=0.1), 2 ** s)
+                             for s in range(3, 7) for _ in range(4)]
+    planes = np.empty((2, 2, len(_PIN_KDT), len(_PIN_XI)), dtype=complex)
+    for t, n_terms in cases:
+        factors = _grid_factors(to_shu_osher(t), _PIN_KDT, _PIN_XI)
+        assert factors[3].shape == (2 * n_terms, 2 * len(_PIN_XI))
+        for b in _PIN_B:
+            ref = _k_major_planes(t, b, _PIN_KDT, _PIN_XI)
+            assert np.array_equal(_one_step_planes(b, factors, planes), ref), (t.A, b)
+
+
+@pytest.mark.parametrize("name", ["BE", "DIRK3-B2", "DIRK3-B10", "random-4-stage"])
+def test_scan_block_seams_match_the_k_major_recursion_and_masked_kernel(name):
+    # the default grid runs as blocks of 117, 117, 117 and 50 k_dt rows; a
+    # product of fewer rows may round differently on another BLAS (here the
+    # 16 terms of the random tableau do), so this pin has a tolerance
+    from sldirk.stability import _EIGEN_BLOCK
+    kdt, xi = DEFAULT_KDT_GRID, DEFAULT_XI_GRID
+    rows = _EIGEN_BLOCK // len(xi)
+    assert rows < len(kdt) and len(kdt) % rows  # several blocks, the last one short
+    t = (random_sa_dirk(np.random.default_rng(4), 4, diag_lo=0.1)
+         if name.startswith("random") else get_tableau(name))
+    b_grid = (-1.0, 0.37, 1.0)
+    result = scan(t, b_grid, kdt, xi)
+    for i, b in enumerate(b_grid):
+        lo, hi = _masked_eigenvalues(np.moveaxis(_k_major_planes(t, b, kdt, xi), (0, 1), (-2, -1)))
+        assert_close(result.lam_small[i], lo, rtol=1e-14)
+        assert_close(result.lam_large[i], hi, rtol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (6, 5), (30_001,), (401, 102)])
