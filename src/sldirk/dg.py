@@ -174,7 +174,9 @@ class ShiftOperator:
     remaps block ``blocks[b]`` (default: block b) by row b of ``shifts``,
     and ``apply`` returns, with shape (L, n_el, q),
 
-        S_0 x_0 + sum_{b >= 1} weights[b - 1] * S_b x_b.
+        S_0 x_0 + sum_{b >= 1} weights[b - 1] * S_b x_b,
+
+    each weight one number or one number per slice.
 
     A slice shifted by ``cells`` whole elements and a fraction maps source
     element i - cells - 1 (its left piece, matrix A0) and source element
@@ -219,10 +221,13 @@ class ShiftOperator:
         terms = terms.reshape(-1, terms.shape[-1])
         m, self._lead = terms.shape
         blocks = tuple(range(m)) if blocks is None else tuple(int(b) for b in blocks)
-        self._weights = tuple(float(w) for w in weights)
-        if len(blocks) != m or len(self._weights) != m - 1 or min(blocks) < 0:
+        self._weights = tuple(float(w) if np.ndim(w) == 0 else tuple(map(float, w))
+                              for w in weights)
+        if (len(blocks) != m or len(self._weights) != m - 1 or min(blocks) < 0
+                or any(isinstance(w, tuple) and len(w) != self._lead for w in self._weights)):
             raise ValueError(f"{m} terms need {m} source blocks >= 0 and {m - 1} weights, "
-                             f"got blocks {blocks} and {len(self._weights)} weights")
+                             f"each one number or one per slice ({self._lead}), got blocks "
+                             f"{blocks} and weights {self._weights}")
         self.n_blocks = max(blocks) + 1
         nodes, weights = gauss_nodes(degree)
         z = terms.ravel() / mesh.dx
@@ -244,7 +249,8 @@ class ShiftOperator:
         self.reach = tuple(zip(per_term.min(axis=1).tolist(),
                                (per_term.max(axis=1) + 1).tolist()))
         # (w A0^T, w A1^T) of every (term, slice), the matrices of the products
-        scale = np.repeat((1.0,) + self._weights, L)[:, None, None]
+        scale = np.concatenate([np.broadcast_to(w, L) for w in (1.0,) + self._weights])
+        scale = scale[:, None, None]
         pair = np.ascontiguousarray(np.swapaxes(np.stack(
             _fractional_matrices(nodes, weights, theta)), -1, -2) * scale)
         # the flat source slice of every (term, slice)

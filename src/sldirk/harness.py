@@ -36,7 +36,8 @@ from .butcher import resolve_tableau
 from .dg import DGField, Mesh1D
 from .models import (BGK1D, N_V, V_MAX, LinearTwoVelocity, NonlinearTwoVelocity,
                      SimulationError, VelocitySet, maxwellian)
-from .sl_solver import RunResult, SimConfig, _require_positive, l1_error, run
+from .sl_solver import (RunResult, SemiLagrangianSolver, SimConfig, _require_positive,
+                        l1_error, run)
 
 #: the default mesh of a run: its elements, its elements at paper scale
 #: (the CLI's ``--paper-scale``) and the polynomial degree per element
@@ -211,24 +212,31 @@ def fit_slope(dts, errors) -> float:
 def _sweep_job(study: ConvergenceStudy, tableau_name: str, eps: float,
                cfg_ref: SimConfig, f0: DGField):
     """Reference run of the case (cfg_ref, f0) plus all CFL runs for one
-    (tableau, eps) pair; a run that fails gives a NaN row, a failed
-    reference NaN rows throughout."""
+    (tableau, eps) pair, all on one solver; a linear model's steps of
+    every run are compiled up front, in one call.  A run that fails gives
+    a NaN row, a failed reference NaN rows throughout."""
+    configs = [replace(cfg_ref, cfl=cfl) for cfl in study.cfl_values]
+    # a dt past T runs one step of size T
+    step_sizes = [min(cfg.dt, cfg.t_final) for cfg in configs]
+    solver = SemiLagrangianSolver(cfg_ref.model, cfg_ref.mesh, cfg_ref.degree, cfg_ref.tableau,
+                                  cfg_ref.eps)
+    if cfg_ref.model.linear:
+        solver.compile(min(cfg_ref.dt, cfg_ref.t_final), *step_sizes)
     try:
-        reference = run(cfg_ref, f0, diagnostics_every=0)
+        reference = run(cfg_ref, f0, diagnostics_every=0, solver=solver)
     except SimulationError:
         reference = None
     rows = []
-    for cfl in study.cfl_values:
-        cfg = replace(cfg_ref, cfl=cfl)
+    for cfg, dt in zip(configs, step_sizes):
         err = math.nan
         if reference is not None:
             try:
-                err = _case_error(run(cfg, f0, diagnostics_every=0), reference, study.error_on)
+                err = _case_error(run(cfg, f0, diagnostics_every=0, solver=solver), reference,
+                                  study.error_on)
             except SimulationError:
                 pass
-        # a dt past T runs one step of size T
         rows.append(ConvergenceRow(example=study.example, tableau=tableau_name,
-                                   eps=eps, cfl=cfl, dt=min(cfg.dt, cfg.t_final), error=err))
+                                   eps=eps, cfl=cfg.cfl, dt=dt, error=err))
     slope = fit_slope([r.dt for r in rows], [r.error for r in rows])
     return rows, slope
 

@@ -36,16 +36,20 @@ array except the one it returns.
 
 A linear model (``model.linear``) steps through a compiled step instead.
 On the uniform periodic mesh its step is a block-circulant map over the
-few element offsets it reaches.  Once per step size the solver runs the
-stage plan on unit impulses in long double, as many in each run as fit
-on the mesh spaced past the reach that the stage operators bound; those
-responses are the stencil, and their DFT over the offsets is the step's
-Fourier symbol, one (n_v q) x (n_v q) block per wavenumber.  Every
-workspace shares that build.  A warm single step is one ``take`` into a
-gather buffer and one ``matmul`` with the stencil, rounded once to the
-workspace dtype.  Many steps at once are one FFT pair around a product
-with the symbol's power, raised in long double and rounded once to
-complex128.
+few element offsets it reaches.  The solver runs the stage plan on unit
+impulses in long double, as many in each run as fit on the mesh spaced
+past the reach that the stage operators bound; those responses are the
+stencil, and their DFT over the offsets is the step's Fourier symbol, one
+(n_v q) x (n_v q) block per wavenumber.  One such plan carries several
+step sizes side by side, each (velocity, step size) pair a slice of its
+stage operators, so a sweep compiles all its step sizes in a few plan
+runs (:meth:`SemiLagrangianSolver.compile`); a step size met while
+stepping is compiled alone.  The solver keeps the compiled step of every
+step size, and every workspace shares it.  A warm single step is one
+``take`` into a gather buffer and one ``matmul`` with the stencil, rounded
+once to the workspace dtype.  Many steps at once are one FFT pair around a
+product with the symbol's power, raised in long double and rounded once
+to complex128.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from operator import add
 import numpy as np
 
 from .butcher import ButcherTableau
-from .dg import DGField, Mesh1D, ShiftOperator, scalar_operand
+from .dg import DGField, Mesh1D, ShiftOperator, _group_size, scalar_operand
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
@@ -114,25 +118,35 @@ class RunResult:
     steps: np.ndarray
 
 
+def _by_velocity(a: np.ndarray, n_v: int) -> np.ndarray:
+    """Values ``a`` of (n_v * batch, n_el, q) as the (n_v, batch * n_el, q)
+    view that the model reads."""
+    return a.reshape(n_v, -1, a.shape[-1])
+
+
 class _Workspace:
     """The warm state of one solver for values of one dtype: scratch
     arrays, the step size last planned for and that step size's plan or
-    stencil."""
+    stencil.  A workspace of a ``batch`` of step sizes holds their values
+    side by side: slice v * batch + b of its (n_v * batch, n_el, q) arrays
+    is velocity v at step size b."""
 
-    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel):
-        lead = shape[0]
+    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel,
+                 batch: int = 1):
+        n_v, n, q = shape
+        lead = n_v * batch
         # slot 0 holds the step-start values, slot j + 1 the increment of
         # stage j times eps + a_jj * dt
-        self.stages = np.empty((n_stages * lead,) + shape[1:], dtype)
-        gather, product = ShiftOperator.scratch_shapes(shape, n_terms)
+        self.stages = np.empty((n_stages * lead, n, q), dtype)
+        gather, product = ShiftOperator.scratch_shapes((lead, n, q), n_terms)
         self.gather = np.empty(gather, dtype)
         self.product = np.empty(product, dtype)
-        self.predicted = np.empty(shape, dtype)
-        self.moments = np.empty((model.n_invariants,) + shape[1:], dtype)
+        self.predicted = np.empty((lead, n, q), dtype)
+        self.moments = np.empty((model.n_invariants, batch * n, q), dtype)
         # the product rows are free between remaps
         self.spare = self.product[:lead]
         # the equilibrium of the moments buffer, into the spare rows
-        self.equilibrium = model.equilibrium_kernels(self.moments, self.spare)
+        self.equilibrium = model.equilibrium_kernels(self.moments, _by_velocity(self.spare, n_v))
         # the leading b slots, the remap input of b blocks, and each increment slot
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
@@ -143,12 +157,11 @@ class _Workspace:
 
 @dataclass
 class _LinearStep:
-    """A linear model's step of size ``dt``, built once and shared by every
+    """A linear model's step of one size, built once and shared by every
     workspace: the element offsets it reaches, the flat indexes that gather
     values[v, i - d, j] into row i of a gather buffer, the long-double
     stencil stack, the long-double symbol of the wavenumbers 0 ... n_el // 2
     and its powers rounded to complex128, by step count."""
-    dt: float
     offsets: np.ndarray
     rows: np.ndarray
     stack: np.ndarray
@@ -156,15 +169,23 @@ class _LinearStep:
     powers: dict = field(default_factory=dict)
 
 
-def _linear_step_of(dt: float, response: np.ndarray) -> _LinearStep:
-    """The compiled step of size ``dt`` from the long-double responses
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(-2 pi i m / n) for m = 0 ... n - 1 in long double, the angle
+    2 pi m / n taken from the exact m."""
+    return np.exp(-1j * ((2 * np.arccos(np.longdouble(-1)) / n) * np.arange(n)))
+
+
+def _linear_step_of(response: np.ndarray, roots: np.ndarray) -> _LinearStep:
+    """The compiled step from the long-double responses
     ``response[v, j, w, d, a]``: node a of element d of velocity w after the
     step of the unit impulse at node j of element 0 of velocity v.  The
     offsets of exact zeros lie beyond the reach (on a mesh narrower than
     the reach every offset stays and wraps).  The symbol of wavenumber k
     is the block sum over d of K[:, d] exp(-2 pi i k d / n_el), with rows
-    (w, a) and columns (v, j), its phases taken in long double too.  Where
-    long double is no wider than float64, all of this composes in float64
+    (w, a) and columns (v, j); its phases are the entries k d mod n_el of
+    ``roots``, :func:`_roots_of_unity` of n_el.  K is real, so the real
+    and imaginary parts of the symbol are two real products.  Where long
+    double is no wider than float64, all of this composes in float64
     precision."""
     n_v, q, _, n, _ = response.shape
     offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
@@ -172,17 +193,18 @@ def _linear_step_of(dt: float, response: np.ndarray) -> _LinearStep:
     stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
     i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
     rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
-    # the angle 2 pi (k d mod n) / n, reduced while exact
-    k = np.arange(n // 2 + 1)[:, None]
-    angle = (2 * np.arccos(np.longdouble(-1)) / n) * (k * offsets % n)
+    phases = roots[np.arange(n // 2 + 1)[:, None] * offsets % n]
     blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
-    symbol = (np.exp(-1j * angle) @ blocks).reshape(len(k), n_v * q, n_v * q)
-    return _LinearStep(dt, offsets, rows, stack, symbol)
+    symbol = np.empty((len(phases), n_v * q, n_v * q), roots.dtype)
+    symbol.real = (phases.real @ blocks).reshape(symbol.shape)
+    symbol.imag = (phases.imag @ blocks).reshape(symbol.shape)
+    return _LinearStep(offsets, rows, stack, symbol)
 
 
 class SemiLagrangianSolver:
     """Reusable stepper; each workspace keeps the stage plan of its last dt,
-    and a linear model's compiled step of the last dt is shared by all.
+    and a linear model's compiled step of every dt is kept and shared by
+    all (:meth:`compile` builds several at once).
 
     The same solver instance must not be shared across threads while
     stepping (the workspaces mutate), but distinct instances are
@@ -202,13 +224,14 @@ class SemiLagrangianSolver:
         A = tableau.A
         self._earlier = [[j for j in range(k) if A[k, j] != 0.0] for k in range(tableau.s)]
         self._workspaces: dict[np.dtype, _Workspace] = {}
-        # a linear model's step of the last dt
-        self._linear: _LinearStep | None = None
+        # a linear model's compiled step of each dt
+        self._linear: dict[float, _LinearStep] = {}
 
-    def _new_workspace(self, dtype) -> _Workspace:
-        """A new workspace for values of ``dtype``, kept by no one."""
+    def _new_workspace(self, dtype, batch: int = 1) -> _Workspace:
+        """A new workspace for values of ``dtype`` at ``batch`` step sizes,
+        kept by no one."""
         return _Workspace(self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
-                          self.model)
+                          self.model, batch)
 
     def _workspace(self, values: np.ndarray) -> _Workspace:
         """The workspace for the dtype of the values' remap; ``ValueError``
@@ -222,68 +245,118 @@ class SemiLagrangianSolver:
             ws = self._workspaces[dtype] = self._new_workspace(dtype)
         return ws
 
-    def _stage_plan(self, ws: _Workspace, dt: float) -> tuple:
-        """The stage plan of ``ws`` for step size ``dt``: per stage k its
-        operator -- the step-start values shifted by c_k * dt plus each
-        earlier increment slot j with a_kj != 0, shifted by (c_k - c_j) * dt
-        and weighted by dt * a_kj / (eps + a_jj * dt) -- its remap input
-        and its relaxation kernels, then the two terms whose sum is the
-        step output.  Scalar operands are bound as 0-d arrays of the
-        workspace dtype."""
+    def _stage_plan(self, ws: _Workspace, *dts: float) -> tuple:
+        """The stage plan of ``ws`` for the step sizes ``dts`` side by side,
+        one for a stepping workspace: per stage k its operator -- the
+        step-start values shifted by c_k * dt plus each earlier increment
+        slot j with a_kj != 0, shifted by (c_k - c_j) * dt and weighted by
+        dt * a_kj / (eps + a_jj * dt), per (velocity, step size) slice --
+        its remap input and its relaxation kernels, then the two terms
+        whose sum is the step output.  A lone step size's weights are
+        numbers and its scalar operands 0-d arrays of the workspace dtype;
+        a batch has one of each per slice."""
         eps, A, c, model = self.eps, self.tableau.A, self.tableau.c, self.model
         v = model.velocity_set.v
+        n_v = len(v)
         predicted, spare = ws.predicted, ws.spare
         last = self.tableau.s - 1
+
+        def per_slice(values):
+            # one value per step size: itself for a lone step size, else
+            # one per (velocity, step size) slice
+            return values[0] if len(dts) == 1 else np.tile(values, n_v)
+
+        def operand(values, dtype):
+            # per_slice as a ufunc operand against the (slices, n_el, q) slots
+            x = scalar_operand(per_slice(values), dtype)
+            return x[:, None, None] if x.ndim else x
+
         stages = []
         for k, earlier in enumerate(self._earlier):
-            shifts = [v * (c[k] * dt)] + [v * ((c[k] - c[j]) * dt) for j in earlier]
+            shifts = [np.outer(v, [c[k] * dt for dt in dts]).ravel()]
+            shifts += [np.outer(v, [(c[k] - c[j]) * dt for dt in dts]).ravel() for j in earlier]
             op = ShiftOperator(self.mesh, self.degree, np.array(shifts),
                                blocks=[0] + [j + 1 for j in earlier],
-                               weights=[dt * A[k, j] / (eps + A[j, j] * dt) for j in earlier])
-            w_dt = A[k, k] * dt
+                               weights=[per_slice([dt * A[k, j] / (eps + A[j, j] * dt)
+                                                   for dt in dts]) for j in earlier])
             if k < last:
-                # M - predicted, the increment times eps + w_dt, in its slot
+                # M - predicted, the increment times eps + a_kk dt, in its slot
                 M = ws.slots[k]
                 tail = [(np.subtract, (M, predicted, M))]
             else:
                 # only the earlier increments are read again: the last
                 # equilibrium goes to the step-start slot, free after its remap
                 M = ws.inputs[0]
-                tail = [(np.multiply, (M, scalar_operand(w_dt / (eps + w_dt), M.dtype), M)),
-                        (np.multiply, (scalar_operand(eps / (eps + w_dt), spare.dtype),
+                w_dts = [A[k, k] * dt for dt in dts]
+                tail = [(np.multiply, (M, operand([w / (eps + w) for w in w_dts], M.dtype), M)),
+                        (np.multiply, (operand([eps / (eps + w) for w in w_dts], spare.dtype),
                                        predicted, spare))]
-            kernels = ([model.moment_kernel(predicted, ws.moments)]
-                       + model.equilibrium_kernels(ws.moments, M) + tail)
+            kernels = ([model.moment_kernel(_by_velocity(predicted, n_v), ws.moments)]
+                       + model.equilibrium_kernels(ws.moments, _by_velocity(M, n_v)) + tail)
             stages.append((op, ws.inputs[op.n_blocks - 1], kernels))
-        ws.dt, ws.plan = dt, (stages, M)
-        return ws.plan
+        return stages, M
+
+    def compile(self, *dts: float) -> None:
+        """Build and keep a linear model's steps of the sizes ``dts``
+        before they are stepped; a step size already kept is not built
+        again.  The step sizes go in chunks, each one build
+        (:meth:`_compile`), as large as lets every stage operator group its
+        terms (:func:`~sldirk.dg._group_size`) as it does for one step
+        size, so that each step has the bits of its own build.
+        ``ValueError`` for a model that is not linear."""
+        if not self.model.linear:
+            raise ValueError(f"the {self.model.name} model is not linear, so its step "
+                             f"does not compile")
+        new = [dt for dt in dict.fromkeys(dts) if dt not in self._linear]
+        n_v, n, q = self._shape
+        terms = [1 + len(earlier) for earlier in self._earlier]
+
+        def groups(batch):
+            return [_group_size((n_v * batch, n, q), m) for m in terms]
+
+        size = 1
+        while size < len(new) and groups(size + 1) == groups(1):
+            size += 1
+        for first in range(0, len(new), size):
+            chunk = new[first:first + size]
+            self._linear.update(zip(chunk, self._compile(*chunk)))
 
     def _linear_step(self, dt: float) -> _LinearStep:
-        """The linear model's step of size ``dt``, built on the first call
-        for that dt."""
-        if self._linear is None or self._linear.dt != dt:
-            self._linear = self._compile(dt)
-        return self._linear
+        """The linear model's step of size ``dt``, built alone on the first
+        call for a dt that :meth:`compile` has not built, and kept."""
+        if dt not in self._linear:
+            self.compile(dt)
+        return self._linear[dt]
 
-    def _compile(self, dt: float) -> _LinearStep:
-        """A linear model's step compiled: on the uniform periodic mesh it is
-        the block circulant map
+    def _compile(self, *dts: float) -> list[_LinearStep]:
+        """A linear model's steps of the sizes ``dts`` compiled, one per dt:
+        on the uniform periodic mesh a step is the block circulant map
 
             out[w, i, a] = sum over d in D, v, j of K[w, d, v, j, a] * values[v, i - d, j]
 
         over the element offsets D it reaches.  K is the step of the unit
-        impulses (v, j) of element 0, run through the stage plan in long
-        double.  The step commutes with translation, so one plan run
-        carries as many impulses as fit on the mesh spaced by the widest
-        stage reach (:meth:`_reach`), where no stage of one impulse meets a
-        stage of another, and reads each response from its impulse's
-        window of the step's reach: the bits of that impulse run alone.
-        Where only one window fits, a run carries one impulse and its
-        response is the whole field.  :func:`_linear_step_of` makes the
-        rest of the build."""
+        impulses (v, j) of element 0 (:meth:`_responses`), and
+        :func:`_linear_step_of` makes the rest of each build, all from one
+        table of phases."""
+        roots = _roots_of_unity(self._shape[1])
+        return [_linear_step_of(response, roots) for response in self._responses(*dts)]
+
+    def _responses(self, *dts: float) -> np.ndarray:
+        """The long-double responses (dt, v, j, w, d, a) to the steps of the
+        sizes ``dts``: node a of element d of velocity w after the step of
+        the unit impulse at node j of element 0 of velocity v, run through
+        one stage plan of all ``dts`` side by side in long double.  The step
+        commutes with translation, so one plan run carries as many impulses
+        as fit on the mesh spaced by the widest stage reach over the step
+        sizes (:meth:`_reach`), where no stage of one impulse meets a stage
+        of another, and reads each response from its impulse's window of
+        the widest step reach: the bits of that impulse run alone.  Where
+        only one window fits, a run carries one impulse and its response is
+        the whole field."""
         n_v, n, q = self._shape
-        exact = self._new_workspace(np.longdouble)
-        stages, M = self._stage_plan(exact, dt)
+        batch = len(dts)
+        exact = self._new_workspace(np.longdouble, batch)
+        stages, M = self._stage_plan(exact, *dts)
         reach = self._reach(stages)
         spacing = max(hi - lo + 1 for lo, hi in reach)
         per_run = max(1, n // spacing)
@@ -291,18 +364,20 @@ class SemiLagrangianSolver:
         # the elements a response is read from, by offset from its impulse
         window = np.arange(lo, hi + 1) % n if per_run > 1 else np.arange(n)
         impulses = [(v, j) for v in range(n_v) for j in range(q)]
-        field = np.zeros(self._shape, np.longdouble)
-        response = np.zeros((n_v, q) + self._shape, np.longdouble)
+        # field[v, b] is velocity v at step size b, the workspace's slice v * batch + b
+        field = np.zeros((n_v, batch, n, q), np.longdouble)
+        response = np.zeros((batch, n_v, q, n_v, n, q), np.longdouble)
         elements = range(0, per_run * spacing, spacing)
         for first in range(0, len(impulses), per_run):
             placed = list(zip(elements, impulses[first:first + per_run]))
             for e, (v, j) in placed:
-                field[v, e, j] = 1.0
-            out = self._run_plan(exact, field, stages, M)
+                field[v, :, e, j] = 1.0
+            out = self._run_plan(exact, field.reshape(-1, n, q), stages, M)
+            out = out.reshape(n_v, batch, n, q).swapaxes(0, 1)
             for e, (v, j) in placed:
-                field[v, e, j] = 0.0
-                response[v, j][:, window] = out[:, (e + window) % n]
-        return _linear_step_of(dt, response)
+                field[v, :, e, j] = 0.0
+                response[:, v, j][:, :, window] = out[:, :, (e + window) % n]
+        return response
 
     def _reach(self, stages: list) -> list[tuple[int, int]]:
         """Per stage of the plan ``stages``, the lowest and highest element
@@ -324,8 +399,7 @@ class SemiLagrangianSolver:
         stack of K rounded once to the workspace dtype."""
         step, n, dtype = self._linear_step(dt), self._shape[1], ws.stages.dtype
         gathered = np.empty((n, step.rows.size // n), dtype)
-        ws.dt, ws.plan = dt, (step.rows, gathered, np.ascontiguousarray(step.stack.astype(dtype)))
-        return ws.plan
+        return step.rows, gathered, np.ascontiguousarray(step.stack.astype(dtype))
 
     def _jump(self, values: np.ndarray, dt: float, steps: int) -> np.ndarray:
         """``steps`` steps of a linear model at once, for float64 or complex128
@@ -381,14 +455,16 @@ class SemiLagrangianSolver:
             for _ in range(steps):
                 values = self.step_values(values, dt)
             return values
+        if ws.dt != dt:
+            ws.dt, ws.plan = dt, (self._stencil if self.model.linear else self._stage_plan)(ws, dt)
         if self.model.linear:
-            rows, gathered, stack = ws.plan if ws.dt == dt else self._stencil(ws, dt)
+            rows, gathered, stack = ws.plan
             # take writes only into its own dtype; the rows are in range, and
             # mode="clip" spares the buffered copy of mode="raise"
             values.astype(gathered.dtype, copy=False).reshape(-1).take(
                 rows, 0, gathered.reshape(-1), "clip")
             return np.matmul(gathered, stack)
-        return self._run_plan(ws, values, *(ws.plan if ws.dt == dt else self._stage_plan(ws, dt)))
+        return self._run_plan(ws, values, *ws.plan)
 
     def _run_plan(self, ws: _Workspace, values: np.ndarray, stages: list, M) -> np.ndarray:
         """One step of ``values`` through the stage plan ``stages`` of
@@ -429,7 +505,8 @@ class SemiLagrangianSolver:
         return float(np.dot(self.model.velocity_set.w, per_v))
 
 
-def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResult:
+def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
+        solver: SemiLagrangianSolver | None = None) -> RunResult:
     """Advance from t = 0 to t_final with fixed dt; unless t_final is a whole
     number of steps (to 1e-12 of a step), the last step shrinks to land on
     t_final.  The last recorded time is t_final; each other time is the
@@ -444,10 +521,25 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1) -> RunResu
     time, to find that step); a :class:`SimulationError` from a step or
     from its diagnostics carries that step and its end time (step 0 and
     time 0 for the initial data).
+
+    ``solver`` steps the run in place of a new solver of the config, so
+    that runs of one model, tableau, mesh, degree and eps at several CFL
+    numbers share its workspaces and a linear model's compiled steps
+    (:meth:`SemiLagrangianSolver.compile`).  It must have been made with
+    the config's own model and tableau objects and equal mesh, degree and
+    eps; ``ValueError`` names what differs.
     """
     if diagnostics_every < 0:
         raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")
-    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    if solver is None:
+        solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    else:
+        same = {"model": solver.model is cfg.model, "tableau": solver.tableau is cfg.tableau,
+                "mesh": solver.mesh == cfg.mesh, "degree": solver.degree == cfg.degree,
+                "eps": solver.eps == cfg.eps}
+        differ = [name for name, ok in same.items() if not ok]
+        if differ:
+            raise ValueError(f"the solver does not match the config's {', '.join(differ)}")
     dt = cfg.dt
     n_steps = max(1, int(np.ceil(cfg.t_final / dt - 1e-12)))
     # a t_final of a whole number of steps takes full steps only, rather

@@ -358,6 +358,22 @@ def test_multi_term_shift_matches_per_term_applies(degree, rng):
             assert np.array_equal(again, out), blocks
 
 
+def test_per_slice_weights_weight_each_slice(rng):
+    # a weight of one number per slice scales each slice's term by its own
+    # number; a weight the same on every slice has the bits of that number
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    shifts = _TERM_SHIFTS * mesh.dx
+    weights = ((0.5, -2.0, 1e-3), 3.0, (1.0, 7.5, -0.25))
+    values = rng.normal(size=(12, 24, 3))
+    op = ShiftOperator(mesh, 2, shifts, weights=weights)
+    expected = _per_term_sum(mesh, 2, shifts, (0, 1, 2, 3),
+                             [np.reshape(w, (-1, 1, 1)) for w in weights], values)
+    assert_close(op.apply(values), expected)
+    uniform = ShiftOperator(mesh, 2, shifts, weights=((0.5,) * 3, 3.0, (-1.25,) * 3))
+    scalar = ShiftOperator(mesh, 2, shifts, weights=(0.5, 3.0, -1.25))
+    assert np.array_equal(uniform.apply(values), scalar.apply(values))
+
+
 def test_reach_spans_the_offsets_each_term_reads():
     # per term, from the least cells of its slices to the greatest plus one:
     # an impulse in element 0 of its source block lands only at those
@@ -412,7 +428,7 @@ def test_multi_term_shift_rejects_bad_terms():
     shifts = np.array([[0.1, -0.2], [0.3, 0.4]])
     for kwargs in ({"blocks": [0]}, {"blocks": [0, 1, 2], "weights": [1.0]},
                    {"blocks": [0, -1], "weights": [1.0]}, {"weights": []},
-                   {"weights": [1.0, 2.0]}):
+                   {"weights": [1.0, 2.0]}, {"weights": [(1.0, 2.0, 3.0)]}):
         with pytest.raises(ValueError, match="terms need"):
             ShiftOperator(mesh, 1, shifts, **kwargs)
     with pytest.raises(ValueError, match="shifts"):

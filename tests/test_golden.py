@@ -7,6 +7,10 @@ A kernel change may reorder roundoff but must keep every field within
 ``FIELD_RTOL`` of the stored one (max|delta| against max|ref|) and keep
 each run's conservation drift within ``DRIFT_TOL``.
 
+``data/golden_orders.npz`` holds the row errors and the slopes of the two
+sweeps of acceptance criterion 9 (``ORDER_STUDIES``).  Each must stay
+within ``FIELD_RTOL`` of its stored figure, relative to that figure.
+
 ``data/golden_tableaus.npz`` holds, per catalog tableau, the residuals of
 ``order_report`` (named by ``residual_names``), the largest spectral
 radius of a ``scan`` over ``SCAN_GRID`` and the grid point (b, k_dt, xi)
@@ -15,7 +19,8 @@ of the stored figures, and the point must be the stored one exactly.
 
 The stored results are fixed: write a file again only for a change that is
 meant to move its numerics, with
-``PYTHONPATH=src python tests/test_golden.py --write runs`` (or ``tableaus``).
+``PYTHONPATH=src python tests/test_golden.py --write runs`` (or ``orders``
+or ``tableaus``).
 """
 
 import pathlib
@@ -25,12 +30,13 @@ import numpy as np
 import pytest
 
 from sldirk.butcher import catalog
-from sldirk.harness import build_case
+from sldirk.harness import ConvergenceStudy, build_case, run_convergence
 from sldirk.order_analysis import order_report
 from sldirk.sl_solver import run
 from sldirk.stability import scan
 
 GOLDEN = pathlib.Path(__file__).with_name("data") / "golden_runs.npz"
+GOLDEN_ORDERS = GOLDEN.with_name("golden_orders.npz")
 GOLDEN_TABLEAUS = GOLDEN.with_name("golden_tableaus.npz")
 
 #: largest field deviation, relative to the field's largest magnitude
@@ -102,6 +108,70 @@ def test_golden_check_fails_on_a_perturbed_copy(runs):
             i = int(np.argmax(np.abs(flat)))
             flat[i] += 1e-9 * abs(flat[i])
             assert [m.split(":")[0] for m in mismatches(got, ref)] == [field], (name, field)
+
+
+# ---------------------------------------------------------------------------
+# the order sweeps of acceptance criterion 9
+# ---------------------------------------------------------------------------
+
+#: name -> ConvergenceStudy arguments: preset 5.1 at degree 3 on 160
+#: elements to T = 0.2, in the fluid limit and in the kinetic regime
+_ORDER_CFLS = (0.075, 0.15, 0.3, 0.6)
+ORDER_STUDIES = {
+    "fluid": dict(example="5.1", tableaus=("DIRK3-B2", "DIRK3-B10"), eps_values=(1e-10,),
+                  cfl_values=_ORDER_CFLS, degree=3),
+    "kinetic": dict(example="5.1", tableaus=("DIRK3-B2",), eps_values=(1e-2,),
+                    cfl_values=_ORDER_CFLS, degree=3),
+}
+
+
+def order_figures(name: str) -> dict[str, np.ndarray]:
+    """The row errors and the slopes of sweep ``name``, computed by the current code."""
+    result = run_convergence(ConvergenceStudy(**ORDER_STUDIES[name]))
+    return {"errors": np.array([row.error for row in result.rows]),
+            "slopes": np.array(list(result.slopes.values()))}
+
+
+def order_mismatches(got: dict, ref: dict) -> list[str]:
+    """The figures of ``got`` off ``ref`` by more than ``FIELD_RTOL`` of the
+    stored figure, each with its largest relative change; empty when all hold."""
+    bad = []
+    for key in ("errors", "slopes"):
+        rel = np.max(np.abs(got[key] - ref[key]) / np.abs(ref[key]))
+        if not rel <= FIELD_RTOL:
+            bad.append(f"{key}: relative delta {rel:.3g}")
+    return bad
+
+
+def _stored_orders(name: str) -> dict[str, np.ndarray]:
+    with np.load(GOLDEN_ORDERS) as data:
+        return {key: data[f"{name}/{key}"] for key in ("errors", "slopes")}
+
+
+@pytest.fixture(scope="module")
+def order_runs():
+    return {name: order_figures(name) for name in ORDER_STUDIES}
+
+
+def test_order_sweeps_match_the_golden_figures(order_runs):
+    with np.load(GOLDEN_ORDERS) as data:
+        assert {key.split("/")[0] for key in data.files} == set(order_runs)
+    # criterion 9's three slopes: two in the fluid limit, one kinetic
+    assert sum(got["slopes"].size for got in order_runs.values()) == 3
+    for name, got in order_runs.items():
+        assert got["errors"].shape == (4 * got["slopes"].size,), name
+        assert order_mismatches(got, _stored_orders(name)) == [], name
+
+
+def test_order_check_fails_on_a_perturbed_copy(order_runs):
+    # a 1e-9 relative change of any one stored error or slope must fail
+    for name, got in order_runs.items():
+        for key in ("errors", "slopes"):
+            for i in range(got[key].size):
+                ref = _stored_orders(name)
+                ref[key][i] *= 1 + 1e-9
+                assert [m.split(":")[0] for m in order_mismatches(got, ref)] == [key], \
+                    (name, key, i)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +256,11 @@ if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
         np.savez_compressed(GOLDEN, **{f"{name}/{field}": array for name in CASES
                                        for field, array in golden_run(name).items()})
         print(f"wrote {GOLDEN}")
+    elif sys.argv[2:] == ["orders"]:
+        np.savez_compressed(GOLDEN_ORDERS, **{
+            f"{name}/{key}": array for name in ORDER_STUDIES
+            for key, array in order_figures(name).items()})
+        print(f"wrote {GOLDEN_ORDERS}")
     elif sys.argv[2:] == ["tableaus"]:
         np.savez_compressed(GOLDEN_TABLEAUS, **{
             f"{name}/{key}": array for name in catalog()

@@ -185,10 +185,10 @@ def test_unphysical_run_recorded_as_nan_row(monkeypatch):
     real_run = harness.run
     for error in (UnphysicalStateError("moments left the physical region"),
                   SimulationError("solver gave up")):
-        def run_or_fail(cfg, initial, diagnostics_every=1):
+        def run_or_fail(cfg, initial, diagnostics_every=1, **kwargs):
             if cfg.cfl == 0.4:
                 raise error
-            return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+            return real_run(cfg, initial, diagnostics_every=diagnostics_every, **kwargs)
 
         monkeypatch.setattr(harness, "run", run_or_fail)
         result = run_convergence(_small_study())
@@ -204,10 +204,10 @@ def test_failed_reference_run_gives_nan_rows(monkeypatch):
     # are NaN and the other pair still finishes
     real_run = harness.run
 
-    def run_or_fail(cfg, initial, diagnostics_every=1):
+    def run_or_fail(cfg, initial, diagnostics_every=1, **kwargs):
         if cfg.tableau.name == "DIRK2" and cfg.cfl == 0.02:
             raise DivergenceError("non-finite values after step 3", step=3)
-        return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+        return real_run(cfg, initial, diagnostics_every=diagnostics_every, **kwargs)
 
     monkeypatch.setattr(harness, "run", run_or_fail)
     result = run_convergence(_small_study(tableaus=("DIRK2", "BE")))
@@ -222,12 +222,12 @@ def test_newton_non_convergence_recorded_as_nan_row(monkeypatch):
     # the discrete Maxwellian fit of the CFL-0.4 run gets no iterations
     real_run = harness.run
 
-    def run_starved(cfg, initial, diagnostics_every=1):
+    def run_starved(cfg, initial, diagnostics_every=1, **kwargs):
         if cfg.cfl != 0.4:
-            return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+            return real_run(cfg, initial, diagnostics_every=diagnostics_every, **kwargs)
         with monkeypatch.context() as patch:
             patch.setattr(models, "NEWTON_MAX_ITER", 0)
-            return real_run(cfg, initial, diagnostics_every=diagnostics_every)
+            return real_run(cfg, initial, diagnostics_every=diagnostics_every, **kwargs)
 
     monkeypatch.setattr(harness, "run", run_starved)
     study = ConvergenceStudy(example="5.3", tableaus=("BE",), eps_values=(1e-2,),

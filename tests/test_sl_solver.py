@@ -12,8 +12,9 @@ from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient, gauss
 from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, maxwellian)
+from sldirk import harness
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
-                              _linear_step_of, l1_error, run)
+                              _linear_step_of, _roots_of_unity, l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
 from conftest import assert_close, initial_field, random_sa_dirk, remap
 
@@ -717,25 +718,26 @@ def test_compiled_warm_step_allocates_only_its_result(monkeypatch):
 
 
 def test_compiled_step_is_built_once_per_dt(monkeypatch):
-    # each new dt builds one compiled step, from one long-double plan that
-    # no workspace keeps; real and complex values share it, and the same dt
-    # again reuses it
+    # each new dt builds one compiled step alone, from one long-double plan
+    # that no workspace keeps; real and complex values share it, and the
+    # same dt again reuses it, also after another dt was stepped
     cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.5, n_elements=20)
     compiled, planned = _solvers(cfg)
     builds = []
     build = SemiLagrangianSolver._compile
     monkeypatch.setattr(SemiLagrangianSolver, "_compile",
-                        lambda self, dt: builds.append(dt) or build(self, dt))
+                        lambda self, *dts: builds.append(dts) or build(self, *dts))
     values = [f0.values, (0.8 - 0.3j) * f0.values]
     for dt, built in ((cfg.dt, 1), (cfg.dt, 0), (0.5 * cfg.dt, 1), (0.5 * cfg.dt, 0),
-                      (cfg.dt, 1)):
+                      (cfg.dt, 0)):
         builds.clear()
         out = [compiled.step_values(v, dt) for v in values]
-        assert builds == [dt] * built, dt
+        assert builds == [(dt,)] * built, dt
         for v, o in zip(values, out):
             assert_close(o, planned.step_values(v, dt))
         values = out
     assert list(compiled._workspaces) == [np.dtype(float), np.dtype(complex)]
+    assert list(compiled._linear) == [cfg.dt, 0.5 * cfg.dt]
 
 
 def _one_impulse_per_run(solver, dt):
@@ -752,7 +754,7 @@ def _one_impulse_per_run(solver, dt):
             impulse[v, 0, j] = 1.0
             response[v, j] = solver._run_plan(exact, impulse, stages, M)
             impulse[v, 0, j] = 0.0
-    return _linear_step_of(dt, response)
+    return _linear_step_of(response, _roots_of_unity(n))
 
 
 def _step_reach(solver, dt):
@@ -771,10 +773,154 @@ def test_impulses_sharing_plan_runs_build_the_bits_of_one_per_run(degree, tablea
                 cfg = _linear_cfg(tableau=tableau, n=n, eps=eps, cfl=cfl, degree=degree)
                 solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau,
                                               cfg.eps)
-                got, ref = solver._compile(cfg.dt), _one_impulse_per_run(solver, cfg.dt)
+                (got,), ref = solver._compile(cfg.dt), _one_impulse_per_run(solver, cfg.dt)
                 for name in ("offsets", "rows", "stack", "symbol"):
                     assert np.array_equal(getattr(got, name), getattr(ref, name)), \
                         (n, cfl, eps, name)
+
+
+_STEP_FIELDS = ("offsets", "rows", "stack", "symbol")
+
+
+def _counted_compiles(monkeypatch):
+    """The step sizes of every ``_compile`` call from now on, per call."""
+    calls = []
+    build = SemiLagrangianSolver._compile
+    monkeypatch.setattr(SemiLagrangianSolver, "_compile",
+                        lambda self, *dts: calls.append(dts) or build(self, *dts))
+    return calls
+
+
+def _built_alone(solver, dt):
+    """The step of ``dt`` built alone, by a fresh solver of the same case."""
+    (step,) = SemiLagrangianSolver(solver.model, solver.mesh, solver.degree, solver.tableau,
+                                   solver.eps)._compile(dt)
+    return step
+
+
+@pytest.mark.parametrize("tableau", ["BE", "DIRK3-B2", "DIRK3-B10"])
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_a_batched_build_has_the_bits_of_one_build_per_dt(degree, tableau, monkeypatch):
+    # the step sizes of preset 5.1's desk sweep and its reference, a
+    # repeated one and one of T = 0.2 itself, which reaches around the
+    # narrow meshes and past a third of the widest
+    for n in (1, 4, 16, 160):
+        cfg, _ = build_case("5.1", tableau, 1e-10, 0.1, n_elements=n, degree=degree)
+        dts = [cfl * cfg.mesh.dx for cfl in (0.001, 0.1, 0.2, 0.4, 0.8)] + [0.2, 0.1 * cfg.mesh.dx]
+        solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+        calls = _counted_compiles(monkeypatch)
+        solver.compile(*dts)
+        unique = list(dict.fromkeys(dts))
+        assert [dt for chunk in calls for dt in chunk] == unique
+        assert list(solver._linear) == unique
+        for dt in unique:
+            alone = _built_alone(solver, dt)
+            for name in _STEP_FIELDS:
+                assert np.array_equal(getattr(solver._linear[dt], name), getattr(alone, name)), \
+                    (n, dt, name)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tableau,degree,chunks", [
+    ("DIRK3-B10", 2, [5]), ("DIRK3-B10", 3, [4, 1]), ("DIRK3-B10", 4, [3, 2]),
+    ("DIRK3-B2", 4, [3, 2])])
+def test_a_build_chunks_step_sizes_as_the_stage_groups_allow(tableau, degree, chunks,
+                                                               monkeypatch):
+    # on 160 elements a build groups each stage's terms as a build of one
+    # step size does, so five step sizes go in one or two chunks; the
+    # chunked build keeps the bits of one build per dt
+    cfg, _ = build_case("5.1", tableau, 1e-10, 0.1, degree=degree)
+    dts = [cfl * cfg.mesh.dx for cfl in (0.001, 0.0625, 0.125, 0.25, 0.5)]
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    calls = _counted_compiles(monkeypatch)
+    solver.compile(*dts)
+    assert [len(chunk) for chunk in calls] == chunks
+    monkeypatch.undo()
+    for dt in dts:
+        alone = _built_alone(solver, dt)
+        for name in _STEP_FIELDS:
+            assert np.array_equal(getattr(solver._linear[dt], name), getattr(alone, name)), \
+                (dt, name)
+
+
+@pytest.mark.parametrize("degree,chunks", [(2, 1), (4, 2)])
+def test_a_linear_sweep_compiles_once_per_chunk_and_runs_through_harness_run(
+        degree, chunks, monkeypatch):
+    # one solver per (tableau, eps) pair: its reference and CFL step sizes
+    # compiled before the first run, one call per chunk, and each of its
+    # runs one call of harness.run with that solver
+    calls = _counted_compiles(monkeypatch)
+    runs = []
+    real_run = harness.run
+
+    def counted_run(cfg, initial, diagnostics_every=1, **kwargs):
+        runs.append((cfg.tableau.name, cfg.cfl, kwargs["solver"]))
+        return real_run(cfg, initial, diagnostics_every, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    study = harness.ConvergenceStudy(
+        example="5.1", tableaus=("DIRK3-B2", "DIRK3-B10"), eps_values=(1e-10, 1e-2),
+        cfl_values=(0.0625, 0.125, 0.25, 0.5), degree=degree)
+    result = harness.run_convergence(study)
+    assert len(calls) == 4 * chunks
+    assert [len(dts) for dts in calls[:chunks]] == ([5] if chunks == 1 else [3, 2])
+    assert len(runs) == 4 * 5
+    assert [(tab, cfl) for tab, cfl, _ in runs] == [
+        (tab, cfl) for tab in study.tableaus for _ in study.eps_values
+        for cfl in (0.001,) + study.cfl_values]
+    solvers = [solver for _, _, solver in runs]
+    assert all(s is solvers[5 * (i // 5)] for i, s in enumerate(solvers))
+    assert len(set(map(id, solvers))) == 4
+    assert all(np.isfinite(r.error) for r in result.rows)
+
+
+def test_a_shortened_last_step_compiles_alone_and_keeps_the_batch(monkeypatch):
+    # T = 0.05 is 26 steps of dt = 3/1600 and a shortened 27th: the run
+    # compiles that step size alone, and the batch stays for the next run
+    cfg = _linear_cfg(tableau="DIRK3-B10", eps=1e-6, cfl=0.3, t_final=0.05)
+    cfg = dataclasses.replace(cfg, mesh=Mesh1D(0.0, 1.0, 160))
+    f0 = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x)))
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    calls = _counted_compiles(monkeypatch)
+    dts = [cfg.dt, 0.5 * cfg.dt, 0.25 * cfg.dt]
+    solver.compile(*dts)
+    assert calls == [tuple(dts)]
+    kept = dict(solver._linear)
+    result = run(cfg, f0, diagnostics_every=0, solver=solver)
+    assert result.n_steps == 27 and result.times[-1] == cfg.t_final
+    (short,) = [dt for dt in solver._linear if dt not in dts]
+    assert 0.0 < short < cfg.dt
+    assert calls == [tuple(dts), (short,)]
+    assert all(solver._linear[dt] is step for dt, step in kept.items())
+    again = run(cfg, f0, diagnostics_every=0, solver=solver)
+    assert len(calls) == 2
+    fresh = run(cfg, f0, diagnostics_every=0)
+    assert np.array_equal(result.final.values, fresh.final.values)
+    assert np.array_equal(again.final.values, fresh.final.values)
+
+
+def test_only_a_linear_model_compiles():
+    cfg = _nonlinear_cfg(n=8)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    with pytest.raises(ValueError, match="is not linear, so its step does not compile"):
+        solver.compile(cfg.dt)
+    assert solver._linear == {}
+
+
+def test_run_rejects_a_solver_of_another_case():
+    cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.4, n_elements=16)
+    other = {"model": LinearTwoVelocity(B), "tableau": get_tableau("DIRK3-B2"),
+             "mesh": Mesh1D(0.0, 1.0, 16), "degree": 1, "eps": 1e-3}
+    assert other["mesh"] == cfg.mesh  # an equal mesh passes
+    good = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    assert np.array_equal(run(cfg, f0, solver=good).final.values, run(cfg, f0).final.values)
+    other["mesh"] = Mesh1D(0.0, 2.0, 16)
+    for name, value in other.items():
+        kwargs = {"model": cfg.model, "mesh": cfg.mesh, "degree": cfg.degree,
+                  "tableau": cfg.tableau, "eps": cfg.eps, name: value}
+        solver = SemiLagrangianSolver(**kwargs)
+        with pytest.raises(ValueError, match=f"the solver does not match the config's {name}$"):
+            run(cfg, f0, solver=solver)
 
 
 @pytest.mark.parametrize("tableau,n,degree,runs", [
