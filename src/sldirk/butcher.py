@@ -150,7 +150,8 @@ def _build_catalog() -> dict[str, ButcherTableau]:
                      [beta1, beta2, g]])
 
     # eight 4-stage third-order tableaus that additionally keep third order
-    # in the relaxation limit
+    # in the relaxation limit, where at b = 0.6 they are unstable from k dt =
+    # 0.003-0.004 pi (B3, B4, B6-B9), 0.116 pi (B5) or 1.623 pi (B10; README)
     add("DIRK3-B3", [
         [1.482285978970554, 0.0, 0.0, 0.0],
         [-0.6416366731243188, 1.482285978970554, 0.0, 0.0],

@@ -160,6 +160,20 @@ def _group_size(term_shape: tuple, n_terms: int) -> int:
     return min(n_terms, _GATHER_BUDGET // (16 * lead * n * q))
 
 
+def shift_cells(shifts, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The whole cells (ints) and the fractions in [0, 1) of ``shifts``
+    over elements of width ``dx``, as :class:`ShiftOperator` remaps them.
+    A shift within roundoff of a whole number of cells is snapped to it,
+    so that mesh-aligned transport stays an exact permutation."""
+    z = np.asarray(shifts, dtype=float) / dx
+    nearest = np.round(z)
+    z = np.where(np.abs(z - nearest) <= 1e-12 * (1.0 + np.abs(z)), nearest, z)
+    cells = np.floor(z)
+    theta = z - cells
+    bump = theta >= 1.0
+    return (cells + bump).astype(int), np.where(bump, 0.0, theta)
+
+
 class ShiftOperator:
     """Conservative remap of DG values by fixed per-slice shift distances,
     or a weighted sum of such remaps of the blocks of a stacked input.
@@ -182,10 +196,9 @@ class ShiftOperator:
     element i - cells - 1 (its left piece, matrix A0) and source element
     i - cells (its aligned piece, A1) onto target element i, periodically.
     The remap is linear, so each term's weight is folded into its A0 and
-    A1 when the operator is built.  ``reach`` holds, per term, the lowest
-    and highest element offset, target minus source, that it reads: the
-    least ``cells`` of its slices and the greatest plus one.  ``blocks``
-    holds each term's source block.
+    A1 when the operator is built.  A term thus reads element offsets,
+    target minus source, from the least ``cells`` of its slices to the
+    greatest plus one (:func:`shift_cells`).
 
     Terms are processed in groups whose stacked float64 gather fits
     ``_GATHER_BUDGET`` bytes.  One indexed ``take`` gathers both source
@@ -230,24 +243,8 @@ class ShiftOperator:
                              f"{blocks} and weights {self._weights}")
         self.n_blocks = max(blocks) + 1
         nodes, weights = gauss_nodes(degree)
-        z = terms.ravel() / mesh.dx
-        # snap shifts that are an integer number of cells up to roundoff,
-        # so mesh-aligned transport stays an exact permutation
-        nearest = np.round(z)
-        z = np.where(np.abs(z - nearest) <= 1e-12 * (1.0 + np.abs(z)), nearest, z)
-        cells = np.floor(z)
-        theta = z - cells
-        bump = theta >= 1.0
-        cells = cells + bump
-        theta = np.where(bump, 0.0, theta)
-        cells = cells.astype(int)
+        cells, theta = shift_cells(terms.ravel(), mesh.dx)
         n, q, L = mesh.n_elements, degree + 1, self._lead
-        self.blocks = blocks
-        # a slice's left piece lies cells + 1 elements before its target,
-        # its aligned piece cells elements
-        per_term = cells.reshape(m, L)
-        self.reach = tuple(zip(per_term.min(axis=1).tolist(),
-                               (per_term.max(axis=1) + 1).tolist()))
         # (w A0^T, w A1^T) of every (term, slice), the matrices of the products
         scale = np.concatenate([np.broadcast_to(w, L) for w in (1.0,) + self._weights])
         scale = scale[:, None, None]

@@ -36,20 +36,20 @@ array except the one it returns.
 
 A linear model (``model.linear``) steps through a compiled step instead.
 On the uniform periodic mesh its step is a block-circulant map over the
-few element offsets it reaches.  The solver runs the stage plan on unit
-impulses in long double, as many in each run as fit on the mesh spaced
-past the reach that the stage operators bound; those responses are the
-stencil, and their DFT over the offsets is the step's Fourier symbol, one
-(n_v q) x (n_v q) block per wavenumber.  One such plan carries several
-step sizes side by side, each (velocity, step size) pair a slice of its
-stage operators, so a sweep compiles all its step sizes in a few plan
-runs (:meth:`SemiLagrangianSolver.compile`); a step size met while
-stepping is compiled alone.  The solver keeps the compiled step of every
-step size, and every workspace shares it.  A warm single step is one
-``take`` into a gather buffer and one ``matmul`` with the stencil, rounded
-once to the workspace dtype.  Many steps at once are one FFT pair around a
-product with the symbol's power, raised in long double and rounded once
-to complex128.
+few element offsets it reaches.  The solver runs the stage plan in long
+double on unit impulses spaced past the reach of the stage shifts, which
+no element count changes: all in one run on a periodic patch of 2^k
+elements of the mesh's dx where that is narrower than the mesh, else as
+many per run as fit on the mesh.  The responses in the window of the
+step's reach are the stencil, and their DFT over the offsets is the
+step's Fourier symbol, one (n_v q) x (n_v q) block per wavenumber.  One
+plan carries several step sizes side by side, each (velocity, step size)
+pair a slice of its stage operators (:meth:`SemiLagrangianSolver.compile`);
+a step size met while stepping is compiled alone.  A warm single step is
+one ``take`` into a gather buffer and one ``matmul`` with the stencil,
+rounded once to the workspace dtype.  Many steps at once are one FFT pair
+around a product with the symbol's power, raised in long double and
+rounded once to complex128.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from operator import add
 import numpy as np
 
 from .butcher import ButcherTableau
-from .dg import DGField, Mesh1D, ShiftOperator, _group_size, scalar_operand
+from .dg import DGField, Mesh1D, ShiftOperator, _group_size, scalar_operand, shift_cells
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
@@ -125,20 +125,22 @@ def _by_velocity(a: np.ndarray, n_v: int) -> np.ndarray:
 
 
 class _Workspace:
-    """The warm state of one solver for values of one dtype: scratch
-    arrays, the step size last planned for and that step size's plan or
-    stencil.  A workspace of a ``batch`` of step sizes holds their values
-    side by side: slice v * batch + b of its (n_v * batch, n_el, q) arrays
-    is velocity v at step size b."""
+    """The warm state of a ``solver`` for values of one dtype on ``mesh``
+    (the solver's by default): scratch arrays, the step size last planned
+    for and that step size's plan or stencil.  A workspace of a ``batch``
+    of step sizes holds their values side by side: slice v * batch + b of
+    its (n_v * batch, n_el, q) arrays is velocity v at step size b."""
 
-    def __init__(self, shape: tuple, dtype, n_stages: int, n_terms: int, model: KineticModel,
-                 batch: int = 1):
-        n_v, n, q = shape
-        lead = n_v * batch
+    def __init__(self, solver: SemiLagrangianSolver, dtype, batch: int = 1,
+                 mesh: Mesh1D | None = None):
+        self.mesh = mesh or solver.mesh
+        (n_v, _, q), model, n_stages = solver._shape, solver.model, solver.tableau.s
+        n, lead = self.mesh.n_elements, n_v * batch
         # slot 0 holds the step-start values, slot j + 1 the increment of
         # stage j times eps + a_jj * dt
         self.stages = np.empty((n_stages * lead, n, q), dtype)
-        gather, product = ShiftOperator.scratch_shapes((lead, n, q), n_terms)
+        gather, product = ShiftOperator.scratch_shapes(
+            (lead, n, q), 1 + max(map(len, solver._earlier)))
         self.gather = np.empty(gather, dtype)
         self.product = np.empty(product, dtype)
         self.predicted = np.empty((lead, n, q), dtype)
@@ -175,21 +177,22 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return np.exp(-1j * ((2 * np.arccos(np.longdouble(-1)) / n) * np.arange(n)))
 
 
-def _linear_step_of(response: np.ndarray, roots: np.ndarray) -> _LinearStep:
+def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray) -> _LinearStep:
     """The compiled step from the long-double responses
-    ``response[v, j, w, d, a]``: node a of element d of velocity w after the
-    step of the unit impulse at node j of element 0 of velocity v.  The
-    offsets of exact zeros lie beyond the reach (on a mesh narrower than
-    the reach every offset stays and wraps).  The symbol of wavenumber k
-    is the block sum over d of K[:, d] exp(-2 pi i k d / n_el), with rows
-    (w, a) and columns (v, j); its phases are the entries k d mod n_el of
-    ``roots``, :func:`_roots_of_unity` of n_el.  K is real, so the real
-    and imaginary parts of the symbol are two real products.  Where long
+    ``response[v, j, w, d, a]`` at element offsets ``window[d]``
+    (:meth:`SemiLagrangianSolver._responses`).  The offsets of exact zeros
+    lie beyond the reach (on a mesh narrower than the reach every offset
+    stays and wraps); the others are kept in ascending order modulo n_el.
+    The symbol of wavenumber k is their block sum of K[:, d] exp(-2 pi i k
+    d / n_el), rows (w, a) and columns (v, j), with the phases k d mod n_el
+    of ``roots``, :func:`_roots_of_unity` of n_el.  K is real, so the
+    symbol's real and imaginary parts are two real products.  Where long
     double is no wider than float64, all of this composes in float64
     precision."""
-    n_v, q, _, n, _ = response.shape
-    offsets = np.flatnonzero(response.any(axis=(0, 1, 2, 4)))
-    kept = response[:, :, :, offsets]
+    n_v, q, n = *response.shape[:2], len(roots)
+    order = np.argsort(window % n)
+    order = order[response.any(axis=(0, 1, 2, 4))[order]]
+    offsets, kept = window[order] % n, response[:, :, :, order]
     stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
     i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
     rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
@@ -227,12 +230,6 @@ class SemiLagrangianSolver:
         # a linear model's compiled step of each dt
         self._linear: dict[float, _LinearStep] = {}
 
-    def _new_workspace(self, dtype, batch: int = 1) -> _Workspace:
-        """A new workspace for values of ``dtype`` at ``batch`` step sizes,
-        kept by no one."""
-        return _Workspace(self._shape, dtype, self.tableau.s, 1 + max(map(len, self._earlier)),
-                          self.model, batch)
-
     def _workspace(self, values: np.ndarray) -> _Workspace:
         """The workspace for the dtype of the values' remap; ``ValueError``
         for values not of the solver's shape."""
@@ -242,7 +239,7 @@ class SemiLagrangianSolver:
         dtype = np.promote_types(values.dtype, float)
         ws = self._workspaces.get(dtype)
         if ws is None:
-            ws = self._workspaces[dtype] = self._new_workspace(dtype)
+            ws = self._workspaces[dtype] = _Workspace(self, dtype)
         return ws
 
     def _stage_plan(self, ws: _Workspace, *dts: float) -> tuple:
@@ -255,9 +252,8 @@ class SemiLagrangianSolver:
         whose sum is the step output.  A lone step size's weights are
         numbers and its scalar operands 0-d arrays of the workspace dtype;
         a batch has one of each per slice."""
-        eps, A, c, model = self.eps, self.tableau.A, self.tableau.c, self.model
-        v = model.velocity_set.v
-        n_v = len(v)
+        eps, A, model = self.eps, self.tableau.A, self.model
+        n_v = model.velocity_set.n
         predicted, spare = ws.predicted, ws.spare
         last = self.tableau.s - 1
 
@@ -272,10 +268,8 @@ class SemiLagrangianSolver:
             return x[:, None, None] if x.ndim else x
 
         stages = []
-        for k, earlier in enumerate(self._earlier):
-            shifts = [np.outer(v, [c[k] * dt for dt in dts]).ravel()]
-            shifts += [np.outer(v, [(c[k] - c[j]) * dt for dt in dts]).ravel() for j in earlier]
-            op = ShiftOperator(self.mesh, self.degree, np.array(shifts),
+        for k, (earlier, shifts) in enumerate(zip(self._earlier, self._stage_shifts(*dts))):
+            op = ShiftOperator(ws.mesh, self.degree, shifts,
                                blocks=[0] + [j + 1 for j in earlier],
                                weights=[per_slice([dt * A[k, j] / (eps + A[j, j] * dt)
                                                    for dt in dts]) for j in earlier])
@@ -298,25 +292,23 @@ class SemiLagrangianSolver:
 
     def compile(self, *dts: float) -> None:
         """Build and keep a linear model's steps of the sizes ``dts``
-        before they are stepped; a step size already kept is not built
-        again.  The step sizes go in chunks, each one build
-        (:meth:`_compile`), as large as lets every stage operator group its
-        terms (:func:`~sldirk.dg._group_size`) as it does for one step
-        size, so that each step has the bits of its own build.
-        ``ValueError`` for a model that is not linear."""
+        before they are stepped, each once.  They go in chunks, one build
+        each (:meth:`_compile`), as large as lets every stage operator group
+        its terms (:func:`~sldirk.dg._group_size`) on the plan's patch
+        (:meth:`_patch`) as for one step size, so each step has the bits of
+        its own build.  ``ValueError`` for a model that is not linear."""
         if not self.model.linear:
             raise ValueError(f"the {self.model.name} model is not linear, so its step "
                              f"does not compile")
         new = [dt for dt in dict.fromkeys(dts) if dt not in self._linear]
-        n_v, n, q = self._shape
-        terms = [1 + len(earlier) for earlier in self._earlier]
-
-        def groups(batch):
-            return [_group_size((n_v * batch, n, q), m) for m in terms]
-
-        size = 1
-        while size < len(new) and groups(size + 1) == groups(1):
-            size += 1
+        if not new:
+            return
+        n_v, _, q = self._shape
+        n = self._patch(*new)[0].n_elements
+        # per batch of b + 1 step sizes, the group size of each stage operator
+        groups = [[_group_size((n_v * b, n, q), 1 + len(e)) for e in self._earlier]
+                  for b in range(1, len(new) + 1)]
+        size = next((b for b in range(1, len(new)) if groups[b] != groups[0]), len(new))
         for first in range(0, len(new), size):
             chunk = new[first:first + size]
             self._linear.update(zip(chunk, self._compile(*chunk)))
@@ -335,63 +327,73 @@ class SemiLagrangianSolver:
             out[w, i, a] = sum over d in D, v, j of K[w, d, v, j, a] * values[v, i - d, j]
 
         over the element offsets D it reaches.  K is the step of the unit
-        impulses (v, j) of element 0 (:meth:`_responses`), and
-        :func:`_linear_step_of` makes the rest of each build, all from one
-        table of phases."""
+        impulses (v, j) in the window of its reach (:meth:`_responses`),
+        and :func:`_linear_step_of` makes the rest of each build, all from
+        one table of phases."""
+        response, window = self._responses(*dts)
         roots = _roots_of_unity(self._shape[1])
-        return [_linear_step_of(response, roots) for response in self._responses(*dts)]
+        return [_linear_step_of(r, window, roots) for r in response]
 
-    def _responses(self, *dts: float) -> np.ndarray:
+    def _responses(self, *dts: float) -> tuple[np.ndarray, np.ndarray]:
         """The long-double responses (dt, v, j, w, d, a) to the steps of the
-        sizes ``dts``: node a of element d of velocity w after the step of
-        the unit impulse at node j of element 0 of velocity v, run through
-        one stage plan of all ``dts`` side by side in long double.  The step
-        commutes with translation, so one plan run carries as many impulses
-        as fit on the mesh spaced by the widest stage reach over the step
-        sizes (:meth:`_reach`), where no stage of one impulse meets a stage
-        of another, and reads each response from its impulse's window of
-        the widest step reach: the bits of that impulse run alone.  Where
-        only one window fits, a run carries one impulse and its response is
-        the whole field."""
-        n_v, n, q = self._shape
-        batch = len(dts)
-        exact = self._new_workspace(np.longdouble, batch)
-        stages, M = self._stage_plan(exact, *dts)
-        reach = self._reach(stages)
-        spacing = max(hi - lo + 1 for lo, hi in reach)
+        sizes ``dts`` run side by side through one stage plan, and their
+        window: node a of velocity w at element offset window[d] from the
+        unit impulse at node j of velocity v.  The step commutes with
+        translation, so one plan run carries as many impulses as fit on its
+        mesh (:meth:`_patch`) spaced by the widest stage reach, each read
+        from its window of the step's reach with the bits of that impulse
+        run alone.  Where only one window fits, a run carries one impulse
+        and the window is the whole mesh."""
+        (n_v, _, q), batch = self._shape, len(dts)
+        mesh, spacing, (lo, hi) = self._patch(*dts)
+        n = mesh.n_elements
         per_run = max(1, n // spacing)
-        lo, hi = reach[-1]
-        # the elements a response is read from, by offset from its impulse
-        window = np.arange(lo, hi + 1) % n if per_run > 1 else np.arange(n)
-        impulses = [(v, j) for v in range(n_v) for j in range(q)]
-        # field[v, b] is velocity v at step size b, the workspace's slice v * batch + b
-        field = np.zeros((n_v, batch, n, q), np.longdouble)
-        response = np.zeros((batch, n_v, q, n_v, n, q), np.longdouble)
+        window = np.arange(lo, hi + 1) if per_run > 1 else np.arange(n)
+        exact = _Workspace(self, np.longdouble, batch, mesh)
+        stages, M = self._stage_plan(exact, *dts)
+        impulses = list(np.ndindex(n_v, q))
+        # start[v, b], the step-start slot of velocity v at step size b
+        start = exact.inputs[0].reshape(n_v, batch, n, q)
+        response = np.empty((batch, n_v, q, n_v, len(window), q), np.longdouble)
         elements = range(0, per_run * spacing, spacing)
         for first in range(0, len(impulses), per_run):
             placed = list(zip(elements, impulses[first:first + per_run]))
+            start[...] = 0.0
             for e, (v, j) in placed:
-                field[v, :, e, j] = 1.0
-            out = self._run_plan(exact, field.reshape(-1, n, q), stages, M)
-            out = out.reshape(n_v, batch, n, q).swapaxes(0, 1)
+                start[v, :, e, j] = 1.0
+            out = self._run_plan(exact, exact.inputs[0], stages, M).reshape(n_v, batch, n, q)
             for e, (v, j) in placed:
-                field[v, :, e, j] = 0.0
-                response[:, v, j][:, :, window] = out[:, :, (e + window) % n]
-        return response
+                response[:, v, j] = out[:, :, (e + window) % n].swapaxes(0, 1)
+        return response, window
 
-    def _reach(self, stages: list) -> list[tuple[int, int]]:
-        """Per stage of the plan ``stages``, the lowest and highest element
-        offset from an impulse at which the stage's output can differ from
-        zero: the step-start slot reaches offset 0 only, a stage the hull
-        over its terms of the source slot's reach plus the term's, and the
-        increment slot of stage k what stage k reaches.  The last stage's is
-        the step's.  Impulses at least the widest of these apart never meet."""
-        slots = [(0, 0)]
-        for op, _, _ in stages:
-            reached = [(slots[b][0] + lo, slots[b][1] + hi)
-                       for b, (lo, hi) in zip(op.blocks, op.reach)]
-            slots.append((min(lo for lo, _ in reached), max(hi for _, hi in reached)))
-        return slots[1:]
+    def _patch(self, *dts: float) -> tuple[Mesh1D, int, tuple[int, int]]:
+        """The mesh a build of ``dts`` runs its plan on, the widest stage
+        reach over them and the step's, a reach being the element offsets
+        from an impulse where a slot can differ from zero: 0 for the
+        step-start slot, for a stage the hull over its terms of the source
+        slot's reach plus the term's (:func:`~sldirk.dg.shift_cells`).
+        Impulses the widest reach apart never meet on any mesh.  The plan's
+        is a periodic patch of P elements (P dx / P = dx), P the least power
+        of two that holds n_v q impulses so spaced, where that is narrower."""
+        n_v, n, q = self._shape
+        reach = [(0, 0)]
+        for earlier, shifts in zip(self._earlier, self._stage_shifts(*dts)):
+            cells = shift_cells(shifts, self.mesh.dx)[0]
+            reached = [(reach[b][0] + int(row.min()), reach[b][1] + int(row.max()) + 1)
+                       for b, row in zip([0] + [j + 1 for j in earlier], cells)]
+            reach.append((min(lo for lo, _ in reached), max(hi for _, hi in reached)))
+        spacing = max(hi - lo + 1 for lo, hi in reach)
+        width = 1 << (n_v * q * spacing - 1).bit_length()
+        mesh = Mesh1D(0.0, width * self.mesh.dx, width) if width < n else self.mesh
+        return mesh, spacing, reach[-1]
+
+    def _stage_shifts(self, *dts: float) -> list[np.ndarray]:
+        """Per stage k, the (terms, slices) shifts of its operator for the
+        step sizes ``dts`` side by side (:meth:`_stage_plan`)."""
+        v, c = self.model.velocity_set.v, self.tableau.c
+        return [np.array([np.outer(v, [ck * dt for dt in dts]).ravel()
+                          for ck in [c[k]] + [c[k] - c[j] for j in earlier]])
+                for k, earlier in enumerate(self._earlier)]
 
     def _stencil(self, ws: _Workspace, dt: float) -> tuple:
         """The stencil of ``ws`` for step size ``dt``: the gather indexes,

@@ -6,7 +6,7 @@ import pytest
 
 from sldirk import dg
 from sldirk.dg import (DGField, Mesh1D, ShiftOperator, fourier_coefficient, gauss_nodes,
-                       lagrange_eval)
+                       lagrange_eval, shift_cells)
 from conftest import assert_close, remap
 
 
@@ -379,11 +379,12 @@ def test_reach_spans_the_offsets_each_term_reads():
     # an impulse in element 0 of its source block lands only at those
     # element offsets, target minus source
     mesh = Mesh1D(0.0, 1.0, 64)
-    op = ShiftOperator(mesh, 2, _TERM_SHIFTS * mesh.dx, blocks=(3, 2, 1, 0),
-                       weights=(1.0, 1.0, 1.0))
-    assert op.blocks == (3, 2, 1, 0)
-    assert op.reach == ((-2, 1), (-3, 3), (-1, 8), (-4, 30))
-    for block, (lo, hi) in zip(op.blocks, op.reach):
+    blocks = (3, 2, 1, 0)
+    op = ShiftOperator(mesh, 2, _TERM_SHIFTS * mesh.dx, blocks=blocks, weights=(1.0, 1.0, 1.0))
+    cells = shift_cells(_TERM_SHIFTS * mesh.dx, mesh.dx)[0]
+    reach = [(row.min(), row.max() + 1) for row in cells]
+    assert reach == [(-2, 1), (-3, 3), (-1, 8), (-4, 30)]
+    for block, (lo, hi) in zip(blocks, reach):
         values = np.zeros((12, 64, 3))
         values[3 * block:3 * block + 3, 0] = 1.0
         landed = np.flatnonzero(op.apply(values).any(axis=(0, 2)))

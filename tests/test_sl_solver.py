@@ -13,7 +13,7 @@ from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, maxwellian)
 from sldirk import harness
-from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig,
+from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig, _Workspace,
                               _linear_step_of, _roots_of_unity, l1_error, run)
 from sldirk.stability import StabilityPoint, amplification
 from conftest import assert_close, initial_field, random_sa_dirk, remap
@@ -745,7 +745,7 @@ def _one_impulse_per_run(solver, dt):
     impulse (v, j) of element 0 alone through the long-double plan, its
     response the whole field."""
     n_v, n, q = solver._shape
-    exact = solver._new_workspace(np.longdouble)
+    exact = _Workspace(solver, np.longdouble)
     stages, M = solver._stage_plan(exact, dt)
     impulse = np.zeros(solver._shape, np.longdouble)
     response = np.empty((n_v, q) + solver._shape, np.longdouble)
@@ -754,12 +754,12 @@ def _one_impulse_per_run(solver, dt):
             impulse[v, 0, j] = 1.0
             response[v, j] = solver._run_plan(exact, impulse, stages, M)
             impulse[v, 0, j] = 0.0
-    return _linear_step_of(response, _roots_of_unity(n))
+    return _linear_step_of(response, np.arange(n), _roots_of_unity(n))
 
 
 def _step_reach(solver, dt):
     """The lowest and highest element offset the step of ``dt`` can reach."""
-    return solver._reach(solver._stage_plan(solver._new_workspace(np.longdouble), dt)[0])[-1]
+    return solver._patch(dt)[2]
 
 
 @pytest.mark.parametrize("tableau", ["BE", "DIRK3-B2", "DIRK3-B10"])
@@ -822,13 +822,14 @@ def test_a_batched_build_has_the_bits_of_one_build_per_dt(degree, tableau, monke
 
 
 @pytest.mark.parametrize("tableau,degree,chunks", [
-    ("DIRK3-B10", 2, [5]), ("DIRK3-B10", 3, [4, 1]), ("DIRK3-B10", 4, [3, 2]),
-    ("DIRK3-B2", 4, [3, 2])])
+    ("DIRK3-B10", 2, [5]), ("DIRK3-B10", 3, [5]), ("DIRK3-B10", 4, [4, 1]),
+    ("DIRK3-B2", 4, [4, 1])])
 def test_a_build_chunks_step_sizes_as_the_stage_groups_allow(tableau, degree, chunks,
                                                                monkeypatch):
-    # on 160 elements a build groups each stage's terms as a build of one
-    # step size does, so five step sizes go in one or two chunks; the
-    # chunked build keeps the bits of one build per dt
+    # on 160 elements a build runs on a patch of 64 or 128 elements and
+    # groups each stage's terms there as a build of one step size does, so
+    # five step sizes go in one or two chunks; the chunked build keeps the
+    # bits of one build per dt
     cfg, _ = build_case("5.1", tableau, 1e-10, 0.1, degree=degree)
     dts = [cfl * cfg.mesh.dx for cfl in (0.001, 0.0625, 0.125, 0.25, 0.5)]
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
@@ -863,7 +864,7 @@ def test_a_linear_sweep_compiles_once_per_chunk_and_runs_through_harness_run(
         cfl_values=(0.0625, 0.125, 0.25, 0.5), degree=degree)
     result = harness.run_convergence(study)
     assert len(calls) == 4 * chunks
-    assert [len(dts) for dts in calls[:chunks]] == ([5] if chunks == 1 else [3, 2])
+    assert [len(dts) for dts in calls[:chunks]] == ([5] if chunks == 1 else [4, 1])
     assert len(runs) == 4 * 5
     assert [(tab, cfl) for tab, cfl, _ in runs] == [
         (tab, cfl) for tab in study.tableaus for _ in study.eps_values
@@ -937,6 +938,79 @@ def test_a_build_runs_the_plan_once_per_group_of_impulses(tableau, n, degree, ru
                         lambda self, *a: calls.append(1) or run_plan(self, *a))
     solver._compile(cfg.dt)
     assert len(calls) == runs
+
+
+#: the fluid CFLs of a degree-2 desk sweep of preset 5.1 and its reference
+_DESK_CFLS = (0.001, 0.075, 0.15, 0.3, 0.6)
+
+
+def _desk_build(n, eps=1e-10):
+    """A DIRK3-B10 solver of preset 5.1 at degree 2 on ``n`` elements and
+    the step sizes of its desk sweep."""
+    cfg, _ = build_case("5.1", "DIRK3-B10", eps, 0.1, n_elements=n, degree=2)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    return solver, [cfl * cfg.mesh.dx for cfl in _DESK_CFLS]
+
+
+def test_a_build_on_a_patch_has_the_bits_of_one_impulse_per_run_on_the_mesh(monkeypatch):
+    # on 640 elements the six impulses at all five step sizes go in one plan
+    # run on a patch of 64 elements, which stacks every stage's terms in
+    # one group as a one-dt build on the mesh does
+    solver, dts = _desk_build(640)
+    widths = []
+    run_plan = SemiLagrangianSolver._run_plan
+    monkeypatch.setattr(SemiLagrangianSolver, "_run_plan",
+                        lambda self, ws, *a: widths.append(ws.mesh.n_elements)
+                        or run_plan(self, ws, *a))
+    solver.compile(*dts)
+    monkeypatch.undo()
+    assert widths == [64]
+    for dt in dts:
+        ref = _one_impulse_per_run(solver, dt)
+        for name in _STEP_FIELDS:
+            assert np.array_equal(getattr(solver._linear[dt], name), getattr(ref, name)), \
+                (dt, name)
+
+
+def test_a_patch_stacks_the_stage_terms_that_the_whole_mesh_splits():
+    # on 1280 elements a one-dt build on the mesh stacks the three terms of
+    # DIRK3-B10's third stage in two groups, and the patch in one; the sums
+    # regroup, so the stack and symbol agree to long-double roundoff only
+    solver, dts = _desk_build(1280)
+    patch = solver._patch(*dts)[0]
+    for dt in dts:
+        for ws in (_Workspace(solver, np.longdouble),
+                   _Workspace(solver, np.longdouble, 1, patch)):
+            groups = [len(op._groups) for op, _, _ in solver._stage_plan(ws, dt)[0]]
+            assert groups == ([1, 1, 2, 1] if ws.mesh is solver.mesh else [1, 1, 1, 1])
+    solver.compile(*dts)
+    # 9.8e-19 in x87 extended precision
+    rtol = 9 * np.finfo(np.longdouble).eps
+    for dt in dts:
+        got, ref = solver._linear[dt], _one_impulse_per_run(solver, dt)
+        for name in ("offsets", "rows"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (dt, name)
+        for name in ("stack", "symbol"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), (dt, name)
+
+
+def test_a_build_working_set_does_not_grow_with_the_mesh():
+    # the long-double plan runs on the same 64-element patch for 160 and
+    # 1280 elements and keeps each response's window of 9 elements; a
+    # build on the whole mesh peaked at 1.85 MB and 10.2 MB
+    peaks = []
+    for n in (160, 1280):
+        solver, dts = _desk_build(n, eps=1e-6)
+        tracemalloc.start()
+        try:
+            response, window = solver._responses(*dts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert response.shape == (5, 2, 3, 2, 9, 3) and window.tolist() == list(range(-4, 5))
+    assert abs(peaks[0] - peaks[1]) <= 0.1 * min(peaks), peaks
+    assert max(peaks) < 640_000, peaks
 
 
 @pytest.mark.parametrize("degree", [0, 2, 4])
