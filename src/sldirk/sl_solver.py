@@ -39,17 +39,16 @@ On the uniform periodic mesh its step is a block-circulant map over the
 few element offsets it reaches.  The solver runs the stage plan in long
 double on unit impulses spaced past the reach of the stage shifts, which
 no element count changes: all in one run on a periodic patch of 2^k
-elements of the mesh's dx where that is narrower than the mesh, else as
-many per run as fit on the mesh.  The responses in the window of the
-step's reach are the stencil, and their DFT over the offsets is the
-step's Fourier symbol, one (n_v q) x (n_v q) block per wavenumber.  One
-plan carries several step sizes side by side, each (velocity, step size)
-pair a slice of its stage operators (:meth:`SemiLagrangianSolver.compile`);
-a step size met while stepping is compiled alone.  A warm single step is
-one ``take`` into a gather buffer and one ``matmul`` with the stencil,
-rounded once to the workspace dtype.  Many steps at once are one FFT pair
-around a product with the symbol's power, raised in long double and
-rounded once to complex128.
+elements of the mesh's dx.  The responses in the window of the step's
+reach are the stencil, each offset taken modulo n_el, and their DFT over
+the offsets is the step's Fourier symbol, one (n_v q) x (n_v q) block per
+wavenumber.  One plan carries several step sizes side by side, each
+(velocity, step size) pair a slice of its stage operators
+(:meth:`SemiLagrangianSolver.compile`); a step size met while stepping is
+compiled alone.  A warm single step is one ``take`` into a gather buffer
+and one ``matmul`` with the stencil, rounded once to the workspace dtype.
+Many steps at once are one FFT pair around a product with the symbol's
+power, raised in long double and rounded once to complex128.
 """
 
 from __future__ import annotations
@@ -181,8 +180,9 @@ def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray)
     """The compiled step from the long-double responses
     ``response[v, j, w, d, a]`` at element offsets ``window[d]``
     (:meth:`SemiLagrangianSolver._responses`).  The offsets of exact zeros
-    lie beyond the reach (on a mesh narrower than the reach every offset
-    stays and wraps); the others are kept in ascending order modulo n_el.
+    lie beyond the reach; the others are kept in ascending order modulo
+    n_el, and where two coincide modulo n_el (a mesh narrower than the
+    reach) each keeps its own block and the sums add both.
     The symbol of wavenumber k is their block sum of K[:, d] exp(-2 pi i k
     d / n_el), rows (w, a) and columns (v, j), with the phases k d mod n_el
     of ``roots``, :func:`_roots_of_unity` of n_el.  K is real, so the
@@ -339,31 +339,25 @@ class SemiLagrangianSolver:
         sizes ``dts`` run side by side through one stage plan, and their
         window: node a of velocity w at element offset window[d] from the
         unit impulse at node j of velocity v.  The step commutes with
-        translation, so one plan run carries as many impulses as fit on its
-        mesh (:meth:`_patch`) spaced by the widest stage reach, each read
-        from its window of the step's reach with the bits of that impulse
-        run alone.  Where only one window fits, a run carries one impulse
-        and the window is the whole mesh."""
+        translation, so one plan run on the patch (:meth:`_patch`) carries
+        every impulse, spaced by the widest stage reach, each read from its
+        window of the step's reach with the bits of that impulse run alone."""
         (n_v, _, q), batch = self._shape, len(dts)
         mesh, spacing, (lo, hi) = self._patch(*dts)
         n = mesh.n_elements
-        per_run = max(1, n // spacing)
-        window = np.arange(lo, hi + 1) if per_run > 1 else np.arange(n)
+        window = np.arange(lo, hi + 1)
         exact = _Workspace(self, np.longdouble, batch, mesh)
         stages, M = self._stage_plan(exact, *dts)
-        impulses = list(np.ndindex(n_v, q))
+        placed = list(zip(range(0, n, spacing), np.ndindex(n_v, q)))
         # start[v, b], the step-start slot of velocity v at step size b
         start = exact.inputs[0].reshape(n_v, batch, n, q)
+        start[...] = 0.0
+        for e, (v, j) in placed:
+            start[v, :, e, j] = 1.0
+        out = self._run_plan(exact, exact.inputs[0], stages, M).reshape(n_v, batch, n, q)
         response = np.empty((batch, n_v, q, n_v, len(window), q), np.longdouble)
-        elements = range(0, per_run * spacing, spacing)
-        for first in range(0, len(impulses), per_run):
-            placed = list(zip(elements, impulses[first:first + per_run]))
-            start[...] = 0.0
-            for e, (v, j) in placed:
-                start[v, :, e, j] = 1.0
-            out = self._run_plan(exact, exact.inputs[0], stages, M).reshape(n_v, batch, n, q)
-            for e, (v, j) in placed:
-                response[:, v, j] = out[:, :, (e + window) % n].swapaxes(0, 1)
+        for e, (v, j) in placed:
+            response[:, v, j] = out[:, :, (e + window) % n].swapaxes(0, 1)
         return response, window
 
     def _patch(self, *dts: float) -> tuple[Mesh1D, int, tuple[int, int]]:
@@ -373,9 +367,10 @@ class SemiLagrangianSolver:
         step-start slot, for a stage the hull over its terms of the source
         slot's reach plus the term's (:func:`~sldirk.dg.shift_cells`).
         Impulses the widest reach apart never meet on any mesh.  The plan's
-        is a periodic patch of P elements (P dx / P = dx), P the least power
-        of two that holds n_v q impulses so spaced, where that is narrower."""
-        n_v, n, q = self._shape
+        mesh is a periodic patch of P elements (P dx / P = dx), P the least
+        power of two that holds n_v q impulses so spaced, whatever the
+        element count of the solver's mesh."""
+        n_v, _, q = self._shape
         reach = [(0, 0)]
         for earlier, shifts in zip(self._earlier, self._stage_shifts(*dts)):
             cells = shift_cells(shifts, self.mesh.dx)[0]
@@ -384,8 +379,7 @@ class SemiLagrangianSolver:
             reach.append((min(lo for lo, _ in reached), max(hi for _, hi in reached)))
         spacing = max(hi - lo + 1 for lo, hi in reach)
         width = 1 << (n_v * q * spacing - 1).bit_length()
-        mesh = Mesh1D(0.0, width * self.mesh.dx, width) if width < n else self.mesh
-        return mesh, spacing, reach[-1]
+        return Mesh1D(0.0, width * self.mesh.dx, width), spacing, reach[-1]
 
     def _stage_shifts(self, *dts: float) -> list[np.ndarray]:
         """Per stage k, the (terms, slices) shifts of its operator for the
@@ -449,9 +443,10 @@ class SemiLagrangianSolver:
         stepping them in turn); other models and work dtypes step in turn.
         """
         ws = self._workspace(values)
+        # int first: it matches a Python int without the slower ABC check
+        if not (isinstance(steps, (int, numbers.Integral)) and steps >= 1):
+            raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
         if steps != 1:
-            if not (isinstance(steps, numbers.Integral) and steps >= 1):
-                raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
             if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
                 return self._jump(values, dt, steps)
             for _ in range(steps):
@@ -515,10 +510,10 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     sum of the step sizes before it, added in turn.
 
     ``diagnostics_every`` controls how often the conservation/relaxation
-    diagnostics are recorded (0 records only the endpoints; a negative
-    value raises ``ValueError``).  A linear model goes from one record to
-    the next in one ``step_values`` call; other models take one step per
-    call.  Aborts with :class:`DivergenceError` as soon as the field stops
+    diagnostics are recorded (0 records only the endpoints; a value that
+    is not a whole number >= 0 raises ``ValueError``).  A linear model goes
+    from one record to the next in one ``step_values`` call; other models
+    take one step per call.  Aborts with :class:`DivergenceError` as soon as the field stops
     being finite (a jump that ends non-finite is taken again one step at a
     time, to find that step); a :class:`SimulationError` from a step or
     from its diagnostics carries that step and its end time (step 0 and
@@ -531,6 +526,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     the config's own model and tableau objects and equal mesh, degree and
     eps; ``ValueError`` names what differs.
     """
+    if not isinstance(diagnostics_every, numbers.Integral):
+        raise ValueError(f"diagnostics_every must be a whole number, got {diagnostics_every!r}")
     if diagnostics_every < 0:
         raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")
     if solver is None:

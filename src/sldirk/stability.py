@@ -206,10 +206,11 @@ def _mask_in(plane):
     return np.ndarray(plane.shape, np.bool_, buffer=plane, strides=plane.strides)
 
 
-#: elements per block of the eigenvalue kernel, and of the entry planes that
-#: a scan writes straight from the weights product: the four planes, the
-#: scratch and the output of 12,000 elements take 1.5 MB, which stays in a
-#: 2 MB per-core L2 cache from the product through the kernel's passes
+#: elements per block of a scan: per block of k_dt rows it writes the four
+#: entry planes straight from the weights product and runs the eigenvalue
+#: kernel on them; the planes, the scratch and the output of 12,000 elements
+#: take 1.5 MB, which stays in a 2 MB per-core L2 cache from the product
+#: through the kernel's passes
 _EIGEN_BLOCK = 12_000
 
 
@@ -226,32 +227,16 @@ def eigenvalues_2x2(m, out=None, scratch=None):
     (2, 2, ...) needs no copy.  The magnitudes go into the float pair
     ``out`` via ``scratch``, a complex array of shape (3,) + m.shape[:-2];
     new ones are made when None.  With both given and ``m`` complex, no
-    array of the size of a plane is allocated.  The kernel runs over blocks
-    of leading rows; no element's value depends on the blocks.
+    array of the size of a plane is allocated.  The kernel does not
+    block: it runs once over the whole stack, and :func:`scan` passes it
+    one block at a time.  Masks live in an ``out`` plane that is free at
+    the time, and the scratch doubles as six float planes ``f``.
     """
     m = np.asarray(m)
     shape = m.shape[:-2]
     small, large = (None, None) if out is None else out
     small, large = (ensure_buffer("out", a, shape, np.float64) for a in (small, large))
     scratch = ensure_buffer("scratch", scratch, (3,) + shape, np.complex128)
-    if not shape:
-        _eigen_block(m, small, large, scratch)
-        return small, large
-    row = int(np.prod(shape[1:]))
-    rows = max(1, _EIGEN_BLOCK // max(row, 1))
-    flat = scratch.reshape(-1)
-    for i in range(0, shape[0], rows):
-        block = slice(i, i + rows)
-        n = len(small[block])
-        _eigen_block(m[block], small[block], large[block],
-                     flat[:3 * n * row].reshape((3, n) + shape[1:]))
-    return small, large
-
-
-def _eigen_block(m, small, large, scratch):
-    """``eigenvalues_2x2`` on one block, with C-contiguous ``small``,
-    ``large`` and ``scratch``.  Masks live in an ``out`` plane that is free
-    at the time, and the scratch doubles as six float planes ``f``."""
     p, d, w = scratch[0, ...], scratch[1, ...], scratch[2, ...]
     f = scratch.view(np.float64).reshape((6,) + small.shape)
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
@@ -286,6 +271,7 @@ def _eigen_block(m, small, large, scratch):
         np.divide(small, lam, out=small, where=np.not_equal(lam, 0.0, out=_mask_in(large)))
     np.maximum(small, lam, out=large)
     np.minimum(small, lam, out=small)
+    return small, large
 
 
 def spectral_radius(m) -> float:

@@ -663,8 +663,9 @@ def test_scan_block_seams_match_the_k_major_recursion_and_masked_kernel(name):
 
 @pytest.mark.parametrize("shape", [(), (7,), (6, 5), (30_001,), (401, 102)])
 def test_eigenvalues_2x2_bits_match_the_masked_kernel(rng, shape):
-    # the blocked kernel against the one-pass reference, on shapes of one
-    # and of several blocks, with double, zero, triangular and scaled maps
+    # the kernel against the masked reference, on a single map, small
+    # stacks and stacks larger than a scan block, with double, zero,
+    # triangular and scaled maps
     m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
     flat = m.reshape(-1, 2, 2)
     flat[::5] = np.eye(2)
