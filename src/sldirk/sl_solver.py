@@ -34,21 +34,20 @@ subtraction, or the last stage's two scaled terms).  A warm step copies
 its input in and runs only bound kernels; it allocates no field-sized
 array except the one it returns.
 
-A linear model (``model.linear``) steps through a compiled step instead.
-On the uniform periodic mesh its step is a block-circulant map over the
-few element offsets it reaches.  The solver runs the stage plan in long
-double on unit impulses spaced past the reach of the stage shifts, which
-no element count changes: all in one run on a periodic patch of 2^k
-elements of the mesh's dx.  The responses in the window of the step's
-reach are the stencil, each offset taken modulo n_el, and their DFT over
-the offsets is the step's Fourier symbol, one (n_v q) x (n_v q) block per
-wavenumber.  One plan carries several step sizes side by side, each
+A linear model (``model.linear``) steps float64 and complex128 work
+through a compiled step instead.  On the uniform periodic mesh its step
+is a block-circulant map over the few element offsets it reaches.  The
+solver runs the stage plan in long double on unit impulses spaced past
+the reach of the stage shifts, which no element count changes: all in
+one run on a periodic patch of 2^k elements of the mesh's dx.  The DFT
+of the responses in the window of the step's reach, each offset taken
+modulo n_el, is the step's Fourier symbol, one (n_v q) x (n_v q) block
+per wavenumber.  One plan carries several step sizes side by side, each
 (velocity, step size) pair a slice of its stage operators
 (:meth:`SemiLagrangianSolver.compile`); a step size met while stepping is
-compiled alone.  A warm single step is one ``take`` into a gather buffer
-and one ``matmul`` with the stencil, rounded once to the workspace dtype.
-Many steps at once are one FFT pair around a product with the symbol's
-power, raised in long double and rounded once to complex128.
+compiled alone.  Any number of steps, one included, is one FFT pair
+around a product with the symbol's power, raised in long double and
+rounded once to complex128.  Long-double work steps through the plan.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ def _by_velocity(a: np.ndarray, n_v: int) -> np.ndarray:
 class _Workspace:
     """The warm state of a ``solver`` for values of one dtype on ``mesh``
     (the solver's by default): scratch arrays, the step size last planned
-    for and that step size's plan or stencil.  A workspace of a ``batch``
+    for and that step size's stage plan.  A workspace of a ``batch``
     of step sizes holds their values side by side: slice v * batch + b of
     its (n_v * batch, n_el, q) arrays is velocity v at step size b."""
 
@@ -152,20 +151,17 @@ class _Workspace:
         self.inputs = [self.stages[:b * lead] for b in range(1, n_stages + 1)]
         self.slots = [self.stages[k * lead:(k + 1) * lead] for k in range(1, n_stages)]
         self.dt: float | None = None
-        # the stage plan of step size dt; a linear model's stencil instead
+        # the stage plan of step size dt
         self.plan = None
 
 
 @dataclass
 class _LinearStep:
     """A linear model's step of one size, built once and shared by every
-    workspace: the element offsets it reaches, the flat indexes that gather
-    values[v, i - d, j] into row i of a gather buffer, the long-double
-    stencil stack, the long-double symbol of the wavenumbers 0 ... n_el // 2
-    and its powers rounded to complex128, by step count."""
+    workspace: the element offsets it reaches, the long-double symbol of
+    the wavenumbers 0 ... n_el // 2 and its powers rounded to complex128,
+    by step count."""
     offsets: np.ndarray
-    rows: np.ndarray
-    stack: np.ndarray
     symbol: np.ndarray
     powers: dict = field(default_factory=dict)
 
@@ -193,15 +189,12 @@ def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray)
     order = np.argsort(window % n)
     order = order[response.any(axis=(0, 1, 2, 4))[order]]
     offsets, kept = window[order] % n, response[:, :, :, order]
-    stack = kept.transpose(2, 3, 0, 1, 4).reshape(n_v, -1, q)
-    i, d = np.arange(n)[:, None, None, None], offsets[:, None, None]
-    rows = ((np.arange(n_v)[:, None] * n + (i - d) % n) * q + np.arange(q)).ravel()
     phases = roots[np.arange(n // 2 + 1)[:, None] * offsets % n]
     blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
     symbol = np.empty((len(phases), n_v * q, n_v * q), roots.dtype)
     symbol.real = (phases.real @ blocks).reshape(symbol.shape)
     symbol.imag = (phases.imag @ blocks).reshape(symbol.shape)
-    return _LinearStep(offsets, rows, stack, symbol)
+    return _LinearStep(offsets, symbol)
 
 
 class SemiLagrangianSolver:
@@ -296,13 +289,16 @@ class SemiLagrangianSolver:
         each (:meth:`_compile`), as large as lets every stage operator group
         its terms (:func:`~sldirk.dg._group_size`) on the plan's patch
         (:meth:`_patch`) as for one step size, so each step has the bits of
-        its own build.  ``ValueError`` for a model that is not linear."""
+        its own build.  ``ValueError`` for a model that is not linear or a
+        new step size that is not finite and positive."""
         if not self.model.linear:
             raise ValueError(f"the {self.model.name} model is not linear, so its step "
                              f"does not compile")
         new = [dt for dt in dict.fromkeys(dts) if dt not in self._linear]
         if not new:
             return
+        for dt in new:
+            _require_positive("dt", dt)
         n_v, _, q = self._shape
         n = self._patch(*new)[0].n_elements
         # per batch of b + 1 step sizes, the group size of each stage operator
@@ -389,21 +385,13 @@ class SemiLagrangianSolver:
                           for ck in [c[k]] + [c[k] - c[j] for j in earlier]])
                 for k, earlier in enumerate(self._earlier)]
 
-    def _stencil(self, ws: _Workspace, dt: float) -> tuple:
-        """The stencil of ``ws`` for step size ``dt``: the gather indexes,
-        a gather buffer (n_el, |D| * n_v * q) and the (n_v, |D| * n_v * q, q)
-        stack of K rounded once to the workspace dtype."""
-        step, n, dtype = self._linear_step(dt), self._shape[1], ws.stages.dtype
-        gathered = np.empty((n, step.rows.size // n), dtype)
-        return step.rows, gathered, np.ascontiguousarray(step.stack.astype(dtype))
-
     def _jump(self, values: np.ndarray, dt: float, steps: int) -> np.ndarray:
-        """``steps`` steps of a linear model at once, for float64 or complex128
-        work: the rfft of the values over the elements, times the symbol to
-        the power ``steps``, transformed back.  The power is raised in long
-        double and kept, rounded once to complex128, for the next span of
-        as many steps.  The step has real coefficients, so complex values
-        go as their real and imaginary parts."""
+        """``steps`` steps of a linear model at once, one or many, for
+        float64 or complex128 work: the rfft of the values over the
+        elements, times the symbol to the power ``steps``, transformed back.
+        The power is raised in long double and kept, rounded once to
+        complex128, for the next span of as many steps.  The step has real
+        coefficients, so complex values go as their real and imaginary parts."""
         n_v, n, q = self._shape
         step = self._linear_step(dt)
         power = step.powers.get(steps)
@@ -438,30 +426,24 @@ class SemiLagrangianSolver:
         The result is a fresh array; everything else lives in the solver's
         workspace for the values' dtype.  Values of another shape raise
         ``ValueError``, as does a ``steps`` that is not a whole number >= 1.
-        A linear model takes several steps in float64 or complex128 work as
-        one jump through its symbol's power (to roundoff, the same as
-        stepping them in turn); other models and work dtypes step in turn.
+        A linear model takes its steps in float64 or complex128 work, one
+        or many, as one jump through its symbol's power (to roundoff, the
+        same as stepping them in turn); other models and work dtypes step
+        in turn through the stage plan.  A step size that is not finite and
+        positive raises ``ValueError`` where it is first planned or compiled.
         """
         ws = self._workspace(values)
         # int first: it matches a Python int without the slower ABC check
         if not (isinstance(steps, (int, numbers.Integral)) and steps >= 1):
             raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
-        if steps != 1:
-            if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
-                return self._jump(values, dt, steps)
-            for _ in range(steps):
-                values = self.step_values(values, dt)
-            return values
+        if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
+            return self._jump(values, dt, steps)
         if ws.dt != dt:
-            ws.dt, ws.plan = dt, (self._stencil if self.model.linear else self._stage_plan)(ws, dt)
-        if self.model.linear:
-            rows, gathered, stack = ws.plan
-            # take writes only into its own dtype; the rows are in range, and
-            # mode="clip" spares the buffered copy of mode="raise"
-            values.astype(gathered.dtype, copy=False).reshape(-1).take(
-                rows, 0, gathered.reshape(-1), "clip")
-            return np.matmul(gathered, stack)
-        return self._run_plan(ws, values, *ws.plan)
+            _require_positive("dt", dt)
+            ws.dt, ws.plan = dt, self._stage_plan(ws, dt)
+        for _ in range(steps):
+            values = self._run_plan(ws, values, *ws.plan)
+        return values
 
     def _run_plan(self, ws: _Workspace, values: np.ndarray, stages: list, M) -> np.ndarray:
         """One step of ``values`` through the stage plan ``stages`` of

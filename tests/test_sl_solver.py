@@ -706,24 +706,23 @@ def test_compiled_step_matches_the_plan(degree, n):
                     starts = values
 
 
-def test_compiled_warm_step_allocates_only_its_result(monkeypatch):
-    # a warm step is one take into the workspace's gather buffer and one
-    # matmul that writes the fresh result; it runs no remap
+def test_a_warm_one_step_jump_runs_no_remap_and_no_build(monkeypatch):
+    # a warm single step of a linear model is a jump through the kept
+    # symbol's power: one FFT pair, no remap and no long-double plan run
     cfg, f0 = build_case("5.1", "DIRK3-B10", 1e-6, 0.1)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     values = solver.step_values(f0.values, cfg.dt)
-    applies = []
-    apply = ShiftOperator.apply
-    monkeypatch.setattr(ShiftOperator, "apply", lambda *a, **k: applies.append(1) or apply(*a, **k))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = solver.step_values(values, cfg.dt)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= out.nbytes + 1024, peak - out.nbytes
-    assert applies == []
+    for owner, name in ((ShiftOperator, "apply"), (SemiLagrangianSolver, "_run_plan"),
+                        (SemiLagrangianSolver, "_compile")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k:
+                            pytest.fail(f"a warm step called {_name}"))
+    jumps = []
+    jump = SemiLagrangianSolver._jump
+    monkeypatch.setattr(SemiLagrangianSolver, "_jump",
+                        lambda self, *a: jumps.append(a[1:]) or jump(self, *a))
+    out = solver.step_values(values, cfg.dt)
+    assert jumps == [(cfg.dt, 1)]
+    assert out.shape == values.shape and out.dtype == values.dtype
 
 
 def test_compiled_step_is_built_once_per_dt(monkeypatch):
@@ -766,7 +765,7 @@ def _one_impulse_per_run(solver, dt):
     return _linear_step_of(response, np.arange(n), _roots_of_unity(n))
 
 
-_STEP_FIELDS = ("offsets", "rows", "stack", "symbol")
+_STEP_FIELDS = ("offsets", "symbol")
 
 
 def _step_reach(solver, dt):
@@ -992,7 +991,7 @@ def test_a_build_on_a_patch_has_the_bits_of_one_impulse_per_run_on_the_mesh(monk
 def test_a_patch_stacks_the_stage_terms_that_the_whole_mesh_splits():
     # on 1280 elements a one-dt build on the mesh stacks the three terms of
     # DIRK3-B10's third stage in two groups, and the patch in one; the sums
-    # regroup, so the stack and symbol agree to long-double roundoff only
+    # regroup, so the symbols agree to long-double roundoff only
     solver, dts = _desk_build(1280)
     patch = solver._patch(*dts)[0]
     for dt in dts:
@@ -1005,11 +1004,9 @@ def test_a_patch_stacks_the_stage_terms_that_the_whole_mesh_splits():
     rtol = 9 * np.finfo(np.longdouble).eps
     for dt in dts:
         got, ref = solver._linear[dt], _one_impulse_per_run(solver, dt)
-        for name in ("offsets", "rows"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), (dt, name)
-        for name in ("stack", "symbol"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), (dt, name)
+        assert np.array_equal(got.offsets, ref.offsets), dt
+        a, b = got.symbol, ref.symbol
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), dt
 
 
 def test_a_build_working_set_does_not_grow_with_the_mesh():
@@ -1101,6 +1098,26 @@ def test_step_count_must_be_a_whole_number(steps):
         solver.step_values(values, cfg.dt, steps)
 
 
+@pytest.mark.parametrize("example", ["5.1", "5.2"])
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+def test_a_step_size_that_is_not_finite_and_positive_is_rejected(example, dt):
+    # in float64 and in long-double work, one step or several, and for 5.1
+    # also when compiled ahead; the good step size already planned stays
+    cfg, f0 = build_case(example, "DIRK3-B10", 1e-6, 0.1, n_elements=16)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    message = re.escape(f"dt must be finite and positive, got {dt!r}")
+    for start in (f0.values, f0.values.astype(np.longdouble)):
+        good = solver.step_values(start, cfg.dt)
+        for steps in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                solver.step_values(start, dt, steps)
+        assert np.array_equal(solver.step_values(start, cfg.dt), good)
+    if cfg.model.linear:
+        with pytest.raises(ValueError, match=message):
+            solver.compile(0.5 * cfg.dt, dt)
+        assert list(solver._linear) == [cfg.dt]
+
+
 @pytest.mark.parametrize("t_final", [0.28125, 0.29])
 def test_jumped_run_records_what_stepping_records(t_final, monkeypatch):
     # dt = 3/320: T = 0.28125 is 30 whole steps and T = 0.29 ends with a
@@ -1171,25 +1188,26 @@ def test_compiled_run_stays_near_a_long_double_run_of_the_plan():
 
 @pytest.mark.parametrize("tableau,unstable", [("DIRK3-B10", (1.150, 1.479)),
                                               ("DIRK3-B2", (1.181, 1.356))])
-def test_stencil_symbol_gives_the_quoted_spectral_radii(tableau, unstable):
+def test_symbol_gives_the_quoted_spectral_radii(tableau, unstable):
     # the solver's symbol is the step's (n_v q)^2 block per wavenumber, the
-    # FFT of its stencil over the element offsets; preset 5.1 at degree 3,
-    # 160 elements, eps 1e-10 is stable at criterion 9's CFLs and not at
-    # CFL 0.7 and 0.8
+    # DFT of its impulse responses over the element offsets; preset 5.1 at
+    # degree 3, 160 elements, eps 1e-10 is stable at criterion 9's CFLs and
+    # not at CFL 0.7 and 0.8
     cfg, f0 = build_case("5.1", tableau, 1e-10, 0.1, degree=3)
     n_v, n, q = f0.values.shape
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     radii = []
     for cfl in (0.075, 0.15, 0.3, 0.6, 0.7, 0.8):
-        step = solver._linear_step(cfl * cfg.mesh.dx)
+        dt = cfl * cfg.mesh.dx
+        step = solver._linear_step(dt)
         # the symbol of wavenumbers 0 ... n // 2; the rest are their conjugates
         assert step.symbol.shape == (n // 2 + 1, n_v * q, n_v * q)
         radii.append(np.max(np.abs(np.linalg.eigvals(step.symbol.astype(complex)))))
-    # stack[w, (d, v, j), a] is entry ((w, a), (v, j)) of the block of offset d
+    # response[v, j, w, d, a] is entry ((w, a), (v, j)) of the block of offset window[d]
+    (response,), window = solver._responses(dt)
     blocks = np.zeros((n, n_v * q, n_v * q))
-    blocks[step.offsets] = step.stack.astype(float).reshape(
-        n_v, len(step.offsets), n_v, q, q).transpose(1, 0, 4, 2, 3).reshape(
-        len(step.offsets), n_v * q, n_v * q)
+    blocks[window % n] = response.astype(float).transpose(3, 2, 4, 0, 1).reshape(
+        len(window), n_v * q, n_v * q)
     assert_close(step.symbol.astype(complex), np.fft.rfft(blocks, axis=0), rtol=1e-15)
     np.testing.assert_allclose(radii[:4], 1.0, rtol=0.0, atol=1e-14)
     assert tuple(np.round(radii[4:], 3)) == unstable, radii
