@@ -47,7 +47,8 @@ per wavenumber.  One plan carries several step sizes side by side, each
 (:meth:`SemiLagrangianSolver.compile`); a step size met while stepping is
 compiled alone.  Any number of steps, one included, is one FFT pair
 around a product with the symbol's power, raised in long double and
-rounded once to complex128.  Long-double work steps through the plan.
+rounded once to complex128 (:func:`_product`, ``np.matmul`` without
+``np.matvec``).  Long-double work steps through the plan.
 """
 
 from __future__ import annotations
@@ -172,6 +173,28 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return np.exp(-1j * ((2 * np.arccos(np.longdouble(-1)) / n) * np.arange(n)))
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as ``np.matvec`` dots of b's columns with a's rows: matmul's terms
+    in its order, summed in registers rather than in memory, their factors swapped,
+    which changes no bit; ``np.matmul`` where numpy (before 2.2) has no ``np.matvec``."""
+    if not hasattr(np, "matvec"):
+        return np.matmul(a, b)
+    return np.matvec(b.swapaxes(-1, -2)[..., None, :, :], a)
+
+
+def _power(a: np.ndarray, n: int) -> np.ndarray:
+    """``np.linalg.matrix_power(a, n)``, n >= 1, from its products in its order."""
+    if n == 3:
+        return _product(_product(a, a), a)
+    square = result = None
+    while n:
+        square = a if square is None else _product(square, square)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = square if result is None else _product(result, square)
+    return result
+
+
 def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray) -> _LinearStep:
     """The compiled step from the long-double responses
     ``response[v, j, w, d, a]`` at element offsets ``window[d]``
@@ -182,9 +205,9 @@ def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray)
     The symbol of wavenumber k is their block sum of K[:, d] exp(-2 pi i k
     d / n_el), rows (w, a) and columns (v, j), with the phases k d mod n_el
     of ``roots``, :func:`_roots_of_unity` of n_el.  K is real, so the
-    symbol's real and imaginary parts are two real products.  Where long
-    double is no wider than float64, all of this composes in float64
-    precision."""
+    symbol's real and imaginary parts are two real products (:func:`_product`,
+    ``np.matmul`` without ``np.matvec``).  Where long double is no wider
+    than float64, all of this composes in float64 precision."""
     n_v, q, n = *response.shape[:2], len(roots)
     order = np.argsort(window % n)
     order = order[response.any(axis=(0, 1, 2, 4))[order]]
@@ -192,8 +215,8 @@ def _linear_step_of(response: np.ndarray, window: np.ndarray, roots: np.ndarray)
     phases = roots[np.arange(n // 2 + 1)[:, None] * offsets % n]
     blocks = kept.transpose(3, 2, 4, 0, 1).reshape(len(offsets), -1)
     symbol = np.empty((len(phases), n_v * q, n_v * q), roots.dtype)
-    symbol.real = (phases.real @ blocks).reshape(symbol.shape)
-    symbol.imag = (phases.imag @ blocks).reshape(symbol.shape)
+    symbol.real = _product(phases.real, blocks).reshape(symbol.shape)
+    symbol.imag = _product(phases.imag, blocks).reshape(symbol.shape)
     return _LinearStep(offsets, symbol)
 
 
@@ -389,14 +412,15 @@ class SemiLagrangianSolver:
         """``steps`` steps of a linear model at once, one or many, for
         float64 or complex128 work: the rfft of the values over the
         elements, times the symbol to the power ``steps``, transformed back.
-        The power is raised in long double and kept, rounded once to
+        The power is raised in long double (:func:`_power` by :func:`_product`,
+        ``np.matmul`` without ``np.matvec``) and kept, rounded once to
         complex128, for the next span of as many steps.  The step has real
         coefficients, so complex values go as their real and imaginary parts."""
         n_v, n, q = self._shape
         step = self._linear_step(dt)
         power = step.powers.get(steps)
         if power is None:
-            power = step.powers[steps] = np.linalg.matrix_power(step.symbol, steps).astype(complex)
+            power = step.powers[steps] = _power(step.symbol, steps).astype(complex)
         cplx = np.iscomplexobj(values)
         parts = np.stack((values.real, values.imag)) if cplx else values[None]
         # (parts, n_v, k, q) -> a (n_v q, parts) column block per wavenumber k
@@ -425,7 +449,7 @@ class SemiLagrangianSolver:
 
         The result is a fresh array; everything else lives in the solver's
         workspace for the values' dtype.  Values of another shape raise
-        ``ValueError``, as does a ``steps`` that is not a whole number >= 1.
+        ``ValueError``, as does a ``steps`` that is a bool or not a whole number >= 1.
         A linear model takes its steps in float64 or complex128 work, one
         or many, as one jump through its symbol's power (to roundoff, the
         same as stepping them in turn); other models and work dtypes step
@@ -434,7 +458,8 @@ class SemiLagrangianSolver:
         """
         ws = self._workspace(values)
         # int first: it matches a Python int without the slower ABC check
-        if not (isinstance(steps, (int, numbers.Integral)) and steps >= 1):
+        if isinstance(steps, (bool, np.bool_)) or not (
+                isinstance(steps, (int, numbers.Integral)) and steps >= 1):
             raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
         if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
             return self._jump(values, dt, steps)
@@ -492,8 +517,8 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     sum of the step sizes before it, added in turn.
 
     ``diagnostics_every`` controls how often the conservation/relaxation
-    diagnostics are recorded (0 records only the endpoints; a value that
-    is not a whole number >= 0 raises ``ValueError``).  A linear model goes
+    diagnostics are recorded (0 records only the endpoints; a bool or a
+    value that is not a whole number >= 0 raises ``ValueError``).  A linear model goes
     from one record to the next in one ``step_values`` call; other models
     take one step per call.  Aborts with :class:`DivergenceError` as soon as the field stops
     being finite (a jump that ends non-finite is taken again one step at a
@@ -508,7 +533,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     the config's own model and tableau objects and equal mesh, degree and
     eps; ``ValueError`` names what differs.
     """
-    if not isinstance(diagnostics_every, numbers.Integral):
+    if not isinstance(diagnostics_every, numbers.Integral) or isinstance(diagnostics_every, bool):
         raise ValueError(f"diagnostics_every must be a whole number, got {diagnostics_every!r}")
     if diagnostics_every < 0:
         raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")

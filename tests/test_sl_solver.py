@@ -12,9 +12,10 @@ from sldirk.dg import DGField, Mesh1D, ShiftOperator, fourier_coefficient, gauss
 from sldirk.harness import build_case, fit_slope
 from sldirk.models import (BGK1D, LinearTwoVelocity, NonlinearTwoVelocity,
                            UnphysicalStateError, VelocitySet, maxwellian)
-from sldirk import harness
+from sldirk import harness, sl_solver
 from sldirk.sl_solver import (DivergenceError, SemiLagrangianSolver, SimConfig, _Workspace,
-                              _linear_step_of, _roots_of_unity, l1_error, run)
+                              _linear_step_of, _power, _product, _roots_of_unity, l1_error,
+                              run)
 from sldirk.stability import StabilityPoint, amplification
 from conftest import assert_close, initial_field, random_sa_dirk, remap
 
@@ -302,7 +303,7 @@ def test_run_rejects_a_negative_diagnostics_interval():
         run(cfg, f0, diagnostics_every=-3)
 
 
-@pytest.mark.parametrize("every", [2.0, 1.5, "2"])
+@pytest.mark.parametrize("every", [2.0, 1.5, "2", True, False, np.True_])
 def test_run_rejects_a_diagnostics_interval_that_is_not_a_whole_number(every):
     # range() would raise TypeError for these, not the documented ValueError
     cfg, f0 = build_case("5.1", "DIRK2", 1e-2, 0.5, n_elements=8)
@@ -1088,7 +1089,7 @@ def test_steps_of_other_models_and_work_dtypes_go_in_turn():
         assert out.dtype == stepped.dtype and np.array_equal(out, stepped)
 
 
-@pytest.mark.parametrize("steps", [0, -2, 1.0, 2.0, 1.5])
+@pytest.mark.parametrize("steps", [0, -2, 1.0, 2.0, 1.5, True, False, np.True_])
 def test_step_count_must_be_a_whole_number(steps):
     cfg = _linear_cfg(n=8)
     solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
@@ -1096,6 +1097,93 @@ def test_step_count_must_be_a_whole_number(steps):
     with pytest.raises(ValueError, match=re.escape(f"steps must be a whole number >= 1, "
                                                    f"got {steps!r}")):
         solver.step_values(values, cfg.dt, steps)
+
+
+def _same_bits(a, b):
+    """Equal dtype, values and sign bits of both parts.  Long double is
+    compared by value, not by bytes: its padding bytes are undefined."""
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and all(np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+                    for part in (np.real, np.imag)))
+
+
+def _wide_blocks(rng, shape):
+    """A clongdouble array of ``shape`` whose entries carry bits beyond
+    float64 where long double is wider.  In a stack of square blocks each
+    block has spectral radius 1, so its powers stay finite also in float64,
+    and the first is diagonal with negative zeros off the diagonal, so its
+    sums meet signed zeros."""
+    third = np.longdouble(1) / 3
+    a = (rng.standard_normal(shape) * third + 1j * rng.standard_normal(shape) * third
+         ).astype(np.clongdouble)
+    if len(shape) == 3 and shape[1] == shape[2]:
+        a[0] = complex(-0.0, -0.0)
+        np.fill_diagonal(a[0], rng.standard_normal(shape[1]) * third)
+        # a real divisor on each part keeps the signs of the zeros
+        radius = np.abs(np.linalg.eigvals(a.astype(complex))).max(axis=1)[:, None, None]
+        a.real /= radius
+        a.imag /= radius
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 40, 6399, 6400, np.int64(6400)])
+def test_power_has_the_bits_of_matrix_power(n, rng):
+    # the products of np.linalg.matrix_power in its association, for a
+    # NumPy int count too
+    a = _wide_blocks(rng, (5, 6, 6))
+    if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+        assert np.any(a != a.astype(complex))
+    got = _power(a, n)
+    assert np.isfinite(got).all() and _same_bits(got, np.linalg.matrix_power(a, n))
+
+
+def test_product_of_a_strided_real_operand_has_the_bits_of_matmul(rng):
+    # the real parts of a complex stack, as a build multiplies its phases
+    phases = _wide_blocks(rng, (81, 9))
+    blocks = _wide_blocks(rng, (9, 36)).real
+    assert not phases.real.flags.c_contiguous
+    for a, b in ((phases.real, blocks), (phases.imag, blocks),
+                 (_wide_blocks(rng, (4, 3, 5)), _wide_blocks(rng, (4, 5, 2)))):
+        got = _product(a, b)
+        assert got.flags.c_contiguous and _same_bits(got, a @ b)
+
+
+def test_product_without_matvec_falls_back_to_the_same_bits(rng, monkeypatch):
+    # before NumPy 2.2 there is no np.matvec, and np.matmul makes the products
+    a, b = _wide_blocks(rng, (81, 6, 6)), _wide_blocks(rng, (81, 6, 6))
+    expected = _product(a, b), _power(a, 40)
+    monkeypatch.delattr(np, "matvec", raising=False)
+    for got, want in zip((_product(a, b), _power(a, 40)), expected):
+        assert got.flags.c_contiguous and _same_bits(got, want)
+
+
+def test_every_kept_power_is_c_contiguous():
+    cfg = _linear_cfg(tableau="DIRK3-B10", n=16, eps=1e-3, cfl=0.7)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))).values
+    for steps in (1, 2, 3, 7, 40):
+        solver.step_values(values, cfg.dt, steps)
+    step = solver._linear_step(cfg.dt)
+    assert step.symbol.flags.c_contiguous and sorted(step.powers) == [1, 2, 3, 7, 40]
+    for power in step.powers.values():
+        assert power.dtype == complex and power.flags.c_contiguous
+
+
+@pytest.mark.skipif(not hasattr(np, "matvec"), reason="NumPy before 2.2 has no np.matvec")
+def test_a_long_jump_raises_its_power_through_the_product_alone(monkeypatch):
+    # 6,400 steps: floor(log2 n) squarings and popcount(n) - 1 products of
+    # them, 12 + 2, and no call of np.linalg.matrix_power
+    cfg = _linear_cfg(tableau="DIRK3-B10", n=16, eps=1e-3, cfl=0.7)
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
+    values = initial_field(cfg, lambda x, v: np.exp(np.sin(2 * np.pi * x))).values
+    solver.compile(cfg.dt)
+    products = []
+    product = sl_solver._product
+    monkeypatch.setattr(sl_solver, "_product", lambda a, b: products.append(1) or product(a, b))
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda *a: pytest.fail("a jump called np.linalg.matrix_power"))
+    solver.step_values(values, cfg.dt, 6400)
+    assert len(products) == 14 == (6400).bit_length() - 1 + bin(6400).count("1") - 1
 
 
 @pytest.mark.parametrize("example", ["5.1", "5.2"])
