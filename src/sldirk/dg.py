@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@functools.cache
+# typed, so that a bool or float degree is not served the int's entry
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_nodes(degree: int):
     """Gauss-Legendre nodes and weights on the unit interval [0, 1].
 
     Computed once per degree; the arrays are shared, hence read-only."""
-    if degree < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    x, w = np.polynomial.legendre.leggauss(degree + 1)
+    x, w = np.polynomial.legendre.leggauss(whole_number("degree", degree, 0) + 1)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -65,10 +64,7 @@ class Mesh1D:
     n_elements: int
 
     def __post_init__(self):
-        if not isinstance(self.n_elements, numbers.Integral):
-            raise ValueError(f"the element count must be a whole number, got {self.n_elements!r}")
-        if self.n_elements < 1:
-            raise ValueError("need at least one element")
+        whole_number("n_elements", self.n_elements, 1)
         if not math.isfinite(self.x_hi - self.x_lo):
             raise ValueError(f"mesh length must be finite, got [{self.x_lo}, {self.x_hi}]")
         if not self.x_hi > self.x_lo:
@@ -397,6 +393,24 @@ def ensure_buffer(name: str, buf: np.ndarray | None, shape: tuple, dtype) -> np.
         raise ValueError(f"{name} buffer must be a C-contiguous {np.dtype(dtype)} array of "
                          f"shape {shape}, got {buf.dtype} {buf.shape}")
     return buf
+
+
+def whole_number(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, in
+    ``low``-``high`` (no upper bound when ``high`` is None).  Anything
+    else, 2.0 too, raises ``ValueError``."""
+    # int first: it matches a Python int without the slower ABC check
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    span = f">= {low}" if high is None else f"in {low}-{high}"
+    raise ValueError(f"{name} must be a whole number {span}, got {value!r}")
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0 (NaN fails)."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {float(value)!r}")
 
 
 def scalar_operand(value: float, dtype) -> np.ndarray:

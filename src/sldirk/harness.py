@@ -26,18 +26,16 @@ deterministic regardless of worker count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .butcher import resolve_tableau
-from .dg import DGField, Mesh1D
+from .dg import DGField, Mesh1D, require_positive, whole_number
 from .models import (BGK1D, N_V, V_MAX, LinearTwoVelocity, NonlinearTwoVelocity,
                      SimulationError, VelocitySet, maxwellian)
-from .sl_solver import (RunResult, SemiLagrangianSolver, SimConfig, _require_positive,
-                        l1_error, run)
+from .sl_solver import RunResult, SemiLagrangianSolver, SimConfig, l1_error, run
 
 #: the default mesh of a run: its elements, its elements at paper scale
 #: (the CLI's ``--paper-scale``) and the polynomial degree per element
@@ -117,7 +115,7 @@ class ConvergenceStudy:
         if not out.tableaus or not out.eps_values:
             raise ValueError("a sweep needs at least one tableau and one eps value")
         for cfl in out.cfl_values:
-            _require_positive("cfl", cfl)
+            require_positive("cfl", cfl)
         if len(set(out.cfl_values)) < 3:
             raise ValueError(f"slope fitting needs at least 3 CFL values that differ, "
                              f"got {out.cfl_values}")
@@ -132,8 +130,7 @@ class ConvergenceStudy:
                              f"than every tested CFL {out.cfl_values}")
         if out.error_on not in ("U", "f"):
             raise ValueError(f"error_on must be 'U' or 'f', got {out.error_on!r}")
-        if not (isinstance(out.jobs, numbers.Integral) and out.jobs >= 1):
-            raise ValueError(f"jobs must be an integer >= 1, got {out.jobs!r}")
+        whole_number("jobs", out.jobs, 1)
         return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg import ensure_buffer, scalar_operand
+from .dg import ensure_buffer, scalar_operand, whole_number
 
 
 class SimulationError(RuntimeError):
@@ -87,8 +87,7 @@ class VelocitySet:
         this quadrature is spectrally accurate, so the grid doubles as a
         trapezoid/midpoint rule.
         """
-        if not (isinstance(n_v, (int, np.integer)) and n_v >= 2):
-            raise ValueError(f"the velocity count must be a whole number >= 2, got {n_v!r}")
+        n_v = whole_number("n_v", n_v, 2)
         with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ rejects non-finite
             v = np.linspace(v_min, v_max, n_v)
             dv = (v_max - v_min) / (n_v - 1)

@@ -53,7 +53,6 @@ rounded once to complex128 (:func:`_product`, ``np.matmul`` without
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
@@ -62,7 +61,8 @@ from operator import add
 import numpy as np
 
 from .butcher import ButcherTableau
-from .dg import DGField, Mesh1D, ShiftOperator, _group_size, scalar_operand, shift_cells
+from .dg import (DGField, Mesh1D, ShiftOperator, _group_size, require_positive,
+                 scalar_operand, shift_cells, whole_number)
 from .models import DivergenceError, KineticModel, SimulationError, UnphysicalStateError
 
 #: highest supported polynomial degree per element
@@ -70,12 +70,6 @@ MAX_DEGREE = 4
 
 #: the dtypes that every supported numpy transforms in their own precision
 _FFT_DTYPES = (np.dtype(float), np.dtype(complex))
-
-
-def _require_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is finite and > 0 (NaN fails)."""
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {float(value)!r}")
 
 
 @dataclass
@@ -90,11 +84,9 @@ class SimConfig:
     t_final: float
 
     def __post_init__(self):
-        if not (isinstance(self.degree, numbers.Integral) and 0 <= self.degree <= MAX_DEGREE):
-            raise ValueError(f"polynomial degree {self.degree!r} is not a whole number in "
-                             f"the supported range 0-{MAX_DEGREE}")
+        self.degree = whole_number("degree", self.degree, 0, MAX_DEGREE)
         for name in ("cfl", "eps", "t_final"):
-            _require_positive(name, getattr(self, name))
+            require_positive(name, getattr(self, name))
         if self.model.velocity_set.max_speed == 0.0:
             raise ValueError("every velocity is 0, so the CFL number gives no time step")
 
@@ -232,13 +224,13 @@ class SemiLagrangianSolver:
 
     def __init__(self, model: KineticModel, mesh: Mesh1D, degree: int,
                  tableau: ButcherTableau, eps: float):
-        _require_positive("eps", eps)
+        require_positive("eps", eps)
         self.model = model
         self.mesh = mesh
-        self.degree = degree
+        self.degree = whole_number("degree", degree, 0, MAX_DEGREE)
         self.tableau = tableau
         self.eps = float(eps)
-        self._shape = (model.velocity_set.n, mesh.n_elements, degree + 1)
+        self._shape = (model.velocity_set.n, mesh.n_elements, self.degree + 1)
         # per stage k, the earlier increments its prediction reads (a_kj != 0)
         A = tableau.A
         self._earlier = [[j for j in range(k) if A[k, j] != 0.0] for k in range(tableau.s)]
@@ -321,7 +313,7 @@ class SemiLagrangianSolver:
         if not new:
             return
         for dt in new:
-            _require_positive("dt", dt)
+            require_positive("dt", dt)
         n_v, _, q = self._shape
         n = self._patch(*new)[0].n_elements
         # per batch of b + 1 step sizes, the group size of each stage operator
@@ -449,22 +441,18 @@ class SemiLagrangianSolver:
 
         The result is a fresh array; everything else lives in the solver's
         workspace for the values' dtype.  Values of another shape raise
-        ``ValueError``, as does a ``steps`` that is a bool or not a whole number >= 1.
-        A linear model takes its steps in float64 or complex128 work, one
-        or many, as one jump through its symbol's power (to roundoff, the
-        same as stepping them in turn); other models and work dtypes step
-        in turn through the stage plan.  A step size that is not finite and
+        ``ValueError``.  A linear model takes its steps in float64 or
+        complex128 work, one or many, as one jump through its symbol's power
+        (to roundoff, the same as stepping them in turn); other models and
+        work dtypes step in turn through the stage plan.  A step size that is not finite and
         positive raises ``ValueError`` where it is first planned or compiled.
         """
         ws = self._workspace(values)
-        # int first: it matches a Python int without the slower ABC check
-        if isinstance(steps, (bool, np.bool_)) or not (
-                isinstance(steps, (int, numbers.Integral)) and steps >= 1):
-            raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
+        steps = whole_number("steps", steps, 1)
         if self.model.linear and ws.stages.dtype in _FFT_DTYPES:
             return self._jump(values, dt, steps)
         if ws.dt != dt:
-            _require_positive("dt", dt)
+            require_positive("dt", dt)
             ws.dt, ws.plan = dt, self._stage_plan(ws, dt)
         for _ in range(steps):
             values = self._run_plan(ws, values, *ws.plan)
@@ -517,14 +505,14 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     sum of the step sizes before it, added in turn.
 
     ``diagnostics_every`` controls how often the conservation/relaxation
-    diagnostics are recorded (0 records only the endpoints; a bool or a
-    value that is not a whole number >= 0 raises ``ValueError``).  A linear model goes
-    from one record to the next in one ``step_values`` call; other models
-    take one step per call.  Aborts with :class:`DivergenceError` as soon as the field stops
-    being finite (a jump that ends non-finite is taken again one step at a
-    time, to find that step); a :class:`SimulationError` from a step or
-    from its diagnostics carries that step and its end time (step 0 and
-    time 0 for the initial data).
+    diagnostics are recorded (0 records only the endpoints).  A linear
+    model goes from one record to the next in one ``step_values`` call;
+    other models take one step per call.  Aborts with
+    :class:`DivergenceError` as soon as the field stops being finite (a jump
+    that ends non-finite is taken again one step at a time, to find that
+    step); a :class:`SimulationError` from a step or from its diagnostics
+    carries that step and its end time (step 0 and time 0 for the initial
+    data).
 
     ``solver`` steps the run in place of a new solver of the config, so
     that runs of one model, tableau, mesh, degree and eps at several CFL
@@ -533,10 +521,7 @@ def run(cfg: SimConfig, initial: DGField, diagnostics_every: int = 1, *,
     the config's own model and tableau objects and equal mesh, degree and
     eps; ``ValueError`` names what differs.
     """
-    if not isinstance(diagnostics_every, numbers.Integral) or isinstance(diagnostics_every, bool):
-        raise ValueError(f"diagnostics_every must be a whole number, got {diagnostics_every!r}")
-    if diagnostics_every < 0:
-        raise ValueError(f"diagnostics_every must be >= 0, got {diagnostics_every}")
+    diagnostics_every = whole_number("diagnostics_every", diagnostics_every, 0)
     if solver is None:
         solver = SemiLagrangianSolver(cfg.model, cfg.mesh, cfg.degree, cfg.tableau, cfg.eps)
     else:

@@ -476,7 +476,7 @@ def test_simulate_negative_diagnostics_interval_exits_2(capsys):
     code, out, err = run_cli(capsys, "simulate", "--model", "linear", "--nx", "8",
                              "--T", "0.01", "--diag-every", "-3")
     assert code == 2
-    assert "diagnostics_every must be >= 0" in err
+    assert "diagnostics_every must be a whole number >= 0, got -3" in err
     assert "completed" not in out
 
 
@@ -652,8 +652,8 @@ def test_simulate_bad_run_parameter_exits_2(capsys, flag, value, name):
     (("--ref-cfl", "-0.01"), "reference CFL"),
     (("--tableaus", ","), "at least one tableau"),
     (("--cfls", "0.1,0.1,0.1"), "3 CFL values that differ"),
-    (("--jobs", "0"), "error: jobs must be an integer >= 1, got 0"),
-    (("--jobs", "-2"), "error: jobs must be an integer >= 1, got -2"),
+    (("--jobs", "0"), "error: jobs must be a whole number >= 1, got 0"),
+    (("--jobs", "-2"), "error: jobs must be a whole number >= 1, got -2"),
     (("--ref-cfl", "-1e-3"), "error: reference CFL -0.001 must be positive"),
     (("--T", "-1e-3"), "error: t_final must be finite and positive, got -0.001"),
 ])
@@ -671,7 +671,7 @@ def test_convergence_degenerate_sweep_exits_2(capsys, monkeypatch, args, fragmen
 @pytest.mark.parametrize("args, fragment", [
     (("--tableaus", "BE,NOPE"), "'NOPE' is neither a catalog tableau"),
     (("--eps", "1e-2,nan"), "eps must be finite and positive"),
-    (("--p", "7"), "degree 7"),
+    (("--p", "7"), "degree must be a whole number in 0-4, got 7"),
     (("--tableaus", "BE,DIRK2,BE"), "each tableau may be given once"),
     (("--eps", "1e-2,0.01"), "each eps may be given once"),
     (("--cfls", "0.2,0.4,0.8,0.4"), "each CFL may be given once"),

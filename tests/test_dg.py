@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +20,17 @@ def test_gauss_nodes_unit_interval():
         # exactness on monomials up to degree 2p+1
         for d in range(2 * p + 2):
             assert np.dot(w, x ** d) == pytest.approx(1.0 / (d + 1), abs=1e-14)
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0, True, False, np.True_])
+def test_gauss_nodes_reject_a_degree_that_is_not_a_whole_number(degree):
+    # the cache once served True the nodes of degree 1, and 2.0 reached
+    # leggauss, which raised TypeError
+    gauss_nodes(1), gauss_nodes(2)
+    with pytest.raises(ValueError, match=re.escape(f"degree must be a whole number >= 0, "
+                                                   f"got {degree!r}")):
+        gauss_nodes(degree)
+    assert np.array_equal(gauss_nodes(np.int64(2))[0], gauss_nodes(2)[0])
 
 
 def test_gauss_nodes_are_cached_read_only():
@@ -51,11 +63,14 @@ def test_mesh_properties():
         Mesh1D(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         Mesh1D(1.0, 0.0, 4)
+    assert Mesh1D(-1.0, 1.0, np.int64(160)) == mesh
 
 
 @pytest.mark.parametrize("x_lo, x_hi, n_elements, match", [
-    # a fractional count gave dx 0.4 with 3 node rows
+    # a fractional count gave dx 0.4 with 3 node rows; a bool was taken as 1
     (0.0, 1.0, 2.5, "whole number"),
+    *((0.0, 1.0, n, f"n_elements must be a whole number >= 1, got {n!r}")
+      for n in (0, 2.0, True, False, np.True_)),
     # an infinite bound gave dx = inf, and so did finite bounds whose distance overflows
     (0.0, np.inf, 4, "finite"),
     (-1e308, 1e308, 4, "finite"),

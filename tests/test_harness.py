@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -113,13 +114,15 @@ def test_study_validation():
     assert bgk.ref_cfl == 0.01
 
 
-@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2"])
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, "2", 2.0, True, False, np.True_])
 def test_study_rejects_jobs_below_one(jobs):
     study = ConvergenceStudy(example="5.1", tableaus=("BE",), eps_values=(1e-2,),
                              cfl_values=(0.1, 0.2, 0.4), jobs=jobs)
-    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+    with pytest.raises(ValueError, match=re.escape(f"jobs must be a whole number >= 1, "
+                                                   f"got {jobs!r}")):
         study.resolved()
     assert replace(study, jobs=3).resolved().jobs == 3
+    assert replace(study, jobs=np.int64(3)).resolved().jobs == 3
 
 
 def _small_study(**kw):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,16 +39,16 @@ def test_velocity_set_validation():
         VelocitySet(v=[1.0, -1.0], w=[1.0, -1.0])
     with pytest.raises(ValueError):
         VelocitySet(v=[1.0], w=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        VelocitySet.uniform(0.0, 1.0, 1)
     # a count that is not an integer, also through a sweep's build_case:
     # numpy's linspace would raise TypeError
-    for n_v in (2.5, 100.0):
-        with pytest.raises(ValueError, match="velocity count must be a whole number >= 2"):
+    for n_v in (1, 2.5, 100.0, 2.0, True, False, np.True_):
+        message = re.escape(f"n_v must be a whole number >= 2, got {n_v!r}")
+        with pytest.raises(ValueError, match=message):
             VelocitySet.uniform(0.0, 1.0, n_v)
         study = harness.ConvergenceStudy("5.3", ("BE",), (1e-2,), (0.5, 1.0, 2.0), n_v=n_v)
-        with pytest.raises(ValueError, match="velocity count"):
+        with pytest.raises(ValueError, match=message):
             harness.run_convergence(study)
+    assert VelocitySet.uniform(0.0, 1.0, np.int64(3)).n == 3
     # NaN passes the w <= 0 test, so finiteness is checked first
     for v, w in (([1.0, np.nan], [1.0, 1.0]), ([np.inf, -1.0], [1.0, 1.0]),
                  ([1.0, -1.0], [np.nan, 1.0]), ([1.0, -1.0], [np.inf, 1.0])):

@@ -299,16 +299,18 @@ def test_run_rejects_a_negative_diagnostics_interval():
     # Python's % by a negative divisor still reaches 0, which would record
     # every third step for -3
     cfg, f0 = build_case("5.1", "DIRK2", 1e-2, 0.5, n_elements=8)
-    with pytest.raises(ValueError, match="diagnostics_every must be >= 0, got -3"):
+    with pytest.raises(ValueError, match="diagnostics_every must be a whole number >= 0, got -3"):
         run(cfg, f0, diagnostics_every=-3)
+    assert np.array_equal(run(cfg, f0, diagnostics_every=np.int64(2)).steps,
+                          run(cfg, f0, diagnostics_every=2).steps)
 
 
-@pytest.mark.parametrize("every", [2.0, 1.5, "2", True, False, np.True_])
+@pytest.mark.parametrize("every", [2.0, 1.5, "2", True, False, np.True_, -1])
 def test_run_rejects_a_diagnostics_interval_that_is_not_a_whole_number(every):
     # range() would raise TypeError for these, not the documented ValueError
     cfg, f0 = build_case("5.1", "DIRK2", 1e-2, 0.5, n_elements=8)
     with pytest.raises(ValueError, match=re.escape(f"diagnostics_every must be a whole "
-                                                   f"number, got {every!r}")):
+                                                   f"number >= 0, got {every!r}")):
         run(cfg, f0, diagnostics_every=every)
 
 
@@ -1087,6 +1089,7 @@ def test_steps_of_other_models_and_work_dtypes_go_in_turn():
             stepped = solver.step_values(stepped, cfg.dt)
         out = solver.step_values(start, cfg.dt, 3)
         assert out.dtype == stepped.dtype and np.array_equal(out, stepped)
+        assert np.array_equal(solver.step_values(start, cfg.dt, np.int64(3)), out)
 
 
 @pytest.mark.parametrize("steps", [0, -2, 1.0, 2.0, 1.5, True, False, np.True_])
@@ -1097,6 +1100,30 @@ def test_step_count_must_be_a_whole_number(steps):
     with pytest.raises(ValueError, match=re.escape(f"steps must be a whole number >= 1, "
                                                    f"got {steps!r}")):
         solver.step_values(values, cfg.dt, steps)
+
+
+_DEGREE_OF = {
+    "config": lambda cfg, degree: dataclasses.replace(cfg, degree=degree),
+    "solver": lambda cfg, degree: SemiLagrangianSolver(cfg.model, cfg.mesh, degree,
+                                                       cfg.tableau, cfg.eps),
+}
+
+
+@pytest.mark.parametrize("make", _DEGREE_OF)
+@pytest.mark.parametrize("degree", [-1, 5, True, np.True_, 2.0])
+def test_degree_must_be_a_whole_number_in_the_supported_range(make, degree):
+    # the solver took each of these unchecked; 2.0 made its shape (2, 8, 3.0)
+    with pytest.raises(ValueError, match=re.escape(f"degree must be a whole number in 0-4, "
+                                                   f"got {degree!r}")):
+        _DEGREE_OF[make](_linear_cfg(n=8), degree)
+
+
+def test_a_numpy_integer_degree_is_taken_as_an_int():
+    cfg = _linear_cfg(n=8, degree=np.int64(2))
+    solver = SemiLagrangianSolver(cfg.model, cfg.mesh, np.int64(2), cfg.tableau, cfg.eps)
+    for made in (cfg, solver):
+        assert type(made.degree) is int and made.degree == 2
+    assert type(solver._shape[2]) is int and solver._shape[2] == 3
 
 
 def _same_bits(a, b):
